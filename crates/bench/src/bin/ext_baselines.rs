@@ -22,7 +22,7 @@ use dfly_traffic::UniformRandom;
 use dragonfly::butterfly::{ButterflyNetwork, ButterflyRouting};
 use dragonfly::clos_sim::{ClosNetwork, ClosRouting};
 use dragonfly::torus_sim::{TorusNetwork, TorusRouting};
-use dragonfly::{DragonflyParams, DragonflySim, RoutingChoice, TrafficChoice};
+use dragonfly::{DragonflyParams, DragonflySim, RoutingChoice, TrafficChoice, UgalVariant};
 
 fn cell(stats: &RunStats) -> String {
     if stats.drained {
@@ -80,7 +80,7 @@ fn main() {
         TopoCurve::new(
             "butterfly UGAL",
             Arc::clone(&fb_spec),
-            Arc::new(ButterflyRouting::ugal_local(Arc::clone(&fbn))),
+            Arc::new(ButterflyRouting::ugal(Arc::clone(&fbn), UgalVariant::Local)),
             Arc::new(UniformRandom::new(fb_spec.num_terminals())),
         ),
         TopoCurve::new(

@@ -10,7 +10,7 @@ use dfly_netsim::Simulation;
 use dfly_topo::{FlattenedButterfly, Topology};
 use dfly_traffic::UniformRandom;
 use dragonfly::butterfly::{ButterflyNetwork, ButterflyRouting};
-use dragonfly::{DragonflyParams, DragonflySim, RoutingChoice, TrafficChoice};
+use dragonfly::{DragonflyParams, DragonflySim, RoutingChoice, TrafficChoice, UgalVariant};
 
 fn main() {
     let win = Windows::from_env();
@@ -64,8 +64,8 @@ fn main() {
             "| {load:.1} | {} | {} | {} | {} |",
             cell(&df_min),
             cell(&df_ugal),
-            fb_lat(&ButterflyRouting::minimal(fbn.clone())),
-            fb_lat(&ButterflyRouting::ugal_local(fbn.clone())),
+            fb_lat(&ButterflyRouting::new(fbn.clone())),
+            fb_lat(&ButterflyRouting::ugal(fbn.clone(), UgalVariant::Local)),
         );
     }
     println!(

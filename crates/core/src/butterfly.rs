@@ -26,7 +26,7 @@
 //!
 //! let net = ButterflyNetwork::new(FlattenedButterfly::new(2, 4, 2));
 //! let spec = net.build_spec();
-//! let routing = ButterflyRouting::minimal(net.into());
+//! let routing = ButterflyRouting::new(net.into());
 //! let traffic = UniformRandom::new(spec.num_terminals());
 //! let mut cfg = SimConfig::paper_default(0.1);
 //! cfg.warmup = 200;
@@ -35,142 +35,61 @@
 //! assert!(stats.drained);
 //! ```
 
-use std::sync::Arc;
-
 use dfly_netsim::{
-    CandidatePath, CandidatePaths, ChannelClass, Connection, DecisionRecord, FaultPlan, FaultTable,
-    Flit, NetView, NetworkSpec, PortSpec, PortVc, RouteAlgebra, RouteClass, RouteInfo, RouterSpec,
-    RoutingAlgorithm, SimError, UgalChooser,
+    CandidatePath, CandidatePaths, ChannelClass, Connection, Flit, NetworkSpec, PortSpec, PortVc,
+    RouteAlgebra, RouterSpec,
 };
 use dfly_topo::{FlattenedButterfly, Topology};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-use crate::routing::UgalVariant;
+use crate::network::{valiant_phase, NetRouting, NetTopology, SimNetwork};
 
 /// A flattened butterfly wired for cycle-accurate simulation.
+pub type ButterflyNetwork = SimNetwork<FbTopology>;
+
+/// Routing for the flattened butterfly: dimension-order minimal
+/// (`new`), Valiant through a uniformly random intermediate router, or
+/// a UGAL choice between them — with
+/// [`UgalVariant::CreditRoundTrip`](crate::UgalVariant) the estimator
+/// the paper develops for the dragonfly, portable here through the
+/// shared adaptive-routing layer.
+pub type ButterflyRouting = NetRouting<FbTopology>;
+
+/// The flattened butterfly's port map and dimension-order arithmetic.
 #[derive(Debug, Clone)]
-pub struct ButterflyNetwork {
+pub struct FbTopology {
     fb: FlattenedButterfly,
     /// First port offset of each dimension's channels (after the
     /// concentration ports).
     dim_base: Vec<usize>,
-    /// Channel latency for every network channel.
-    latency: u32,
-    /// Link-failure state, present after
-    /// [`ButterflyNetwork::with_fault_plan`]: the canonical failed
-    /// cables plus BFS next-hop tables over the surviving links. Under
-    /// faults every phase of a route follows the table toward its phase
-    /// target (strictly decreasing alive distance, so no loops); the
-    /// two-phase VC split still separates the Valiant legs, but detours
-    /// within a phase share that phase's VC, so deadlock freedom is
-    /// best-effort rather than proven.
-    faults: Option<Box<ButterflyFaults>>,
 }
 
-#[derive(Debug, Clone)]
-struct ButterflyFaults {
-    failed_links: Vec<(usize, usize)>,
-    table: FaultTable,
-}
-
-impl ButterflyNetwork {
-    /// Wires `fb` with unit channel latency.
-    pub fn new(fb: FlattenedButterfly) -> Self {
-        Self::with_latency(fb, 1)
-    }
-
-    /// Wires `fb` with the given network-channel latency.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `latency == 0`.
-    pub fn with_latency(fb: FlattenedButterfly, latency: u32) -> Self {
-        assert!(latency > 0, "latency must be >= 1");
+impl From<FlattenedButterfly> for FbTopology {
+    fn from(fb: FlattenedButterfly) -> Self {
         let mut dim_base = Vec::with_capacity(fb.dimensions());
         let mut offset = fb.concentration();
         for &s in fb.dims() {
             dim_base.push(offset);
             offset += s - 1;
         }
-        ButterflyNetwork {
-            fb,
-            dim_base,
-            latency,
-            faults: None,
-        }
+        FbTopology { fb, dim_base }
     }
+}
 
-    /// The underlying structural topology.
-    pub fn topology(&self) -> &FlattenedButterfly {
+impl std::ops::Deref for FbTopology {
+    type Target = FlattenedButterfly;
+
+    fn deref(&self) -> &FlattenedButterfly {
         &self.fb
     }
+}
 
-    /// Applies a [`FaultPlan`] (composing with any faults already
-    /// present): routes detour around the dead links along BFS next-hop
-    /// tables over the survivors.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidFaultPlan`] for malformed plans and
-    /// [`SimError::Unreachable`] when the plan disconnects the network.
-    pub fn with_fault_plan(mut self, plan: &FaultPlan) -> Result<Self, SimError> {
-        let spec = self.build_spec().with_faults(plan)?;
-        if spec.failed_links().is_empty() {
-            self.faults = None;
-            return Ok(self);
-        }
-        self.faults = Some(Box::new(ButterflyFaults {
-            failed_links: spec.failed_links().to_vec(),
-            table: FaultTable::new(&spec),
-        }));
-        Ok(self)
-    }
-
-    /// Whether a fault plan has been applied.
-    pub fn has_faults(&self) -> bool {
-        self.faults.is_some()
-    }
-
-    /// The canonical failed cables, empty for a fault-free network.
-    pub fn failed_links(&self) -> &[(usize, usize)] {
-        self.faults.as_ref().map_or(&[], |f| &f.failed_links)
-    }
-
-    /// The output port one (fault-aware) shortest hop from `router`
-    /// toward `target`: dimension-ordered on a fault-free network, BFS
-    /// over the surviving links under a fault plan.
+impl FbTopology {
+    /// The output port one dimension-ordered hop from `router` toward
+    /// router `target`.
     fn next_toward(&self, router: usize, target: usize) -> usize {
-        match &self.faults {
-            Some(f) => f
-                .table
-                .next_port(router, target)
-                .expect("validated fault plan keeps the network connected"),
-            None => self.port_to(router, self.dor_next(router, target)),
-        }
-    }
-
-    /// Router-to-router hops from `a` to `b`, over the surviving links
-    /// under a fault plan.
-    fn hops_between(&self, a: usize, b: usize) -> u32 {
-        match &self.faults {
-            Some(f) => f
-                .table
-                .distance(a, b)
-                .expect("validated fault plan keeps the network connected"),
-            None => self.fb.min_hops(a, b) as u32,
-        }
-    }
-
-    /// Upper bound on the hops of any valid route: two phases, each at
-    /// most the (fault-aware) router-graph diameter, plus the ejection
-    /// hop.
-    pub fn route_hop_bound(&self) -> usize {
-        let diameter = match &self.faults {
-            Some(f) => f.table.diameter() as usize,
-            None => self.fb.dimensions(),
-        };
-        2 * diameter + 1
+        self.port_to(router, self.dor_next(router, target))
     }
 
     /// The port of `router` leading directly to `peer`, which must
@@ -188,7 +107,7 @@ impl ButterflyNetwork {
     }
 
     /// The router reached through network port `port` of `router` (the
-    /// inverse of [`ButterflyNetwork::port_to`]).
+    /// inverse of [`FbTopology::port_to`]).
     fn peer_of(&self, router: usize, port: usize) -> usize {
         let coords = self.fb.coordinates(router);
         let dim = (0..self.fb.dimensions())
@@ -214,24 +133,18 @@ impl ButterflyNetwork {
         c2[dim] = cb[dim];
         self.fb.router_index(&c2)
     }
+}
 
-    /// Builds the simulator wiring: concentration ports first, then one
-    /// fully connected port group per dimension. Dimension 0 channels
-    /// are classed local (intra-cabinet), higher dimensions global. Any
-    /// applied fault plan is re-applied, so the spec's failure marks
-    /// always match the routing tables.
-    pub fn build_spec(&self) -> NetworkSpec {
-        let spec = self.build_spec_clean();
-        match &self.faults {
-            None => spec,
-            Some(f) => spec
-                .with_faults(&FaultPlan::Explicit(f.failed_links.clone()))
-                .expect("stored fault list was validated when the plan was applied"),
-        }
-    }
+impl NetTopology for FbTopology {
+    const PREFIX: &'static str = "FB";
+    const OBLIVIOUS: &'static str = "MIN";
+    const RESALT_DETOURS: bool = true;
+    const DETOURS_UNDER_FAULTS: bool = true;
 
-    /// The fault-free wiring.
-    fn build_spec_clean(&self) -> NetworkSpec {
+    /// Concentration ports first, then one fully connected port group
+    /// per dimension. Dimension 0 channels are classed local
+    /// (intra-cabinet), higher dimensions global.
+    fn wire(&self, latency: u32) -> NetworkSpec {
         let c = self.fb.concentration();
         let mut routers = Vec::with_capacity(self.fb.num_routers());
         for r in 0..self.fb.num_routers() {
@@ -259,7 +172,7 @@ impl ButterflyNetwork {
                             router: peer as u32,
                             port: self.port_to(peer, r) as u32,
                         },
-                        latency: self.latency,
+                        latency,
                         class: if dim == 0 {
                             ChannelClass::Local
                         } else {
@@ -273,30 +186,41 @@ impl ButterflyNetwork {
         NetworkSpec::validated(routers, 2).expect("butterfly wiring must validate")
     }
 
-    /// Load sweep under `routing` and `pattern`: one independent run
-    /// per load, fanned out across the worker pool (results in load
-    /// order, bit-identical to a serial sweep).
-    ///
-    /// # Errors
-    ///
-    /// The first configuration rejection, if `base` is invalid.
-    pub fn sweep(
-        &self,
-        routing: &ButterflyRouting,
-        pattern: &(dyn dfly_traffic::TrafficPattern + Sync),
-        loads: &[f64],
-        base: &dfly_netsim::SimConfig,
-    ) -> Result<Vec<crate::LoadPoint>, dfly_netsim::SimError> {
-        crate::parallel::sweep_network(&self.build_spec(), routing, pattern, loads, base)
+    /// Two dimension-order phases of at most one hop per dimension.
+    fn hop_bound(&self) -> usize {
+        2 * self.fb.dimensions()
+    }
+
+    fn route(&self, router: usize, flit: &Flit) -> PortVc {
+        let c = self.fb.concentration();
+        let dest = flit.dest as usize;
+        let rd = dest / c;
+        let (target, vc) = valiant_phase(router, rd, flit);
+        if router == target {
+            return PortVc::new(dest % c, 0);
+        }
+        PortVc::new(self.next_toward(router, target), vc)
+    }
+
+    /// A uniformly random router distinct from both endpoints.
+    fn draw_tag(&self, router: usize, dest: usize, _salt: u32, rng: &mut SmallRng) -> Option<u32> {
+        let rd = dest / self.fb.concentration();
+        let n = self.fb.num_routers();
+        if n < 3 {
+            return None;
+        }
+        (0..8)
+            .map(|_| rng.gen_range(0..n))
+            .find(|&ri| ri != router && ri != rd)
+            .map(|ri| ri as u32)
     }
 }
 
 /// Closed-form routing algebra for the flattened butterfly: pure
-/// coordinate arithmetic fault-free (dimension-order next hop, digit
-/// distance), the lazily-built BFS detour columns under a fault plan.
+/// coordinate arithmetic (dimension-order next hop, digit distance).
 /// The salt is unused — there is exactly one channel per
 /// (router, dimension, digit). The Valiant set is every third router.
-impl RouteAlgebra for ButterflyNetwork {
+impl RouteAlgebra for FbTopology {
     fn terminal_router(&self, terminal: usize) -> usize {
         terminal / self.fb.concentration()
     }
@@ -314,11 +238,7 @@ impl RouteAlgebra for ButterflyNetwork {
     }
 
     fn minimal_hops(&self, router: usize, dest: usize, _salt: u32) -> u32 {
-        let rd = dest / self.fb.concentration();
-        if router == rd {
-            return 0;
-        }
-        self.hops_between(router, rd)
+        self.fb.min_hops(router, dest / self.fb.concentration()) as u32
     }
 
     fn valiant_degree(&self, router: usize, dest: usize) -> usize {
@@ -352,27 +272,22 @@ impl RouteAlgebra for ButterflyNetwork {
 /// minimal path and the two-phase Valiant path through intermediate
 /// router `intermediate`. The salt is unused — the butterfly has exactly
 /// one channel per (router, dimension, digit), so there is nothing to
-/// pre-select. Under a fault plan both first hops and hop counts follow
-/// the BFS detour tables.
+/// pre-select.
 ///
 /// As the oracle (UGAL-G) probe point each candidate reports its
 /// bottleneck channel: for the minimal path the channel *after* the
 /// first hop (where dimension-order traffic converges; the first-hop
 /// channel itself for single-hop paths), for the Valiant path the
 /// channel leaving the intermediate router toward the destination.
-impl CandidatePaths for ButterflyNetwork {
+impl CandidatePaths for FbTopology {
     fn minimal_candidate(&self, router: usize, dest: usize, salt: u32) -> CandidatePath {
         let rd = dest / self.fb.concentration();
-        if router == rd {
-            return CandidatePath::new(dest % self.fb.concentration(), 0, 0);
-        }
         let first = self.minimal_port(router, dest, salt);
         let port = first.port as usize;
-        let path = CandidatePath::new(
-            port,
-            first.vc as usize,
-            self.minimal_hops(router, dest, salt),
-        );
+        let path = CandidatePath::new(port, 0, self.minimal_hops(router, dest, salt));
+        if router == rd {
+            return path;
+        }
         let mid = self.peer_of(router, port);
         if mid == rd {
             path.with_probe(router, port)
@@ -394,204 +309,19 @@ impl CandidatePaths for ButterflyNetwork {
             ri != router && ri != rd,
             "intermediate must be a third router"
         );
-        let port = self.next_toward(router, ri);
-        let hops = self.hops_between(router, ri) + self.hops_between(ri, rd);
-        CandidatePath::new(port, 0, hops).with_probe(ri, self.next_toward(ri, rd))
-    }
-}
-
-/// Which decision rule drives the butterfly. The adaptive mode carries
-/// its [`UgalChooser`] so every estimator of the shared framework is
-/// available — including the credit-round-trip estimator that used to
-/// be dragonfly-only.
-#[derive(Debug)]
-enum Mode {
-    Minimal,
-    Valiant,
-    Ugal(UgalVariant, UgalChooser),
-}
-
-/// Routing for the flattened butterfly: dimension-order minimal,
-/// Valiant, or a UGAL adaptive choice between them driven by any
-/// [`dfly_netsim::CongestionEstimator`].
-#[derive(Debug)]
-pub struct ButterflyRouting {
-    net: Arc<ButterflyNetwork>,
-    mode: Mode,
-}
-
-impl ButterflyRouting {
-    /// Dimension-order minimal routing.
-    pub fn minimal(net: Arc<ButterflyNetwork>) -> Self {
-        ButterflyRouting {
-            net,
-            mode: Mode::Minimal,
-        }
-    }
-
-    /// Valiant routing through a uniformly random intermediate router.
-    pub fn valiant(net: Arc<ButterflyNetwork>) -> Self {
-        ButterflyRouting {
-            net,
-            mode: Mode::Valiant,
-        }
-    }
-
-    /// UGAL over the given congestion estimator variant.
-    pub fn ugal(net: Arc<ButterflyNetwork>, variant: UgalVariant) -> Self {
-        ButterflyRouting {
-            net,
-            mode: Mode::Ugal(variant, UgalChooser::new(variant.estimator())),
-        }
-    }
-
-    /// UGAL with local output-queue information, choosing per packet
-    /// between the minimal and a random Valiant path.
-    pub fn ugal_local(net: Arc<ButterflyNetwork>) -> Self {
-        Self::ugal(net, UgalVariant::Local)
-    }
-
-    /// UGAL-L(CR) on the butterfly: credit-inclusive queue estimates,
-    /// to be paired with [`dfly_netsim::CreditMode::RoundTrip`] — the
-    /// estimator the paper develops for the dragonfly, available here
-    /// through the shared adaptive-routing layer.
-    pub fn ugal_credit(net: Arc<ButterflyNetwork>) -> Self {
-        Self::ugal(net, UgalVariant::CreditRoundTrip)
-    }
-}
-
-impl Clone for ButterflyRouting {
-    fn clone(&self) -> Self {
-        match &self.mode {
-            Mode::Minimal => Self::minimal(self.net.clone()),
-            Mode::Valiant => Self::valiant(self.net.clone()),
-            Mode::Ugal(variant, _) => Self::ugal(self.net.clone(), *variant),
-        }
-    }
-}
-
-impl ButterflyRouting {
-    /// Draws an intermediate router distinct from `rs` and `rd`.
-    fn random_intermediate(&self, rs: usize, rd: usize, rng: &mut SmallRng) -> Option<usize> {
-        let n = self.net.fb.num_routers();
-        if n < 3 {
-            return None;
-        }
-        for _ in 0..8 {
-            let ri = rng.gen_range(0..n);
-            if ri != rs && ri != rd {
-                return Some(ri);
-            }
-        }
-        None
-    }
-}
-
-impl RoutingAlgorithm for ButterflyRouting {
-    fn name(&self) -> String {
-        match &self.mode {
-            Mode::Minimal => "FB-MIN".into(),
-            Mode::Valiant => "FB-VAL".into(),
-            Mode::Ugal(variant, _) => match variant {
-                UgalVariant::Local => "FB-UGAL-L".into(),
-                UgalVariant::LocalVc => "FB-UGAL-L_VC".into(),
-                UgalVariant::LocalVcHybrid => "FB-UGAL-L_VCH".into(),
-                UgalVariant::Global => "FB-UGAL-G".into(),
-                UgalVariant::CreditRoundTrip => "FB-UGAL-L_CR".into(),
-                UgalVariant::LocalEwma => "FB-UGAL-L_EWMA".into(),
-            },
-        }
-    }
-
-    fn inject(&self, view: &NetView<'_>, src: usize, dest: usize, rng: &mut SmallRng) -> RouteInfo {
-        self.inject_traced(view, src, dest, rng).0
-    }
-
-    fn inject_traced(
-        &self,
-        view: &NetView<'_>,
-        src: usize,
-        dest: usize,
-        rng: &mut SmallRng,
-    ) -> (RouteInfo, DecisionRecord) {
-        let c = self.net.fb.concentration();
-        let rs = src / c;
-        let rd = dest / c;
-        let minimal = RouteInfo::minimal().with_salt(rng.gen());
-        if rs == rd {
-            return (minimal, DecisionRecord::default());
-        }
-        match &self.mode {
-            Mode::Minimal => (minimal, DecisionRecord::default()),
-            Mode::Valiant => match self.random_intermediate(rs, rd, rng) {
-                Some(ri) => (
-                    RouteInfo::non_minimal(ri as u32).with_salt(rng.gen()),
-                    DecisionRecord::default(),
-                ),
-                None => (minimal, DecisionRecord::default()),
-            },
-            Mode::Ugal(_, chooser) => {
-                let Some(ri) = self.random_intermediate(rs, rd, rng) else {
-                    return (minimal, DecisionRecord::default());
-                };
-                let net = &self.net;
-                let m = net.minimal_candidate(rs, dest, minimal.salt);
-                let nm = net.non_minimal_candidate(rs, dest, ri as u32, minimal.salt);
-                let decision = chooser.choose(view, rs, &m, &nm);
-                let record = DecisionRecord {
-                    adaptive: !decision.fault_avoided,
-                    estimator_disagreed: decision.estimator_disagreed,
-                    fault_avoided: decision.fault_avoided,
-                    dropped_candidates: decision.dropped_candidates,
-                    probe_fallbacks: decision.probe_fallbacks,
-                    q_chosen: decision.q_chosen(),
-                    oracle_chosen: decision.oracle_chosen(),
-                    oracle_disagreed: decision.oracle_disagreed,
-                    oracle_scored: decision.oracle_scored,
-                };
-                if decision.minimal {
-                    (minimal, record)
-                } else {
-                    (
-                        RouteInfo::non_minimal(ri as u32).with_salt(rng.gen()),
-                        record,
-                    )
-                }
-            }
-        }
-    }
-
-    fn route(&self, view: &NetView<'_>, router: usize, flit: &Flit) -> PortVc {
-        let net = &self.net;
-        let c = net.fb.concentration();
-        let dest = flit.dest as usize;
-        let rd = dest / c;
-        // Phase: VC1 (or arrival at the intermediate) means head for the
-        // destination; otherwise head for the intermediate.
-        let (target, vc) = match flit.route.class {
-            RouteClass::Minimal => (rd, 0),
-            RouteClass::NonMinimal => {
-                let ri = flit.route.intermediate().expect("intermediate set") as usize;
-                if flit.vc == 1 || router == ri || ri == rd {
-                    (rd, 1)
-                } else {
-                    (ri, 0)
-                }
-            }
-        };
-        if router == rd && target == rd {
-            return PortVc::new(dest % c, 0);
-        }
-        let _ = view;
-        PortVc::new(net.next_toward(router, target), vc)
+        let hops = (self.fb.min_hops(router, ri) + self.fb.min_hops(ri, rd)) as u32;
+        CandidatePath::new(self.next_toward(router, ri), 0, hops)
+            .with_probe(ri, self.next_toward(ri, rd))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dfly_netsim::{SimConfig, Simulation};
+    use crate::UgalVariant;
+    use dfly_netsim::{FaultPlan, RoutingAlgorithm, SimConfig, Simulation};
     use dfly_traffic::{rng_for, BitComplement, UniformRandom};
+    use std::sync::Arc;
 
     fn net_2x4() -> Arc<ButterflyNetwork> {
         Arc::new(ButterflyNetwork::new(FlattenedButterfly::new(2, 4, 2)))
@@ -619,16 +349,17 @@ mod tests {
     fn dor_walk_fixes_dimensions_in_order() {
         let net = net_2x4();
         // Router 0 (0,0) to router 15 (3,3): first hop fixes dim 0.
-        let next = net.dor_next(0, 15);
-        assert_eq!(net.fb.coordinates(next), vec![3, 0]);
-        assert_eq!(net.dor_next(next, 15), 15);
+        let fb = net.topology();
+        let next = fb.dor_next(0, 15);
+        assert_eq!(fb.coordinates(next), vec![3, 0]);
+        assert_eq!(fb.dor_next(next, 15), 15);
     }
 
     #[test]
     fn minimal_delivers_uniform() {
         let net = net_2x4();
         let spec = net.build_spec();
-        let routing = ButterflyRouting::minimal(net);
+        let routing = ButterflyRouting::new(net);
         let pattern = UniformRandom::new(32);
         let stats = Simulation::new(&spec, &routing, &pattern, fast_cfg(0.3))
             .unwrap()
@@ -648,9 +379,9 @@ mod tests {
         let spec = net.build_spec();
         let pattern = BitComplement::new(32);
         for routing in [
-            ButterflyRouting::minimal(net.clone()),
+            ButterflyRouting::new(net.clone()),
             ButterflyRouting::valiant(net.clone()),
-            ButterflyRouting::ugal_local(net.clone()),
+            ButterflyRouting::ugal(net.clone(), UgalVariant::Local),
         ] {
             let stats = Simulation::new(&spec, &routing, &pattern, fast_cfg(0.1))
                 .unwrap()
@@ -664,8 +395,8 @@ mod tests {
         let net = net_2x4();
         let spec = net.build_spec();
         let pattern = UniformRandom::new(32);
-        let min = ButterflyRouting::minimal(net.clone());
-        let ugal = ButterflyRouting::ugal_local(net.clone());
+        let min = ButterflyRouting::new(net.clone());
+        let ugal = ButterflyRouting::ugal(net.clone(), UgalVariant::Local);
         let s_min = Simulation::new(&spec, &min, &pattern, fast_cfg(0.3))
             .unwrap()
             .run();
@@ -680,10 +411,10 @@ mod tests {
     #[test]
     fn intermediate_avoids_endpoints() {
         let net = net_2x4();
-        let routing = ButterflyRouting::valiant(net);
         let mut rng = rng_for(3, 0);
         for _ in 0..100 {
-            if let Some(ri) = routing.random_intermediate(0, 5, &mut rng) {
+            // Terminal 10 sits on router 5.
+            if let Some(ri) = net.topology().draw_tag(0, 10, 0, &mut rng) {
                 assert_ne!(ri, 0);
                 assert_ne!(ri, 5);
             }
@@ -695,12 +426,13 @@ mod tests {
         let net = net_2x4();
         // Router 0 -> router 15 (terminal 30): the minimal path's
         // second hop leaves the mid router; the probe names it.
+        let fb = net.topology();
         let m = net.minimal_candidate(0, 30, 0);
-        let mid = net.peer_of(0, m.port as usize);
+        let mid = fb.peer_of(0, m.port as usize);
         assert_eq!(m.probe_router as usize, mid);
         assert_eq!(
             m.probe_port as usize,
-            net.next_toward(mid, 15),
+            fb.next_toward(mid, 15),
             "probe must sit on the mid router's onward channel"
         );
         // Single-hop minimal: the probe is the first channel itself.
@@ -710,7 +442,7 @@ mod tests {
         // Non-minimal via router 5: probed at the intermediate.
         let nm = net.non_minimal_candidate(0, 30, 5, 0);
         assert_eq!(nm.probe_router, 5);
-        assert_eq!(nm.probe_port as usize, net.next_toward(5, 15));
+        assert_eq!(nm.probe_port as usize, fb.next_toward(5, 15));
     }
 
     #[test]
@@ -739,7 +471,7 @@ mod tests {
         assert!(!net.failed_links().is_empty());
         let spec = net.build_spec();
         assert!(spec.has_faults());
-        let routing = ButterflyRouting::minimal(Arc::new(net));
+        let routing = ButterflyRouting::new(Arc::new(net));
         let pattern = UniformRandom::new(32);
         let stats = Simulation::new(&spec, &routing, &pattern, fast_cfg(0.1))
             .unwrap()
@@ -753,7 +485,7 @@ mod tests {
             .with_fault_plan(&FaultPlan::random_any(0.1, 7))
             .unwrap();
         let spec = net.build_spec();
-        let routing = ButterflyRouting::ugal_local(Arc::new(net));
+        let routing = ButterflyRouting::ugal(Arc::new(net), UgalVariant::Local);
         let pattern = UniformRandom::new(32);
         let stats = Simulation::new(&spec, &routing, &pattern, fast_cfg(0.15))
             .unwrap()

@@ -31,8 +31,8 @@
 //! so two configurations that collide in the hash can never satisfy
 //! each other's lookups.
 //!
-//! Results are encoded with a hand-rolled, dependency-free token codec
-//! ([`RunStats`] and friends have no serde here); `f64` fields are
+//! Results are encoded with a hand-rolled token codec (the workspace
+//! builds offline and depends on no serialisation crate); `f64` fields are
 //! stored as the 16-hex-digit image of [`f64::to_bits`], so decoded
 //! results are bit-identical to the originals — which the determinism
 //! tests assert at every shard count.
@@ -42,6 +42,7 @@ use std::fmt::Write as _;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use dfly_netsim::{
@@ -178,10 +179,17 @@ impl CampaignReport {
 /// Writes `contents` to `path` atomically: the bytes land in a sibling
 /// temp file first and replace `path` with a single `rename`, so a
 /// crash mid-write can never leave a torn file under the final name.
+/// The temp name is unique per call (process id + a process-wide
+/// counter), so concurrent writers of one path never share a temp file.
 pub fn atomic_write(path: impl AsRef<Path>, contents: &[u8]) -> io::Result<()> {
+    static CALLS: AtomicU64 = AtomicU64::new(0);
     let path = path.as_ref();
     let mut tmp = path.as_os_str().to_owned();
-    tmp.push(format!(".tmp{}", std::process::id()));
+    tmp.push(format!(
+        ".tmp{}-{}",
+        std::process::id(),
+        CALLS.fetch_add(1, Ordering::Relaxed)
+    ));
     let tmp = PathBuf::from(tmp);
     let mut file = File::create(&tmp)?;
     file.write_all(contents)?;
@@ -384,9 +392,9 @@ impl CampaignStore {
             payload,
         });
         inner.entries += 1;
-        let entries = inner.entries;
-        drop(inner);
-        self.write_index(entries)
+        // Still under the lock: index writes land in journal order, so
+        // the sidecar never publishes a stale count.
+        self.write_index(inner.entries)
     }
 
     /// The stored [`RunStats`] for `key`, if present and decodable.

@@ -28,20 +28,31 @@
 //! assert!(stats.drained);
 //! ```
 
-use std::sync::Arc;
-
 use dfly_netsim::{
-    CandidatePath, CandidatePaths, ChannelClass, Connection, DecisionRecord, FaultPlan, FaultTable,
-    Flit, NetView, NetworkSpec, PortSpec, PortVc, RouteAlgebra, RouteClass, RouteInfo, RouterSpec,
-    RoutingAlgorithm, SimError, UgalChooser,
+    CandidatePath, CandidatePaths, ChannelClass, Connection, Flit, NetworkSpec, PortSpec, PortVc,
+    RouteAlgebra, RouterSpec,
 };
 use dfly_topo::{FoldedClos, Topology};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-use crate::routing::UgalVariant;
+use crate::network::{NetRouting, NetTopology, SimNetwork};
 
 /// A folded Clos wired for cycle-accurate simulation.
+///
+/// # Panics
+///
+/// Construction panics if the Clos has fewer than 2 levels (a single
+/// switch has no network to simulate).
+pub type ClosNetwork = SimNetwork<ClosTopology>;
+
+/// Fat-tree routing: random-up / deterministic-down (`new`), or with
+/// the leaf uplink chosen per packet between the salt-hashed one and a
+/// random alternative by congestion estimate (`ugal`; the descent stays
+/// deterministic, so deadlock freedom is untouched).
+pub type ClosRouting = NetRouting<ClosTopology>;
+
+/// The folded Clos's port map and digit arithmetic.
 ///
 /// Switches below the top rank are indexed by `levels - 1` digits in
 /// base `k/2`; uplink `u` at rank `l` leads to the rank-`l+1` switch
@@ -51,109 +62,38 @@ use crate::routing::UgalVariant;
 /// virtual count is odd too, and the last real top switch absorbs a
 /// single virtual, using only its parity-0 half of the down ports.
 #[derive(Debug, Clone)]
-pub struct ClosNetwork {
+pub struct ClosTopology {
     clos: FoldedClos,
     /// First global router index of each rank.
     rank_base: Vec<usize>,
-    latency: u32,
-    /// Link-failure state, present after
-    /// [`ClosNetwork::with_fault_plan`]. Under faults every flit
-    /// follows the BFS next-hop tables over the surviving links
-    /// (strictly decreasing alive distance, so no loops), instead of
-    /// the structured random-up/deterministic-down walk — detours may
-    /// mix up and down hops, so single-VC deadlock freedom becomes
-    /// best-effort rather than proven.
-    faults: Option<Box<ClosFaults>>,
 }
 
-#[derive(Debug, Clone)]
-struct ClosFaults {
-    failed_links: Vec<(usize, usize)>,
-    table: FaultTable,
-}
-
-impl ClosNetwork {
-    /// Wires `clos` with unit channel latency.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `clos` has fewer than 2 levels (a single switch has no
-    /// network to simulate).
-    pub fn new(clos: FoldedClos) -> Self {
-        Self::with_latency(clos, 1)
-    }
-
-    /// Wires `clos` with the given network-channel latency. Any even
-    /// radix works: when `k/2` is odd the last top switch absorbs a
-    /// single virtual switch and exposes only `k/2` down ports.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `clos.levels() < 2` or `latency == 0`.
-    pub fn with_latency(clos: FoldedClos, latency: u32) -> Self {
+impl From<FoldedClos> for ClosTopology {
+    fn from(clos: FoldedClos) -> Self {
         assert!(clos.levels() >= 2, "need >= 2 ranks to have a network");
-        assert!(latency > 0, "latency must be >= 1");
         let mut rank_base = Vec::with_capacity(clos.levels());
         let mut base = 0;
         for l in 0..clos.levels() {
             rank_base.push(base);
             base += clos.switches_at(l);
         }
-        ClosNetwork {
-            clos,
-            rank_base,
-            latency,
-            faults: None,
-        }
+        ClosTopology { clos, rank_base }
     }
+}
 
-    /// Applies a link-failure plan, composing with any faults already
-    /// present. Routing then follows BFS shortest paths over the
-    /// surviving links. Rejects plans that disconnect any switch pair.
-    pub fn with_fault_plan(mut self, plan: &FaultPlan) -> Result<Self, SimError> {
-        let spec = self.build_spec().with_faults(plan)?;
-        let failed = spec.failed_links().to_vec();
-        if failed.is_empty() {
-            self.faults = None;
-        } else {
-            let table = FaultTable::new(&spec);
-            self.faults = Some(Box::new(ClosFaults {
-                failed_links: failed,
-                table,
-            }));
-        }
-        Ok(self)
+impl std::ops::Deref for ClosTopology {
+    type Target = FoldedClos;
+
+    fn deref(&self) -> &FoldedClos {
+        &self.clos
     }
+}
 
-    /// Whether a fault plan with at least one failed link is applied.
-    pub fn has_faults(&self) -> bool {
-        self.faults.is_some()
-    }
-
-    /// The failed `(router, port)` link ends, both directions listed.
-    pub fn failed_links(&self) -> &[(usize, usize)] {
-        self.faults.as_ref().map_or(&[], |f| &f.failed_links)
-    }
-
+impl ClosTopology {
     /// Number of virtual top switches (the switch count of every rank
     /// below the top).
     fn virtual_tops(&self) -> usize {
         self.clos.switches_at(0)
-    }
-
-    /// Upper bound on network hops any routed packet takes, plus the
-    /// ejection hop.
-    pub fn route_hop_bound(&self) -> usize {
-        let diameter = match &self.faults {
-            Some(f) => f.table.diameter() as usize,
-            None => 2 * (self.clos.levels() - 1),
-        };
-        diameter + 1
-    }
-
-    /// The underlying structural topology.
-    pub fn topology(&self) -> &FoldedClos {
-        &self.clos
     }
 
     /// Half the switch radix: terminals per leaf, up/down port split.
@@ -189,26 +129,45 @@ impl ClosNetwork {
         (rank..self.clos.levels() - 1).all(|d| self.digit(s, d) == self.digit(leaf, d))
     }
 
-    /// Builds the simulator wiring.
-    ///
+    /// Salt-derived uplink choice at `rank` (stable per packet).
+    fn pick_up(&self, salt: u32, rank: usize) -> usize {
+        let mut z = (salt as u64) ^ ((rank as u64) << 40) ^ 0xD1B5_4A32_D192_ED03;
+        z = (z ^ (z >> 33)).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+        z ^= z >> 33;
+        (z as usize) % self.half()
+    }
+
+    /// Salt-derived virtual parity at the top rank.
+    fn pick_parity(&self, salt: u32) -> usize {
+        (salt as usize >> 7) & 1
+    }
+
+    /// Router-to-router hops of the up/down path from leaf `leaf` to
+    /// leaf `dest_leaf`: twice the ascent height, which depends only on
+    /// the highest differing index digit (every uplink choice yields the
+    /// same length).
+    fn min_hops_from_leaf(&self, leaf: usize, dest_leaf: usize) -> u32 {
+        let levels = self.clos.levels();
+        for height in 1..levels {
+            if (height..levels - 1).all(|d| self.digit(leaf, d) == self.digit(dest_leaf, d)) {
+                return 2 * height as u32;
+            }
+        }
+        2 * (levels - 1) as u32
+    }
+}
+
+impl NetTopology for ClosTopology {
+    const PREFIX: &'static str = "clos";
+    const OBLIVIOUS: &'static str = "updown";
+
     /// Leaves: ports `[0, k/2)` terminals, `[k/2, k)` up. Interior
     /// ranks: `[0, k/2)` down, `[k/2, k)` up. Top rank: all `k` ports
     /// down — `[0, k/2)` for its even virtual, `[k/2, k)` for its odd
     /// one (the last top switch has only the parity-0 block when the
     /// virtual count is odd). Leaf uplinks are classed local
-    /// (intra-pod), higher ranks global. Any applied fault plan is
-    /// re-marked on the returned spec.
-    pub fn build_spec(&self) -> NetworkSpec {
-        let spec = self.build_spec_clean();
-        match &self.faults {
-            None => spec,
-            Some(f) => spec
-                .with_faults(&FaultPlan::Explicit(f.failed_links.clone()))
-                .expect("stored fault list was validated when the plan was applied"),
-        }
-    }
-
-    fn build_spec_clean(&self) -> NetworkSpec {
+    /// (intra-pod), higher ranks global.
+    fn wire(&self, latency: u32) -> NetworkSpec {
         let half = self.half();
         let levels = self.clos.levels();
         let mut routers: Vec<RouterSpec> = Vec::with_capacity(self.clos.num_routers());
@@ -281,7 +240,7 @@ impl ClosNetwork {
                             router: peer as u32,
                             port: peer_port as u32,
                         },
-                        latency: self.latency,
+                        latency,
                         class,
                     };
                     routers[peer].ports[peer_port] = PortSpec {
@@ -289,7 +248,7 @@ impl ClosNetwork {
                             router: me as u32,
                             port: my_port as u32,
                         },
-                        latency: self.latency,
+                        latency,
                         class,
                     };
                 }
@@ -298,38 +257,45 @@ impl ClosNetwork {
         NetworkSpec::validated(routers, 1).expect("folded Clos wiring must validate")
     }
 
-    /// Load sweep under `routing` and `pattern`: one independent run
-    /// per load, fanned out across the worker pool (results in load
-    /// order, bit-identical to a serial sweep).
-    ///
-    /// # Errors
-    ///
-    /// The first configuration rejection, if `base` is invalid.
-    pub fn sweep(
-        &self,
-        routing: &ClosRouting,
-        pattern: &(dyn dfly_traffic::TrafficPattern + Sync),
-        loads: &[f64],
-        base: &dfly_netsim::SimConfig,
-    ) -> Result<Vec<crate::LoadPoint>, dfly_netsim::SimError> {
-        crate::parallel::sweep_network(&self.build_spec(), routing, pattern, loads, base)
+    /// Up to the top rank and back down.
+    fn hop_bound(&self) -> usize {
+        2 * (self.clos.levels() - 1)
+    }
+
+    /// The random-up / deterministic-down walk of
+    /// [`RouteAlgebra::minimal_port`], except that at its source leaf an
+    /// adaptive packet takes the alternative uplink it committed to
+    /// (carried as the route's non-minimal tag).
+    fn route(&self, router: usize, flit: &Flit) -> PortVc {
+        let half = self.half();
+        let dest = flit.dest as usize;
+        if let Some(uplink) = flit.route.intermediate() {
+            if router < self.rank_base[1] && router != dest / half {
+                return PortVc::new(half + uplink as usize, 0);
+            }
+        }
+        self.minimal_port(router, dest, flit.route.salt)
+    }
+
+    /// An alternative leaf uplink, uniform over the ones the salt hash
+    /// did not pick.
+    fn draw_tag(&self, _router: usize, _dest: usize, salt: u32, rng: &mut SmallRng) -> Option<u32> {
+        let half = self.half();
+        if half < 2 {
+            return None;
+        }
+        let hashed = self.pick_up(salt, 0);
+        let alternative = rng.gen_range(0..half - 1);
+        Some((alternative + usize::from(alternative >= hashed)) as u32)
     }
 }
 
-/// The folded Clos's UGAL candidates. Every uplink at a leaf starts an
-/// equal-length up/down path, so the two candidates differ only in
-/// which leaf uplink they commit to: the "minimal" candidate takes the
-/// salt-hashed uplink the oblivious random-up rule would take, the
-/// "non-minimal" one takes the alternative uplink `intermediate` — an
-/// adaptive spread over the full bisection driven by whichever
-/// congestion estimator the chooser carries.
 /// Closed-form routing algebra for the folded Clos: digit arithmetic
-/// fault-free (ascend on the salt-hashed uplink until above the
-/// destination leaf, then descend by digits), the lazily-built BFS
-/// columns under a fault plan. The Valiant tags enumerate the leaf
+/// (ascend on the salt-hashed uplink until above the destination leaf,
+/// then descend by digits). The Valiant tags enumerate the leaf
 /// uplinks — the Clos has no longer-than-minimal detours, only an
 /// adaptive spread over equal-length up/down paths.
-impl RouteAlgebra for ClosNetwork {
+impl RouteAlgebra for ClosTopology {
     fn terminal_router(&self, terminal: usize) -> usize {
         terminal / self.half()
     }
@@ -341,19 +307,13 @@ impl RouteAlgebra for ClosNetwork {
     fn minimal_port(&self, router: usize, dest: usize, salt: u32) -> PortVc {
         let half = self.half();
         let leaf = dest / half;
-        if let Some(f) = &self.faults {
-            if router == leaf {
-                return PortVc::new(dest % half, 0);
-            }
-            let port = f
-                .table
-                .next_port(router, leaf)
-                .expect("validated fault plan keeps the network connected");
-            return PortVc::new(port, 0);
-        }
         let (rank, s) = self.rank_of(router);
         let levels = self.clos.levels();
         if rank + 1 == levels {
+            // Top: descend toward the virtual that exists on this
+            // switch; both virtuals work (their differing digit is
+            // rewritten on the way down), pick by salt for balance. An
+            // odd-half tail switch only hosts its parity-0 virtual.
             let parity = if 2 * s + 1 < self.virtual_tops() {
                 self.pick_parity(salt)
             } else {
@@ -365,22 +325,17 @@ impl RouteAlgebra for ClosNetwork {
             return PortVc::new(dest % half, 0);
         }
         if rank > 0 && self.above(s, rank, leaf) {
+            // Descend: set digit rank-1 to the destination's.
             return PortVc::new(self.digit(leaf, rank - 1), 0);
         }
+        // Ascend on the salt-chosen uplink (random-up).
         PortVc::new(half + self.pick_up(salt, rank), 0)
     }
 
     fn minimal_hops(&self, router: usize, dest: usize, _salt: u32) -> u32 {
-        let half = self.half();
-        let leaf = dest / half;
+        let leaf = dest / self.half();
         if router == leaf {
             return 0;
-        }
-        if let Some(f) = &self.faults {
-            return f
-                .table
-                .distance(router, leaf)
-                .expect("validated fault plan keeps the network connected");
         }
         let (rank, s) = self.rank_of(router);
         let levels = self.clos.levels();
@@ -401,9 +356,7 @@ impl RouteAlgebra for ClosNetwork {
     }
 
     fn valiant_degree(&self, router: usize, dest: usize) -> usize {
-        let leaf = dest / self.half();
-        // Tags are ignored under faults (routing rides the BFS columns).
-        if router == leaf || self.faults.is_some() {
+        if router == dest / self.half() {
             return 0;
         }
         self.half()
@@ -418,19 +371,21 @@ impl RouteAlgebra for ClosNetwork {
     }
 }
 
-impl CandidatePaths for ClosNetwork {
+/// The folded Clos's UGAL candidates. Every uplink at a leaf starts an
+/// equal-length up/down path, so the two candidates differ only in
+/// which leaf uplink they commit to: the "minimal" candidate takes the
+/// salt-hashed uplink the oblivious random-up rule would take, the
+/// "non-minimal" one takes the alternative uplink `intermediate` — an
+/// adaptive spread over the full bisection driven by whichever
+/// congestion estimator the chooser carries.
+impl CandidatePaths for ClosTopology {
     fn minimal_candidate(&self, router: usize, dest: usize, salt: u32) -> CandidatePath {
-        let half = self.half();
-        let leaf = dest / half;
         debug_assert_eq!(self.rank_of(router).0, 0, "decisions happen at leaves");
-        if router == leaf {
-            return CandidatePath::new(dest % half, 0, 0);
-        }
         let first = self.minimal_port(router, dest, salt);
         CandidatePath::new(
             first.port as usize,
             first.vc as usize,
-            RouteAlgebra::minimal_hops(self, router, dest, salt),
+            self.minimal_hops(router, dest, salt),
         )
     }
 
@@ -453,204 +408,13 @@ impl CandidatePaths for ClosNetwork {
     }
 }
 
-/// Which decision rule drives the Clos.
-#[derive(Debug)]
-enum ClosMode {
-    /// Oblivious random-up: the uplink at every rank is salt-hashed.
-    RandomUp,
-    /// Adaptive up: the leaf uplink is chosen per packet between the
-    /// salt-hashed one and a random alternative by congestion estimate.
-    Adaptive(UgalVariant, UgalChooser),
-}
-
-/// Fat-tree routing: random-up / deterministic-down, optionally with an
-/// adaptive leaf-uplink choice through the shared UGAL layer.
-#[derive(Debug)]
-pub struct ClosRouting {
-    net: Arc<ClosNetwork>,
-    mode: ClosMode,
-}
-
-impl ClosRouting {
-    /// Creates the oblivious random-up routing over `net`.
-    pub fn new(net: Arc<ClosNetwork>) -> Self {
-        ClosRouting {
-            net,
-            mode: ClosMode::RandomUp,
-        }
-    }
-
-    /// Creates adaptive-up routing: the leaf uplink is picked per packet
-    /// by the given congestion estimator variant (the descent stays
-    /// deterministic, so deadlock freedom is untouched).
-    pub fn adaptive(net: Arc<ClosNetwork>, variant: UgalVariant) -> Self {
-        ClosRouting {
-            net,
-            mode: ClosMode::Adaptive(variant, UgalChooser::new(variant.estimator())),
-        }
-    }
-}
-
-impl Clone for ClosRouting {
-    fn clone(&self) -> Self {
-        match &self.mode {
-            ClosMode::RandomUp => Self::new(self.net.clone()),
-            ClosMode::Adaptive(variant, _) => Self::adaptive(self.net.clone(), *variant),
-        }
-    }
-}
-
-impl RoutingAlgorithm for ClosRouting {
-    fn name(&self) -> String {
-        match &self.mode {
-            ClosMode::RandomUp => "clos-updown".into(),
-            ClosMode::Adaptive(..) => "clos-adaptive".into(),
-        }
-    }
-
-    fn inject(&self, view: &NetView<'_>, src: usize, dest: usize, rng: &mut SmallRng) -> RouteInfo {
-        self.inject_traced(view, src, dest, rng).0
-    }
-
-    fn inject_traced(
-        &self,
-        view: &NetView<'_>,
-        src: usize,
-        dest: usize,
-        rng: &mut SmallRng,
-    ) -> (RouteInfo, DecisionRecord) {
-        let salt: u32 = rng.gen();
-        let ClosMode::Adaptive(_, chooser) = &self.mode else {
-            return (
-                RouteInfo::minimal().with_salt(salt),
-                DecisionRecord::default(),
-            );
-        };
-        let net = &self.net;
-        let half = net.half();
-        let rs = src / half;
-        let rd = dest / half;
-        // Under faults every flit follows the BFS tables (see `route`),
-        // so the uplink choice would only be ignored — stay minimal.
-        if rs == rd || half < 2 || net.has_faults() {
-            return (
-                RouteInfo::minimal().with_salt(salt),
-                DecisionRecord::default(),
-            );
-        }
-        // Alternative uplink: uniform over the ones the hash did not pick.
-        let u_m = net.pick_up(salt, 0);
-        let mut u_alt = rng.gen_range(0..half - 1);
-        if u_alt >= u_m {
-            u_alt += 1;
-        }
-        let m = net.minimal_candidate(rs, dest, salt);
-        let nm = net.non_minimal_candidate(rs, dest, u_alt as u32, salt);
-        let decision = chooser.choose(view, rs, &m, &nm);
-        let record = DecisionRecord {
-            adaptive: true,
-            estimator_disagreed: decision.estimator_disagreed,
-            fault_avoided: decision.fault_avoided,
-            dropped_candidates: decision.dropped_candidates,
-            probe_fallbacks: decision.probe_fallbacks,
-            q_chosen: decision.q_chosen(),
-            oracle_chosen: decision.oracle_chosen(),
-            oracle_disagreed: decision.oracle_disagreed,
-            oracle_scored: decision.oracle_scored,
-        };
-        if decision.minimal {
-            (RouteInfo::minimal().with_salt(salt), record)
-        } else {
-            (RouteInfo::non_minimal(u_alt as u32).with_salt(salt), record)
-        }
-    }
-
-    fn route(&self, _view: &NetView<'_>, router: usize, flit: &Flit) -> PortVc {
-        let net = &self.net;
-        let half = net.half();
-        let dest = flit.dest as usize;
-        let leaf = dest / half;
-        if let Some(f) = &net.faults {
-            // Fault branch: follow the BFS next hop over surviving
-            // links toward the destination leaf (alive distance
-            // strictly decreases, so the walk terminates).
-            if router == leaf {
-                return PortVc::new(dest % half, 0);
-            }
-            let port = f
-                .table
-                .next_port(router, leaf)
-                .expect("validated fault plan keeps the network connected");
-            return PortVc::new(port, 0);
-        }
-        let (rank, s) = net.rank_of(router);
-        let levels = net.clos.levels();
-        if rank + 1 == levels {
-            // Top: descend toward the virtual that exists on this
-            // switch; both virtuals work (their differing digit is
-            // rewritten on the way down), pick by salt for balance. An
-            // odd-half tail switch only hosts its parity-0 virtual.
-            let parity = if 2 * s + 1 < net.virtual_tops() {
-                net.pick_parity(flit.route.salt)
-            } else {
-                0
-            };
-            return PortVc::new(parity * half + net.digit(leaf, levels - 2), 0);
-        }
-        if rank == 0 && s == leaf {
-            return PortVc::new(dest % half, 0);
-        }
-        if rank > 0 && net.above(s, rank, leaf) {
-            // Descend: set digit rank-1 to the destination's.
-            return PortVc::new(net.digit(leaf, rank - 1), 0);
-        }
-        // Ascend. At the leaf, an adaptive packet committed to its
-        // alternative uplink (carried in `intermediate`); everywhere
-        // else the uplink is salt-chosen (random-up).
-        let u = match (rank, flit.route.class) {
-            (0, RouteClass::NonMinimal) => {
-                flit.route.intermediate().expect("adaptive uplink set") as usize
-            }
-            _ => net.pick_up(flit.route.salt, rank),
-        };
-        PortVc::new(half + u, 0)
-    }
-}
-
-impl ClosNetwork {
-    /// Salt-derived uplink choice at `rank` (stable per packet).
-    fn pick_up(&self, salt: u32, rank: usize) -> usize {
-        let mut z = (salt as u64) ^ ((rank as u64) << 40) ^ 0xD1B5_4A32_D192_ED03;
-        z = (z ^ (z >> 33)).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-        z ^= z >> 33;
-        (z as usize) % self.half()
-    }
-
-    /// Salt-derived virtual parity at the top rank.
-    fn pick_parity(&self, salt: u32) -> usize {
-        (salt as usize >> 7) & 1
-    }
-
-    /// Router-to-router hops of the up/down path from leaf `leaf` to
-    /// leaf `dest_leaf`: twice the ascent height, which depends only on
-    /// the highest differing index digit (every uplink choice yields the
-    /// same length).
-    fn min_hops_from_leaf(&self, leaf: usize, dest_leaf: usize) -> u32 {
-        let levels = self.clos.levels();
-        for height in 1..levels {
-            if (height..levels - 1).all(|d| self.digit(leaf, d) == self.digit(dest_leaf, d)) {
-                return 2 * height as u32;
-            }
-        }
-        2 * (levels - 1) as u32
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dfly_netsim::{SimConfig, Simulation};
+    use crate::UgalVariant;
+    use dfly_netsim::{FaultPlan, RoutingAlgorithm, SimConfig, Simulation};
     use dfly_traffic::{Permutation, UniformRandom};
+    use std::sync::Arc;
 
     fn fast_cfg(load: f64) -> SimConfig {
         let mut cfg = SimConfig::paper_default(load);
@@ -675,7 +439,7 @@ mod tests {
 
     #[test]
     fn rank_of_inverts_the_rank_layout() {
-        let net = ClosNetwork::new(FoldedClos::new(3, 8));
+        let net = ClosTopology::from(FoldedClos::new(3, 8));
         // Ranks: 16 leaves, 16 mid, 8 top.
         assert_eq!(net.rank_of(0), (0, 0));
         assert_eq!(net.rank_of(15), (0, 15));
@@ -748,8 +512,8 @@ mod tests {
     fn adaptive_up_delivers_and_reports_decisions() {
         let net = Arc::new(ClosNetwork::new(FoldedClos::new(3, 8)));
         let spec = net.build_spec();
-        let routing = ClosRouting::adaptive(net, crate::UgalVariant::Local);
-        assert_eq!(routing.name(), "clos-adaptive");
+        let routing = ClosRouting::ugal(net, UgalVariant::Local);
+        assert_eq!(routing.name(), "clos-UGAL-L");
         let pattern = UniformRandom::new(spec.num_terminals());
         let stats = Simulation::new(&spec, &routing, &pattern, fast_cfg(0.3))
             .unwrap()
@@ -766,12 +530,12 @@ mod tests {
 
     #[test]
     fn min_hops_from_leaf_matches_observed_latency_bounds() {
-        let net = ClosNetwork::new(FoldedClos::new(3, 8));
+        let net = ClosTopology::from(FoldedClos::new(3, 8));
         // Same mid-rank pod (digit 1 equal): up 1, down 1.
         assert_eq!(net.min_hops_from_leaf(0, 1), 2);
         // Different pods: up 2 to the top, down 2.
         assert_eq!(net.min_hops_from_leaf(0, 15), 4);
-        let two = ClosNetwork::new(FoldedClos::new(2, 8));
+        let two = ClosTopology::from(FoldedClos::new(2, 8));
         assert_eq!(two.min_hops_from_leaf(0, 3), 2);
     }
 
@@ -862,7 +626,7 @@ mod tests {
             .with_fault_plan(&FaultPlan::random_any(0.05, 4))
             .unwrap();
         let spec = net.build_spec();
-        let routing = ClosRouting::adaptive(Arc::new(net), crate::UgalVariant::Local);
+        let routing = ClosRouting::ugal(Arc::new(net), UgalVariant::Local);
         let pattern = UniformRandom::new(spec.num_terminals());
         let stats = Simulation::new(&spec, &routing, &pattern, fast_cfg(0.1))
             .unwrap()

@@ -15,7 +15,6 @@ use crate::DragonflyParams;
 
 /// The routing configurations evaluated in the paper, combining a
 /// decision rule with (for UGAL-L(CR)) the credit round-trip mechanism.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RoutingChoice {
     /// Minimal routing.
@@ -50,17 +49,25 @@ impl RoutingChoice {
         RoutingChoice::UgalLEwma,
     ];
 
+    /// The UGAL variant behind this choice; `None` for MIN and VAL.
+    fn ugal_variant(&self) -> Option<UgalVariant> {
+        match self {
+            RoutingChoice::Min | RoutingChoice::Valiant => None,
+            RoutingChoice::UgalL => Some(UgalVariant::Local),
+            RoutingChoice::UgalLVc => Some(UgalVariant::LocalVc),
+            RoutingChoice::UgalLVcH => Some(UgalVariant::LocalVcHybrid),
+            RoutingChoice::UgalLCr => Some(UgalVariant::CreditRoundTrip),
+            RoutingChoice::UgalG => Some(UgalVariant::Global),
+            RoutingChoice::UgalLEwma => Some(UgalVariant::LocalEwma),
+        }
+    }
+
     /// Display label matching the paper's plots.
     pub fn label(&self) -> &'static str {
-        match self {
-            RoutingChoice::Min => "MIN",
-            RoutingChoice::Valiant => "VAL",
-            RoutingChoice::UgalL => "UGAL-L",
-            RoutingChoice::UgalLVc => "UGAL-L_VC",
-            RoutingChoice::UgalLVcH => "UGAL-L_VCH",
-            RoutingChoice::UgalLCr => "UGAL-L_CR",
-            RoutingChoice::UgalG => "UGAL-G",
-            RoutingChoice::UgalLEwma => "UGAL-L_EWMA",
+        match (self, self.ugal_variant()) {
+            (_, Some(variant)) => variant.label(),
+            (RoutingChoice::Min, None) => "MIN",
+            (_, None) => "VAL",
         }
     }
 
@@ -74,21 +81,15 @@ impl RoutingChoice {
     /// can drive dragonfly choices through the same code path as the
     /// baseline topologies.
     pub fn build(&self, df: Arc<Dragonfly>) -> Box<dyn RoutingAlgorithm + Send + Sync> {
-        match self {
-            RoutingChoice::Min => Box::new(MinimalRouting::new(df)),
-            RoutingChoice::Valiant => Box::new(ValiantRouting::new(df)),
-            RoutingChoice::UgalL => Box::new(UgalRouting::new(df, UgalVariant::Local)),
-            RoutingChoice::UgalLVc => Box::new(UgalRouting::new(df, UgalVariant::LocalVc)),
-            RoutingChoice::UgalLVcH => Box::new(UgalRouting::new(df, UgalVariant::LocalVcHybrid)),
-            RoutingChoice::UgalLCr => Box::new(UgalRouting::new(df, UgalVariant::CreditRoundTrip)),
-            RoutingChoice::UgalG => Box::new(UgalRouting::new(df, UgalVariant::Global)),
-            RoutingChoice::UgalLEwma => Box::new(UgalRouting::new(df, UgalVariant::LocalEwma)),
+        match (self, self.ugal_variant()) {
+            (_, Some(variant)) => Box::new(UgalRouting::new(df, variant)),
+            (RoutingChoice::Min, None) => Box::new(MinimalRouting::new(df)),
+            (_, None) => Box::new(ValiantRouting::new(df)),
         }
     }
 }
 
 /// The synthetic traffic patterns of the paper's evaluation.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TrafficChoice {
     /// Uniform random (UR) — benign.
@@ -150,6 +151,18 @@ impl LoadPoint {
             None
         }
     }
+}
+
+/// Builds one workload instance per engine shard, handed that shard's
+/// terminal range.
+type WorkloadFactory<'a> = dyn Fn(std::ops::Range<usize>) -> Box<dyn Workload + Send> + Sync + 'a;
+
+/// Where a run's packets come from.
+enum Source<'a> {
+    /// An open-loop pattern under the configured injection process.
+    Traffic(TrafficChoice),
+    /// A closed-loop workload.
+    Workload(&'a WorkloadFactory<'a>),
 }
 
 /// A reusable dragonfly simulation harness: the network is wired once
@@ -225,25 +238,41 @@ impl DragonflySim {
         SimConfig::paper_default(load)
     }
 
+    /// The shared prologue of every run: upgrade the credit mode for
+    /// [`RoutingChoice::UgalLCr`] (unless the configuration already
+    /// selects a round-trip mode), build the routing and the traffic
+    /// source, and hand the ready [`Simulation`] to `finish`.
+    fn simulate<R>(
+        &self,
+        choice: RoutingChoice,
+        source: Source<'_>,
+        mut cfg: SimConfig,
+        finish: impl FnOnce(Simulation<'_>) -> R,
+    ) -> R {
+        if choice.needs_round_trip_credits() && cfg.credit_mode == CreditMode::Conventional {
+            cfg.credit_mode = CreditMode::round_trip();
+        }
+        let algo = choice.build(self.df.clone());
+        let pattern;
+        let sim = match source {
+            Source::Traffic(traffic) => {
+                pattern = traffic.build(self.df.params());
+                Simulation::new(&self.spec, algo.as_ref(), pattern.as_ref(), cfg)
+            }
+            Source::Workload(factory) => {
+                Simulation::with_workload(&self.spec, algo.as_ref(), cfg, |range| factory(range))
+            }
+        };
+        finish(sim.expect("harness-built simulation must be valid"))
+    }
+
     /// Runs one simulation.
     ///
     /// For [`RoutingChoice::UgalLCr`] the credit round-trip mechanism is
     /// switched on automatically unless the configuration already
     /// selects a round-trip mode.
-    pub fn run(
-        &self,
-        choice: RoutingChoice,
-        traffic: TrafficChoice,
-        mut cfg: SimConfig,
-    ) -> RunStats {
-        if choice.needs_round_trip_credits() && cfg.credit_mode == CreditMode::Conventional {
-            cfg.credit_mode = CreditMode::round_trip();
-        }
-        let algo = choice.build(self.df.clone());
-        let pattern = traffic.build(self.df.params());
-        Simulation::new(&self.spec, algo.as_ref(), pattern.as_ref(), cfg)
-            .expect("harness-built simulation must be valid")
-            .finish()
+    pub fn run(&self, choice: RoutingChoice, traffic: TrafficChoice, cfg: SimConfig) -> RunStats {
+        self.simulate(choice, Source::Traffic(traffic), cfg, |sim| sim.finish())
     }
 
     /// Like [`DragonflySim::run`], but surfaces a stall watchdog trip
@@ -254,16 +283,11 @@ impl DragonflySim {
         &self,
         choice: RoutingChoice,
         traffic: TrafficChoice,
-        mut cfg: SimConfig,
+        cfg: SimConfig,
     ) -> Result<RunStats, SimError> {
-        if choice.needs_round_trip_credits() && cfg.credit_mode == CreditMode::Conventional {
-            cfg.credit_mode = CreditMode::round_trip();
-        }
-        let algo = choice.build(self.df.clone());
-        let pattern = traffic.build(self.df.params());
-        Simulation::new(&self.spec, algo.as_ref(), pattern.as_ref(), cfg)
-            .expect("harness-built simulation must be valid")
-            .try_finish()
+        self.simulate(choice, Source::Traffic(traffic), cfg, |sim| {
+            sim.try_finish()
+        })
     }
 
     /// Runs one simulation driven by a closed-loop workload instead of
@@ -281,18 +305,10 @@ impl DragonflySim {
     pub fn run_workload(
         &self,
         choice: RoutingChoice,
-        mut cfg: SimConfig,
-        factory: &(dyn Fn(std::ops::Range<usize>) -> Box<dyn Workload + Send> + Sync),
+        cfg: SimConfig,
+        factory: &WorkloadFactory<'_>,
     ) -> RunStats {
-        if choice.needs_round_trip_credits() && cfg.credit_mode == CreditMode::Conventional {
-            cfg.credit_mode = CreditMode::round_trip();
-        }
-        let algo = choice.build(self.df.clone());
-        let stats =
-            Simulation::with_workload(&self.spec, algo.as_ref(), cfg, |range| factory(range))
-                .expect("harness-built simulation must be valid")
-                .finish();
-        stats
+        self.simulate(choice, Source::Workload(factory), cfg, |sim| sim.finish())
     }
 
     /// Like [`DragonflySim::run`], but also returns the engine's
@@ -301,16 +317,11 @@ impl DragonflySim {
         &self,
         choice: RoutingChoice,
         traffic: TrafficChoice,
-        mut cfg: SimConfig,
+        cfg: SimConfig,
     ) -> (RunStats, SimPerf) {
-        if choice.needs_round_trip_credits() && cfg.credit_mode == CreditMode::Conventional {
-            cfg.credit_mode = CreditMode::round_trip();
-        }
-        let algo = choice.build(self.df.clone());
-        let pattern = traffic.build(self.df.params());
-        Simulation::new(&self.spec, algo.as_ref(), pattern.as_ref(), cfg)
-            .expect("harness-built simulation must be valid")
-            .run_instrumented()
+        self.simulate(choice, Source::Traffic(traffic), cfg, |sim| {
+            sim.run_instrumented()
+        })
     }
 
     /// Runs a load sweep, returning one [`LoadPoint`] per load.

@@ -21,7 +21,9 @@
 //! * [`butterfly`] / [`clos_sim`] / [`torus_sim`] — the flattened
 //!   butterfly, folded Clos and k-ary n-cube torus (the paper's §5
 //!   baselines) wired for the same simulator, each with its own
-//!   deadlock-free routing;
+//!   deadlock-free routing — three instances of the one [`network`]
+//!   harness, which owns faults, spec building, sweeping and the
+//!   oblivious / Valiant / UGAL routing family;
 //! * link-failure injection — apply a [`FaultPlan`] with
 //!   [`Dragonfly::with_fault_plan`] / [`DragonflySim::with_faults`] and
 //!   every routing algorithm steers around the dead links; [`FaultSweep`]
@@ -54,6 +56,7 @@ pub mod campaign;
 pub mod clos_sim;
 mod experiment;
 pub mod jobs;
+pub mod network;
 pub mod parallel;
 mod params;
 pub mod progress;

@@ -1,0 +1,465 @@
+//! The one simulation harness shared by the baseline topologies.
+//!
+//! A topology describes itself fault-free: its closed-form
+//! [`RouteAlgebra`], its two UGAL [`CandidatePaths`], and the four
+//! things [`NetTopology`] adds — wiring, hop bound, per-hop route
+//! arithmetic and the draw of a non-minimal tag. Everything else is
+//! written once, here:
+//!
+//! * [`SimNetwork`] owns the topology, the channel latency and the
+//!   link-failure state. Under a [`FaultPlan`] every routing question
+//!   is answered from per-destination BFS columns over the surviving
+//!   links ([`FaultTable`]) — strictly decreasing alive distance, so no
+//!   loops — and the topology's own arithmetic is never consulted.
+//!   Detours then share a phase's VC, so deadlock freedom under faults
+//!   is best-effort rather than proven.
+//! * [`NetRouting`] is the routing family over any such network:
+//!   oblivious, Valiant, or UGAL with any [`UgalVariant`] estimator.
+//!
+//! [`crate::butterfly`], [`crate::clos_sim`] and [`crate::torus_sim`]
+//! are instances; see DESIGN.md, "Adding a topology".
+
+use std::sync::Arc;
+
+use dfly_netsim::{
+    CandidatePath, CandidatePaths, Connection, DecisionRecord, FaultPlan, FaultTable, Flit,
+    NetView, NetworkSpec, PortVc, RouteAlgebra, RouteInfo, RoutingAlgorithm, SimConfig, SimError,
+};
+use dfly_traffic::TrafficPattern;
+use rand::rngs::SmallRng;
+use rand::Rng;
+
+use crate::routing::{UgalVariant, VariantChooser};
+use crate::LoadPoint;
+
+/// What a topology implements, beyond its fault-free [`RouteAlgebra`]
+/// and [`CandidatePaths`], to run on the shared harness.
+pub trait NetTopology: RouteAlgebra + CandidatePaths + Send + Sync {
+    /// Prefix of every routing name, e.g. `"FB"` in `FB-UGAL-L`.
+    const PREFIX: &'static str;
+    /// Name of the oblivious mode, e.g. `"MIN"` in `FB-MIN`.
+    const OBLIVIOUS: &'static str;
+    /// Whether a non-minimal route draws a fresh salt instead of
+    /// reusing the one its candidates were evaluated with.
+    const RESALT_DETOURS: bool = false;
+    /// Whether non-minimal tags name intermediate *routers*, so that
+    /// detours survive a fault plan as two BFS phases (towards the
+    /// intermediate on VC0, then the destination on VC1). Otherwise
+    /// routing falls back to minimal under faults.
+    const DETOURS_UNDER_FAULTS: bool = false;
+
+    /// The fault-free wiring with `latency`-cycle network channels.
+    fn wire(&self, latency: u32) -> NetworkSpec;
+
+    /// Upper bound on the network hops of any fault-free route.
+    fn hop_bound(&self) -> usize;
+
+    /// Fault-free per-hop route computation.
+    fn route(&self, router: usize, flit: &Flit) -> PortVc;
+
+    /// Draws the non-minimal tag weighed against the minimal route from
+    /// `router` to terminal `dest` (on another router) for a packet
+    /// salted `salt`; `None` when the pair admits no detour.
+    fn draw_tag(&self, router: usize, dest: usize, salt: u32, rng: &mut SmallRng) -> Option<u32>;
+
+    /// The VC of a BFS hop from `router` through `port` toward router
+    /// `target` under faults; `vc` is the phase's VC.
+    fn fault_vc(&self, _router: usize, _target: usize, _port: usize, vc: usize) -> usize {
+        vc
+    }
+}
+
+/// A topology wired for cycle-accurate simulation, with optional
+/// link failures.
+#[derive(Debug, Clone)]
+pub struct SimNetwork<T> {
+    topology: T,
+    latency: u32,
+    /// BFS next-hop tables over the surviving links (and the faulted
+    /// spec they were built from), present after
+    /// [`SimNetwork::with_fault_plan`] failed at least one link.
+    faults: Option<Box<FaultTable>>,
+}
+
+const CONNECTED: &str = "validated fault plan keeps the network connected";
+
+impl<T: NetTopology> SimNetwork<T> {
+    /// Wires `topology` with unit channel latency.
+    pub fn new(topology: impl Into<T>) -> Self {
+        Self::with_latency(topology, 1)
+    }
+
+    /// Wires `topology` with the given network-channel latency.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `latency == 0`.
+    pub fn with_latency(topology: impl Into<T>, latency: u32) -> Self {
+        assert!(latency > 0, "latency must be >= 1");
+        SimNetwork {
+            topology: topology.into(),
+            latency,
+            faults: None,
+        }
+    }
+
+    /// Applies a [`FaultPlan`], composing with any faults already
+    /// present: routes then follow BFS shortest paths over the
+    /// surviving links.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InvalidFaultPlan`] for malformed plans and
+    /// [`SimError::Unreachable`] when the plan disconnects the network.
+    pub fn with_fault_plan(mut self, plan: &FaultPlan) -> Result<Self, SimError> {
+        let spec = self.build_spec().with_faults(plan)?;
+        self.faults = spec.has_faults().then(|| Box::new(FaultTable::new(&spec)));
+        Ok(self)
+    }
+
+    /// Whether a fault plan with at least one failed link is applied.
+    pub fn has_faults(&self) -> bool {
+        self.faults.is_some()
+    }
+
+    /// The canonical failed cables, empty for a fault-free network.
+    pub fn failed_links(&self) -> &[(usize, usize)] {
+        self.faults
+            .as_ref()
+            .map_or(&[], |f| f.spec().failed_links())
+    }
+
+    /// The underlying topology.
+    pub fn topology(&self) -> &T {
+        &self.topology
+    }
+
+    /// Upper bound on the hops of any valid route, ejection included:
+    /// the topology's own bound fault-free, the alive diameter per BFS
+    /// phase under faults.
+    pub fn route_hop_bound(&self) -> usize {
+        match &self.faults {
+            None => self.topology.hop_bound() + 1,
+            Some(f) if T::DETOURS_UNDER_FAULTS => 2 * f.diameter() as usize + 1,
+            Some(f) => f.diameter() as usize + 1,
+        }
+    }
+
+    /// Builds the simulator wiring; an applied fault plan is marked on
+    /// the returned spec, so it always matches the routing tables.
+    pub fn build_spec(&self) -> NetworkSpec {
+        match &self.faults {
+            None => self.topology.wire(self.latency),
+            Some(f) => f.spec().clone(),
+        }
+    }
+
+    /// Load sweep under `routing` and `pattern`: one independent run
+    /// per load, fanned out across the worker pool (results in load
+    /// order, bit-identical to a serial sweep).
+    ///
+    /// # Errors
+    ///
+    /// The first configuration rejection, if `base` is invalid.
+    pub fn sweep(
+        &self,
+        routing: &NetRouting<T>,
+        pattern: &(dyn TrafficPattern + Sync),
+        loads: &[f64],
+        base: &SimConfig,
+    ) -> Result<Vec<LoadPoint>, SimError> {
+        crate::parallel::sweep_network(&self.build_spec(), routing, pattern, loads, base)
+    }
+}
+
+/// Progress of a two-phase Valiant route whose tag names an intermediate
+/// *router*: the router a flit at `router` bound for router `rd` heads
+/// for next, and its VC — the intermediate on VC0 until it is reached
+/// (VC1, or standing on it, means it was), then the destination on VC1.
+/// Minimal flits head for `rd` on VC0.
+pub(crate) fn valiant_phase(router: usize, rd: usize, flit: &Flit) -> (usize, usize) {
+    match flit.route.intermediate().map(|ri| ri as usize) {
+        None => (rd, 0),
+        Some(ri) if flit.vc == 1 || router == ri || ri == rd => (rd, 1),
+        Some(ri) => (ri, 0),
+    }
+}
+
+/// One BFS hop over `faults` from `router` toward router `target`.
+fn fault_hop<T: NetTopology>(
+    topology: &T,
+    faults: &FaultTable,
+    router: usize,
+    target: usize,
+    vc: usize,
+) -> PortVc {
+    let port = faults.next_port(router, target).expect(CONNECTED);
+    PortVc::new(port, topology.fault_vc(router, target, port, vc))
+}
+
+/// The topology's closed forms fault-free; BFS columns under faults.
+impl<T: NetTopology> RouteAlgebra for SimNetwork<T> {
+    fn terminal_router(&self, terminal: usize) -> usize {
+        self.topology.terminal_router(terminal)
+    }
+
+    fn ejection_port(&self, terminal: usize) -> usize {
+        self.topology.ejection_port(terminal)
+    }
+
+    fn minimal_port(&self, router: usize, dest: usize, salt: u32) -> PortVc {
+        let topology = &self.topology;
+        let rd = topology.terminal_router(dest);
+        match &self.faults {
+            Some(f) if router != rd => fault_hop(topology, f, router, rd, 0),
+            _ => topology.minimal_port(router, dest, salt),
+        }
+    }
+
+    fn minimal_hops(&self, router: usize, dest: usize, salt: u32) -> u32 {
+        match &self.faults {
+            Some(f) => f
+                .distance(router, self.topology.terminal_router(dest))
+                .expect(CONNECTED),
+            None => self.topology.minimal_hops(router, dest, salt),
+        }
+    }
+
+    fn valiant_degree(&self, router: usize, dest: usize) -> usize {
+        if self.has_faults() && !T::DETOURS_UNDER_FAULTS {
+            return 0;
+        }
+        self.topology.valiant_degree(router, dest)
+    }
+
+    fn valiant_tag(&self, router: usize, dest: usize, i: usize) -> u32 {
+        self.topology.valiant_tag(router, dest, i)
+    }
+
+    fn vc_count(&self) -> usize {
+        self.topology.vc_count()
+    }
+}
+
+/// The topology's candidates fault-free. Under faults the minimal
+/// candidate follows the BFS column, probed at the channel after its
+/// first hop; the non-minimal one (only requested when
+/// [`NetTopology::DETOURS_UNDER_FAULTS`]) runs two BFS phases through
+/// the intermediate router, probed where it leaves that router.
+impl<T: NetTopology> CandidatePaths for SimNetwork<T> {
+    fn minimal_candidate(&self, router: usize, dest: usize, salt: u32) -> CandidatePath {
+        let rd = self.topology.terminal_router(dest);
+        let Some(f) = self.faults.as_ref().filter(|_| router != rd) else {
+            return self.topology.minimal_candidate(router, dest, salt);
+        };
+        let first = fault_hop(&self.topology, f, router, rd, 0);
+        let port = first.port as usize;
+        let hops = f.distance(router, rd).expect(CONNECTED);
+        let path = CandidatePath::new(port, first.vc as usize, hops);
+        match f.spec().routers[router].ports[port].conn {
+            Connection::Router { router: mid, .. } if mid as usize != rd => {
+                let mid = mid as usize;
+                path.with_probe(mid, f.next_port(mid, rd).expect(CONNECTED))
+            }
+            _ => path.with_probe(router, port),
+        }
+    }
+
+    fn non_minimal_candidate(
+        &self,
+        router: usize,
+        dest: usize,
+        intermediate: u32,
+        salt: u32,
+    ) -> CandidatePath {
+        let Some(f) = &self.faults else {
+            return self
+                .topology
+                .non_minimal_candidate(router, dest, intermediate, salt);
+        };
+        let ri = intermediate as usize;
+        let rd = self.topology.terminal_router(dest);
+        debug_assert!(T::DETOURS_UNDER_FAULTS && ri != router && ri != rd);
+        let first = fault_hop(&self.topology, f, router, ri, 0);
+        let hops = f.distance(router, ri).expect(CONNECTED) + f.distance(ri, rd).expect(CONNECTED);
+        CandidatePath::new(first.port as usize, first.vc as usize, hops)
+            .with_probe(ri, f.next_port(ri, rd).expect(CONNECTED))
+    }
+}
+
+/// Which decision rule drives a [`NetRouting`].
+#[derive(Debug, Clone)]
+enum Policy {
+    Oblivious,
+    Valiant,
+    Ugal(VariantChooser),
+}
+
+/// Routing over a [`SimNetwork`]: the topology's oblivious rule, always
+/// its non-minimal detour, or a per-packet UGAL choice between the two
+/// driven by any [`dfly_netsim::CongestionEstimator`]. A clone of a
+/// UGAL routing carries a fresh estimator.
+#[derive(Debug, Clone)]
+pub struct NetRouting<T> {
+    net: Arc<SimNetwork<T>>,
+    policy: Policy,
+}
+
+impl<T> NetRouting<T> {
+    /// The topology's oblivious routing (minimal, random-up, DOR).
+    pub fn new(net: Arc<SimNetwork<T>>) -> Self {
+        let policy = Policy::Oblivious;
+        NetRouting { net, policy }
+    }
+
+    /// Valiant routing: every packet takes a drawn non-minimal detour
+    /// whenever its endpoints admit one.
+    pub fn valiant(net: Arc<SimNetwork<T>>) -> Self {
+        let policy = Policy::Valiant;
+        NetRouting { net, policy }
+    }
+
+    /// UGAL over `variant`'s congestion estimator: per packet, the
+    /// minimal route or a drawn detour, whichever the estimate favours.
+    /// Pair [`UgalVariant::CreditRoundTrip`] with
+    /// [`dfly_netsim::CreditMode::RoundTrip`].
+    pub fn ugal(net: Arc<SimNetwork<T>>, variant: UgalVariant) -> Self {
+        let policy = Policy::Ugal(VariantChooser::new(variant));
+        NetRouting { net, policy }
+    }
+}
+
+impl<T: NetTopology> RoutingAlgorithm for NetRouting<T> {
+    fn name(&self) -> String {
+        let policy = match &self.policy {
+            Policy::Oblivious => T::OBLIVIOUS,
+            Policy::Valiant => "VAL",
+            Policy::Ugal(ugal) => ugal.variant.label(),
+        };
+        format!("{}-{policy}", T::PREFIX)
+    }
+
+    fn inject(&self, view: &NetView<'_>, src: usize, dest: usize, rng: &mut SmallRng) -> RouteInfo {
+        self.inject_traced(view, src, dest, rng).0
+    }
+
+    fn inject_traced(
+        &self,
+        view: &NetView<'_>,
+        src: usize,
+        dest: usize,
+        rng: &mut SmallRng,
+    ) -> (RouteInfo, DecisionRecord) {
+        let net = &*self.net;
+        let minimal = RouteInfo::minimal().with_salt(rng.gen());
+        let stay_minimal = (minimal, DecisionRecord::default());
+        let rs = net.terminal_router(src);
+        if matches!(self.policy, Policy::Oblivious)
+            || rs == net.terminal_router(dest)
+            || (net.has_faults() && !T::DETOURS_UNDER_FAULTS)
+        {
+            return stay_minimal;
+        }
+        let Some(tag) = net.topology.draw_tag(rs, dest, minimal.salt, rng) else {
+            return stay_minimal;
+        };
+        let record = match &self.policy {
+            Policy::Ugal(ugal) => {
+                let m = net.minimal_candidate(rs, dest, minimal.salt);
+                let nm = net.non_minimal_candidate(rs, dest, tag, minimal.salt);
+                let decision = ugal.chooser.choose(view, rs, &m, &nm);
+                let record = DecisionRecord::from(&decision);
+                if decision.minimal {
+                    return (minimal, record);
+                }
+                record
+            }
+            _ => DecisionRecord::default(),
+        };
+        let salt = if T::RESALT_DETOURS {
+            rng.gen()
+        } else {
+            minimal.salt
+        };
+        (RouteInfo::non_minimal(tag).with_salt(salt), record)
+    }
+
+    fn route(&self, _view: &NetView<'_>, router: usize, flit: &Flit) -> PortVc {
+        let topology = &self.net.topology;
+        let Some(f) = &self.net.faults else {
+            return topology.route(router, flit);
+        };
+        let dest = flit.dest as usize;
+        let rd = topology.terminal_router(dest);
+        let (target, vc) = if T::DETOURS_UNDER_FAULTS {
+            valiant_phase(router, rd, flit)
+        } else {
+            (rd, 0)
+        };
+        if router == target {
+            return PortVc::new(topology.ejection_port(dest), 0);
+        }
+        fault_hop(topology, f, router, target, vc)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::butterfly::ButterflyNetwork;
+    use crate::clos_sim::{ClosNetwork, ClosRouting};
+    use crate::torus_sim::{TorusNetwork, TorusRouting};
+    use dfly_topo::{FlattenedButterfly, FoldedClos, Torus};
+
+    /// Composed plans, then: the spec the harness hands out is exactly a
+    /// fresh wiring with the recorded cables re-marked, and the hop bound
+    /// follows the alive diameter per BFS phase.
+    fn check_faulted<T: NetTopology + Clone>(clean: SimNetwork<T>, phases: usize) {
+        let net = clean
+            .clone()
+            .with_fault_plan(&FaultPlan::random_any(0.05, 3))
+            .unwrap()
+            .with_fault_plan(&FaultPlan::random_any(0.1, 8))
+            .unwrap();
+        assert!(net.has_faults() && !clean.has_faults());
+        assert!(clean.failed_links().is_empty());
+        let remarked = clean
+            .build_spec()
+            .with_faults(&FaultPlan::Explicit(net.failed_links().to_vec()))
+            .unwrap();
+        assert_eq!(net.build_spec(), remarked);
+        let diameter = FaultTable::new(&remarked).diameter() as usize;
+        assert_eq!(net.route_hop_bound(), phases * diameter + 1);
+        // A plan that fails nothing leaves the network fault-free.
+        let none = clean.with_fault_plan(&FaultPlan::None).unwrap();
+        assert!(!none.has_faults());
+    }
+
+    #[test]
+    fn faulted_spec_is_a_fresh_wiring_remarked() {
+        check_faulted(ButterflyNetwork::new(FlattenedButterfly::new(2, 4, 2)), 2);
+        check_faulted(ClosNetwork::new(FoldedClos::new(3, 8)), 1);
+        check_faulted(TorusNetwork::new(Torus::new(2, 4, 1)), 1);
+    }
+
+    #[test]
+    fn routing_names_share_one_table() {
+        let clos = Arc::new(ClosNetwork::new(FoldedClos::new(2, 8)));
+        assert_eq!(ClosRouting::new(clos.clone()).name(), "clos-updown");
+        assert_eq!(ClosRouting::valiant(clos.clone()).name(), "clos-VAL");
+        for variant in [
+            UgalVariant::Local,
+            UgalVariant::LocalVc,
+            UgalVariant::LocalVcHybrid,
+            UgalVariant::Global,
+            UgalVariant::CreditRoundTrip,
+            UgalVariant::LocalEwma,
+        ] {
+            let routing = ClosRouting::ugal(clos.clone(), variant);
+            assert_eq!(routing.name(), format!("clos-{}", variant.label()));
+            assert_eq!(routing.clone().name(), routing.name());
+        }
+        let torus = Arc::new(TorusNetwork::new(Torus::new(1, 4, 1)));
+        assert_eq!(TorusRouting::new(torus).name(), "torus-DOR");
+    }
+}

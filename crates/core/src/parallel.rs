@@ -92,8 +92,10 @@ where
 }
 
 /// Sweeps a generic network over `loads`, one independent run per load,
-/// fanned out across the worker pool. Results come back in load order
-/// and match a serial sweep bit for bit.
+/// fanned out across the worker pool — sized, as for [`RunGrid`], to
+/// the budget left after each run's `base.shards` engine threads (see
+/// [`configured_threads_for`]). Results come back in load order and
+/// match a serial sweep bit for bit.
 ///
 /// # Errors
 ///
@@ -106,7 +108,7 @@ pub fn sweep_network(
     loads: &[f64],
     base: &SimConfig,
 ) -> Result<Vec<LoadPoint>, SimError> {
-    let stats = parallel_map(loads, |&load| {
+    let stats = parallel_map_on(loads, configured_threads_for(base.shards), |&load| {
         let mut cfg = base.clone();
         cfg.injection = InjectionKind::Bernoulli { rate: load };
         Ok(Simulation::new(spec, routing, pattern, cfg)?.finish())

@@ -23,7 +23,6 @@
 /// assert_eq!(params.effective_radix(), 64);
 /// assert!(params.is_balanced());
 /// ```
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DragonflyParams {
     p: usize,

@@ -430,11 +430,7 @@ impl RoutingAlgorithm for MinimalRouting {
                 let route = RouteInfo::non_minimal(gi)
                     .with_salt(salt)
                     .with_injection_vc(0);
-                let record = DecisionRecord {
-                    fault_avoided: true,
-                    dropped_candidates: 1,
-                    ..DecisionRecord::default()
-                };
+                let record = DecisionRecord::fault_forced();
                 return (route, record);
             }
         }
@@ -504,11 +500,7 @@ impl RoutingAlgorithm for ValiantRouting {
                     .with_salt(rng.gen())
                     .with_injection_vc(1);
                 let record = if self.df.has_faults() && params.num_groups() >= 3 {
-                    DecisionRecord {
-                        fault_avoided: true,
-                        dropped_candidates: 1,
-                        ..DecisionRecord::default()
-                    }
+                    DecisionRecord::fault_forced()
                 } else {
                     DecisionRecord::default()
                 };
@@ -557,6 +549,19 @@ pub enum UgalVariant {
 }
 
 impl UgalVariant {
+    /// The paper's name for the variant, e.g. `"UGAL-L_CR"` — the one
+    /// name table behind every topology's routing names.
+    pub fn label(&self) -> &'static str {
+        match self {
+            UgalVariant::Local => "UGAL-L",
+            UgalVariant::LocalVc => "UGAL-L_VC",
+            UgalVariant::LocalVcHybrid => "UGAL-L_VCH",
+            UgalVariant::Global => "UGAL-G",
+            UgalVariant::CreditRoundTrip => "UGAL-L_CR",
+            UgalVariant::LocalEwma => "UGAL-L_EWMA",
+        }
+    }
+
     /// The shared [`CongestionEstimator`] implementing this variant's
     /// congestion sensing — the same estimator objects every topology's
     /// UGAL uses.
@@ -585,46 +590,50 @@ impl UgalVariant {
 /// let df = Arc::new(Dragonfly::new(DragonflyParams::new(2, 4, 2).unwrap()));
 /// let ugal = UgalRouting::new(df, UgalVariant::LocalVcHybrid);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct UgalRouting {
     df: Arc<Dragonfly>,
-    variant: UgalVariant,
-    chooser: UgalChooser,
+    ugal: VariantChooser,
 }
 
 impl UgalRouting {
     /// Creates UGAL routing of the given variant over `df`.
     pub fn new(df: Arc<Dragonfly>, variant: UgalVariant) -> Self {
-        let chooser = UgalChooser::new(variant.estimator());
-        UgalRouting {
-            df,
-            variant,
-            chooser,
-        }
+        let ugal = VariantChooser::new(variant);
+        UgalRouting { df, ugal }
     }
 
     /// The variant in use.
     pub fn variant(&self) -> UgalVariant {
-        self.variant
+        self.ugal.variant
     }
 }
 
-impl Clone for UgalRouting {
+/// A UGAL variant together with the chooser built over its estimator —
+/// what every topology's UGAL routing carries.
+#[derive(Debug)]
+pub(crate) struct VariantChooser {
+    pub(crate) variant: UgalVariant,
+    pub(crate) chooser: UgalChooser,
+}
+
+impl VariantChooser {
+    pub(crate) fn new(variant: UgalVariant) -> Self {
+        let chooser = UgalChooser::new(variant.estimator());
+        VariantChooser { variant, chooser }
+    }
+}
+
+/// Estimators may carry per-run state, so a clone gets a fresh one.
+impl Clone for VariantChooser {
     fn clone(&self) -> Self {
-        UgalRouting::new(self.df.clone(), self.variant)
+        VariantChooser::new(self.variant)
     }
 }
 
 impl RoutingAlgorithm for UgalRouting {
     fn name(&self) -> String {
-        match self.variant {
-            UgalVariant::Local => "UGAL-L".into(),
-            UgalVariant::LocalVc => "UGAL-L_VC".into(),
-            UgalVariant::LocalVcHybrid => "UGAL-L_VCH".into(),
-            UgalVariant::Global => "UGAL-G".into(),
-            UgalVariant::CreditRoundTrip => "UGAL-L_CR".into(),
-            UgalVariant::LocalEwma => "UGAL-L_EWMA".into(),
-        }
+        self.ugal.variant.label().into()
     }
 
     fn inject(&self, view: &NetView<'_>, src: usize, dest: usize, rng: &mut SmallRng) -> RouteInfo {
@@ -656,11 +665,7 @@ impl RoutingAlgorithm for UgalRouting {
                 // No usable intermediate: minimal is the only shape left.
                 let route = RouteInfo::minimal().with_salt(salt).with_injection_vc(1);
                 let record = if df.has_faults() && params.num_groups() >= 3 {
-                    DecisionRecord {
-                        fault_avoided: true,
-                        dropped_candidates: 1,
-                        ..DecisionRecord::default()
-                    }
+                    DecisionRecord::fault_forced()
                 } else {
                     DecisionRecord::default()
                 };
@@ -676,27 +681,13 @@ impl RoutingAlgorithm for UgalRouting {
             let route = RouteInfo::non_minimal(gi as u32)
                 .with_salt(salt)
                 .with_injection_vc(0);
-            let record = DecisionRecord {
-                fault_avoided: true,
-                dropped_candidates: 1,
-                ..DecisionRecord::default()
-            };
+            let record = DecisionRecord::fault_forced();
             return (route, record);
         }
         let m = df.minimal_candidate(rs, dest, salt);
         let nm = df.non_minimal_candidate(rs, dest, gi as u32, salt);
-        let decision = self.chooser.choose(view, rs, &m, &nm);
-        let record = DecisionRecord {
-            adaptive: !decision.fault_avoided,
-            estimator_disagreed: decision.estimator_disagreed,
-            fault_avoided: decision.fault_avoided,
-            dropped_candidates: decision.dropped_candidates,
-            probe_fallbacks: decision.probe_fallbacks,
-            q_chosen: decision.q_chosen(),
-            oracle_chosen: decision.oracle_chosen(),
-            oracle_disagreed: decision.oracle_disagreed,
-            oracle_scored: decision.oracle_scored,
-        };
+        let decision = self.ugal.chooser.choose(view, rs, &m, &nm);
+        let record = DecisionRecord::from(&decision);
         if decision.minimal {
             let route = RouteInfo::minimal().with_salt(salt).with_injection_vc(1);
             (route, record)

@@ -14,7 +14,6 @@ use crate::params::DragonflyParams;
 /// The paper's routing study uses unit latencies (its latency plots are
 /// in hop-count-scale cycles); the fields exist so that experiments can
 /// model long optical global channels explicitly.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChannelLatencies {
     /// Terminal (injection/ejection) channel latency.
@@ -42,7 +41,6 @@ impl Default for ChannelLatencies {
 /// butterflies spend fewer local ports per router (raising the radix
 /// available for terminals and global channels, and exploiting
 /// packaging locality) at the price of extra local hops.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GroupTopology {
     /// Every pair of routers in the group directly connected.

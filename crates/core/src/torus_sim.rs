@@ -35,88 +35,119 @@
 //! assert!(stats.drained);
 //! ```
 
-use std::sync::Arc;
-
 use dfly_netsim::{
-    CandidatePath, CandidatePaths, ChannelClass, Connection, DecisionRecord, FaultPlan, FaultTable,
-    Flit, NetView, NetworkSpec, PortSpec, PortVc, RouteAlgebra, RouteClass, RouteInfo, RouterSpec,
-    RoutingAlgorithm, SimError, UgalChooser,
+    CandidatePath, CandidatePaths, ChannelClass, Connection, Flit, NetworkSpec, PortSpec, PortVc,
+    RouteAlgebra, RouterSpec,
 };
 use dfly_topo::{Topology, Torus};
 use rand::rngs::SmallRng;
-use rand::Rng;
 
-use crate::routing::UgalVariant;
+use crate::network::{NetRouting, NetTopology, SimNetwork};
 
 /// A torus wired for cycle-accurate simulation.
+pub type TorusNetwork = SimNetwork<TorusTopology>;
+
+/// Dimension-order routing with dateline VCs: deterministic
+/// shortest-way (`new`), or per packet a UGAL choice between the short
+/// and the long way around the first differing dimension's ring
+/// (`ugal`). Both directions use the dateline VC scheme, so the detour
+/// stays deadlock-free. On an arity-2 torus (one shared channel per
+/// dimension) no distinct long way exists and every mode degenerates to
+/// shortest-way. Under faults long-way detours are disabled — riding a
+/// fixed ring direction around dead links could ping-pong against the
+/// BFS tables — and detour hops may cross datelines off the
+/// dimension-order schedule.
+pub type TorusRouting = NetRouting<TorusTopology>;
+
+/// The torus's port map and ring arithmetic.
 #[derive(Debug, Clone)]
-pub struct TorusNetwork {
-    torus: Torus,
-    latency: u32,
-    /// Link-failure state, present after
-    /// [`TorusNetwork::with_fault_plan`]. Under faults every flit
-    /// follows the BFS next-hop tables over the surviving links
-    /// (strictly decreasing alive distance, so no loops); adaptive
-    /// long-way detours are disabled, because riding a fixed ring
-    /// direction around dead links could ping-pong against the BFS
-    /// fallback. The dateline rule still assigns the VC per hop, but
-    /// detours may cross datelines off the dimension-order schedule, so
-    /// deadlock freedom is best-effort rather than proven.
-    faults: Option<Box<TorusFaults>>,
+pub struct TorusTopology(Torus);
+
+impl From<Torus> for TorusTopology {
+    fn from(torus: Torus) -> Self {
+        TorusTopology(torus)
+    }
 }
 
-#[derive(Debug, Clone)]
-struct TorusFaults {
-    failed_links: Vec<(usize, usize)>,
-    table: FaultTable,
+impl std::ops::Deref for TorusTopology {
+    type Target = Torus;
+
+    fn deref(&self) -> &Torus {
+        &self.0
+    }
 }
 
-impl TorusNetwork {
-    /// Wires `torus` with unit channel latency.
-    pub fn new(torus: Torus) -> Self {
-        Self::with_latency(torus, 1)
-    }
+/// Dateline rule: while the remaining travel from ring position `x` to
+/// `y` in direction `plus` must wrap past the dateline (next to node
+/// 0), stay on VC0; afterwards (or if no wrap is needed) use VC1. The
+/// rule is direction-generic, so the long way around keeps its ring
+/// deadlock-free too.
+fn dateline_vc(x: usize, y: usize, plus: bool) -> usize {
+    let will_wrap = if plus { x > y } else { x < y };
+    usize::from(!will_wrap)
+}
 
-    /// Wires `torus` with the given network-channel latency.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `latency == 0`.
-    pub fn with_latency(torus: Torus, latency: u32) -> Self {
-        assert!(latency > 0, "latency must be >= 1");
-        TorusNetwork {
-            torus,
-            latency,
-            faults: None,
-        }
-    }
-
-    /// Applies a link-failure plan, composing with any faults already
-    /// present. Routing then follows BFS shortest paths over the
-    /// surviving links. Rejects plans that disconnect any router pair.
-    pub fn with_fault_plan(mut self, plan: &FaultPlan) -> Result<Self, SimError> {
-        let spec = self.build_spec().with_faults(plan)?;
-        let failed = spec.failed_links().to_vec();
-        if failed.is_empty() {
-            self.faults = None;
+impl TorusTopology {
+    /// Network ports per dimension: a +/− pair, or one shared port for
+    /// arity 2 where the two directions coincide.
+    fn ports_per_dim(&self) -> usize {
+        if self.0.arity() == 2 {
+            1
         } else {
-            let table = FaultTable::new(&spec);
-            self.faults = Some(Box::new(TorusFaults {
-                failed_links: failed,
-                table,
-            }));
+            2
         }
-        Ok(self)
     }
 
-    /// Whether a fault plan with at least one failed link is applied.
-    pub fn has_faults(&self) -> bool {
-        self.faults.is_some()
+    /// The port index for travelling in `dim`, direction `plus`.
+    fn dir_port(&self, dim: usize, plus: bool) -> usize {
+        let base = self.0.concentration() + dim * self.ports_per_dim();
+        if self.0.arity() == 2 || plus {
+            base
+        } else {
+            base + 1
+        }
     }
 
-    /// The failed `(router, port)` link ends, both directions listed.
-    pub fn failed_links(&self) -> &[(usize, usize)] {
-        self.faults.as_ref().map_or(&[], |f| &f.failed_links)
+    /// Inverse of [`dir_port`](Self::dir_port): the (dimension,
+    /// direction) a network port travels in.
+    fn port_dir(&self, port: usize) -> (usize, bool) {
+        let off = port - self.0.concentration();
+        let ppd = self.ports_per_dim();
+        (off / ppd, self.0.arity() == 2 || off.is_multiple_of(ppd))
+    }
+
+    /// The first dimension in which routers `a` and `b` differ, their
+    /// coordinates, and whether the short way around that ring travels
+    /// + (ties travel +).
+    fn first_ring(&self, a: usize, b: usize) -> (usize, Vec<usize>, Vec<usize>, bool) {
+        let k = self.0.arity();
+        let ca = self.0.coordinates(a);
+        let cb = self.0.coordinates(b);
+        let dim = (0..ca.len())
+            .find(|&d| ca[d] != cb[d])
+            .expect("distinct routers");
+        let forward = (cb[dim] + k - ca[dim]) % k;
+        (dim, ca, cb, forward <= k - forward)
+    }
+
+    /// One dimension-order hop from `router` toward terminal `dest`. A
+    /// `detour` tag rides its direction until its dimension resolves;
+    /// everything else travels the short way.
+    fn ring_hop(&self, router: usize, dest: usize, detour: Option<u32>) -> PortVc {
+        let c = self.0.concentration();
+        let rd = dest / c;
+        if router == rd {
+            return PortVc::new(dest % c, 0);
+        }
+        let (dim, ca, cb, short_plus) = self.first_ring(router, rd);
+        let plus = match detour {
+            Some(tag) if tag as usize / 2 == dim => tag % 2 == 1,
+            _ => short_plus,
+        };
+        PortVc::new(
+            self.dir_port(dim, plus),
+            dateline_vc(ca[dim], cb[dim], plus),
+        )
     }
 
     /// The congestion-probe point for a ring traversal: the router
@@ -129,7 +160,7 @@ impl TorusNetwork {
         plus: bool,
         travel: usize,
     ) -> (usize, usize) {
-        let k = self.torus.arity();
+        let k = self.0.arity();
         let steps = travel / 2;
         let mut mid = coords.to_vec();
         mid[dim] = if plus {
@@ -137,80 +168,23 @@ impl TorusNetwork {
         } else {
             (coords[dim] + k - steps % k) % k
         };
-        (self.torus.router_index(&mid), self.dir_port(dim, plus))
+        (self.0.router_index(&mid), self.dir_port(dim, plus))
     }
+}
 
-    /// Inverse of [`dir_port`](Self::dir_port): the (dimension,
-    /// direction) a network port travels in.
-    fn port_dir(&self, port: usize) -> (usize, bool) {
-        let off = port - self.torus.concentration();
-        let ppd = self.ports_per_dim();
-        (
-            off / ppd,
-            self.torus.arity() == 2 || off.is_multiple_of(ppd),
-        )
-    }
+impl NetTopology for TorusTopology {
+    const PREFIX: &'static str = "torus";
+    const OBLIVIOUS: &'static str = "DOR";
 
-    /// Upper bound on network hops any routed packet takes, plus the
-    /// ejection hop. Fault-free the worst case is one long-way ring
-    /// (`k - 1` hops) plus minimal travel in every other dimension;
-    /// under faults it is the BFS diameter of the surviving network.
-    pub fn route_hop_bound(&self) -> usize {
-        let k = self.torus.arity();
-        let dims = self.torus.dimensions();
-        let diameter = match &self.faults {
-            Some(f) => f.table.diameter() as usize,
-            None => (k - 1) + dims.saturating_sub(1) * (k / 2),
-        };
-        diameter + 1
-    }
-
-    /// The underlying structural topology.
-    pub fn topology(&self) -> &Torus {
-        &self.torus
-    }
-
-    /// Network ports per dimension: a +/− pair, or one shared port for
-    /// arity 2 where the two directions coincide.
-    fn ports_per_dim(&self) -> usize {
-        if self.torus.arity() == 2 {
-            1
-        } else {
-            2
-        }
-    }
-
-    /// The port index for travelling in `dim`, direction `plus`.
-    fn dir_port(&self, dim: usize, plus: bool) -> usize {
-        let base = self.torus.concentration() + dim * self.ports_per_dim();
-        if self.torus.arity() == 2 || plus {
-            base
-        } else {
-            base + 1
-        }
-    }
-
-    /// Builds the simulator wiring: concentration ports, then per
-    /// dimension the +direction port and (for arity > 2) the −direction
-    /// port. All network channels are classed local — torus cables are
-    /// short by construction. Any applied fault plan is re-marked on
-    /// the returned spec.
-    pub fn build_spec(&self) -> NetworkSpec {
-        let spec = self.build_spec_clean();
-        match &self.faults {
-            None => spec,
-            Some(f) => spec
-                .with_faults(&FaultPlan::Explicit(f.failed_links.clone()))
-                .expect("stored fault list was validated when the plan was applied"),
-        }
-    }
-
-    fn build_spec_clean(&self) -> NetworkSpec {
-        let c = self.torus.concentration();
-        let k = self.torus.arity();
-        let mut routers = Vec::with_capacity(self.torus.num_routers());
-        for r in 0..self.torus.num_routers() {
-            let coords = self.torus.coordinates(r);
+    /// Concentration ports, then per dimension the +direction port and
+    /// (for arity > 2) the −direction port. All network channels are
+    /// classed local — torus cables are short by construction.
+    fn wire(&self, latency: u32) -> NetworkSpec {
+        let c = self.0.concentration();
+        let k = self.0.arity();
+        let mut routers = Vec::with_capacity(self.0.num_routers());
+        for r in 0..self.0.num_routers() {
+            let coords = self.0.coordinates(r);
             let mut ports = Vec::new();
             for t in 0..c {
                 ports.push(PortSpec {
@@ -221,7 +195,7 @@ impl TorusNetwork {
                     class: ChannelClass::Terminal,
                 });
             }
-            for dim in 0..self.torus.dimensions() {
+            for dim in 0..self.0.dimensions() {
                 let wire = |delta_plus: bool| {
                     let mut c2 = coords.clone();
                     c2[dim] = if delta_plus {
@@ -229,14 +203,14 @@ impl TorusNetwork {
                     } else {
                         (coords[dim] + k - 1) % k
                     };
-                    let peer = self.torus.router_index(&c2);
+                    let peer = self.0.router_index(&c2);
                     // The peer reaches us by travelling the opposite way.
                     PortSpec {
                         conn: Connection::Router {
                             router: peer as u32,
                             port: self.dir_port(dim, !delta_plus) as u32,
                         },
-                        latency: self.latency,
+                        latency,
                         class: ChannelClass::Local,
                     }
                 };
@@ -250,83 +224,61 @@ impl TorusNetwork {
         NetworkSpec::validated(routers, 2).expect("torus wiring must validate")
     }
 
-    /// Load sweep under `routing` and `pattern`: one independent run
-    /// per load, fanned out across the worker pool (results in load
-    /// order, bit-identical to a serial sweep).
-    ///
-    /// # Errors
-    ///
-    /// The first configuration rejection, if `base` is invalid.
-    pub fn sweep(
-        &self,
-        routing: &TorusRouting,
-        pattern: &(dyn dfly_traffic::TrafficPattern + Sync),
-        loads: &[f64],
-        base: &dfly_netsim::SimConfig,
-    ) -> Result<Vec<crate::LoadPoint>, dfly_netsim::SimError> {
-        crate::parallel::sweep_network(&self.build_spec(), routing, pattern, loads, base)
+    /// One long-way ring (`k - 1` hops) plus minimal travel in every
+    /// other dimension.
+    fn hop_bound(&self) -> usize {
+        let k = self.0.arity();
+        (k - 1) + self.0.dimensions().saturating_sub(1) * (k / 2)
+    }
+
+    fn route(&self, router: usize, flit: &Flit) -> PortVc {
+        self.ring_hop(router, flit.dest as usize, flit.route.intermediate())
+    }
+
+    /// The pair's single detour tag — deterministic, no draw.
+    fn draw_tag(&self, router: usize, dest: usize, _salt: u32, _rng: &mut SmallRng) -> Option<u32> {
+        (self.valiant_degree(router, dest) == 1).then(|| self.valiant_tag(router, dest, 0))
+    }
+
+    /// The dateline rule still picks the VC from the hop's ring
+    /// direction; a detour hop in an already resolved dimension
+    /// conservatively stays on VC0.
+    fn fault_vc(&self, router: usize, target: usize, port: usize, _vc: usize) -> usize {
+        let (dim, plus) = self.port_dir(port);
+        let (x, y) = (
+            self.0.coordinates(router)[dim],
+            self.0.coordinates(target)[dim],
+        );
+        if x == y {
+            0
+        } else {
+            dateline_vc(x, y, plus)
+        }
     }
 }
 
 /// Closed-form routing algebra for the torus: coordinate arithmetic
-/// fault-free (shortest-way dimension order with dateline VCs), the
-/// lazily-built BFS columns under a fault plan. The salt is unused —
-/// there is exactly one channel per (router, dimension, direction).
-/// The single Valiant tag names the long way around the first
-/// differing dimension's ring.
-impl RouteAlgebra for TorusNetwork {
+/// (shortest-way dimension order with dateline VCs). The salt is
+/// unused — there is exactly one channel per (router, dimension,
+/// direction). The single Valiant tag, `dim * 2 + (direction is +)`,
+/// names the long way around the first differing dimension's ring.
+impl RouteAlgebra for TorusTopology {
     fn terminal_router(&self, terminal: usize) -> usize {
-        terminal / self.torus.concentration()
+        terminal / self.0.concentration()
     }
 
     fn ejection_port(&self, terminal: usize) -> usize {
-        terminal % self.torus.concentration()
+        terminal % self.0.concentration()
     }
 
     fn minimal_port(&self, router: usize, dest: usize, _salt: u32) -> PortVc {
-        let torus = &self.torus;
-        let c = torus.concentration();
-        let rd = dest / c;
-        if router == rd {
-            return PortVc::new(dest % c, 0);
-        }
-        let ca = torus.coordinates(router);
-        let cb = torus.coordinates(rd);
-        if let Some(f) = &self.faults {
-            let port = f
-                .table
-                .next_port(router, rd)
-                .expect("validated fault plan keeps the network connected");
-            let (dim, plus) = self.port_dir(port);
-            let (x, y) = (ca[dim], cb[dim]);
-            let will_wrap = x == y || if plus { x > y } else { x < y };
-            return PortVc::new(port, usize::from(!will_wrap));
-        }
-        let k = torus.arity();
-        let dim = (0..ca.len())
-            .find(|&d| ca[d] != cb[d])
-            .expect("router != rd");
-        let (x, y) = (ca[dim], cb[dim]);
-        let forward = (y + k - x) % k;
-        let plus = forward <= k - forward;
-        let will_wrap = if plus { x > y } else { x < y };
-        PortVc::new(self.dir_port(dim, plus), usize::from(!will_wrap))
+        self.ring_hop(router, dest, None)
     }
 
     fn minimal_hops(&self, router: usize, dest: usize, _salt: u32) -> u32 {
-        let rd = dest / self.torus.concentration();
-        if router == rd {
-            return 0;
-        }
-        if let Some(f) = &self.faults {
-            return f
-                .table
-                .distance(router, rd)
-                .expect("validated fault plan keeps the network connected");
-        }
-        let k = self.torus.arity();
-        let ca = self.torus.coordinates(router);
-        let cb = self.torus.coordinates(rd);
+        let k = self.0.arity();
+        let ca = self.0.coordinates(router);
+        let cb = self.0.coordinates(dest / self.0.concentration());
         (0..ca.len())
             .map(|d| {
                 let f = (cb[d] + k - ca[d]) % k;
@@ -336,27 +288,16 @@ impl RouteAlgebra for TorusNetwork {
     }
 
     fn valiant_degree(&self, router: usize, dest: usize) -> usize {
-        let rd = dest / self.torus.concentration();
-        // Arity ≤ 2 folds both directions onto one shared channel, and
-        // faulted networks ride the BFS columns — nothing to tag.
-        if router == rd || self.torus.arity() <= 2 || self.faults.is_some() {
-            0
-        } else {
-            1
-        }
+        // Arity ≤ 2 folds both directions onto one shared channel:
+        // there is no distinct long way to tag.
+        usize::from(router != dest / self.0.concentration() && self.0.arity() > 2)
     }
 
     fn valiant_tag(&self, router: usize, dest: usize, i: usize) -> u32 {
         debug_assert_eq!(i, 0, "the torus has a single detour tag");
-        let k = self.torus.arity();
-        let ca = self.torus.coordinates(router);
-        let cb = self.torus.coordinates(dest / self.torus.concentration());
-        let dim = (0..ca.len())
-            .find(|&d| ca[d] != cb[d])
-            .expect("router != rd");
-        let forward = (cb[dim] + k - ca[dim]) % k;
-        let plus_long = forward > k - forward;
-        (dim * 2 + usize::from(plus_long)) as u32
+        let (dim, _, _, short_plus) = self.first_ring(router, dest / self.0.concentration());
+        // The detour direction is the opposite of the short way.
+        (dim * 2 + usize::from(!short_plus)) as u32
     }
 
     fn vc_count(&self) -> usize {
@@ -364,7 +305,7 @@ impl RouteAlgebra for TorusNetwork {
     }
 }
 
-impl CandidatePaths for TorusNetwork {
+impl CandidatePaths for TorusTopology {
     /// Minimal candidate: the short way around the first differing
     /// dimension's ring, on its dateline VC; `hops` is the full
     /// Manhattan distance. The salt is unused — a torus has exactly one
@@ -372,30 +313,24 @@ impl CandidatePaths for TorusNetwork {
     /// point is the same-direction channel at the router midway along
     /// the ring traversal — the bottleneck a ring path contends at.
     fn minimal_candidate(&self, router: usize, dest: usize, salt: u32) -> CandidatePath {
-        let c = self.torus.concentration();
-        let rd = dest / c;
-        if router == rd {
-            return CandidatePath::new(dest % c, 0, 0);
-        }
         let first = self.minimal_port(router, dest, salt);
-        let hops = RouteAlgebra::minimal_hops(self, router, dest, salt);
-        let k = self.torus.arity();
-        let ca = self.torus.coordinates(router);
-        let cb = self.torus.coordinates(rd);
-        let dim = (0..ca.len())
-            .find(|&d| ca[d] != cb[d])
-            .expect("router != rd");
+        let hops = self.minimal_hops(router, dest, salt);
+        let path = CandidatePath::new(first.port as usize, first.vc as usize, hops);
+        let rd = dest / self.0.concentration();
+        if router == rd {
+            return path;
+        }
+        let k = self.0.arity();
+        let (dim, ca, cb, plus) = self.first_ring(router, rd);
         let forward = (cb[dim] + k - ca[dim]) % k;
-        let plus = forward <= k - forward;
-        let travel = forward.min(k - forward);
-        let (mid, mid_port) = self.ring_midpoint(&ca, dim, plus, travel);
-        CandidatePath::new(first.port as usize, first.vc as usize, hops).with_probe(mid, mid_port)
+        let (mid, mid_port) = self.ring_midpoint(&ca, dim, plus, forward.min(k - forward));
+        path.with_probe(mid, mid_port)
     }
 
     /// Non-minimal candidate: the long way around one ring.
-    /// `intermediate` is the tag stored in the route —
-    /// `dim * 2 + (direction is +)` — naming the detour dimension and
-    /// travel direction; the remaining dimensions stay minimal.
+    /// `intermediate` is the tag stored in the route, naming the detour
+    /// dimension and travel direction; the remaining dimensions stay
+    /// minimal.
     fn non_minimal_candidate(
         &self,
         router: usize,
@@ -403,217 +338,40 @@ impl CandidatePaths for TorusNetwork {
         intermediate: u32,
         _salt: u32,
     ) -> CandidatePath {
-        let c = self.torus.concentration();
-        let rd = dest / c;
-        let k = self.torus.arity();
-        let ca = self.torus.coordinates(router);
-        let cb = self.torus.coordinates(rd);
+        let k = self.0.arity();
+        let ca = self.0.coordinates(router);
+        let cb = self.0.coordinates(dest / self.0.concentration());
         let dim = intermediate as usize / 2;
         let plus = intermediate % 2 == 1;
         debug_assert_ne!(ca[dim], cb[dim], "detour dimension already resolved");
-        let (x, y) = (ca[dim], cb[dim]);
-        let will_wrap = if plus { x > y } else { x < y };
-        let hops: u32 = (0..ca.len())
+        let forward = (cb[dim] + k - ca[dim]) % k;
+        // Travel in the tagged direction, which may be (and for a true
+        // detour is) the long way around.
+        let travel = if plus { forward } else { k - forward };
+        let elsewhere: usize = (0..ca.len())
+            .filter(|&d| d != dim)
             .map(|d| {
                 let f = (cb[d] + k - ca[d]) % k;
-                if d == dim {
-                    // Distance travelling the tagged direction, which may
-                    // be (and for a true detour is) the long way around.
-                    (if plus { f } else { k - f }) as u32
-                } else {
-                    f.min(k - f) as u32
-                }
+                f.min(k - f)
             })
             .sum();
-        let forward = (y + k - x) % k;
-        let travel = if plus { forward } else { k - forward };
         let (mid, mid_port) = self.ring_midpoint(&ca, dim, plus, travel);
-        CandidatePath::new(self.dir_port(dim, plus), usize::from(!will_wrap), hops)
-            .with_probe(mid, mid_port)
-    }
-}
-
-/// Which decision rule drives [`TorusRouting`].
-#[derive(Debug)]
-enum TorusMode {
-    /// Oblivious shortest-way dimension-order routing (the baseline).
-    Dor,
-    /// Per-packet UGAL choice between the short and the long way around
-    /// the first differing dimension's ring, via the shared chooser.
-    Adaptive(UgalVariant, UgalChooser),
-}
-
-/// Dimension-order routing with dateline VCs: deterministic shortest-way
-/// by default, or per-packet adaptive between the short and the long way
-/// around a ring (see [`TorusRouting::adaptive`]).
-#[derive(Debug)]
-pub struct TorusRouting {
-    net: Arc<TorusNetwork>,
-    mode: TorusMode,
-}
-
-impl Clone for TorusRouting {
-    fn clone(&self) -> Self {
-        match &self.mode {
-            TorusMode::Dor => TorusRouting::new(self.net.clone()),
-            TorusMode::Adaptive(variant, _) => TorusRouting::adaptive(self.net.clone(), *variant),
-        }
-    }
-}
-
-impl TorusRouting {
-    /// Creates the oblivious shortest-way routing over `net`.
-    pub fn new(net: Arc<TorusNetwork>) -> Self {
-        TorusRouting {
-            net,
-            mode: TorusMode::Dor,
-        }
-    }
-
-    /// Creates adaptive ring routing over `net`: each packet compares
-    /// the short way against the long way around the first differing
-    /// dimension's ring with the UGAL rule under `variant`'s congestion
-    /// estimator. Both directions use the dateline VC scheme, so the
-    /// detour stays deadlock-free. On an arity-2 torus (one shared
-    /// channel per dimension) no distinct long way exists and the
-    /// routing degenerates to shortest-way.
-    pub fn adaptive(net: Arc<TorusNetwork>, variant: UgalVariant) -> Self {
-        TorusRouting {
-            net,
-            mode: TorusMode::Adaptive(variant, UgalChooser::new(variant.estimator())),
-        }
-    }
-}
-
-impl RoutingAlgorithm for TorusRouting {
-    fn name(&self) -> String {
-        match &self.mode {
-            TorusMode::Dor => "torus-DOR".into(),
-            TorusMode::Adaptive(variant, _) => match variant {
-                UgalVariant::Local => "torus-UGAL-L".into(),
-                UgalVariant::LocalVc => "torus-UGAL-L_VC".into(),
-                UgalVariant::LocalVcHybrid => "torus-UGAL-L_VCH".into(),
-                UgalVariant::Global => "torus-UGAL-G".into(),
-                UgalVariant::CreditRoundTrip => "torus-UGAL-L_CR".into(),
-                UgalVariant::LocalEwma => "torus-UGAL-L_EWMA".into(),
-            },
-        }
-    }
-
-    fn inject(&self, view: &NetView<'_>, src: usize, dest: usize, rng: &mut SmallRng) -> RouteInfo {
-        self.inject_traced(view, src, dest, rng).0
-    }
-
-    fn inject_traced(
-        &self,
-        view: &NetView<'_>,
-        src: usize,
-        dest: usize,
-        rng: &mut SmallRng,
-    ) -> (RouteInfo, DecisionRecord) {
-        // Injection uses VC0; the first network hop re-derives its VC.
-        let minimal = RouteInfo::minimal().with_salt(rng.gen());
-        let TorusMode::Adaptive(_, chooser) = &self.mode else {
-            return (minimal, DecisionRecord::default());
-        };
-        let torus = &self.net.torus;
-        let c = torus.concentration();
-        let (rs, rd) = (src / c, dest / c);
-        let k = torus.arity();
-        // Arity 2 folds both directions onto one shared channel: there is
-        // no distinct long way to weigh against. Under faults every flit
-        // follows the BFS tables (see `route`), so a long-way tag would
-        // only be ignored — stay minimal and let the tables steer.
-        if rs == rd || k <= 2 || self.net.has_faults() {
-            return (minimal, DecisionRecord::default());
-        }
-        let ca = torus.coordinates(rs);
-        let cb = torus.coordinates(rd);
-        let dim = (0..ca.len()).find(|&d| ca[d] != cb[d]).expect("rs != rd");
-        let (x, y) = (ca[dim], cb[dim]);
-        let forward = (y + k - x) % k;
-        // The detour direction is the opposite of the short way (ties
-        // travel +, so the detour then travels −).
-        let plus_long = forward > k - forward;
-        let tag = (dim * 2 + usize::from(plus_long)) as u32;
-        let m = self.net.minimal_candidate(rs, dest, minimal.salt);
-        let nm = self.net.non_minimal_candidate(rs, dest, tag, minimal.salt);
-        let decision = chooser.choose(view, rs, &m, &nm);
-        let record = DecisionRecord {
-            adaptive: true,
-            estimator_disagreed: decision.estimator_disagreed,
-            fault_avoided: decision.fault_avoided,
-            dropped_candidates: decision.dropped_candidates,
-            probe_fallbacks: decision.probe_fallbacks,
-            q_chosen: decision.q_chosen(),
-            oracle_chosen: decision.oracle_chosen(),
-            oracle_disagreed: decision.oracle_disagreed,
-            oracle_scored: decision.oracle_scored,
-        };
-        if decision.minimal {
-            (minimal, record)
-        } else {
-            (RouteInfo::non_minimal(tag).with_salt(minimal.salt), record)
-        }
-    }
-
-    fn route(&self, _view: &NetView<'_>, router: usize, flit: &Flit) -> PortVc {
-        let torus = &self.net.torus;
-        let c = torus.concentration();
-        let dest = flit.dest as usize;
-        let rd = dest / c;
-        if router == rd {
-            return PortVc::new(dest % c, 0);
-        }
-        if let Some(f) = &self.net.faults {
-            // Fault branch: follow the BFS next hop over surviving
-            // links (alive distance strictly decreases, so the walk
-            // terminates). The dateline rule still picks the VC from
-            // the hop's ring direction; a detour hop in an already
-            // resolved dimension conservatively stays on VC0.
-            let port = f
-                .table
-                .next_port(router, rd)
-                .expect("validated fault plan keeps the network connected");
-            let (dim, plus) = self.net.port_dir(port);
-            let ca = torus.coordinates(router);
-            let cb = torus.coordinates(rd);
-            let (x, y) = (ca[dim], cb[dim]);
-            let will_wrap = x == y || if plus { x > y } else { x < y };
-            return PortVc::new(port, usize::from(!will_wrap));
-        }
-        let k = torus.arity();
-        let ca = torus.coordinates(router);
-        let cb = torus.coordinates(rd);
-        let dim = (0..ca.len())
-            .find(|&d| ca[d] != cb[d])
-            .expect("router != rd");
-        let (x, y) = (ca[dim], cb[dim]);
-        // A non-minimal route rides its tagged direction until the detour
-        // dimension resolves; everything else travels the short way
-        // (ties travel +).
-        let plus = match (flit.route.class, flit.route.intermediate()) {
-            (RouteClass::NonMinimal, Some(tag)) if tag as usize / 2 == dim => tag % 2 == 1,
-            _ => {
-                let forward = (y + k - x) % k;
-                forward <= k - forward
-            }
-        };
-        // Dateline rule: while the remaining travel must wrap past the
-        // dateline (next to node 0), stay on VC0; afterwards (or if no
-        // wrap is needed) use VC1. The rule is direction-generic, so the
-        // long way around keeps its ring deadlock-free too.
-        let will_wrap = if plus { x > y } else { x < y };
-        let vc = if will_wrap { 0 } else { 1 };
-        PortVc::new(self.net.dir_port(dim, plus), vc)
+        CandidatePath::new(
+            self.dir_port(dim, plus),
+            dateline_vc(ca[dim], cb[dim], plus),
+            (travel + elsewhere) as u32,
+        )
+        .with_probe(mid, mid_port)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dfly_netsim::{SimConfig, Simulation};
+    use crate::UgalVariant;
+    use dfly_netsim::{FaultPlan, RouteInfo, SimConfig, Simulation};
     use dfly_traffic::{Tornado, UniformRandom};
+    use std::sync::Arc;
 
     fn fast_cfg(load: f64) -> SimConfig {
         let mut cfg = SimConfig::paper_default(load);
@@ -724,9 +482,8 @@ mod tests {
     fn dateline_rule_is_monotone() {
         // A packet's VC never goes from 1 back to 0 within a dimension:
         // walk routes hop by hop and check.
-        let net = Arc::new(TorusNetwork::new(Torus::new(1, 9, 1)));
+        let net = TorusNetwork::new(Torus::new(1, 9, 1));
         let spec = net.build_spec();
-        let routing = TorusRouting::new(net.clone());
         for src in 0..9usize {
             for dest in 0..9usize {
                 if src == dest {
@@ -750,7 +507,7 @@ mod tests {
                 let mut prev_vc = 0u8;
                 let mut started = false;
                 for _ in 0..9 {
-                    let pv = routing_route_for_test(&routing, at, &flit);
+                    let pv = net.topology().route(at, &flit);
                     match spec.routers[at].ports[pv.port as usize].conn {
                         Connection::Terminal { terminal } => {
                             assert_eq!(terminal as usize, dest);
@@ -793,7 +550,7 @@ mod tests {
         // must witness those decisions.
         let net = Arc::new(TorusNetwork::new(Torus::new(1, 8, 1)));
         let spec = net.build_spec();
-        let routing = TorusRouting::adaptive(net, UgalVariant::Local);
+        let routing = TorusRouting::ugal(net, UgalVariant::Local);
         let pattern = Tornado::new(8);
         let mut cfg = fast_cfg(0.4);
         cfg.drain_cap = 60_000;
@@ -816,7 +573,7 @@ mod tests {
     fn adaptive_stays_minimal_on_benign_traffic() {
         let net = Arc::new(TorusNetwork::new(Torus::new(2, 4, 1)));
         let spec = net.build_spec();
-        let routing = TorusRouting::adaptive(net, UgalVariant::Local);
+        let routing = TorusRouting::ugal(net, UgalVariant::Local);
         let pattern = UniformRandom::new(16);
         let stats = Simulation::new(&spec, &routing, &pattern, fast_cfg(0.05))
             .unwrap()
@@ -832,18 +589,18 @@ mod tests {
         // 0 -> 3 short way: 3 hops +, midpoint one step in at router 1.
         let m = net.minimal_candidate(0, 3, 0);
         assert_eq!(m.probe_router, 1);
-        assert_eq!(m.probe_port as usize, net.dir_port(0, true));
+        assert_eq!(m.probe_port as usize, net.topology().dir_port(0, true));
         // Long way: 5 hops −, midpoint two steps back at router 6.
         let nm = net.non_minimal_candidate(0, 3, 0, 0);
         assert_eq!(nm.probe_router, 6);
-        assert_eq!(nm.probe_port as usize, net.dir_port(0, false));
+        assert_eq!(nm.probe_port as usize, net.topology().dir_port(0, false));
     }
 
     #[test]
     fn ugal_g_on_torus_has_no_probe_fallbacks() {
         let net = Arc::new(TorusNetwork::new(Torus::new(1, 8, 1)));
         let spec = net.build_spec();
-        let routing = TorusRouting::adaptive(net, UgalVariant::Global);
+        let routing = TorusRouting::ugal(net, UgalVariant::Global);
         let pattern = Tornado::new(8);
         let mut cfg = fast_cfg(0.3);
         cfg.drain_cap = 60_000;
@@ -883,7 +640,7 @@ mod tests {
             .unwrap();
         assert!(net.has_faults());
         let spec = net.build_spec();
-        let routing = TorusRouting::adaptive(Arc::new(net), UgalVariant::Local);
+        let routing = TorusRouting::ugal(Arc::new(net), UgalVariant::Local);
         let pattern = UniformRandom::new(8);
         let stats = Simulation::new(&spec, &routing, &pattern, fast_cfg(0.15))
             .unwrap()
@@ -892,26 +649,5 @@ mod tests {
         // Under faults every flit rides the BFS tables: no long-way tags.
         assert_eq!(stats.routing.non_minimal_takes, 0);
         assert_eq!(stats.routing.adaptive_decisions, 0);
-    }
-
-    /// Calls the routing rule without a live simulation view (the torus
-    /// rule is purely structural).
-    fn routing_route_for_test(routing: &TorusRouting, router: usize, flit: &Flit) -> PortVc {
-        let torus = &routing.net.torus;
-        let c = torus.concentration();
-        let dest = flit.dest as usize;
-        let rd = dest / c;
-        if router == rd {
-            return PortVc::new(dest % c, 0);
-        }
-        let k = torus.arity();
-        let ca = torus.coordinates(router);
-        let cb = torus.coordinates(rd);
-        let dim = (0..ca.len()).find(|&d| ca[d] != cb[d]).unwrap();
-        let (x, y) = (ca[dim], cb[dim]);
-        let forward = (y + k - x) % k;
-        let plus = forward <= k - forward;
-        let will_wrap = if plus { x > y } else { x < y };
-        PortVc::new(routing.net.dir_port(dim, plus), usize::from(!will_wrap))
     }
 }

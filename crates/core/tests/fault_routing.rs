@@ -93,7 +93,7 @@ fn butterfly_delivers_around_any_single_failure() {
         let bound = net.route_hop_bound();
         let spec = net.build_spec();
         let c = net.topology().concentration();
-        let routing = ButterflyRouting::minimal(Arc::new(net));
+        let routing = ButterflyRouting::new(Arc::new(net));
         for sr in 0..spec.num_routers() {
             for dr in 0..spec.num_routers() {
                 let (src, dest) = (sr * c, dr * c);

@@ -1,7 +1,6 @@
 //! Cable technology and cost-versus-length models (§2 of the paper).
 
 /// Characteristics of one interconnect cable technology (Table 1).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CableTechnology {
     /// Marketing / reference name.
@@ -49,7 +48,6 @@ pub const CABLE_TECHNOLOGIES: [CableTechnology; 3] = [
 /// high fixed cost (the E/O and O/E transceivers in the connectors) but
 /// a small per-metre cost. Channels inside a cabinet run over circuit
 /// boards and backplanes at a flat (low) cost.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CableCostModel {
     /// Flat $/Gb/s for intra-cabinet (board / backplane) channels.

@@ -7,7 +7,6 @@ use dragonfly::{Dragonfly, DragonflyParams};
 use crate::packaging::Floorplan;
 
 /// A hop-count expression `a·h_l + b·h_g` (local and global hops).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HopExpr {
     /// Local-hop coefficient.
@@ -24,7 +23,6 @@ impl HopExpr {
 }
 
 /// One row of Table 2.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table2Row {
     /// Topology name.
@@ -77,7 +75,6 @@ pub fn table2() -> [Table2Row; 2] {
 
 /// The Figure 18 case study: a 64K-node flattened butterfly versus a
 /// 64K-node dragonfly built from comparable router parts.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, PartialEq)]
 pub struct CaseStudy64K {
     /// Terminals in each network.

@@ -39,7 +39,6 @@ impl std::fmt::Display for SizingError {
 impl std::error::Error for SizingError {}
 
 /// Cost-model parameters shared by all topologies.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostConfig {
     /// Bandwidth of one ordinary channel (and per-node injection
@@ -71,7 +70,6 @@ impl Default for CostConfig {
 }
 
 /// Aggregated cable statistics of one network.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CableStats {
     /// Intra-cabinet board/backplane channels.
@@ -108,7 +106,6 @@ impl CableStats {
 }
 
 /// The priced bill of materials of one network.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetworkCost {
     /// Topology name.

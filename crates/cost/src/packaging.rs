@@ -20,7 +20,6 @@
 /// assert_eq!(floor.cable_length_m(3, 3), 0.0);
 /// assert!(floor.cable_length_m(0, 31) > 5.0);
 /// ```
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Floorplan {
     nodes_per_cabinet: usize,

@@ -13,7 +13,6 @@ use crate::network::NetworkCost;
 /// Energy-per-bit assumptions, picojoules.
 ///
 /// 1 pJ/bit at 1 Gb/s is 1 mW, so watts = pJ/bit × Gb/s / 1000.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerModel {
     /// Board/backplane channels (short traces).
@@ -38,7 +37,6 @@ impl Default for PowerModel {
 }
 
 /// Power roll-up of one network.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkPower {
     /// Router power, watts.

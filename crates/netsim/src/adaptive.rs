@@ -30,7 +30,7 @@
 
 use std::fmt;
 
-use crate::routing::NetView;
+use crate::routing::{DecisionRecord, NetView};
 
 /// First-hop summary of one candidate path, produced by a topology's
 /// [`CandidatePaths`] implementation and consumed by a
@@ -420,6 +420,24 @@ impl UgalDecision {
             self.oracle_minimal
         } else {
             self.oracle_non_minimal
+        }
+    }
+}
+
+/// The telemetry record of a chooser outcome. A fault-masked shortcut
+/// compared no queues, so it does not count as an adaptive decision.
+impl From<&UgalDecision> for DecisionRecord {
+    fn from(decision: &UgalDecision) -> Self {
+        DecisionRecord {
+            adaptive: !decision.fault_avoided,
+            estimator_disagreed: decision.estimator_disagreed,
+            fault_avoided: decision.fault_avoided,
+            dropped_candidates: decision.dropped_candidates,
+            probe_fallbacks: decision.probe_fallbacks,
+            q_chosen: decision.q_chosen(),
+            oracle_chosen: decision.oracle_chosen(),
+            oracle_disagreed: decision.oracle_disagreed,
+            oracle_scored: decision.oracle_scored,
         }
     }
 }

@@ -3,7 +3,6 @@
 use crate::error::SimError;
 
 /// How packets are injected at each terminal.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum InjectionKind {
     /// Memoryless Bernoulli injection at the given rate (packets per
@@ -52,7 +51,6 @@ impl InjectionKind {
 /// Telemetry collection knobs. The default disables every optional
 /// collector, leaving only the always-on (O(1)-per-packet) latency
 /// histogram and estimator scoreboard.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TelemetryConfig {
     /// Channel time-series sampling cadence in cycles across warmup,
@@ -84,7 +82,6 @@ impl TelemetryConfig {
 }
 
 /// When a run ends.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Termination {
     /// Classic fixed-window run: warm up, measure a cycle window,
@@ -101,7 +98,6 @@ pub enum Termination {
 }
 
 /// How the value of `td` (measured credit round-trip excess) is smoothed.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TdEstimator {
     /// Use the latest sample directly, as the paper describes.
@@ -115,7 +111,6 @@ pub enum TdEstimator {
 }
 
 /// Credit flow-control mode.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CreditMode {
     /// Conventional credits: returned as soon as a flit leaves the
@@ -147,7 +142,6 @@ impl CreditMode {
 }
 
 /// Full configuration of a simulation run.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Input buffer depth in flits per (port, VC). The paper uses 16 by
@@ -179,18 +173,15 @@ pub struct SimConfig {
     /// 0 picks a shard count automatically from the available hardware
     /// threads (respecting `DFLY_THREADS`). Results are bit-identical
     /// at every shard count; counts beyond the router count are clamped.
-    #[cfg_attr(feature = "serde", serde(default = "default_shards"))]
     pub shards: usize,
     /// Million-terminal scale mode: drops the per-network-channel load
     /// counters (the one remaining O(channels) statistics structure), so
     /// [`crate::RunStats::channel_loads`] comes back empty. Everything
     /// else — latencies, throughput, histograms — is unaffected, and
     /// results stay bit-identical to a run with it off.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub scale_mode: bool,
     /// When the run ends: after the classic fixed measurement window
     /// (default), or when all closed-loop work completes.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub termination: Termination,
     /// Stall-watchdog cadence in cycles; 0 disables the watchdog. When
     /// enabled, every `watchdog_every` cycles the engine checks that the
@@ -200,13 +191,7 @@ pub struct SimConfig {
     /// [`SimError::Stalled`](crate::SimError::Stalled) instead of
     /// spinning until the drain cap. The check runs in-band on cycle
     /// boundaries, so reports are bit-identical at any shard count.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub watchdog_every: u64,
-}
-
-#[cfg(feature = "serde")]
-fn default_shards() -> usize {
-    1
 }
 
 impl SimConfig {
@@ -468,29 +453,5 @@ mod tests {
             .rate(),
             0.2
         );
-    }
-}
-
-#[cfg(all(test, feature = "serde"))]
-mod serde_tests {
-    use super::*;
-    use crate::{ChannelClass, ChannelLoad, Connection, PortSpec, RouterSpec, RunStats};
-
-    fn assert_serde<T: serde::Serialize + serde::de::DeserializeOwned>() {}
-
-    #[test]
-    fn data_types_implement_serde() {
-        assert_serde::<SimConfig>();
-        assert_serde::<InjectionKind>();
-        assert_serde::<TelemetryConfig>();
-        assert_serde::<CreditMode>();
-        assert_serde::<TdEstimator>();
-        assert_serde::<Termination>();
-        assert_serde::<RunStats>();
-        assert_serde::<ChannelLoad>();
-        assert_serde::<PortSpec>();
-        assert_serde::<RouterSpec>();
-        assert_serde::<Connection>();
-        assert_serde::<ChannelClass>();
     }
 }

@@ -324,6 +324,11 @@ impl FaultTable {
         }
     }
 
+    /// The faulted spec the tables were built over.
+    pub fn spec(&self) -> &NetworkSpec {
+        &self.spec
+    }
+
     fn col(&self, dest: usize) -> &FaultCol {
         self.cols[dest].get_or_init(|| Box::new(build_col(&self.spec, dest)))
     }

@@ -84,7 +84,6 @@ pub fn warmup_convergence(
 /// All fields are integers derived from engine state at a
 /// barrier-aligned cycle, so two runs of the same configuration — at
 /// any shard counts — produce byte-identical reports.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StallReport {
     /// Cycle at which the watchdog fired (the end of the window).

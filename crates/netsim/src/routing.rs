@@ -230,6 +230,19 @@ pub struct DecisionRecord {
     pub oracle_scored: bool,
 }
 
+impl DecisionRecord {
+    /// The record of an injection whose usual route shape was unusable
+    /// because of a failed link, so the only surviving alternative was
+    /// taken without comparing queues.
+    pub fn fault_forced() -> Self {
+        DecisionRecord {
+            fault_avoided: true,
+            dropped_candidates: 1,
+            ..DecisionRecord::default()
+        }
+    }
+}
+
 /// A routing algorithm driving a [`crate::Simulation`].
 ///
 /// The same object serves every router, so implementations hold only

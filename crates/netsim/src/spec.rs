@@ -7,7 +7,6 @@ use crate::fault::FaultPlan;
 /// and whether the credit-delay mechanism applies to credits crossing it
 /// (credits over *global* channels are never delayed, per §4.3.2 of the
 /// paper).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ChannelClass {
     /// Terminal (injection/ejection) channel between a node and its router.
@@ -19,7 +18,6 @@ pub enum ChannelClass {
 }
 
 /// What a router port is wired to.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Connection {
     /// The port attaches terminal `terminal`.
@@ -38,7 +36,6 @@ pub enum Connection {
 }
 
 /// One port of a router: its wiring, channel class and latency.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PortSpec {
     /// Wiring of the port.
@@ -50,7 +47,6 @@ pub struct PortSpec {
 }
 
 /// A router: an ordered list of ports.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RouterSpec {
     /// The router's ports, in a topology-defined order.

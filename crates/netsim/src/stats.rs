@@ -4,7 +4,6 @@ use crate::spec::ChannelClass;
 use crate::telemetry::{EstimatorScoreboard, FlitTrace, LogHistogram, TimeSeries};
 
 /// Streaming summary statistics for one latency population.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LatencySummary {
     /// Number of samples.
@@ -64,7 +63,6 @@ impl LatencySummary {
 }
 
 /// A fixed-width latency histogram with an overflow bucket.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     buckets: Vec<u64>,
@@ -194,7 +192,6 @@ impl Histogram {
 }
 
 /// Measured load on one directed channel.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChannelLoad {
     /// Router owning the sending port.
@@ -215,7 +212,6 @@ pub struct ChannelLoad {
 /// queue-occupancy baseline on the same candidates. Only labelled
 /// packets (those created inside the window) are counted, and every
 /// count is deterministic for a fixed seed.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RouteTelemetry {
     /// Labelled packets injected on their minimal path.
@@ -260,7 +256,6 @@ impl RouteTelemetry {
 }
 
 /// Everything measured by one simulation run.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunStats {
     /// Cycles simulated in total (including warm-up and drain).
@@ -314,32 +309,21 @@ pub struct RunStats {
     /// [`crate::Termination::WorkComplete`] runs that completed within
     /// the cap. `None` on fixed-window runs and on runs that hit the
     /// cap with work outstanding.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub completion: Option<u64>,
     /// Whether the warmup interval settled before measurement began:
     /// throughput and mean latency drift between the last two warmup
     /// quarter-windows stayed within
     /// [`crate::WARMUP_DRIFT_LIMIT`]. Vacuously `true` when warmup was
     /// too short to compare (see [`crate::warmup_convergence`]).
-    #[cfg_attr(feature = "serde", serde(default = "default_converged"))]
     pub converged: bool,
     /// Symmetric relative throughput difference between the last two
     /// warmup quarter-windows; `None` when there was nothing to
     /// compare.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub warmup_throughput_drift: Option<f64>,
     /// Symmetric relative mean-latency difference between the last two
     /// warmup quarter-windows; `None` when there was nothing to
     /// compare.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub warmup_latency_drift: Option<f64>,
-}
-
-/// Serde default for [`RunStats::converged`]: documents predating the
-/// diagnostic carry no evidence of a drifting warmup.
-#[cfg(feature = "serde")]
-fn default_converged() -> bool {
-    true
 }
 
 impl RunStats {

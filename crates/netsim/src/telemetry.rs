@@ -64,7 +64,6 @@ pub fn json_escape(s: &str) -> String {
 /// p50/p95/p99 tail reporting at a fraction of the memory of exact
 /// reservoirs, and mergeable across parallel workers.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LogHistogram {
     /// Number of recorded values.
     pub count: u64,
@@ -201,7 +200,6 @@ impl LogHistogram {
 /// `BTreeMap`s so iteration (and therefore JSON emission) is sorted
 /// and reproducible.
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MetricsRegistry {
     /// Monotonic event counts.
     pub counters: BTreeMap<String, u64>,
@@ -295,7 +293,6 @@ fn fmt_f64(v: f64) -> String {
 /// `vc_occupancy` is flattened `[tick][vc]` (row-major, `vcs` entries
 /// per tick).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ChannelSeries {
     /// Router the sampled output port belongs to.
     pub router: u32,
@@ -334,7 +331,6 @@ impl ChannelSeries {
 /// Per-channel, per-VC queue state sampled at a fixed cadence across
 /// warmup, the measurement window, and drain.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TimeSeries {
     /// Sampling cadence in cycles.
     pub every: u64,
@@ -395,7 +391,6 @@ fn push_u64_array(out: &mut String, values: impl Iterator<Item = u64>) {
 
 /// One event recorded by the flit tracer.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TraceEvent {
     /// Cycle the event occurred on.
     pub cycle: u64,
@@ -407,7 +402,6 @@ pub struct TraceEvent {
 
 /// The kind of a [`TraceEvent`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TraceEventKind {
     /// The packet's head flit entered the network, with the routing
     /// decision taken at injection.
@@ -441,7 +435,6 @@ pub enum TraceEventKind {
 
 /// The completed event log of a traced run.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FlitTrace {
     /// Fraction of packets sampled.
     pub rate: f64,
@@ -583,7 +576,6 @@ impl FlitTracer {
 /// error distribution quantifies the paper's UGAL-L vs UGAL-G gap:
 /// a perfect estimator has zero error and zero disagreement.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EstimatorScoreboard {
     /// Adaptive decisions observed (committed injections).
     pub decisions: u64,

@@ -23,7 +23,6 @@ pub trait InjectionProcess {
 /// Memoryless injection: a packet is generated each cycle with fixed
 /// probability `rate` — the process used throughout the paper's
 /// evaluation.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Bernoulli {
     rate: f64,
@@ -65,7 +64,6 @@ impl InjectionProcess for Bernoulli {
 /// While *on*, the terminal injects with probability `burst_rate`; while
 /// *off* it injects nothing. State flips with the given transition
 /// probabilities, giving mean burst length `1/p_off` cycles.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnOff {
     burst_rate: f64,

@@ -30,7 +30,6 @@ pub trait TrafficPattern: Sync {
 
 /// Benign traffic: every packet targets a terminal chosen uniformly at
 /// random (excluding the source).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UniformRandom {
     terminals: usize,
@@ -78,7 +77,6 @@ impl TrafficPattern for UniformRandom {
 /// few direct channels between the two groups (a single channel in a
 /// maximum-size dragonfly), capping throughput at `1/(ah)`; non-minimal
 /// routing is required to spread it.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupAdversarial {
     terminals: usize,
@@ -166,7 +164,6 @@ impl TrafficPattern for GroupAdversarial {
 
 /// Bit-complement permutation: destination is the bitwise complement of
 /// the source index. Requires a power-of-two terminal count.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BitComplement {
     terminals: usize,
@@ -203,7 +200,6 @@ impl TrafficPattern for BitComplement {
 }
 
 /// Shift permutation: `dest = (source + delta) mod N`.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Shift {
     terminals: usize,
@@ -244,7 +240,6 @@ impl TrafficPattern for Shift {
 
 /// Terminal-level tornado: shift by `⌈N/2⌉ - 1`, the classic worst case
 /// for rings and tori.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Tornado {
     inner: Shift,
@@ -281,7 +276,6 @@ impl TrafficPattern for Tornado {
 /// Matrix-transpose permutation: with `N = 2^(2b)` terminals viewed as
 /// a `2^b x 2^b` matrix, terminal `(i, j)` sends to `(j, i)` — a classic
 /// stress for networks whose bisection lies between the index halves.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Transpose {
     terminals: usize,
@@ -337,7 +331,6 @@ impl TrafficPattern for Transpose {
 }
 
 /// An arbitrary fixed permutation of the terminals.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Permutation {
     map: Vec<u32>,

@@ -127,7 +127,7 @@ fn butterfly_candidates_eject_and_vcs_monotone() {
         let spec = net.build_spec();
         // The UGAL-L(CR) portability demonstration rides the same route
         // function, so walking it covers every mode's paths.
-        let routing = ButterflyRouting::ugal_credit(net.clone());
+        let routing = ButterflyRouting::ugal(net.clone(), UgalVariant::CreditRoundTrip);
         let n = spec.num_terminals();
         let nr = spec.num_routers();
         // Diameter: one hop per dimension, doubled through the Valiant
@@ -190,7 +190,7 @@ fn torus_candidates_eject_and_dim_vc_rank_monotone() {
         let c = rng.gen_range(1usize..=2);
         let net = Arc::new(TorusNetwork::new(Torus::new(d, k, c)));
         let spec = net.build_spec();
-        let routing = TorusRouting::adaptive(net.clone(), UgalVariant::Local);
+        let routing = TorusRouting::ugal(net.clone(), UgalVariant::Local);
         let n = spec.num_terminals();
         // Worst path: the long way (k-1 hops) around the detour ring
         // plus the short way (k/2) in every other dimension, ejection
@@ -264,7 +264,7 @@ fn clos_candidates_eject_with_equal_length_up_down_paths() {
         let half = radix / 2;
         let net = Arc::new(ClosNetwork::new(FoldedClos::new(levels, radix)));
         let spec = net.build_spec();
-        let routing = ClosRouting::adaptive(net.clone(), UgalVariant::Local);
+        let routing = ClosRouting::ugal(net.clone(), UgalVariant::Local);
         let n = spec.num_terminals();
         let bound = 2 * (levels - 1) + 2;
         for _ in 0..16 {

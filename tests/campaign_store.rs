@@ -74,6 +74,45 @@ fn cached_matches_fresh_at_every_shard_count() {
 }
 
 #[test]
+fn concurrent_inserts_keep_every_entry_and_the_index_count() {
+    // 8 writers on one store: every insert journals, and the index
+    // sidecar — rewritten per insert — ends on the full count.
+    const THREADS: u64 = 8;
+    const PER_THREAD: u64 = 50;
+    let dir = temp_store_dir("concurrent");
+    let sim = small_sim();
+    let plan = small_grid(&sim, 1).plans()[0].clone();
+    let stats = sim.run(plan.routing, plan.traffic, plan.cfg.clone());
+    let store = CampaignStore::open(&dir).expect("store opens");
+    let start = std::sync::Barrier::new(THREADS as usize);
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let (store, sim, stats, start) = (&store, &sim, &stats, &start);
+            let mut plan = plan.clone();
+            scope.spawn(move || {
+                start.wait();
+                for i in 0..PER_THREAD {
+                    plan.cfg.seed = t * PER_THREAD + i;
+                    let key = store.run_key(sim, &plan);
+                    store.insert_run(&key, stats).expect("insert succeeds");
+                }
+            });
+        }
+    });
+    let total = (THREADS * PER_THREAD) as usize;
+    assert_eq!(store.len(), total);
+    drop(store);
+    let index = std::fs::read_to_string(dir.join("index.json")).expect("index exists");
+    assert!(
+        index.contains(&format!("\"entries\": {total}}}")),
+        "index published a stale count: {index}"
+    );
+    let store = CampaignStore::open(&dir).expect("store reopens");
+    assert_eq!(store.len(), total);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn torn_journal_tail_recovers_and_refills() {
     let dir = temp_store_dir("torn");
     let sim = small_sim();

@@ -6,9 +6,23 @@
 //! These fingerprints were captured from the engine *before* that
 //! refactor; the adapter path must keep every one of them bit-identical
 //! so all historical BENCH numbers remain comparable.
+//!
+//! The same fingerprint freezes the three baseline topologies across
+//! their move onto the shared `dragonfly::network` harness.
 
-use dfly_netsim::{InjectionKind, TelemetryConfig};
-use dragonfly::{DragonflyParams, DragonflySim, RoutingChoice, TrafficChoice};
+use std::sync::Arc;
+
+use dfly_netsim::{
+    Connection, CreditMode, FaultPlan, InjectionKind, NetworkSpec, RoutingAlgorithm, RunStats,
+    SimConfig, Simulation, TelemetryConfig,
+};
+use dfly_topo::{FlattenedButterfly, FoldedClos, Torus};
+use dfly_traffic::UniformRandom;
+use dragonfly::butterfly::{ButterflyNetwork, ButterflyRouting};
+use dragonfly::clos_sim::{ClosNetwork, ClosRouting};
+use dragonfly::network::{NetTopology, SimNetwork};
+use dragonfly::torus_sim::{TorusNetwork, TorusRouting};
+use dragonfly::{DragonflyParams, DragonflySim, RoutingChoice, UgalVariant};
 
 /// FNV-1a over the full debug rendering plus the exported JSON bytes —
 /// any change to RunStats content, ordering or formatting shifts it.
@@ -19,7 +33,7 @@ use dragonfly::{DragonflyParams, DragonflySim, RoutingChoice, TrafficChoice};
 /// which are derived from warmup-only counters and cannot alter the
 /// simulated traffic. The hash keeps covering exactly what the
 /// pre-refactor engine emitted.
-fn fingerprint(stats: &dfly_netsim::RunStats) -> u64 {
+fn fingerprint(stats: &RunStats) -> u64 {
     let debug = format!("{stats:?}").replace(", completion: None", "");
     // The convergence diagnostics are the last fields of RunStats, so
     // truncating at the first of them and re-closing the struct leaves
@@ -44,10 +58,18 @@ fn fingerprint(stats: &dfly_netsim::RunStats) -> u64 {
     h
 }
 
-fn golden_run(choice: RoutingChoice, injection: InjectionKind, seed: u64) -> u64 {
-    let sim = DragonflySim::new(DragonflyParams::new(2, 4, 2).unwrap());
-    let mut cfg = sim.config(injection.rate());
+/// One fixed-window run of `routing` over `spec` under uniform traffic
+/// with the sampler and the flit tracer on.
+fn golden_run(
+    spec: &NetworkSpec,
+    routing: &dyn RoutingAlgorithm,
+    injection: InjectionKind,
+    seed: u64,
+    credit_mode: CreditMode,
+) -> RunStats {
+    let mut cfg = SimConfig::paper_default(injection.rate());
     cfg.injection = injection;
+    cfg.credit_mode = credit_mode;
     cfg.warmup = 150;
     cfg.measure = 300;
     cfg.drain_cap = 5_000;
@@ -57,9 +79,10 @@ fn golden_run(choice: RoutingChoice, injection: InjectionKind, seed: u64) -> u64
         trace_rate: 0.25,
         trace_seed: 9,
     };
-    let stats = sim.run(choice, TrafficChoice::Uniform, cfg);
-    assert!(stats.drained, "golden run did not drain");
-    fingerprint(&stats)
+    let pattern = UniformRandom::new(spec.num_terminals());
+    Simulation::new(spec, routing, &pattern, cfg)
+        .expect("golden configuration is valid")
+        .finish()
 }
 
 #[test]
@@ -88,13 +111,132 @@ fn open_loop_adapter_matches_pre_refactor_baselines() {
             0x2a2c_ce80_e36d_5cd6,
         ),
     ];
+    let sim = DragonflySim::new(DragonflyParams::new(2, 4, 2).unwrap());
     let mut drift = String::new();
     for (choice, injection, seed, want) in cases {
-        let got = golden_run(choice, injection, seed);
+        let routing = choice.build(sim.shared_dragonfly());
+        let stats = golden_run(
+            sim.spec(),
+            routing.as_ref(),
+            injection,
+            seed,
+            CreditMode::Conventional,
+        );
+        assert!(stats.drained, "golden run did not drain");
+        let got = fingerprint(&stats);
         if got != want {
             drift.push_str(&format!(
                 "open-loop fingerprint drifted: {choice:?} / {injection:?} / seed {seed} -> {got:#018x}\n"
             ));
+        }
+    }
+    assert!(drift.is_empty(), "{drift}");
+}
+
+/// The first router-to-router cable of `spec`, as a one-link fault plan.
+fn first_cable(spec: &NetworkSpec) -> FaultPlan {
+    let (router, port) = spec
+        .routers
+        .iter()
+        .enumerate()
+        .find_map(|(r, router)| {
+            let p = router
+                .ports
+                .iter()
+                .position(|p| matches!(p.conn, Connection::Router { .. }))?;
+            Some((r, p))
+        })
+        .expect("network has a cable");
+    FaultPlan::Explicit(vec![(router, port)])
+}
+
+/// `net` as is, or with its first cable cut.
+fn maybe_cut<T: NetTopology>(net: SimNetwork<T>, cut: bool) -> Arc<SimNetwork<T>> {
+    Arc::new(if cut {
+        let plan = first_cable(&net.build_spec());
+        net.with_fault_plan(&plan).unwrap()
+    } else {
+        net
+    })
+}
+
+/// Frozen judge for the three baseline topologies: every routing mode,
+/// fault-free and with one cable cut, captured from the per-topology
+/// harnesses before they were folded into `dragonfly::network`. The
+/// shared harness must reproduce each run bit for bit.
+#[test]
+fn baseline_topologies_match_pre_harness_fingerprints() {
+    let want: [[u64; 7]; 2] = [
+        [
+            0x787c_841f_3cf7_551f,
+            0xe10f_f730_90b3_dae2,
+            0xe707_4871_94ca_70e1,
+            0xb7cf_72d0_b825_d0c3,
+            0xcc08_437b_2183_ed13,
+            0xc65c_36df_80d6_927d,
+            0x7ce4_870c_2836_17a7,
+        ],
+        // One cable cut. Clos and torus fall back to minimal under
+        // faults, so their two modes coincide; the faulted Clos rides
+        // first-port BFS columns, saturates one uplink and does not
+        // drain — that too is frozen.
+        [
+            0x2972_fbf3_7492_b4dd,
+            0x1453_6cc7_d424_4402,
+            0x14dc_264a_a95f_1a01,
+            0x2375_3a08_35c5_2d9f,
+            0x2375_3a08_35c5_2d9f,
+            0x5341_2698_29fe_5b53,
+            0x5341_2698_29fe_5b53,
+        ],
+    ];
+    let mut drift = String::new();
+    for (cut, want) in [false, true].into_iter().zip(want) {
+        let fb = maybe_cut(ButterflyNetwork::new(FlattenedButterfly::new(2, 4, 2)), cut);
+        let clos = maybe_cut(ClosNetwork::new(FoldedClos::new(3, 8)), cut);
+        let torus = maybe_cut(TorusNetwork::new(Torus::new(2, 4, 2)), cut);
+        let (fb_spec, clos_spec, torus_spec) =
+            (fb.build_spec(), clos.build_spec(), torus.build_spec());
+        let rows: [(&NetworkSpec, Box<dyn RoutingAlgorithm>); 7] = [
+            (&fb_spec, Box::new(ButterflyRouting::new(fb.clone()))),
+            (&fb_spec, Box::new(ButterflyRouting::valiant(fb.clone()))),
+            (
+                &fb_spec,
+                Box::new(ButterflyRouting::ugal(fb, UgalVariant::CreditRoundTrip)),
+            ),
+            (&clos_spec, Box::new(ClosRouting::new(clos.clone()))),
+            (
+                &clos_spec,
+                Box::new(ClosRouting::ugal(clos, UgalVariant::Local)),
+            ),
+            (&torus_spec, Box::new(TorusRouting::new(torus.clone()))),
+            (
+                &torus_spec,
+                Box::new(TorusRouting::ugal(torus, UgalVariant::Local)),
+            ),
+        ];
+        for ((spec, routing), want) in rows.iter().zip(want) {
+            assert_eq!(spec.has_faults(), cut);
+            // Only UGAL-L_CR reads round-trip credit state.
+            let credit_mode = if routing.name().ends_with("UGAL-L_CR") {
+                CreditMode::round_trip()
+            } else {
+                CreditMode::Conventional
+            };
+            let stats = golden_run(
+                spec,
+                routing.as_ref(),
+                InjectionKind::Bernoulli { rate: 0.2 },
+                11,
+                credit_mode,
+            );
+            let got = fingerprint(&stats);
+            if got != want {
+                drift.push_str(&format!(
+                    "baseline fingerprint drifted: {} / cut {cut} -> {got:#018x}\n",
+                    routing.name()
+                ));
+            }
         }
     }
     assert!(drift.is_empty(), "{drift}");

@@ -162,7 +162,7 @@ fn adaptive_sweeps_deterministic_on_every_topology() {
     // Flattened butterfly under UGAL-L(CR) — the credit-round-trip
     // estimator running on a non-dragonfly topology.
     let fb = Arc::new(ButterflyNetwork::new(FlattenedButterfly::new(2, 4, 2)));
-    let fb_routing = ButterflyRouting::ugal_credit(fb.clone());
+    let fb_routing = ButterflyRouting::ugal(fb.clone(), UgalVariant::CreditRoundTrip);
     let mut fb_cfg = fast_cfg(5);
     fb_cfg.credit_mode = CreditMode::round_trip();
     let fb_pattern = UniformRandom::new(fb.build_spec().num_terminals());
@@ -170,7 +170,7 @@ fn adaptive_sweeps_deterministic_on_every_topology() {
 
     // Folded Clos spreading over its equal-length uplinks adaptively.
     let clos = Arc::new(ClosNetwork::new(FoldedClos::new(3, 8)));
-    let clos_routing = ClosRouting::adaptive(clos.clone(), UgalVariant::Local);
+    let clos_routing = ClosRouting::ugal(clos.clone(), UgalVariant::Local);
     let clos_pattern = UniformRandom::new(clos.build_spec().num_terminals());
     check_sweep_matches_serial(
         &clos.build_spec(),
@@ -182,7 +182,7 @@ fn adaptive_sweeps_deterministic_on_every_topology() {
 
     // Torus choosing between the short and the long way around.
     let torus = Arc::new(TorusNetwork::new(Torus::new(2, 4, 1)));
-    let torus_routing = TorusRouting::adaptive(torus.clone(), UgalVariant::Local);
+    let torus_routing = TorusRouting::ugal(torus.clone(), UgalVariant::Local);
     let torus_pattern = UniformRandom::new(torus.build_spec().num_terminals());
     check_sweep_matches_serial(
         &torus.build_spec(),
@@ -303,7 +303,7 @@ fn sharded_engine_bit_identical_on_every_topology() {
     check_shard_counts_match(
         "butterfly/ugal-l",
         &fb_spec,
-        &|| Box::new(ButterflyRouting::ugal_local(Arc::clone(&fb))),
+        &|| Box::new(ButterflyRouting::ugal(Arc::clone(&fb), UgalVariant::Local)),
         &fb_pattern,
         &fast_cfg(32),
     );
@@ -314,7 +314,7 @@ fn sharded_engine_bit_identical_on_every_topology() {
     check_shard_counts_match(
         "clos/adaptive",
         &clos_spec,
-        &|| Box::new(ClosRouting::adaptive(Arc::clone(&clos), UgalVariant::Local)),
+        &|| Box::new(ClosRouting::ugal(Arc::clone(&clos), UgalVariant::Local)),
         &clos_pattern,
         &fast_cfg(33),
     );
@@ -325,12 +325,7 @@ fn sharded_engine_bit_identical_on_every_topology() {
     check_shard_counts_match(
         "torus/adaptive",
         &torus_spec,
-        &|| {
-            Box::new(TorusRouting::adaptive(
-                Arc::clone(&torus),
-                UgalVariant::Local,
-            ))
-        },
+        &|| Box::new(TorusRouting::ugal(Arc::clone(&torus), UgalVariant::Local)),
         &torus_pattern,
         &fast_cfg(34),
     );
