@@ -83,7 +83,7 @@ fn main() {
     let (cached, report) = grid
         .execute_cached(&sim, &store)
         .expect("campaign grid must run");
-    let fresh = grid.execute_serial(&sim);
+    let fresh = grid.execute_on(&sim, 1);
     let identical = cached == fresh;
     assert!(identical, "cached grid diverged from fresh serial grid");
     println!(

@@ -14,7 +14,7 @@ use std::process::ExitCode;
 
 use dfly_cost::{CostConfig, PowerModel};
 use dfly_topo::Topology;
-use dragonfly::{DragonflyParams, DragonflySim, RoutingChoice, TrafficChoice};
+use dragonfly::{DragonflyParams, DragonflySim, RoutingChoice, RunGrid, RunPlan, TrafficChoice};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -193,8 +193,11 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
     let sim = DragonflySim::new(params);
     println!("| load | latency | accepted | minimal % |");
     println!("|---|---|---|---|");
-    for load in loads {
-        let stats = sim.run(routing, traffic, sim_config(flags, load)?);
+    let mut grid = RunGrid::new();
+    for &load in &loads {
+        grid.push(RunPlan::new(routing, traffic, sim_config(flags, load)?));
+    }
+    for (load, stats) in loads.iter().zip(grid.execute(&sim)) {
         let latency = if stats.drained {
             stats
                 .avg_latency()

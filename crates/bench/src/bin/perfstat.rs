@@ -155,14 +155,15 @@ fn main() {
     );
 
     let t0 = Instant::now();
-    let serial = grid.execute_serial(&sim);
+    let serial = grid.execute_on(&sim, 1);
     let serial_secs = t0.elapsed().as_secs_f64();
     eprintln!("perfstat: serial sweep {serial_secs:.3}s");
 
     // The parallel leg also folds every run into one merged metrics
     // registry (merge order is plan order, independent of threading).
     let t0 = Instant::now();
-    let (parallel, registry) = grid.execute_with_metrics_on(&sim, threads);
+    let parallel = grid.execute_on(&sim, threads);
+    let registry = grid.metrics(&parallel);
     let parallel_secs = t0.elapsed().as_secs_f64();
     eprintln!("perfstat: parallel sweep {parallel_secs:.3}s");
 
@@ -213,9 +214,7 @@ fn main() {
     let t0 = Instant::now();
     let fault_points = fault_sweep.execute().expect("fault plans must apply");
     let fault_secs = t0.elapsed().as_secs_f64();
-    let fault_serial = fault_sweep
-        .execute_serial()
-        .expect("fault plans must apply");
+    let fault_serial = fault_sweep.execute_on(1).expect("fault plans must apply");
     let fault_identical = fault_points == fault_serial;
     assert!(fault_identical, "parallel fault sweep diverged from serial");
     let (fault_cached, fault_report) = fault_sweep
@@ -293,11 +292,10 @@ fn main() {
         &wl_loads,
     );
     let t0 = Instant::now();
-    let (wl_points, wl_registry) = wl_sweep
-        .execute_with_metrics()
-        .expect("workload mix must place");
+    let wl_points = wl_sweep.execute().expect("workload mix must place");
+    let wl_registry = wl_sweep.metrics(&wl_points);
     let wl_secs = t0.elapsed().as_secs_f64();
-    let wl_serial = wl_sweep.execute_serial().expect("workload mix must place");
+    let wl_serial = wl_sweep.execute_on(1).expect("workload mix must place");
     let wl_identical = wl_points == wl_serial;
     assert!(wl_identical, "parallel workload sweep diverged from serial");
     let (wl_cached, wl_report) = wl_sweep

@@ -9,11 +9,9 @@
 
 use std::sync::Arc;
 
-use dfly_netsim::{
-    CreditMode, InjectionKind, NetworkSpec, RoutingAlgorithm, RunStats, SimConfig, Simulation,
-};
+use dfly_netsim::{CreditMode, InjectionKind, NetworkSpec, RoutingAlgorithm, RunStats, SimConfig};
 use dfly_traffic::TrafficPattern;
-use dragonfly::parallel::parallel_map;
+use dragonfly::parallel::{run_cells, NetworkCell};
 use dragonfly::{
     CampaignStore, DragonflyParams, DragonflySim, RoutingChoice, RunGrid, RunPlan, TrafficChoice,
 };
@@ -152,30 +150,6 @@ impl SweepPoint {
     }
 }
 
-/// Sweeps ascending loads, stopping one point after saturation (the
-/// paper's latency-load curves end at saturation).
-pub fn sweep_to_saturation(
-    sim: &DragonflySim,
-    choice: RoutingChoice,
-    traffic: TrafficChoice,
-    loads: &[f64],
-    win: &Windows,
-    buffer_depth: usize,
-) -> Vec<SweepPoint> {
-    let mut out = Vec::new();
-    for &load in loads {
-        let mut cfg = win.config(load).with_buffer_depth(buffer_depth);
-        cfg.seed = 1;
-        let stats = sim.run(choice, traffic, cfg);
-        let saturated = !stats.drained;
-        out.push(SweepPoint { load, stats });
-        if saturated {
-            break;
-        }
-    }
-    out
-}
-
 /// One latency-load curve to compute: a routing choice at a buffer
 /// depth, labelled for the table header.
 #[derive(Debug, Clone)]
@@ -209,11 +183,12 @@ pub type Throughput = (String, f64);
 /// set, their saturation throughputs — as one flat batch of
 /// independent runs fanned out across the worker pool.
 ///
-/// Each curve is truncated one point past its first saturated load,
-/// exactly like a serial [`sweep_to_saturation`] (the extra speculated
-/// points are discarded), so the output is identical to the serial
-/// path regardless of thread count. Thread budget comes from
-/// `DFLY_THREADS` (see [`dragonfly::parallel::configured_threads`]).
+/// Each curve is truncated one point past its first saturated load —
+/// the paper's latency-load curves end at saturation — exactly as a
+/// serial sweep that stops there would be (the extra speculated points
+/// are discarded), so the output is identical regardless of thread
+/// count. Thread budget comes from `DFLY_THREADS` (see
+/// [`dragonfly::parallel::configured_threads`]).
 pub fn sweep_curves(
     sim: &DragonflySim,
     curves: &[CurveSpec],
@@ -253,23 +228,43 @@ pub fn sweep_curves(
         },
         None => grid.execute(sim),
     };
+    assemble_curves(
+        curves.iter().map(|c| &c.label),
+        loads,
+        results,
+        true,
+        saturation,
+    )
+}
+
+/// Cuts a flat batch of results — per curve, one run per load then
+/// (when `saturation`) one drain-capped run at load 1.0 — back into
+/// labelled curves and saturation throughputs. With `truncate`, a curve
+/// ends one point past its first saturated load.
+fn assemble_curves<'a>(
+    labels: impl Iterator<Item = &'a String>,
+    loads: &[f64],
+    results: Vec<RunStats>,
+    truncate: bool,
+    saturation: bool,
+) -> (Vec<Curve>, Vec<Throughput>) {
     let mut results = results.into_iter();
-    let mut series = Vec::with_capacity(curves.len());
+    let mut series = Vec::new();
     let mut caps = Vec::new();
-    for curve in curves {
+    for label in labels {
         let mut points = Vec::new();
         let mut saturated = false;
         for &load in loads {
-            let stats = results.next().expect("one result per plan");
-            if !saturated {
+            let stats = results.next().expect("one result per planned run");
+            if !(truncate && saturated) {
                 saturated = !stats.drained;
                 points.push(SweepPoint { load, stats });
             }
         }
-        series.push((curve.label.clone(), points));
+        series.push((label.clone(), points));
         if saturation {
-            let stats = results.next().expect("one result per plan");
-            caps.push((curve.label.clone(), stats.accepted_rate));
+            let stats = results.next().expect("one result per planned run");
+            caps.push((label.clone(), stats.accepted_rate));
         }
     }
     (series, caps)
@@ -355,77 +350,38 @@ pub fn sweep_topology_curves(
     truncate: bool,
     saturation: bool,
 ) -> (Vec<Curve>, Vec<Throughput>) {
-    struct Job {
-        curve: usize,
-        load: f64,
-        cap: bool,
-    }
-    let mut jobs = Vec::new();
-    for curve in 0..curves.len() {
-        for &load in loads {
-            jobs.push(Job {
-                curve,
-                load,
-                cap: false,
-            });
-        }
-        if saturation {
-            jobs.push(Job {
-                curve,
-                load: 1.0,
-                cap: true,
-            });
-        }
-    }
-    let stats = parallel_map(&jobs, |job| {
-        let tc = &curves[job.curve];
-        let mut cfg = base.clone();
-        cfg.injection = InjectionKind::Bernoulli { rate: job.load };
-        if job.cap {
-            // Don't wait for a futile drain at full load.
-            cfg.drain_cap = 0;
-        }
-        if tc.round_trip_credits && cfg.credit_mode == CreditMode::Conventional {
-            cfg.credit_mode = CreditMode::round_trip();
-        }
-        Simulation::new(&tc.spec, tc.routing.as_ref(), tc.pattern.as_ref(), cfg)
-            .expect("topology sweep configuration must be valid")
-            .finish()
-    });
-    let mut results = stats.into_iter();
-    let mut series = Vec::with_capacity(curves.len());
-    let mut caps = Vec::new();
-    for curve in curves {
-        let mut points = Vec::new();
-        let mut saturated = false;
-        for &load in loads {
-            let stats = results.next().expect("one result per job");
-            if !(truncate && saturated) {
-                saturated = !stats.drained;
-                points.push(SweepPoint { load, stats });
+    let mut cells = Vec::new();
+    for tc in curves {
+        let cell = |load: f64, saturation_probe: bool| {
+            let mut cfg = base.clone();
+            cfg.injection = InjectionKind::Bernoulli { rate: load };
+            if saturation_probe {
+                // Don't wait for a futile drain at full load.
+                cfg.drain_cap = 0;
             }
-        }
-        series.push((curve.label.clone(), points));
+            if tc.round_trip_credits && cfg.credit_mode == CreditMode::Conventional {
+                cfg.credit_mode = CreditMode::round_trip();
+            }
+            NetworkCell {
+                spec: &tc.spec,
+                routing: tc.routing.as_ref(),
+                pattern: tc.pattern.as_ref(),
+                cfg,
+            }
+        };
+        cells.extend(loads.iter().map(|&load| cell(load, false)));
         if saturation {
-            let stats = results.next().expect("one result per job");
-            caps.push((curve.label.clone(), stats.accepted_rate));
+            cells.push(cell(1.0, true));
         }
     }
-    (series, caps)
-}
-
-/// Measures accepted throughput at an offered load of 1.0 (saturation
-/// throughput).
-pub fn saturation_throughput(
-    sim: &DragonflySim,
-    choice: RoutingChoice,
-    traffic: TrafficChoice,
-    win: &Windows,
-    buffer_depth: usize,
-) -> f64 {
-    let mut cfg = win.config(1.0).with_buffer_depth(buffer_depth);
-    cfg.drain_cap = 0;
-    sim.run(choice, traffic, cfg).accepted_rate
+    let results = run_cells(&cells, None).expect("topology sweep configuration must be valid");
+    assemble_curves(
+        curves.iter().map(|c| &c.label),
+        loads,
+        results,
+        truncate,
+        saturation,
+    )
 }
 
 /// Formats an optional latency for a table cell.
@@ -476,24 +432,32 @@ mod tests {
     }
 
     #[test]
-    fn sweep_stops_after_saturation() {
-        let sim = paper_network();
+    fn truncated_curves_stop_one_point_past_saturation() {
+        let sim = DragonflySim::new(DragonflyParams::new(2, 4, 2).unwrap());
         let win = Windows {
-            warmup: 200,
-            measure: 400,
-            drain_cap: 1_500,
+            warmup: 100,
+            measure: 300,
+            drain_cap: 1_000,
             stride: 1,
         };
-        // MIN on WC saturates immediately above ~0.03.
-        let points = sweep_to_saturation(
-            &sim,
-            RoutingChoice::Min,
-            TrafficChoice::WorstCase,
-            &[0.02, 0.2, 0.4, 0.6],
-            &win,
-            16,
+        // MIN on WC saturates at 1/(a*h) = 0.125 on this network.
+        let loads = [0.05, 0.4, 0.6, 0.8];
+        let curve = || TopoCurve::dragonfly(&sim, RoutingChoice::Min, TrafficChoice::WorstCase);
+        let (full, _) = sweep_topology_curves(&[curve()], &loads, &win.config(0.1), false, false);
+        assert_eq!(full[0].1.len(), loads.len());
+        let (cut, _) = sweep_topology_curves(&[curve()], &loads, &win.config(0.1), true, false);
+        assert_eq!(
+            cut[0].1.len(),
+            2,
+            "one drained point, then the first saturated one"
         );
-        assert!(points.len() <= 2, "got {} points", points.len());
-        assert!(points.last().unwrap().latency().is_none());
+        assert!(cut[0].1[0].latency().is_some());
+        assert!(cut[0].1[1].latency().is_none());
+        // The dragonfly-only path assembles through the same function.
+        let spec = [CurveSpec::algo(RoutingChoice::Min, 16)];
+        let (by_grid, caps) =
+            sweep_curves(&sim, &spec, TrafficChoice::WorstCase, &loads, &win, true);
+        assert_eq!(by_grid[0].1.len(), 2);
+        assert!(caps[0].1 > 0.0 && caps[0].1 < 0.2);
     }
 }

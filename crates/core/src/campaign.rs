@@ -46,14 +46,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use dfly_netsim::{
-    ChannelClass, ChannelLoad, ChannelSeries, EstimatorScoreboard, FaultPlan, FlitTrace, Histogram,
-    InjectionKind, LatencySummary, LogHistogram, RouteTelemetry, RunStats, SimError, Termination,
-    TimeSeries, TraceEvent, TraceEventKind,
+    ChannelClass, ChannelLoad, ChannelSeries, EstimatorScoreboard, FlitTrace, Histogram,
+    LatencySummary, LogHistogram, RouteTelemetry, RunStats, SimError, TimeSeries, TraceEvent,
+    TraceEventKind,
 };
 
 use crate::experiment::DragonflySim;
-use crate::jobs::{JobBook, JobError, Placement};
-use crate::parallel::{FaultPoint, FaultSweep, RunPlan, WorkloadPoint, WorkloadSweep};
+use crate::jobs::JobError;
+use crate::parallel::{CachedCell, FaultPoint, RunCell, RunPlan, WorkloadPoint};
 
 /// Version tag prefixed to every canonical key string and recorded in
 /// the index. Bump it whenever the canonical encoding or the result
@@ -157,6 +157,12 @@ impl From<SimError> for CampaignError {
 impl From<JobError> for CampaignError {
     fn from(e: JobError) -> Self {
         CampaignError::Job(e)
+    }
+}
+
+impl From<std::convert::Infallible> for CampaignError {
+    fn from(e: std::convert::Infallible) -> Self {
+        match e {}
     }
 }
 
@@ -397,47 +403,46 @@ impl CampaignStore {
         self.write_index(inner.entries)
     }
 
-    /// The stored [`RunStats`] for `key`, if present and decodable.
-    pub fn lookup_run(&self, key: &CampaignKey) -> Option<RunStats> {
-        self.lookup_payload("run", key)
-            .and_then(|p| decode_with(&p, decode_run_stats))
+    /// The key of `cell`: format version, cell kind, this store's code
+    /// revision, then the cell's own [`CachedCell::canon`].
+    pub fn key<C: CachedCell>(&self, cell: &C) -> CampaignKey {
+        CampaignKey::from_canon(format!(
+            "{FORMAT_VERSION} kind={} rev={} {}",
+            C::KIND,
+            self.revision,
+            cell.canon()
+        ))
     }
 
-    /// Stores one run result under `key`.
-    pub fn insert_run(&self, key: &CampaignKey, stats: &RunStats) -> Result<(), CampaignError> {
-        let mut enc = Enc::new();
-        encode_run_stats(&mut enc, stats);
-        self.insert_payload("run", key, enc.finish())
+    /// The stored `kind` result under `key`, if present and decodable.
+    pub fn lookup<T: Codec>(&self, kind: &str, key: &CampaignKey) -> Option<T> {
+        decode(&self.lookup_payload(kind, key)?)
     }
 
-    /// The stored [`FaultPoint`] for `key`, if present and decodable.
-    pub fn lookup_fault(&self, key: &CampaignKey) -> Option<FaultPoint> {
-        self.lookup_payload("fault", key)
-            .and_then(|p| decode_with(&p, decode_fault_point))
-    }
-
-    /// Stores one fault-sweep point under `key`.
-    pub fn insert_fault(&self, key: &CampaignKey, point: &FaultPoint) -> Result<(), CampaignError> {
-        let mut enc = Enc::new();
-        encode_fault_point(&mut enc, point);
-        self.insert_payload("fault", key, enc.finish())
-    }
-
-    /// The stored [`WorkloadPoint`] for `key`, if present and decodable.
-    pub fn lookup_workload(&self, key: &CampaignKey) -> Option<WorkloadPoint> {
-        self.lookup_payload("workload", key)
-            .and_then(|p| decode_with(&p, decode_workload_point))
-    }
-
-    /// Stores one workload-sweep point under `key`.
-    pub fn insert_workload(
+    /// Stores one `kind` result under `key`.
+    pub fn insert<T: Codec>(
         &self,
+        kind: &str,
         key: &CampaignKey,
-        point: &WorkloadPoint,
+        value: &T,
     ) -> Result<(), CampaignError> {
-        let mut enc = Enc::new();
-        encode_workload_point(&mut enc, point);
-        self.insert_payload("workload", key, enc.finish())
+        self.insert_payload(kind, key, encode(value))
+    }
+
+    /// [`CampaignStore::key`] of one [`RunPlan`] against `sim`'s exact
+    /// network.
+    pub fn run_key(&self, sim: &DragonflySim, plan: &RunPlan) -> CampaignKey {
+        self.key(&RunCell { sim, plan })
+    }
+
+    /// [`CampaignStore::lookup`] of a run cell's result.
+    pub fn lookup_run(&self, key: &CampaignKey) -> Option<RunStats> {
+        self.lookup(RunCell::KIND, key)
+    }
+
+    /// [`CampaignStore::insert`] of a run cell's result.
+    pub fn insert_run(&self, key: &CampaignKey, stats: &RunStats) -> Result<(), CampaignError> {
+        self.insert(RunCell::KIND, key, stats)
     }
 
     /// Appends one cell's wall time to the advisory timing sidecar
@@ -489,61 +494,6 @@ impl CampaignStore {
         Some(secs[secs.len() / 2])
     }
 
-    /// The key of one [`RunPlan`] against `sim`'s exact network —
-    /// topology parameters, channel latencies and failed links included,
-    /// so a faulted network never shares keys with a healthy one.
-    pub fn run_key(&self, sim: &DragonflySim, plan: &RunPlan) -> CampaignKey {
-        let df = sim.dragonfly();
-        CampaignKey::from_canon(format!(
-            "{FORMAT_VERSION} kind=run rev={} params={:?} latencies={:?} failed={:?} \
-             routing={:?} traffic={:?} cfg={:?}",
-            self.revision,
-            df.params(),
-            df.latencies(),
-            df.failed_links(),
-            plan.routing,
-            plan.traffic,
-            plan.cfg
-        ))
-    }
-
-    /// The key of one [`FaultSweep`] fraction. Mirrors the sweep's own
-    /// per-point setup (offered load forced to 1.0, no drain) so the
-    /// key covers exactly the configuration that runs.
-    pub fn fault_key(&self, sweep: &FaultSweep, fraction: f64) -> CampaignKey {
-        let mut cfg = sweep.cfg.clone();
-        cfg.injection = InjectionKind::Bernoulli { rate: 1.0 };
-        cfg.drain_cap = 0;
-        let plan = FaultPlan::Random {
-            fraction,
-            seed: sweep.seed,
-            class: sweep.class,
-        };
-        CampaignKey::from_canon(format!(
-            "{FORMAT_VERSION} kind=fault rev={} params={:?} routing={:?} traffic={:?} \
-             cfg={:?} plan={:?}",
-            self.revision, sweep.params, sweep.routing, sweep.traffic, cfg, plan
-        ))
-    }
-
-    /// The key of one [`WorkloadSweep`] point. Mirrors the sweep's own
-    /// per-point setup (work-complete termination) and covers the full
-    /// job mix, placement and background load.
-    pub fn workload_key(
-        &self,
-        sweep: &WorkloadSweep,
-        placement: Placement,
-        load: f64,
-    ) -> CampaignKey {
-        let mut cfg = sweep.cfg.clone();
-        cfg.termination = Termination::WorkComplete;
-        CampaignKey::from_canon(format!(
-            "{FORMAT_VERSION} kind=workload rev={} params={:?} routing={:?} jobs={:?} \
-             cfg={:?} placement={:?} background={:?}",
-            self.revision, sweep.params, sweep.routing, sweep.jobs, cfg, placement, load
-        ))
-    }
-
     /// Journal entries written by a superseded codec generation: their
     /// canon embeds the format version that produced them, so they can
     /// never match a current-format key and are permanent cache misses.
@@ -571,9 +521,9 @@ impl CampaignStore {
         for entries in inner.map.values() {
             for e in entries {
                 let stats = match e.kind.as_str() {
-                    "run" => decode_with(&e.payload, decode_run_stats),
-                    "fault" => decode_with(&e.payload, decode_fault_point).map(|p| p.stats),
-                    "workload" => decode_with(&e.payload, decode_workload_point).map(|p| p.stats),
+                    "run" => decode(&e.payload),
+                    "fault" => decode::<FaultPoint>(&e.payload).map(|p| p.stats),
+                    "workload" => decode::<WorkloadPoint>(&e.payload).map(|p| p.stats),
                     _ => None,
                 };
                 if let Some(stats) = stats {
@@ -661,338 +611,276 @@ fn scan_json_string(s: &str) -> Option<(String, &str)> {
 }
 
 // ---------------------------------------------------------------------
-// Result codec: space-separated tokens, `f64` as the hex image of its
-// bits. Encoding and decoding are exact inverses, so a journal round
-// trip is bit-identical.
+// Result codec: space-separated tokens — integers in decimal, `f64` as
+// the hex image of its bits, `Option` as a 0/1 tag then the value,
+// `Vec` as its length then the items. Encoding and decoding are exact
+// inverses, so a journal round trip is bit-identical.
 // ---------------------------------------------------------------------
 
-/// Token encoder.
-struct Enc {
+/// A value the journal can hold: `enc` and `dec` are exact inverses
+/// over a stream of tokens. Implemented for the integer types, `f64`
+/// (bit-exact), `bool`, `Option`, `Vec` and every type inside a
+/// [`RunStats`]; a sweep's own result type composes those field by
+/// field.
+pub trait Codec: Sized {
+    /// Appends `self` to the token stream.
+    fn enc(&self, e: &mut Enc);
+    /// Reads one value back; `None` if the tokens are malformed.
+    fn dec(d: &mut Dec<'_>) -> Option<Self>;
+}
+
+/// Token stream under construction (see [`Codec::enc`]).
+#[derive(Default)]
+pub struct Enc {
     out: String,
 }
 
 impl Enc {
-    fn new() -> Self {
-        Enc { out: String::new() }
-    }
-
-    fn u64(&mut self, v: u64) {
+    fn tok(&mut self, tok: std::fmt::Arguments<'_>) {
         if !self.out.is_empty() {
             self.out.push(' ');
         }
-        let _ = write!(self.out, "{v}");
-    }
-
-    fn u128(&mut self, v: u128) {
-        if !self.out.is_empty() {
-            self.out.push(' ');
-        }
-        let _ = write!(self.out, "{v}");
-    }
-
-    fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    fn f64(&mut self, v: f64) {
-        if !self.out.is_empty() {
-            self.out.push(' ');
-        }
-        let _ = write!(self.out, "{:016x}", v.to_bits());
-    }
-
-    fn bool(&mut self, v: bool) {
-        self.u64(u64::from(v));
-    }
-
-    fn finish(self) -> String {
-        self.out
+        let _ = self.out.write_fmt(tok);
     }
 }
 
-/// Token decoder over a payload string.
-struct Dec<'a> {
+/// Token stream being read back (see [`Codec::dec`]).
+pub struct Dec<'a> {
     toks: std::str::SplitAsciiWhitespace<'a>,
 }
 
-impl<'a> Dec<'a> {
-    fn new(payload: &'a str) -> Self {
-        Dec {
-            toks: payload.split_ascii_whitespace(),
+/// Encodes `value` as a journal payload.
+fn encode<T: Codec>(value: &T) -> String {
+    let mut enc = Enc::default();
+    value.enc(&mut enc);
+    enc.out
+}
+
+/// Decodes a journal payload; valid only if it is consumed exactly.
+fn decode<T: Codec>(payload: &str) -> Option<T> {
+    let mut dec = Dec {
+        toks: payload.split_ascii_whitespace(),
+    };
+    let value = T::dec(&mut dec)?;
+    dec.toks.next().is_none().then_some(value)
+}
+
+macro_rules! codec_int {
+    ($($t:ty),*) => {$(
+        impl Codec for $t {
+            fn enc(&self, e: &mut Enc) {
+                e.tok(format_args!("{self}"));
+            }
+            fn dec(d: &mut Dec<'_>) -> Option<Self> {
+                d.toks.next()?.parse().ok()
+            }
         }
-    }
+    )*};
+}
+codec_int!(u8, u16, u32, u64, u128, usize);
 
-    fn u64(&mut self) -> Option<u64> {
-        self.toks.next()?.parse().ok()
+impl Codec for f64 {
+    fn enc(&self, e: &mut Enc) {
+        e.tok(format_args!("{:016x}", self.to_bits()));
     }
-
-    fn u128(&mut self) -> Option<u128> {
-        self.toks.next()?.parse().ok()
-    }
-
-    fn usize(&mut self) -> Option<usize> {
-        self.u64()?.try_into().ok()
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.u64()?.try_into().ok()
-    }
-
-    fn u16(&mut self) -> Option<u16> {
-        self.u64()?.try_into().ok()
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.u64()?.try_into().ok()
-    }
-
-    fn f64(&mut self) -> Option<f64> {
-        let tok = self.toks.next()?;
-        if tok.len() != 16 {
-            return None;
-        }
+    fn dec(d: &mut Dec<'_>) -> Option<Self> {
+        let tok = d.toks.next().filter(|t| t.len() == 16)?;
         Some(f64::from_bits(u64::from_str_radix(tok, 16).ok()?))
     }
+}
 
-    fn bool(&mut self) -> Option<bool> {
-        match self.u64()? {
+/// Implements [`Codec`] for an enum of unit variants as a small integer
+/// tag; unknown tags fail to decode.
+macro_rules! codec_tag {
+    ($t:ty { $($tag:literal => $v:path),* }) => {
+        impl $crate::campaign::Codec for $t {
+            fn enc(&self, e: &mut $crate::campaign::Enc) {
+                match self {
+                    $($v => $tag,)*
+                }
+                .enc(e)
+            }
+            fn dec(d: &mut $crate::campaign::Dec<'_>) -> Option<Self> {
+                match u64::dec(d)? {
+                    $($tag => Some($v),)*
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+pub(crate) use codec_tag;
+
+impl Codec for bool {
+    fn enc(&self, e: &mut Enc) {
+        u64::from(*self).enc(e);
+    }
+    fn dec(d: &mut Dec<'_>) -> Option<Self> {
+        match u64::dec(d)? {
             0 => Some(false),
             1 => Some(true),
             _ => None,
         }
     }
-
-    /// Whether every token was consumed — a decode is valid only if it
-    /// used the payload exactly.
-    fn end(mut self) -> bool {
-        self.toks.next().is_none()
-    }
 }
 
-/// Runs `f` over a fresh decoder and demands exact consumption.
-fn decode_with<T>(payload: &str, f: impl Fn(&mut Dec<'_>) -> Option<T>) -> Option<T> {
-    let mut dec = Dec::new(payload);
-    let value = f(&mut dec)?;
-    dec.end().then_some(value)
-}
+codec_tag!(ChannelClass {
+    0u64 => ChannelClass::Terminal,
+    1u64 => ChannelClass::Local,
+    2u64 => ChannelClass::Global
+});
 
-fn encode_vec_u64(enc: &mut Enc, v: &[u64]) {
-    enc.usize(v.len());
-    for &x in v {
-        enc.u64(x);
-    }
-}
-
-fn decode_vec_u64(dec: &mut Dec<'_>) -> Option<Vec<u64>> {
-    let len = dec.usize()?;
-    let mut out = Vec::with_capacity(len.min(1 << 20));
-    for _ in 0..len {
-        out.push(dec.u64()?);
-    }
-    Some(out)
-}
-
-fn encode_class(enc: &mut Enc, class: ChannelClass) {
-    enc.u64(match class {
-        ChannelClass::Terminal => 0,
-        ChannelClass::Local => 1,
-        ChannelClass::Global => 2,
-    });
-}
-
-fn decode_class(dec: &mut Dec<'_>) -> Option<ChannelClass> {
-    match dec.u64()? {
-        0 => Some(ChannelClass::Terminal),
-        1 => Some(ChannelClass::Local),
-        2 => Some(ChannelClass::Global),
-        _ => None,
-    }
-}
-
-fn encode_summary(enc: &mut Enc, s: &LatencySummary) {
-    enc.u64(s.count);
-    enc.u64(s.sum);
-    enc.u128(s.sum_sq);
-    enc.u64(s.max);
-    enc.u64(s.min);
-}
-
-fn decode_summary(dec: &mut Dec<'_>) -> Option<LatencySummary> {
-    Some(LatencySummary {
-        count: dec.u64()?,
-        sum: dec.u64()?,
-        sum_sq: dec.u128()?,
-        max: dec.u64()?,
-        min: dec.u64()?,
-    })
-}
-
-fn encode_histogram(enc: &mut Enc, h: &Histogram) {
-    enc.u64(h.bucket_width());
-    enc.u64(h.overflow());
-    encode_vec_u64(enc, h.buckets());
-}
-
-fn decode_histogram(dec: &mut Dec<'_>) -> Option<Histogram> {
-    let width = dec.u64()?;
-    let overflow = dec.u64()?;
-    let buckets = decode_vec_u64(dec)?;
-    if width == 0 || buckets.is_empty() {
-        return None;
-    }
-    Some(Histogram::from_parts(buckets, width, overflow))
-}
-
-fn encode_log_histogram(enc: &mut Enc, h: &LogHistogram) {
-    enc.u64(h.count);
-    enc.u64(h.sum);
-    enc.u64(h.min);
-    enc.u64(h.max);
-    encode_vec_u64(enc, &h.buckets);
-}
-
-fn decode_log_histogram(dec: &mut Dec<'_>) -> Option<LogHistogram> {
-    Some(LogHistogram {
-        count: dec.u64()?,
-        sum: dec.u64()?,
-        min: dec.u64()?,
-        max: dec.u64()?,
-        buckets: decode_vec_u64(dec)?,
-    })
-}
-
-fn encode_telemetry(enc: &mut Enc, t: &RouteTelemetry) {
-    enc.u64(t.minimal_takes);
-    enc.u64(t.non_minimal_takes);
-    enc.u64(t.adaptive_decisions);
-    enc.u64(t.estimator_disagreements);
-    enc.u64(t.fault_avoided_decisions);
-    enc.u64(t.dropped_candidates);
-    enc.u64(t.oracle_probe_fallbacks);
-}
-
-fn decode_telemetry(dec: &mut Dec<'_>) -> Option<RouteTelemetry> {
-    Some(RouteTelemetry {
-        minimal_takes: dec.u64()?,
-        non_minimal_takes: dec.u64()?,
-        adaptive_decisions: dec.u64()?,
-        estimator_disagreements: dec.u64()?,
-        fault_avoided_decisions: dec.u64()?,
-        dropped_candidates: dec.u64()?,
-        oracle_probe_fallbacks: dec.u64()?,
-    })
-}
-
-fn encode_scoreboard(enc: &mut Enc, s: &EstimatorScoreboard) {
-    enc.u64(s.decisions);
-    enc.u64(s.scored);
-    enc.u64(s.oracle_disagreements);
-    enc.u64(s.sum_estimate);
-    enc.u64(s.sum_oracle);
-    encode_log_histogram(enc, &s.abs_error);
-}
-
-fn decode_scoreboard(dec: &mut Dec<'_>) -> Option<EstimatorScoreboard> {
-    Some(EstimatorScoreboard {
-        decisions: dec.u64()?,
-        scored: dec.u64()?,
-        oracle_disagreements: dec.u64()?,
-        sum_estimate: dec.u64()?,
-        sum_oracle: dec.u64()?,
-        abs_error: decode_log_histogram(dec)?,
-    })
-}
-
-fn encode_channel_load(enc: &mut Enc, c: &ChannelLoad) {
-    enc.usize(c.router);
-    enc.usize(c.port);
-    encode_class(enc, c.class);
-    enc.u64(c.flits);
-    enc.f64(c.utilization);
-}
-
-fn decode_channel_load(dec: &mut Dec<'_>) -> Option<ChannelLoad> {
-    Some(ChannelLoad {
-        router: dec.usize()?,
-        port: dec.usize()?,
-        class: decode_class(dec)?,
-        flits: dec.u64()?,
-        utilization: dec.f64()?,
-    })
-}
-
-fn encode_series(enc: &mut Enc, s: &TimeSeries) {
-    enc.u64(s.every);
-    enc.u64(u64::from(s.vcs));
-    encode_vec_u64(enc, &s.ticks);
-    enc.usize(s.channels.len());
-    for ch in &s.channels {
-        enc.u64(u64::from(ch.router));
-        enc.u64(u64::from(ch.port));
-        encode_class(enc, ch.class);
-        for col in [&ch.occupancy, &ch.vc_occupancy, &ch.credits] {
-            enc.usize(col.len());
-            for &v in col.iter() {
-                enc.u64(u64::from(v));
-            }
-        }
-        enc.usize(ch.sent.len());
-        for &v in &ch.sent {
-            enc.u64(u64::from(v));
+impl<T: Codec> Codec for Option<T> {
+    fn enc(&self, e: &mut Enc) {
+        self.is_some().enc(e);
+        if let Some(v) = self {
+            v.enc(e);
         }
     }
+    fn dec(d: &mut Dec<'_>) -> Option<Self> {
+        Some(if bool::dec(d)? {
+            Some(T::dec(d)?)
+        } else {
+            None
+        })
+    }
 }
 
-fn decode_series(dec: &mut Dec<'_>) -> Option<TimeSeries> {
-    let every = dec.u64()?;
-    let vcs = dec.u8()?;
-    let ticks = decode_vec_u64(dec)?;
-    let nch = dec.usize()?;
-    let mut channels = Vec::with_capacity(nch.min(1 << 20));
-    for _ in 0..nch {
-        let router = dec.u32()?;
-        let port = dec.u16()?;
-        let class = decode_class(dec)?;
-        let mut cols: [Vec<u16>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-        for col in cols.iter_mut() {
-            let len = dec.usize()?;
-            col.reserve(len.min(1 << 20));
-            for _ in 0..len {
-                col.push(dec.u16()?);
-            }
+impl<T: Codec> Codec for Vec<T> {
+    fn enc(&self, e: &mut Enc) {
+        self.len().enc(e);
+        for v in self {
+            v.enc(e);
         }
-        let [occupancy, vc_occupancy, credits] = cols;
-        let len = dec.usize()?;
-        let mut sent = Vec::with_capacity(len.min(1 << 20));
+    }
+    fn dec(d: &mut Dec<'_>) -> Option<Self> {
+        let len = usize::dec(d)?;
+        // A corrupt length must fail on the missing tokens, not on the
+        // allocation.
+        let mut out = Vec::with_capacity(len.min(1 << 20));
         for _ in 0..len {
-            sent.push(dec.u32()?);
+            out.push(T::dec(d)?);
         }
-        channels.push(ChannelSeries {
-            router,
-            port,
-            class,
-            occupancy,
-            vc_occupancy,
-            credits,
-            sent,
-        });
+        Some(out)
     }
-    Some(TimeSeries {
-        every,
-        vcs,
-        ticks,
-        channels,
-    })
 }
 
-fn encode_trace(enc: &mut Enc, t: &FlitTrace) {
-    enc.f64(t.rate);
-    enc.u64(t.seed);
-    enc.usize(t.events.len());
-    for ev in &t.events {
-        enc.u64(ev.cycle);
-        enc.u64(ev.packet);
-        match &ev.kind {
+/// Implements [`Codec`] for a struct as its listed fields in order —
+/// the one place a type's wire order is written down.
+macro_rules! codec_struct {
+    ($t:ident { $($f:ident),* }) => {
+        impl $crate::campaign::Codec for $t {
+            fn enc(&self, e: &mut $crate::campaign::Enc) {
+                $(self.$f.enc(e);)*
+            }
+            fn dec(d: &mut $crate::campaign::Dec<'_>) -> Option<Self> {
+                Some($t { $($f: $crate::campaign::Codec::dec(d)?),* })
+            }
+        }
+    };
+}
+pub(crate) use codec_struct;
+
+codec_struct!(LatencySummary {
+    count,
+    sum,
+    sum_sq,
+    max,
+    min
+});
+codec_struct!(LogHistogram {
+    count,
+    sum,
+    min,
+    max,
+    buckets
+});
+codec_struct!(RouteTelemetry {
+    minimal_takes,
+    non_minimal_takes,
+    adaptive_decisions,
+    estimator_disagreements,
+    fault_avoided_decisions,
+    dropped_candidates,
+    oracle_probe_fallbacks
+});
+codec_struct!(EstimatorScoreboard {
+    decisions,
+    scored,
+    oracle_disagreements,
+    sum_estimate,
+    sum_oracle,
+    abs_error
+});
+codec_struct!(ChannelLoad {
+    router,
+    port,
+    class,
+    flits,
+    utilization
+});
+codec_struct!(ChannelSeries {
+    router,
+    port,
+    class,
+    occupancy,
+    vc_occupancy,
+    credits,
+    sent
+});
+codec_struct!(TimeSeries {
+    every,
+    vcs,
+    ticks,
+    channels
+});
+codec_struct!(TraceEvent {
+    cycle,
+    packet,
+    kind
+});
+codec_struct!(FlitTrace { rate, seed, events });
+codec_struct!(RunStats {
+    cycles,
+    offered_load,
+    injected_rate,
+    accepted_rate,
+    drained,
+    latency,
+    minimal_latency,
+    non_minimal_latency,
+    hops,
+    histogram,
+    minimal_histogram,
+    channel_loads,
+    routing,
+    latency_log,
+    scoreboard,
+    series,
+    trace,
+    completion,
+    converged,
+    warmup_throughput_drift,
+    warmup_latency_drift
+});
+
+impl Codec for Histogram {
+    fn enc(&self, e: &mut Enc) {
+        self.bucket_width().enc(e);
+        self.overflow().enc(e);
+        self.buckets().len().enc(e);
+        self.buckets().iter().for_each(|b| b.enc(e));
+    }
+    fn dec(d: &mut Dec<'_>) -> Option<Self> {
+        let (width, overflow) = (u64::dec(d)?, u64::dec(d)?);
+        let buckets = Vec::<u64>::dec(d)?;
+        (width != 0 && !buckets.is_empty()).then(|| Histogram::from_parts(buckets, width, overflow))
+    }
+}
+
+impl Codec for TraceEventKind {
+    fn enc(&self, e: &mut Enc) {
+        match self {
             TraceEventKind::Inject {
                 src,
                 dest,
@@ -1000,242 +888,51 @@ fn encode_trace(enc: &mut Enc, t: &FlitTrace) {
                 q_chosen,
                 oracle,
             } => {
-                enc.u64(0);
-                enc.u64(u64::from(*src));
-                enc.u64(u64::from(*dest));
-                enc.bool(*minimal);
-                enc.u64(*q_chosen);
-                enc.u64(*oracle);
+                0u64.enc(e);
+                src.enc(e);
+                dest.enc(e);
+                minimal.enc(e);
+                q_chosen.enc(e);
+                oracle.enc(e);
             }
             TraceEventKind::Hop { router, port, vc } => {
-                enc.u64(1);
-                enc.u64(u64::from(*router));
-                enc.u64(u64::from(*port));
-                enc.u64(u64::from(*vc));
+                1u64.enc(e);
+                router.enc(e);
+                port.enc(e);
+                vc.enc(e);
             }
             TraceEventKind::Eject { latency } => {
-                enc.u64(2);
-                enc.u64(*latency);
+                2u64.enc(e);
+                latency.enc(e);
             }
         }
     }
-}
-
-fn decode_trace(dec: &mut Dec<'_>) -> Option<FlitTrace> {
-    let rate = dec.f64()?;
-    let seed = dec.u64()?;
-    let n = dec.usize()?;
-    let mut events = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        let cycle = dec.u64()?;
-        let packet = dec.u64()?;
-        let kind = match dec.u64()? {
+    fn dec(d: &mut Dec<'_>) -> Option<Self> {
+        Some(match u64::dec(d)? {
             0 => TraceEventKind::Inject {
-                src: dec.u32()?,
-                dest: dec.u32()?,
-                minimal: dec.bool()?,
-                q_chosen: dec.u64()?,
-                oracle: dec.u64()?,
+                src: Codec::dec(d)?,
+                dest: Codec::dec(d)?,
+                minimal: Codec::dec(d)?,
+                q_chosen: Codec::dec(d)?,
+                oracle: Codec::dec(d)?,
             },
             1 => TraceEventKind::Hop {
-                router: dec.u32()?,
-                port: dec.u16()?,
-                vc: dec.u8()?,
+                router: Codec::dec(d)?,
+                port: Codec::dec(d)?,
+                vc: Codec::dec(d)?,
             },
             2 => TraceEventKind::Eject {
-                latency: dec.u64()?,
+                latency: Codec::dec(d)?,
             },
             _ => return None,
-        };
-        events.push(TraceEvent {
-            cycle,
-            packet,
-            kind,
-        });
+        })
     }
-    Some(FlitTrace { rate, seed, events })
-}
-
-fn encode_run_stats(enc: &mut Enc, s: &RunStats) {
-    enc.u64(s.cycles);
-    enc.f64(s.offered_load);
-    enc.f64(s.injected_rate);
-    enc.f64(s.accepted_rate);
-    enc.bool(s.drained);
-    encode_summary(enc, &s.latency);
-    encode_summary(enc, &s.minimal_latency);
-    encode_summary(enc, &s.non_minimal_latency);
-    encode_summary(enc, &s.hops);
-    encode_histogram(enc, &s.histogram);
-    encode_histogram(enc, &s.minimal_histogram);
-    enc.usize(s.channel_loads.len());
-    for c in &s.channel_loads {
-        encode_channel_load(enc, c);
-    }
-    encode_telemetry(enc, &s.routing);
-    encode_log_histogram(enc, &s.latency_log);
-    encode_scoreboard(enc, &s.scoreboard);
-    match &s.series {
-        None => enc.u64(0),
-        Some(series) => {
-            enc.u64(1);
-            encode_series(enc, series);
-        }
-    }
-    match &s.trace {
-        None => enc.u64(0),
-        Some(trace) => {
-            enc.u64(1);
-            encode_trace(enc, trace);
-        }
-    }
-    match s.completion {
-        None => enc.u64(0),
-        Some(cycle) => {
-            enc.u64(1);
-            enc.u64(cycle);
-        }
-    }
-    enc.bool(s.converged);
-    for drift in [s.warmup_throughput_drift, s.warmup_latency_drift] {
-        match drift {
-            None => enc.u64(0),
-            Some(v) => {
-                enc.u64(1);
-                enc.f64(v);
-            }
-        }
-    }
-}
-
-fn decode_opt_f64(dec: &mut Dec<'_>) -> Option<Option<f64>> {
-    match dec.u64()? {
-        0 => Some(None),
-        1 => Some(Some(dec.f64()?)),
-        _ => None,
-    }
-}
-
-fn decode_run_stats(dec: &mut Dec<'_>) -> Option<RunStats> {
-    let cycles = dec.u64()?;
-    let offered_load = dec.f64()?;
-    let injected_rate = dec.f64()?;
-    let accepted_rate = dec.f64()?;
-    let drained = dec.bool()?;
-    let latency = decode_summary(dec)?;
-    let minimal_latency = decode_summary(dec)?;
-    let non_minimal_latency = decode_summary(dec)?;
-    let hops = decode_summary(dec)?;
-    let histogram = decode_histogram(dec)?;
-    let minimal_histogram = decode_histogram(dec)?;
-    let n = dec.usize()?;
-    let mut channel_loads = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        channel_loads.push(decode_channel_load(dec)?);
-    }
-    let routing = decode_telemetry(dec)?;
-    let latency_log = decode_log_histogram(dec)?;
-    let scoreboard = decode_scoreboard(dec)?;
-    let series = match dec.u64()? {
-        0 => None,
-        1 => Some(decode_series(dec)?),
-        _ => return None,
-    };
-    let trace = match dec.u64()? {
-        0 => None,
-        1 => Some(decode_trace(dec)?),
-        _ => return None,
-    };
-    let completion = match dec.u64()? {
-        0 => None,
-        1 => Some(dec.u64()?),
-        _ => return None,
-    };
-    let converged = dec.bool()?;
-    let warmup_throughput_drift = decode_opt_f64(dec)?;
-    let warmup_latency_drift = decode_opt_f64(dec)?;
-    Some(RunStats {
-        cycles,
-        offered_load,
-        injected_rate,
-        accepted_rate,
-        drained,
-        latency,
-        minimal_latency,
-        non_minimal_latency,
-        hops,
-        histogram,
-        minimal_histogram,
-        channel_loads,
-        routing,
-        latency_log,
-        scoreboard,
-        series,
-        trace,
-        completion,
-        converged,
-        warmup_throughput_drift,
-        warmup_latency_drift,
-    })
-}
-
-fn encode_fault_point(enc: &mut Enc, p: &FaultPoint) {
-    enc.f64(p.fraction);
-    enc.usize(p.failed_links);
-    encode_run_stats(enc, &p.stats);
-}
-
-fn decode_fault_point(dec: &mut Dec<'_>) -> Option<FaultPoint> {
-    Some(FaultPoint {
-        fraction: dec.f64()?,
-        failed_links: dec.usize()?,
-        stats: decode_run_stats(dec)?,
-    })
-}
-
-fn encode_workload_point(enc: &mut Enc, p: &WorkloadPoint) {
-    enc.u64(match p.placement {
-        Placement::GroupDisjoint => 0,
-        Placement::Interfering => 1,
-    });
-    enc.f64(p.background_load);
-    encode_run_stats(enc, &p.stats);
-    enc.usize(p.books.len());
-    for book in &p.books {
-        enc.u64(book.delivered);
-        encode_log_histogram(enc, &book.latency);
-        enc.u64(book.completion);
-    }
-}
-
-fn decode_workload_point(dec: &mut Dec<'_>) -> Option<WorkloadPoint> {
-    let placement = match dec.u64()? {
-        0 => Placement::GroupDisjoint,
-        1 => Placement::Interfering,
-        _ => return None,
-    };
-    let background_load = dec.f64()?;
-    let stats = decode_run_stats(dec)?;
-    let n = dec.usize()?;
-    let mut books = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        books.push(JobBook {
-            delivered: dec.u64()?,
-            latency: decode_log_histogram(dec)?,
-            completion: dec.u64()?,
-        });
-    }
-    Some(WorkloadPoint {
-        placement,
-        background_load,
-        stats,
-        books,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobs::Placement;
 
     fn temp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -1344,18 +1041,16 @@ mod tests {
     #[test]
     fn run_stats_round_trip_is_bit_identical() {
         let stats = sample_stats();
-        let mut enc = Enc::new();
-        encode_run_stats(&mut enc, &stats);
-        let payload = enc.finish();
-        let back = decode_with(&payload, decode_run_stats).expect("round trip");
+        let payload = encode(&stats);
+        let back: RunStats = decode(&payload).expect("round trip");
         assert_eq!(back, stats);
         assert_eq!(format!("{back:?}"), format!("{stats:?}"));
         // A truncated payload must fail to decode, not mis-decode.
         let cut = &payload[..payload.len() / 2];
-        assert!(decode_with(cut, decode_run_stats).is_none());
+        assert!(decode::<RunStats>(cut).is_none());
         // Trailing garbage must also fail (exact-consumption rule).
         let extended = format!("{payload} 7");
-        assert!(decode_with(&extended, decode_run_stats).is_none());
+        assert!(decode::<RunStats>(&extended).is_none());
     }
 
     #[test]
@@ -1402,7 +1097,7 @@ mod tests {
         assert!(store.lookup_run(&forged).is_none());
         assert!(store.lookup_run(&key).is_some());
         // Same canon under another kind also misses.
-        assert!(store.lookup_fault(&key).is_none());
+        assert!(store.lookup::<FaultPoint>("fault", &key).is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1419,7 +1114,8 @@ mod tests {
             .unwrap();
         stats.drained = false;
         store
-            .insert_fault(
+            .insert(
+                "fault",
                 &CampaignKey::from_canon("kind=fault cfg={drain_cap: 0, shards: 1}".into()),
                 &FaultPoint {
                     fraction: 0.125,
@@ -1429,7 +1125,8 @@ mod tests {
             )
             .unwrap();
         store
-            .insert_workload(
+            .insert(
+                "workload",
                 &CampaignKey::from_canon("kind=workload cfg={drain_cap: 30000}".into()),
                 &WorkloadPoint {
                     placement: Placement::GroupDisjoint,

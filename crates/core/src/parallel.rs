@@ -1,13 +1,15 @@
-//! Parallel experiment fan-out: plan a grid of independent simulation
-//! runs and execute them across a bounded thread pool.
+//! Parallel experiment fan-out: one executor for every kind of sweep.
 //!
-//! Every run of the engine is self-contained — it builds its own
-//! routing tables, traffic pattern and per-terminal RNG streams from
-//! `SimConfig::seed` — so runs at different `(routing, traffic, load)`
-//! points share nothing mutable and can execute in any order on any
-//! thread. [`RunGrid::execute`] exploits that: results are **bit
-//! identical** to [`RunGrid::execute_serial`] and come back in plan
-//! order, regardless of the thread count or scheduling.
+//! A sweep is a slice of independent [`Cell`]s. Every run of the engine
+//! is self-contained — it builds its own routing tables, traffic
+//! pattern and per-terminal RNG streams from `SimConfig::seed` — so
+//! cells share nothing mutable and can run in any order on any thread:
+//! [`run_cells`] returns results **bit identical** to a one-thread
+//! execution, in cell order, regardless of thread count or scheduling.
+//! [`run_cells_cached`] is the same fan-out through a
+//! [`CampaignStore`], and the only place the lookup → run → journal →
+//! progress loop exists. [`RunGrid`], [`FaultSweep`], [`WorkloadSweep`]
+//! and [`sweep_network`] are thin plans over those two functions.
 //!
 //! The pool is bounded by the `DFLY_THREADS` environment variable when
 //! set (a positive integer), falling back to the machine's available
@@ -16,10 +18,11 @@
 //! `DFLY_THREADS` is shared with the cycle engine's router sharding
 //! (`SimConfig::shards == 0` resolves against the same variable): a
 //! sweep of serial runs fans the whole budget out here, while a sweep
-//! of sharded runs divides it — [`RunGrid::execute`] shrinks its pool
-//! by each run's shard demand (see [`configured_threads_for`]) so the
-//! two levels of parallelism compose without oversubscribing the
-//! machine.
+//! of sharded runs divides it — the executor shrinks its pool by the
+//! cells' largest shard demand (see [`pool_size`]) so the two levels of
+//! parallelism compose without oversubscribing the machine.
+
+use std::convert::Infallible;
 
 use dfly_netsim::{
     FaultClass, FaultPlan, InjectionKind, MetricsRegistry, NetworkSpec, RoutingAlgorithm, RunStats,
@@ -28,7 +31,9 @@ use dfly_netsim::{
 use dfly_traffic::TrafficPattern;
 use rayon::prelude::*;
 
-use crate::campaign::{CampaignError, CampaignReport, CampaignStore};
+use crate::campaign::{
+    codec_struct, codec_tag, CampaignError, CampaignReport, CampaignStore, Codec,
+};
 use crate::experiment::{DragonflySim, LoadPoint, RoutingChoice, TrafficChoice};
 use crate::jobs::{JobBook, JobError, JobMix, JobSpec, Placement};
 use crate::progress::{ProgressSink, SweepProgress};
@@ -60,19 +65,6 @@ where
     parallel_map_on(items, configured_threads(), f)
 }
 
-/// The sweep-level thread budget left after each run claims
-/// `shards_per_run` worker threads for the cycle engine:
-/// `configured_threads() / shards_per_run`, at least 1. A
-/// `shards_per_run` of 0 (auto) assumes the engine grabs the whole
-/// budget, so grids of auto-sharded runs execute one run at a time.
-pub fn configured_threads_for(shards_per_run: usize) -> usize {
-    let budget = configured_threads();
-    if shards_per_run == 0 {
-        return 1;
-    }
-    (budget / shards_per_run).max(1)
-}
-
 /// [`parallel_map`] with an explicit thread bound.
 pub fn parallel_map_on<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
@@ -91,11 +83,174 @@ where
     pool.install(|| items.par_iter().map(&f).collect())
 }
 
-/// Sweeps a generic network over `loads`, one independent run per load,
-/// fanned out across the worker pool — sized, as for [`RunGrid`], to
-/// the budget left after each run's `base.shards` engine threads (see
-/// [`configured_threads_for`]). Results come back in load order and
-/// match a serial sweep bit for bit.
+/// One independent unit of a sweep: everything one simulation run
+/// needs, and nothing shared mutably with its neighbours.
+pub trait Cell: Sync {
+    /// What one run produces.
+    type Out: Send;
+    /// Why a run can fail ([`Infallible`] when it cannot).
+    type Err: Send + Into<CampaignError>;
+
+    /// Engine worker threads one run claims (its `SimConfig::shards`;
+    /// `0` — auto — claims the whole budget).
+    fn shards(&self) -> usize;
+
+    /// Runs the cell to completion.
+    fn run(&self) -> Result<Self::Out, Self::Err>;
+}
+
+/// A [`Cell`] whose result a [`CampaignStore`] can serve instead of
+/// re-running it (given a [`Codec`] for its `Out`).
+pub trait CachedCell: Cell {
+    /// Journal entry kind, also the cell's label in the timing sidecar
+    /// and the progress stream.
+    const KIND: &'static str;
+
+    /// Canonical description of **everything** the result's bits depend
+    /// on (the store adds format version, kind and code revision).
+    fn canon(&self) -> String;
+}
+
+/// The sweep-level pool left of a `budget` of threads after every run
+/// claims its engine shards: `budget / max(shards)`, at least 1. Any
+/// auto-sharded run (`0`) grabs the whole budget itself, so such
+/// sweeps execute one cell at a time.
+pub fn pool_size(budget: usize, shards: impl IntoIterator<Item = usize>) -> usize {
+    let mut demand = 1;
+    for s in shards {
+        if s == 0 {
+            return 1;
+        }
+        demand = demand.max(s);
+    }
+    (budget / demand).max(1)
+}
+
+/// The explicit thread bound, or the [`pool_size`] `cells` leave of the
+/// [`configured_threads`] budget.
+fn pool_for<C: Cell>(cells: &[C], threads: Option<usize>) -> usize {
+    threads.unwrap_or_else(|| pool_size(configured_threads(), cells.iter().map(Cell::shards)))
+}
+
+/// Runs every cell across the worker pool — `threads` wide, or sized by
+/// [`pool_size`] when `None`. Results are in cell order and
+/// bit-identical at any thread count.
+///
+/// # Errors
+///
+/// The first (in cell order) failed run.
+pub fn run_cells<C: Cell>(cells: &[C], threads: Option<usize>) -> Result<Vec<C::Out>, C::Err> {
+    parallel_map_on(cells, pool_for(cells, threads), C::run)
+        .into_iter()
+        .collect()
+}
+
+/// [`run_cells`] through a [`CampaignStore`]: cells whose key is
+/// already stored return the persisted result without running; misses
+/// run and stream to the journal the moment they complete. Results are
+/// bit-identical to an uncached [`run_cells`] — on hits because the
+/// store round trip is exact, on misses trivially.
+///
+/// Every resolved cell is reported to `on_result` as `(cell index,
+/// result, was_hit)` in completion (not cell) order, from worker
+/// threads; `threads == Some(1)` makes that order cell order. Progress
+/// events go to the `DFLY_PROGRESS` sink (see [`crate::progress`]).
+///
+/// # Errors
+///
+/// The first (in cell order) failed run or journal write.
+pub fn run_cells_cached<C: CachedCell>(
+    cells: &[C],
+    threads: Option<usize>,
+    store: &CampaignStore,
+    on_result: &(dyn Fn(usize, &C::Out, bool) + Sync),
+) -> Result<(Vec<C::Out>, CampaignReport), CampaignError>
+where
+    C::Out: Codec,
+{
+    let sink = ProgressSink::from_env();
+    let prior = if sink.is_off() {
+        None
+    } else {
+        store.median_timing(C::KIND)
+    };
+    let progress = SweepProgress::begin(&sink, C::KIND, cells.len(), prior);
+    let indexed: Vec<(usize, &C)> = cells.iter().enumerate().collect();
+    let results = parallel_map_on(
+        &indexed,
+        pool_for(cells, threads),
+        |&(i, cell)| -> Result<(C::Out, bool), CampaignError> {
+            let key = store.key(cell);
+            let (out, hit, secs) = match store.lookup(C::KIND, &key) {
+                Some(out) => (out, true, 0.0),
+                None => {
+                    let clock = std::time::Instant::now();
+                    let out = cell.run().map_err(Into::into)?;
+                    let secs = clock.elapsed().as_secs_f64();
+                    store.insert(C::KIND, &key, &out)?;
+                    store.record_timing(C::KIND, secs);
+                    (out, false, secs)
+                }
+            };
+            on_result(i, &out, hit);
+            progress.cell(i, hit, secs);
+            Ok((out, hit))
+        },
+    );
+    // Before the first error can return: a failed sweep still ends.
+    progress.finish();
+    let mut report = CampaignReport::default();
+    let mut all = Vec::with_capacity(results.len());
+    for result in results {
+        let (out, hit) = result?;
+        if hit {
+            report.hits += 1;
+        } else {
+            report.misses += 1;
+        }
+        all.push(out);
+    }
+    Ok((all, report))
+}
+
+/// `base` at a Bernoulli offered load of `load`, as in the paper's
+/// sweeps.
+fn at_load(base: &SimConfig, load: f64) -> SimConfig {
+    let mut cfg = base.clone();
+    cfg.injection = InjectionKind::Bernoulli { rate: load };
+    cfg
+}
+
+/// One run on any wired network: the [`Cell`] behind [`sweep_network`]
+/// and the cross-topology curve sweeps. Not cacheable — an arbitrary
+/// routing algorithm has no canonical description to key on.
+pub struct NetworkCell<'a> {
+    /// The wired network.
+    pub spec: &'a NetworkSpec,
+    /// Routing algorithm under test.
+    pub routing: &'a (dyn RoutingAlgorithm + Sync),
+    /// Offered traffic pattern.
+    pub pattern: &'a (dyn TrafficPattern + Sync),
+    /// Complete run configuration.
+    pub cfg: SimConfig,
+}
+
+impl Cell for NetworkCell<'_> {
+    type Out = RunStats;
+    type Err = SimError;
+
+    fn shards(&self) -> usize {
+        self.cfg.shards
+    }
+
+    fn run(&self) -> Result<RunStats, SimError> {
+        Ok(Simulation::new(self.spec, self.routing, self.pattern, self.cfg.clone())?.finish())
+    }
+}
+
+/// Sweeps a generic network over `loads`, one independent
+/// [`NetworkCell`] per load. Results come back in load order and match
+/// a serial sweep bit for bit.
 ///
 /// # Errors
 ///
@@ -108,16 +263,18 @@ pub fn sweep_network(
     loads: &[f64],
     base: &SimConfig,
 ) -> Result<Vec<LoadPoint>, SimError> {
-    let stats = parallel_map_on(loads, configured_threads_for(base.shards), |&load| {
-        let mut cfg = base.clone();
-        cfg.injection = InjectionKind::Bernoulli { rate: load };
-        Ok(Simulation::new(spec, routing, pattern, cfg)?.finish())
-    })
-    .into_iter()
-    .collect::<Result<Vec<_>, SimError>>()?;
+    let cells: Vec<NetworkCell<'_>> = loads
+        .iter()
+        .map(|&load| NetworkCell {
+            spec,
+            routing,
+            pattern,
+            cfg: at_load(base, load),
+        })
+        .collect();
     Ok(loads
         .iter()
-        .zip(stats)
+        .zip(run_cells(&cells, None)?)
         .map(|(&load, stats)| LoadPoint { load, stats })
         .collect())
 }
@@ -152,9 +309,7 @@ impl RunPlan {
         base: &SimConfig,
         load: f64,
     ) -> Self {
-        let mut cfg = base.clone();
-        cfg.injection = InjectionKind::Bernoulli { rate: load };
-        RunPlan::new(routing, traffic, cfg)
+        RunPlan::new(routing, traffic, at_load(base, load))
     }
 
     /// The plan's injection rate (packets/terminal/cycle).
@@ -165,7 +320,7 @@ impl RunPlan {
 
 /// An ordered collection of independent [`RunPlan`]s — typically the
 /// cross product of routing choices, traffic patterns and offered loads
-/// behind one figure — executable serially or across a thread pool with
+/// behind one figure — executable on any number of threads with
 /// identical results.
 #[derive(Debug, Clone, Default)]
 pub struct RunGrid {
@@ -233,45 +388,28 @@ impl RunGrid {
         self.plans.is_empty()
     }
 
-    /// The largest engine-level shard count any plan asks for (`0`
-    /// — auto — dominates everything else; `1` if the grid is empty).
-    pub fn shard_demand(&self) -> usize {
-        let mut demand = 1;
-        for plan in &self.plans {
-            if plan.cfg.shards == 0 {
-                return 0;
-            }
-            demand = demand.max(plan.cfg.shards);
-        }
-        demand
+    fn cells<'a>(&'a self, sim: &'a DragonflySim) -> Vec<RunCell<'a>> {
+        self.plans
+            .iter()
+            .map(|plan| RunCell { sim, plan })
+            .collect()
     }
 
-    /// Executes every plan against `sim` across the configured thread
-    /// pool (see [`configured_threads`]), leaving room for each run's
-    /// own router shards (see [`configured_threads_for`]); results are
-    /// in plan order and bit-identical to [`RunGrid::execute_serial`].
+    /// Executes every plan against `sim` ([`run_cells`] with the pool
+    /// sized from `DFLY_THREADS` and the plans' shard demand); results
+    /// are in plan order and bit-identical at any thread count.
     pub fn execute(&self, sim: &DragonflySim) -> Vec<RunStats> {
-        self.execute_on(sim, configured_threads_for(self.shard_demand()))
+        run_cells(&self.cells(sim), None).unwrap_or_else(|e| match e {})
     }
 
-    /// [`RunGrid::execute`] with an explicit thread bound.
+    /// [`RunGrid::execute`] with an explicit thread bound (`1` is the
+    /// serial reference).
     pub fn execute_on(&self, sim: &DragonflySim, threads: usize) -> Vec<RunStats> {
-        parallel_map_on(&self.plans, threads, |plan| {
-            sim.run(plan.routing, plan.traffic, plan.cfg.clone())
-        })
+        run_cells(&self.cells(sim), Some(threads)).unwrap_or_else(|e| match e {})
     }
 
-    /// Executes every plan on the calling thread, in order.
-    pub fn execute_serial(&self, sim: &DragonflySim) -> Vec<RunStats> {
-        self.execute_on(sim, 1)
-    }
-
-    /// [`RunGrid::execute`] through a [`CampaignStore`]: plans whose
-    /// key is already stored return the persisted result without
-    /// simulating; misses simulate and stream to the journal the
-    /// moment they complete. Results are in plan order and
-    /// bit-identical to an uncached [`RunGrid::execute`] — on hits
-    /// because the store round trip is exact, on misses trivially.
+    /// [`RunGrid::execute`] through a [`CampaignStore`] (see
+    /// [`run_cells_cached`]).
     ///
     /// # Errors
     ///
@@ -281,34 +419,11 @@ impl RunGrid {
         sim: &DragonflySim,
         store: &CampaignStore,
     ) -> Result<(Vec<RunStats>, CampaignReport), CampaignError> {
-        self.execute_cached_streaming_on(
-            sim,
-            store,
-            configured_threads_for(self.shard_demand()),
-            &|_, _, _| {},
-        )
+        run_cells_cached(&self.cells(sim), None, store, &|_, _, _| {})
     }
 
-    /// [`RunGrid::execute_cached`] with a streaming callback: every
-    /// completed cell is reported as `(plan index, stats, was_hit)` the
-    /// moment it resolves, in completion (not plan) order. The callback
-    /// runs on worker threads and must be `Sync`.
-    pub fn execute_cached_streaming(
-        &self,
-        sim: &DragonflySim,
-        store: &CampaignStore,
-        on_result: &(dyn Fn(usize, &RunStats, bool) + Sync),
-    ) -> Result<(Vec<RunStats>, CampaignReport), CampaignError> {
-        self.execute_cached_streaming_on(
-            sim,
-            store,
-            configured_threads_for(self.shard_demand()),
-            on_result,
-        )
-    }
-
-    /// [`RunGrid::execute_cached_streaming`] with an explicit thread
-    /// bound (`1` makes the callback order deterministic: plan order).
+    /// [`RunGrid::execute_cached`] with an explicit thread bound and a
+    /// streaming `(plan index, stats, was_hit)` callback.
     pub fn execute_cached_streaming_on(
         &self,
         sim: &DragonflySim,
@@ -316,80 +431,67 @@ impl RunGrid {
         threads: usize,
         on_result: &(dyn Fn(usize, &RunStats, bool) + Sync),
     ) -> Result<(Vec<RunStats>, CampaignReport), CampaignError> {
-        let indexed: Vec<(usize, &RunPlan)> = self.plans.iter().enumerate().collect();
-        let sink = ProgressSink::from_env();
-        let progress =
-            SweepProgress::begin(&sink, "grid", self.plans.len(), store.median_timing("run"));
-        let results = parallel_map_on(
-            &indexed,
-            threads,
-            |&(i, plan)| -> Result<(RunStats, bool), CampaignError> {
-                let key = store.run_key(sim, plan);
-                if let Some(stats) = store.lookup_run(&key) {
-                    on_result(i, &stats, true);
-                    progress.cell(i, true, 0.0);
-                    return Ok((stats, true));
-                }
-                let clock = std::time::Instant::now();
-                let stats = sim.run(plan.routing, plan.traffic, plan.cfg.clone());
-                let secs = clock.elapsed().as_secs_f64();
-                store.insert_run(&key, &stats)?;
-                store.record_timing("run", secs);
-                on_result(i, &stats, false);
-                progress.cell(i, false, secs);
-                Ok((stats, false))
-            },
-        );
-        let mut all = Vec::with_capacity(results.len());
-        let mut report = CampaignReport::default();
-        for result in results {
-            let (stats, hit) = result?;
-            if hit {
-                report.hits += 1;
-            } else {
-                report.misses += 1;
-            }
-            all.push(stats);
-        }
-        progress.finish();
-        Ok((all, report))
+        run_cells_cached(&self.cells(sim), Some(threads), store, on_result)
     }
 
-    /// Like [`RunGrid::execute`], but additionally builds a merged
-    /// [`MetricsRegistry`] over the whole grid: each worker absorbs its
-    /// own runs into a private registry and the per-worker registries
-    /// are folded in plan order, so the merged registry (and its JSON)
-    /// is bit-identical to a serial execution's.
-    pub fn execute_with_metrics(&self, sim: &DragonflySim) -> (Vec<RunStats>, MetricsRegistry) {
-        self.execute_with_metrics_on(sim, configured_threads_for(self.shard_demand()))
-    }
-
-    /// [`RunGrid::execute_with_metrics`] with an explicit thread bound.
-    pub fn execute_with_metrics_on(
-        &self,
-        sim: &DragonflySim,
-        threads: usize,
-    ) -> (Vec<RunStats>, MetricsRegistry) {
-        let per_run = parallel_map_on(&self.plans, threads, |plan| {
-            let stats = sim.run(plan.routing, plan.traffic, plan.cfg.clone());
-            let mut registry = MetricsRegistry::new();
-            absorb_run(&mut registry, plan, &stats);
-            (stats, registry)
-        });
-        let mut all = Vec::with_capacity(per_run.len());
-        let mut merged = MetricsRegistry::new();
-        for (stats, registry) in per_run {
-            merged.merge(&registry);
-            all.push(stats);
+    /// Folds `results` (one per plan, in plan order — what any
+    /// `execute*` returns) into a [`MetricsRegistry`] under the
+    /// standard counter/histogram names (`runs`, `drained_runs`,
+    /// `labeled_packets`, the routing-decision counters, the
+    /// `packet_latency` / `scoreboard_abs_error` histograms and a
+    /// `latency/{routing label}` histogram per routing choice). A pure
+    /// fold in plan order, so the registry (and its JSON) is the same
+    /// however the results were computed.
+    pub fn metrics(&self, results: &[RunStats]) -> MetricsRegistry {
+        let mut registry = MetricsRegistry::new();
+        for (plan, stats) in self.plans.iter().zip(results) {
+            absorb_run(&mut registry, plan, stats);
         }
-        (all, merged)
+        registry
     }
 }
 
-/// Folds one run's statistics into a registry under the standard
-/// counter/histogram names (`runs`, `drained_runs`, `labeled_packets`,
-/// the routing-decision counters, and the `packet_latency` /
-/// `scoreboard_abs_error` histograms).
+/// One [`RunPlan`] against one wired dragonfly.
+pub(crate) struct RunCell<'a> {
+    pub(crate) sim: &'a DragonflySim,
+    pub(crate) plan: &'a RunPlan,
+}
+
+impl Cell for RunCell<'_> {
+    type Out = RunStats;
+    type Err = Infallible;
+
+    fn shards(&self) -> usize {
+        self.plan.cfg.shards
+    }
+
+    fn run(&self) -> Result<RunStats, Infallible> {
+        let plan = self.plan;
+        Ok(self.sim.run(plan.routing, plan.traffic, plan.cfg.clone()))
+    }
+}
+
+impl CachedCell for RunCell<'_> {
+    const KIND: &'static str = "run";
+
+    /// Covers `sim`'s exact network — topology parameters, channel
+    /// latencies and failed links included, so a faulted network never
+    /// shares keys with a healthy one.
+    fn canon(&self) -> String {
+        let df = self.sim.dragonfly();
+        format!(
+            "params={:?} latencies={:?} failed={:?} routing={:?} traffic={:?} cfg={:?}",
+            df.params(),
+            df.latencies(),
+            df.failed_links(),
+            self.plan.routing,
+            self.plan.traffic,
+            self.plan.cfg
+        )
+    }
+}
+
+/// Folds one run's statistics into `registry` (see [`RunGrid::metrics`]).
 fn absorb_run(registry: &mut MetricsRegistry, plan: &RunPlan, stats: &RunStats) {
     registry.inc("runs", 1);
     registry.inc("drained_runs", u64::from(stats.drained));
@@ -441,6 +543,12 @@ pub struct FaultPoint {
     pub stats: RunStats,
 }
 
+codec_struct!(FaultPoint {
+    fraction,
+    failed_links,
+    stats
+});
+
 impl FaultPoint {
     /// Saturation throughput at this fault level (accepted
     /// packets/terminal/cycle at an offered load of 1.0).
@@ -457,9 +565,8 @@ impl FaultPoint {
 /// [`FaultPlan::Random`]): with one seed, every cable failed at
 /// fraction `f1 < f2` is also failed at `f2`, so the measured curve
 /// degrades monotonically instead of comparing unrelated fault draws.
-/// Points are independent runs and fan out across the worker pool;
-/// [`FaultSweep::execute`] is bit-identical to
-/// [`FaultSweep::execute_serial`].
+/// Points are independent runs and fan out across the worker pool,
+/// bit-identically at any thread count.
 ///
 /// # Example
 ///
@@ -526,53 +633,36 @@ impl FaultSweep {
         self
     }
 
-    fn run_point(&self, fraction: f64) -> Result<FaultPoint, SimError> {
-        let plan = FaultPlan::Random {
-            fraction,
-            seed: self.seed,
-            class: self.class,
-        };
-        let sim = DragonflySim::with_faults(self.params, &plan)?;
-        let mut cfg = self.cfg.clone();
-        cfg.injection = InjectionKind::Bernoulli { rate: 1.0 };
-        cfg.drain_cap = 0;
-        let stats = sim.run(self.routing, self.traffic, cfg);
-        Ok(FaultPoint {
-            fraction,
-            failed_links: sim.dragonfly().failed_links().len(),
-            stats,
-        })
+    fn cells(&self) -> Vec<FaultCell<'_>> {
+        self.fractions
+            .iter()
+            .map(|&fraction| FaultCell {
+                sweep: self,
+                fraction,
+            })
+            .collect()
     }
 
-    /// Runs every fraction across the configured thread pool (see
-    /// [`configured_threads`]); results are in fraction order and
-    /// bit-identical to [`FaultSweep::execute_serial`].
+    /// Runs every fraction ([`run_cells`] with the pool sized from
+    /// `DFLY_THREADS` and `cfg.shards`); results are in fraction order
+    /// and bit-identical at any thread count.
     ///
     /// # Errors
     ///
     /// The first fault-plan rejection, if any fraction disconnects the
     /// network or the plan is malformed.
     pub fn execute(&self) -> Result<Vec<FaultPoint>, SimError> {
-        self.execute_on(configured_threads())
+        run_cells(&self.cells(), None)
     }
 
-    /// [`FaultSweep::execute`] with an explicit thread bound.
+    /// [`FaultSweep::execute`] with an explicit thread bound (`1` is
+    /// the serial reference).
     pub fn execute_on(&self, threads: usize) -> Result<Vec<FaultPoint>, SimError> {
-        parallel_map_on(&self.fractions, threads, |&fraction| {
-            self.run_point(fraction)
-        })
-        .into_iter()
-        .collect()
+        run_cells(&self.cells(), Some(threads))
     }
 
-    /// Runs every fraction on the calling thread, in order.
-    pub fn execute_serial(&self) -> Result<Vec<FaultPoint>, SimError> {
-        self.execute_on(1)
-    }
-
-    /// [`FaultSweep::execute`] through a [`CampaignStore`]: fractions
-    /// already stored are answered from the journal, misses simulate
-    /// and stream to it. Bit-identical to the uncached execute.
+    /// [`FaultSweep::execute`] through a [`CampaignStore`] (see
+    /// [`run_cells_cached`]).
     ///
     /// # Errors
     ///
@@ -581,45 +671,60 @@ impl FaultSweep {
         &self,
         store: &CampaignStore,
     ) -> Result<(Vec<FaultPoint>, CampaignReport), CampaignError> {
-        let indexed: Vec<(usize, f64)> = self.fractions.iter().copied().enumerate().collect();
-        let sink = ProgressSink::from_env();
-        let progress = SweepProgress::begin(
-            &sink,
-            "fault",
-            self.fractions.len(),
-            store.median_timing("fault"),
-        );
-        let results = parallel_map_on(
-            &indexed,
-            configured_threads(),
-            |&(i, fraction)| -> Result<(FaultPoint, bool), CampaignError> {
-                let key = store.fault_key(self, fraction);
-                if let Some(point) = store.lookup_fault(&key) {
-                    progress.cell(i, true, 0.0);
-                    return Ok((point, true));
-                }
-                let clock = std::time::Instant::now();
-                let point = self.run_point(fraction)?;
-                let secs = clock.elapsed().as_secs_f64();
-                store.insert_fault(&key, &point)?;
-                store.record_timing("fault", secs);
-                progress.cell(i, false, secs);
-                Ok((point, false))
-            },
-        );
-        let mut all = Vec::with_capacity(results.len());
-        let mut report = CampaignReport::default();
-        for result in results {
-            let (point, hit) = result?;
-            if hit {
-                report.hits += 1;
-            } else {
-                report.misses += 1;
-            }
-            all.push(point);
-        }
-        progress.finish();
-        Ok((all, report))
+        run_cells_cached(&self.cells(), None, store, &|_, _, _| {})
+    }
+}
+
+/// One fraction of a [`FaultSweep`].
+pub(crate) struct FaultCell<'a> {
+    sweep: &'a FaultSweep,
+    fraction: f64,
+}
+
+impl FaultCell<'_> {
+    /// The fault plan and the configuration that actually runs — the
+    /// pair both the run and its key are built from.
+    fn setup(&self) -> (FaultPlan, SimConfig) {
+        let plan = FaultPlan::Random {
+            fraction: self.fraction,
+            seed: self.sweep.seed,
+            class: self.sweep.class,
+        };
+        let mut cfg = at_load(&self.sweep.cfg, 1.0);
+        cfg.drain_cap = 0;
+        (plan, cfg)
+    }
+}
+
+impl Cell for FaultCell<'_> {
+    type Out = FaultPoint;
+    type Err = SimError;
+
+    fn shards(&self) -> usize {
+        self.sweep.cfg.shards
+    }
+
+    fn run(&self) -> Result<FaultPoint, SimError> {
+        let (plan, cfg) = self.setup();
+        let sim = DragonflySim::with_faults(self.sweep.params, &plan)?;
+        let stats = sim.run(self.sweep.routing, self.sweep.traffic, cfg);
+        Ok(FaultPoint {
+            fraction: self.fraction,
+            failed_links: sim.dragonfly().failed_links().len(),
+            stats,
+        })
+    }
+}
+
+impl CachedCell for FaultCell<'_> {
+    const KIND: &'static str = "fault";
+
+    fn canon(&self) -> String {
+        let (plan, cfg) = self.setup();
+        format!(
+            "params={:?} routing={:?} traffic={:?} cfg={:?} plan={:?}",
+            self.sweep.params, self.sweep.routing, self.sweep.traffic, cfg, plan
+        )
     }
 }
 
@@ -637,6 +742,22 @@ pub struct WorkloadPoint {
     /// Per-job accounting, in job order.
     pub books: Vec<JobBook>,
 }
+
+codec_tag!(Placement {
+    0u64 => Placement::GroupDisjoint,
+    1u64 => Placement::Interfering
+});
+codec_struct!(JobBook {
+    delivered,
+    latency,
+    completion
+});
+codec_struct!(WorkloadPoint {
+    placement,
+    background_load,
+    stats,
+    books
+});
 
 impl WorkloadPoint {
     /// Completion cycle of job `job` (its last delivery).
@@ -677,10 +798,9 @@ impl SlowdownPoint {
 /// Every point is an independent work-complete run (the engine stops
 /// when all tracked job packets are delivered, see
 /// [`Termination::WorkComplete`]); points fan out across the worker
-/// pool and [`WorkloadSweep::execute`] is bit-identical to
-/// [`WorkloadSweep::execute_serial`]. The per-job books are built from
-/// commutative updates only, so they are also identical at any engine
-/// shard count.
+/// pool, bit-identically at any thread count. The per-job books are
+/// built from commutative updates only, so they are also identical at
+/// any engine shard count.
 ///
 /// # Example
 ///
@@ -740,24 +860,6 @@ impl WorkloadSweep {
         }
     }
 
-    fn run_point(&self, placement: Placement, load: f64) -> Result<WorkloadPoint, JobError> {
-        let sim = DragonflySim::new(self.params);
-        let mix = JobMix::new(self.jobs.clone(), placement).with_background(load);
-        let assignment = mix.assign(&self.params)?;
-        let ledger = mix.ledger();
-        let mut cfg = self.cfg.clone();
-        cfg.termination = Termination::WorkComplete;
-        let stats = sim.run_workload(self.routing, cfg, &|range| {
-            Box::new(mix.workload(&assignment, range, &ledger))
-        });
-        Ok(WorkloadPoint {
-            placement,
-            background_load: load,
-            stats,
-            books: ledger.snapshot(),
-        })
-    }
-
     /// The planned `(placement, background load)` points, loads
     /// innermost — the order results come back in.
     pub fn points(&self) -> Vec<(Placement, f64)> {
@@ -770,36 +872,37 @@ impl WorkloadSweep {
         pts
     }
 
-    /// Runs every point across the configured thread pool, leaving room
-    /// for each run's engine shards (see [`configured_threads_for`]).
-    /// Results are in [`WorkloadSweep::points`] order and bit-identical
-    /// to [`WorkloadSweep::execute_serial`].
+    fn cells(&self) -> Vec<WorkloadCell<'_>> {
+        self.points()
+            .into_iter()
+            .map(|(placement, load)| WorkloadCell {
+                sweep: self,
+                placement,
+                load,
+            })
+            .collect()
+    }
+
+    /// Runs every point ([`run_cells`] with the pool sized from
+    /// `DFLY_THREADS` and `cfg.shards`); results are in
+    /// [`WorkloadSweep::points`] order and bit-identical at any thread
+    /// count.
     ///
     /// # Errors
     ///
     /// The first invalid job spec or failed placement, if any.
     pub fn execute(&self) -> Result<Vec<WorkloadPoint>, JobError> {
-        self.execute_on(configured_threads_for(self.cfg.shards))
+        run_cells(&self.cells(), None)
     }
 
-    /// [`WorkloadSweep::execute`] with an explicit thread bound.
+    /// [`WorkloadSweep::execute`] with an explicit thread bound (`1` is
+    /// the serial reference).
     pub fn execute_on(&self, threads: usize) -> Result<Vec<WorkloadPoint>, JobError> {
-        parallel_map_on(&self.points(), threads, |&(placement, load)| {
-            self.run_point(placement, load)
-        })
-        .into_iter()
-        .collect()
+        run_cells(&self.cells(), Some(threads))
     }
 
-    /// Runs every point on the calling thread, in order.
-    pub fn execute_serial(&self) -> Result<Vec<WorkloadPoint>, JobError> {
-        self.execute_on(1)
-    }
-
-    /// [`WorkloadSweep::execute`] through a [`CampaignStore`]: points
-    /// already stored are answered from the journal, misses run to
-    /// completion and stream to it. Bit-identical to the uncached
-    /// execute, per-job books included.
+    /// [`WorkloadSweep::execute`] through a [`CampaignStore`] (see
+    /// [`run_cells_cached`]), per-job books included.
     ///
     /// # Errors
     ///
@@ -809,80 +912,34 @@ impl WorkloadSweep {
         &self,
         store: &CampaignStore,
     ) -> Result<(Vec<WorkloadPoint>, CampaignReport), CampaignError> {
-        let threads = configured_threads_for(self.cfg.shards);
-        let points = self.points();
-        let indexed: Vec<(usize, (Placement, f64))> = points.into_iter().enumerate().collect();
-        let sink = ProgressSink::from_env();
-        let progress = SweepProgress::begin(
-            &sink,
-            "workload",
-            indexed.len(),
-            store.median_timing("workload"),
-        );
-        let results = parallel_map_on(
-            &indexed,
-            threads,
-            |&(i, (placement, load))| -> Result<(WorkloadPoint, bool), CampaignError> {
-                let key = store.workload_key(self, placement, load);
-                if let Some(point) = store.lookup_workload(&key) {
-                    progress.cell(i, true, 0.0);
-                    return Ok((point, true));
-                }
-                let clock = std::time::Instant::now();
-                let point = self.run_point(placement, load)?;
-                let secs = clock.elapsed().as_secs_f64();
-                store.insert_workload(&key, &point)?;
-                store.record_timing("workload", secs);
-                progress.cell(i, false, secs);
-                Ok((point, false))
-            },
-        );
-        let mut all = Vec::with_capacity(results.len());
-        let mut report = CampaignReport::default();
-        for result in results {
-            let (point, hit) = result?;
-            if hit {
-                report.hits += 1;
-            } else {
-                report.misses += 1;
-            }
-            all.push(point);
-        }
-        progress.finish();
-        Ok((all, report))
+        run_cells_cached(&self.cells(), None, store, &|_, _, _| {})
     }
 
-    /// Like [`WorkloadSweep::execute`], but also folds every point into
-    /// a [`MetricsRegistry`] under per-job scopes:
+    /// Folds `points` (what any `execute*` returns) into a
+    /// [`MetricsRegistry`] under per-job scopes:
     /// `jobs/{name}/{placement}/delivered`,
     /// `jobs/{name}/{placement}/completion_cycles` and the
     /// `jobs/{name}/{placement}/latency` histogram, plus the sweep-wide
-    /// `workload_runs` / `workload_completed_runs` counters. Absorption
-    /// happens in point order, so the registry (and its JSON) is
-    /// bit-identical across thread counts.
-    pub fn execute_with_metrics(&self) -> Result<(Vec<WorkloadPoint>, MetricsRegistry), JobError> {
-        let points = self.execute()?;
+    /// `workload_runs` / `workload_completed_runs` counters. A pure
+    /// fold in point order.
+    pub fn metrics(&self, points: &[WorkloadPoint]) -> MetricsRegistry {
         let mut registry = MetricsRegistry::new();
-        for point in &points {
-            self.absorb_point(&mut registry, point);
+        for point in points {
+            registry.inc("workload_runs", 1);
+            registry.inc(
+                "workload_completed_runs",
+                u64::from(point.stats.completion.is_some()),
+            );
+            for (spec, book) in self.jobs.iter().zip(&point.books) {
+                let scope = format!("jobs/{}/{}", spec.name, point.placement.label());
+                registry.inc(&format!("{scope}/delivered"), book.delivered);
+                registry.inc(&format!("{scope}/completion_cycles"), book.completion);
+                registry
+                    .histogram_mut(&format!("{scope}/latency"))
+                    .merge(&book.latency);
+            }
         }
-        Ok((points, registry))
-    }
-
-    fn absorb_point(&self, registry: &mut MetricsRegistry, point: &WorkloadPoint) {
-        registry.inc("workload_runs", 1);
-        registry.inc(
-            "workload_completed_runs",
-            u64::from(point.stats.completion.is_some()),
-        );
-        for (spec, book) in self.jobs.iter().zip(&point.books) {
-            let scope = format!("jobs/{}/{}", spec.name, point.placement.label());
-            registry.inc(&format!("{scope}/delivered"), book.delivered);
-            registry.inc(&format!("{scope}/completion_cycles"), book.completion);
-            registry
-                .histogram_mut(&format!("{scope}/latency"))
-                .merge(&book.latency);
-        }
+        registry
     }
 
     /// Pairs each job's completion time under the two placements at
@@ -915,10 +972,70 @@ impl WorkloadSweep {
     }
 }
 
+/// One `(placement, background load)` point of a [`WorkloadSweep`].
+pub(crate) struct WorkloadCell<'a> {
+    sweep: &'a WorkloadSweep,
+    placement: Placement,
+    load: f64,
+}
+
+impl WorkloadCell<'_> {
+    /// The configuration that actually runs (and is keyed).
+    fn cfg(&self) -> SimConfig {
+        let mut cfg = self.sweep.cfg.clone();
+        cfg.termination = Termination::WorkComplete;
+        cfg
+    }
+}
+
+impl Cell for WorkloadCell<'_> {
+    type Out = WorkloadPoint;
+    type Err = JobError;
+
+    fn shards(&self) -> usize {
+        self.sweep.cfg.shards
+    }
+
+    fn run(&self) -> Result<WorkloadPoint, JobError> {
+        let sweep = self.sweep;
+        let sim = DragonflySim::new(sweep.params);
+        let mix = JobMix::new(sweep.jobs.clone(), self.placement).with_background(self.load);
+        let assignment = mix.assign(&sweep.params)?;
+        let ledger = mix.ledger();
+        let stats = sim.run_workload(sweep.routing, self.cfg(), &|range| {
+            Box::new(mix.workload(&assignment, range, &ledger))
+        });
+        Ok(WorkloadPoint {
+            placement: self.placement,
+            background_load: self.load,
+            stats,
+            books: ledger.snapshot(),
+        })
+    }
+}
+
+impl CachedCell for WorkloadCell<'_> {
+    const KIND: &'static str = "workload";
+
+    fn canon(&self) -> String {
+        format!(
+            "params={:?} routing={:?} jobs={:?} cfg={:?} placement={:?} background={:?}",
+            self.sweep.params,
+            self.sweep.routing,
+            self.sweep.jobs,
+            self.cfg(),
+            self.placement,
+            self.load
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::DragonflyParams;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
 
     fn tiny() -> DragonflySim {
         DragonflySim::new(DragonflyParams::new(2, 4, 2).unwrap())
@@ -934,35 +1051,42 @@ mod tests {
 
     #[test]
     fn shard_demand_tracks_plan_configs() {
+        // The one budget rule, as a pure function.
+        assert_eq!(pool_size(8, [1]), 8);
+        assert_eq!(pool_size(8, [2]), 4);
+        assert_eq!(pool_size(8, [4]), 2);
+        assert_eq!(pool_size(8, [0]), 1, "auto-sharded runs go one at a time");
+        assert_eq!(pool_size(8, [1, 4, 2]), 2, "the largest demand decides");
+        assert_eq!(pool_size(8, [4, 0, 1]), 1, "auto dominates");
+        assert_eq!(pool_size(2, [4]), 1, "never below one worker");
+        assert_eq!(pool_size(8, []), 8);
+        // Every sweep kind feeds it its cells' `SimConfig::shards`
+        // (fault sweeps used to ignore theirs).
         let sim = tiny();
-        let base = fast_cfg(&sim, 0.0);
-        let grid = RunGrid::cross(
-            &[RoutingChoice::Min],
-            &[TrafficChoice::Uniform],
-            &[0.1, 0.2],
-            &base,
-        );
-        assert_eq!(grid.shard_demand(), 1);
-        let mut sharded = base.clone();
-        sharded.shards = 4;
-        let grid = RunGrid::cross(
-            &[RoutingChoice::Min],
-            &[TrafficChoice::Uniform],
-            &[0.1],
-            &sharded,
-        );
-        assert_eq!(grid.shard_demand(), 4);
-        let mut auto = base;
-        auto.shards = 0;
-        let grid = RunGrid::cross(
-            &[RoutingChoice::Min],
-            &[TrafficChoice::Uniform],
-            &[0.1],
-            &auto,
-        );
-        assert_eq!(grid.shard_demand(), 0);
-        assert_eq!(configured_threads_for(0), 1);
-        assert!(configured_threads_for(usize::MAX) >= 1);
+        for shards in [0, 1, 2, 4] {
+            let cfg = fast_cfg(&sim, 0.1).with_shards(shards);
+            let grid = RunGrid::cross(
+                &[RoutingChoice::Min],
+                &[TrafficChoice::Uniform],
+                &[0.1, 0.2],
+                &cfg,
+            );
+            let fault = FaultSweep::new(
+                DragonflyParams::new(2, 4, 2).unwrap(),
+                RoutingChoice::Min,
+                TrafficChoice::Uniform,
+                &cfg,
+                &[0.0, 0.125],
+                1,
+            );
+            let mut workload = tiny_workload_sweep(&[0.0]);
+            workload.cfg.shards = shards;
+            let want = pool_size(configured_threads(), [shards]);
+            assert_eq!(pool_for(&grid.cells(&sim), None), want);
+            assert_eq!(pool_for(&fault.cells(), None), want);
+            assert_eq!(pool_for(&workload.cells(), None), want);
+            assert_eq!(pool_for(&fault.cells(), Some(3)), 3);
+        }
     }
 
     #[test]
@@ -999,7 +1123,7 @@ mod tests {
             &[0.1, 0.3],
             &base,
         );
-        let serial = grid.execute_serial(&sim);
+        let serial = grid.execute_on(&sim, 1);
         let parallel = grid.execute_on(&sim, 4);
         assert_eq!(serial.len(), grid.len());
         assert_eq!(serial, parallel);
@@ -1015,8 +1139,10 @@ mod tests {
             &[0.1, 0.2],
             &base,
         );
-        let (serial_stats, serial_reg) = grid.execute_with_metrics_on(&sim, 1);
-        let (par_stats, par_reg) = grid.execute_with_metrics_on(&sim, 4);
+        let serial_stats = grid.execute_on(&sim, 1);
+        let serial_reg = grid.metrics(&serial_stats);
+        let par_stats = grid.execute_on(&sim, 4);
+        let par_reg = grid.metrics(&par_stats);
         assert_eq!(serial_stats, par_stats);
         assert_eq!(serial_reg, par_reg);
         assert_eq!(serial_reg.to_json(), par_reg.to_json());
@@ -1088,7 +1214,7 @@ mod tests {
             3,
         );
         let parallel = sweep.execute().unwrap();
-        let serial = sweep.execute_serial().unwrap();
+        let serial = sweep.execute_on(1).unwrap();
         assert_eq!(parallel, serial);
         assert_eq!(parallel.len(), 2);
         assert_eq!(parallel[0].failed_links, 0);
@@ -1118,7 +1244,7 @@ mod tests {
     #[test]
     fn workload_sweep_is_deterministic_across_thread_counts() {
         let sweep = tiny_workload_sweep(&[0.0, 0.1]);
-        let serial = sweep.execute_serial().unwrap();
+        let serial = sweep.execute_on(1).unwrap();
         let parallel = sweep.execute_on(4).unwrap();
         assert_eq!(serial, parallel);
         assert_eq!(serial.len(), 4);
@@ -1158,7 +1284,8 @@ mod tests {
     #[test]
     fn workload_metrics_use_per_job_scopes() {
         let sweep = tiny_workload_sweep(&[0.0]);
-        let (points, registry) = sweep.execute_with_metrics().unwrap();
+        let points = sweep.execute().unwrap();
+        let registry = sweep.metrics(&points);
         assert_eq!(registry.counters["workload_runs"], points.len() as u64);
         assert_eq!(
             registry.counters["workload_completed_runs"],
@@ -1196,5 +1323,221 @@ mod tests {
             sweep.execute(),
             Err(SimError::InvalidFaultPlan(_))
         ));
+    }
+
+    /// A simulator-free cell: squares its id, counts its runs, fails on
+    /// demand.
+    struct Toy<'a> {
+        id: u64,
+        fail: bool,
+        runs: &'a AtomicUsize,
+    }
+
+    impl Cell for Toy<'_> {
+        type Out = u64;
+        type Err = SimError;
+
+        fn shards(&self) -> usize {
+            1
+        }
+
+        fn run(&self) -> Result<u64, SimError> {
+            self.runs.fetch_add(1, Ordering::SeqCst);
+            if self.fail {
+                return Err(SimError::InvalidConfig(format!("toy {}", self.id)));
+            }
+            Ok(self.id * self.id)
+        }
+    }
+
+    impl CachedCell for Toy<'_> {
+        const KIND: &'static str = "toy";
+
+        fn canon(&self) -> String {
+            format!("id={}", self.id)
+        }
+    }
+
+    fn toys<'a>(ids: std::ops::Range<u64>, fail: &[u64], runs: &'a AtomicUsize) -> Vec<Toy<'a>> {
+        ids.map(|id| Toy {
+            id,
+            fail: fail.contains(&id),
+            runs,
+        })
+        .collect()
+    }
+
+    fn temp_store(name: &str) -> CampaignStore {
+        let dir =
+            std::env::temp_dir().join(format!("dfly-executor-unit-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        CampaignStore::open_with_revision(&dir, "r1").expect("store opens")
+    }
+
+    #[test]
+    fn toy_cells_exercise_the_whole_executor() {
+        let runs = AtomicUsize::new(0);
+        let cells = toys(0..9, &[], &runs);
+        let squares: Vec<u64> = (0..9).map(|i| i * i).collect();
+        for threads in [1, 2, 4] {
+            assert_eq!(run_cells(&cells, Some(threads)).unwrap(), squares);
+        }
+        assert_eq!(runs.swap(0, Ordering::SeqCst), 27);
+
+        // Cold pass: every cell runs once, is journaled once, and is
+        // reported once as a miss. Warm pass: nothing runs.
+        let store = temp_store("toy");
+        for (threads, hit, ran) in [(4, false, 9), (2, true, 0), (1, true, 0)] {
+            let seen = Mutex::new(Vec::new());
+            let (outs, report) =
+                run_cells_cached(&cells, Some(threads), &store, &|i, out: &u64, was_hit| {
+                    seen.lock().unwrap().push((i, *out, was_hit));
+                })
+                .unwrap();
+            assert_eq!(outs, squares);
+            let want = if hit { (9, 0) } else { (0, 9) };
+            assert_eq!((report.hits, report.misses), want);
+            assert_eq!(runs.swap(0, Ordering::SeqCst), ran, "hits must not run");
+            assert_eq!(store.len(), 9, "one journal entry per cell");
+            let mut seen = seen.into_inner().unwrap();
+            seen.sort_unstable();
+            let want: Vec<_> = (0..9).map(|i| (i, squares[i], hit)).collect();
+            assert_eq!(seen, want, "one callback per cell");
+        }
+        // A grown sweep resimulates only what is new.
+        let (_, report) = run_cells_cached(&toys(6..12, &[], &runs), None, &store, &|_, _, _| {})
+            .expect("partial pass");
+        assert_eq!((report.hits, report.misses), (3, 3));
+        assert_eq!(runs.swap(0, Ordering::SeqCst), 3);
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn failed_sweep_surfaces_first_error_and_still_ends_its_progress() {
+        let runs = AtomicUsize::new(0);
+        let cells = toys(20..26, &[22, 24], &runs);
+        for threads in [1, 4] {
+            let err = run_cells(&cells, Some(threads)).unwrap_err();
+            assert_eq!(err, SimError::InvalidConfig("toy 22".into()));
+        }
+        // Other tests' sweeps may land in the file while the variable
+        // is set; the toy kind is this test's alone.
+        let store = temp_store("toy-fail");
+        let progress = store.dir().join("progress.jsonl");
+        std::env::set_var("DFLY_PROGRESS", &progress);
+        let result = run_cells_cached(&cells, Some(1), &store, &|_, _, _| {});
+        std::env::remove_var("DFLY_PROGRESS");
+        match result {
+            Err(CampaignError::Sim(e)) => assert_eq!(e, SimError::InvalidConfig("toy 22".into())),
+            other => panic!("expected the cell error, got {other:?}"),
+        }
+        assert_eq!(store.len(), 4, "cells that ran before and after are kept");
+        let text = std::fs::read_to_string(&progress).expect("progress file written");
+        let events: Vec<&str> = text
+            .lines()
+            .filter(|l| l.contains("\"sweep\":\"toy\""))
+            .collect();
+        assert!(events[0].contains("\"event\":\"begin\""), "{text}");
+        assert!(
+            events.last().unwrap().contains("\"event\":\"end\""),
+            "{text}"
+        );
+        assert_eq!(
+            events.len(),
+            2 + 4,
+            "begin, the four good cells, end: {text}"
+        );
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    /// Canonical key strings captured at the commit before the one
+    /// executor existed: journals written by it must keep hitting.
+    #[test]
+    fn canonical_keys_are_stable_across_the_refactor() {
+        const CFG: &str = "buffer_depth: 16, packet_len: 1, injection: Bernoulli { rate: RATE }, \
+            warmup: 100, measure: 300, drain_cap: DRAIN, seed: 1, credit_mode: Conventional, \
+            telemetry: TelemetryConfig { sample_every: 0, trace_rate: 0.0, trace_seed: 0 }, \
+            shards: 1, scale_mode: false, termination: TERM, watchdog_every: 0";
+        let cfg_str = |rate: &str, drain: &str, term: &str| {
+            CFG.replace("RATE", rate)
+                .replace("DRAIN", drain)
+                .replace("TERM", term)
+        };
+        let store = temp_store("keys");
+        let params = DragonflyParams::new(2, 4, 2).unwrap();
+        let sim = DragonflySim::new(params);
+        let mut cfg = SimConfig::paper_default(0.0);
+        cfg.warmup = 100;
+        cfg.measure = 300;
+        cfg.drain_cap = 2_000;
+
+        let grid = RunGrid::cross(
+            &[RoutingChoice::UgalL],
+            &[TrafficChoice::WorstCase],
+            &[0.25],
+            &cfg,
+        );
+        let run = format!(
+            "dfly-campaign-v2 kind=run rev=r1 params=DragonflyParams {{ p: 2, a: 4, h: 2, g: 9 }} \
+             latencies=ChannelLatencies {{ terminal: 1, local: 1, global: 1 }} failed=[] \
+             routing=UgalL traffic=WorstCase cfg=SimConfig {{ {} }}",
+            cfg_str("0.25", "2000", "FixedWindow")
+        );
+        assert_eq!(store.key(&grid.cells(&sim)[0]).canon, run);
+        assert_eq!(store.run_key(&sim, &grid.plans()[0]).canon, run);
+
+        let fault = FaultSweep::new(
+            params,
+            RoutingChoice::UgalLVcH,
+            TrafficChoice::Uniform,
+            &cfg,
+            &[0.125],
+            3,
+        );
+        assert_eq!(
+            store.key(&fault.cells()[0]).canon,
+            format!(
+                "dfly-campaign-v2 kind=fault rev=r1 params=DragonflyParams {{ p: 2, a: 4, h: 2, \
+                 g: 9 }} routing=UgalLVcH traffic=Uniform cfg=SimConfig {{ {} }} \
+                 plan=Random {{ fraction: 0.125, seed: 3, class: Global }}",
+                cfg_str("1.0", "0", "FixedWindow")
+            )
+        );
+
+        let workload = WorkloadSweep::new(
+            params,
+            RoutingChoice::Min,
+            vec![JobSpec::all_to_all("alpha", 8)],
+            &cfg,
+            &[0.1],
+        );
+        assert_eq!(
+            store.key(&workload.cells()[1]).canon,
+            format!(
+                "dfly-campaign-v2 kind=workload rev=r1 params=DragonflyParams {{ p: 2, a: 4, \
+                 h: 2, g: 9 }} routing=Min jobs=[JobSpec {{ name: \"alpha\", size: 8, \
+                 kind: AllToAll }}] cfg=SimConfig {{ {} }} placement=Interfering background=0.1",
+                cfg_str("0.0", "2000", "WorkComplete")
+            )
+        );
+
+        // A journal filled through the typed wrappers (all the parent
+        // commit's callers had) is all hits through the executor.
+        let grid = RunGrid::cross(
+            &[RoutingChoice::Min, RoutingChoice::UgalL],
+            &[TrafficChoice::Uniform],
+            &[0.1, 0.2],
+            &cfg,
+        );
+        let fresh = grid.execute_on(&sim, 1);
+        for (plan, stats) in grid.plans().iter().zip(&fresh) {
+            let key = store.run_key(&sim, plan);
+            store.insert_run(&key, stats).expect("journal append");
+            assert_eq!(store.lookup_run(&key).as_ref(), Some(stats));
+        }
+        let (cached, report) = grid.execute_cached(&sim, &store).expect("hit pass");
+        assert_eq!((report.hits, report.misses), (4, 0));
+        assert_eq!(cached, fresh);
+        let _ = std::fs::remove_dir_all(store.dir());
     }
 }

@@ -248,7 +248,7 @@ fn fault_sweep_on_1056_nodes_is_monotone_and_parallel_identical() {
         42,
     );
     let parallel = sweep.execute().unwrap();
-    let serial = sweep.execute_serial().unwrap();
+    let serial = sweep.execute_on(1).unwrap();
     assert_eq!(parallel, serial, "parallel sweep diverged from serial");
     assert_eq!(parallel.len(), 4);
     assert_eq!(parallel[0].failed_links, 0);

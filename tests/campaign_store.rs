@@ -43,7 +43,7 @@ fn cached_matches_fresh_at_every_shard_count() {
     let sim = small_sim();
     for shards in [1usize, 2, 4] {
         let grid = small_grid(&sim, shards);
-        let fresh = grid.execute_serial(&sim);
+        let fresh = grid.execute_on(&sim, 1);
         let store = CampaignStore::open(&dir).expect("store opens");
 
         let (missed, report) = grid.execute_cached(&sim, &store).expect("miss pass runs");
@@ -117,7 +117,7 @@ fn torn_journal_tail_recovers_and_refills() {
     let dir = temp_store_dir("torn");
     let sim = small_sim();
     let grid = small_grid(&sim, 1);
-    let fresh = grid.execute_serial(&sim);
+    let fresh = grid.execute_on(&sim, 1);
     let journal = dir.join("journal.jsonl");
 
     {
@@ -163,7 +163,7 @@ fn stale_code_revision_forces_resimulation() {
     let dir = temp_store_dir("revision");
     let sim = small_sim();
     let grid = small_grid(&sim, 1);
-    let fresh = grid.execute_serial(&sim);
+    let fresh = grid.execute_on(&sim, 1);
 
     let store = CampaignStore::open_with_revision(&dir, "rev-a").expect("rev-a opens");
     let (_, report) = grid.execute_cached(&sim, &store).expect("populate rev-a");
@@ -234,7 +234,7 @@ fn fault_sweep_round_trips_through_the_store() {
         &[0.0, 0.125],
         7,
     );
-    let fresh = sweep.execute_serial().expect("fault plans apply");
+    let fresh = sweep.execute_on(1).expect("fault plans apply");
     let store = CampaignStore::open(&dir).expect("store opens");
 
     let (missed, report) = sweep.execute_cached(&store).expect("miss pass");
@@ -265,7 +265,7 @@ fn workload_sweep_round_trips_through_the_store() {
         &cfg,
         &[0.0],
     );
-    let fresh = sweep.execute_serial().expect("workload places");
+    let fresh = sweep.execute_on(1).expect("workload places");
     let store = CampaignStore::open(&dir).expect("store opens");
 
     let (missed, report) = sweep.execute_cached(&store).expect("miss pass");

@@ -36,7 +36,7 @@ fn run_grid_parallel_matches_serial_on_paper_network() {
         &base,
     );
 
-    let serial = grid.execute_serial(&sim);
+    let serial = grid.execute_on(&sim, 1);
     for threads in [2, 4, 8] {
         let parallel = grid.execute_on(&sim, threads);
         assert_eq!(
@@ -66,7 +66,7 @@ fn run_grid_deterministic_with_round_trip_credits() {
             load,
         ));
     }
-    assert_eq!(grid.execute_serial(&sim), grid.execute_on(&sim, 4));
+    assert_eq!(grid.execute_on(&sim, 1), grid.execute_on(&sim, 4));
 }
 
 #[test]
@@ -130,8 +130,10 @@ fn telemetry_output_bit_identical_serial_vs_parallel() {
         &base,
     );
 
-    let (serial, serial_reg) = grid.execute_with_metrics_on(&sim, 1);
-    let (parallel, parallel_reg) = grid.execute_with_metrics_on(&sim, 4);
+    let serial = grid.execute_on(&sim, 1);
+    let serial_reg = grid.metrics(&serial);
+    let parallel = grid.execute_on(&sim, 4);
+    let parallel_reg = grid.metrics(&parallel);
     assert_eq!(serial, parallel, "telemetry-enabled grid diverged");
     assert_eq!(
         serial_reg.to_json(),
@@ -374,8 +376,9 @@ fn sharded_runs_keep_registry_json_identical() {
             &[0.1, 0.2],
             &base,
         );
-        let (stats, registry) = grid.execute_with_metrics_on(&sim, 2);
-        (stats, registry.to_json())
+        let stats = grid.execute_on(&sim, 2);
+        let json = grid.metrics(&stats).to_json();
+        (stats, json)
     };
     let (stats1, json1) = reg_json(1);
     for shards in [2, 4] {
