@@ -40,7 +40,7 @@ fn main() {
         let fb_lat = |routing: &ButterflyRouting| {
             let stats = Simulation::new(&fb_spec, routing, &traffic, cfg.clone())
                 .unwrap()
-                .run();
+                .finish();
             if stats.drained {
                 stats
                     .avg_latency()

@@ -29,6 +29,7 @@ use std::time::Instant;
 
 use dfly_bench::heatmap::Heatmap;
 use dfly_bench::{TopoCurve, Windows, WALLCLOCK_EXACT_KEYS, WALLCLOCK_FIELDS};
+use dfly_netsim::telemetry::json_escape;
 use dfly_netsim::{CreditMode, InjectionKind, SimConfig, Simulation, SpanTree, TelemetryConfig};
 use dfly_topo::FlattenedButterfly;
 use dfly_traffic::UniformRandom;
@@ -38,10 +39,6 @@ use dragonfly::{
     atomic_write, CampaignStore, DragonflyParams, DragonflySim, FaultSweep, JobSpec, RoutingChoice,
     RunGrid, TrafficChoice, UgalVariant, WorkloadSweep,
 };
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
 
 /// Process peak resident set size (`VmHWM`) in MB; `None` off Linux.
 fn peak_rss_mb() -> Option<f64> {

@@ -31,7 +31,7 @@
 //! let mut cfg = SimConfig::paper_default(0.1);
 //! cfg.warmup = 200;
 //! cfg.measure = 500;
-//! let stats = Simulation::new(&spec, &routing, &traffic, cfg).unwrap().run();
+//! let stats = Simulation::new(&spec, &routing, &traffic, cfg).unwrap().finish();
 //! assert!(stats.drained);
 //! ```
 
@@ -363,7 +363,7 @@ mod tests {
         let pattern = UniformRandom::new(32);
         let stats = Simulation::new(&spec, &routing, &pattern, fast_cfg(0.3))
             .unwrap()
-            .run();
+            .finish();
         assert!(stats.drained);
         assert!((stats.accepted_rate - 0.3).abs() < 0.04);
         // Max minimal path: inject + 2 hops + eject.
@@ -385,7 +385,7 @@ mod tests {
         ] {
             let stats = Simulation::new(&spec, &routing, &pattern, fast_cfg(0.1))
                 .unwrap()
-                .run();
+                .finish();
             assert!(stats.drained, "{} lost packets", routing.name());
         }
     }
@@ -399,10 +399,10 @@ mod tests {
         let ugal = ButterflyRouting::ugal(net.clone(), UgalVariant::Local);
         let s_min = Simulation::new(&spec, &min, &pattern, fast_cfg(0.3))
             .unwrap()
-            .run();
+            .finish();
         let s_ugal = Simulation::new(&spec, &ugal, &pattern, fast_cfg(0.3))
             .unwrap()
-            .run();
+            .finish();
         assert!(s_min.drained && s_ugal.drained);
         let (a, b) = (s_min.avg_latency().unwrap(), s_ugal.avg_latency().unwrap());
         assert!((a - b).abs() < 3.0, "MIN {a} vs UGAL {b}");
@@ -453,7 +453,7 @@ mod tests {
         let pattern = BitComplement::new(32);
         let stats = Simulation::new(&spec, &routing, &pattern, fast_cfg(0.2))
             .unwrap()
-            .run();
+            .finish();
         assert!(stats.drained);
         assert!(stats.routing.adaptive_decisions > 0);
         assert_eq!(
@@ -475,7 +475,7 @@ mod tests {
         let pattern = UniformRandom::new(32);
         let stats = Simulation::new(&spec, &routing, &pattern, fast_cfg(0.1))
             .unwrap()
-            .run();
+            .finish();
         assert!(stats.drained, "faulty butterfly starved");
     }
 
@@ -489,7 +489,7 @@ mod tests {
         let pattern = UniformRandom::new(32);
         let stats = Simulation::new(&spec, &routing, &pattern, fast_cfg(0.15))
             .unwrap()
-            .run();
+            .finish();
         assert!(stats.drained, "faulty adaptive butterfly starved");
         assert_eq!(
             stats.routing.minimal_takes + stats.routing.non_minimal_takes,

@@ -24,7 +24,7 @@
 //! let mut cfg = SimConfig::paper_default(0.1);
 //! cfg.warmup = 200;
 //! cfg.measure = 500;
-//! let stats = Simulation::new(&spec, &routing, &traffic, cfg).unwrap().run();
+//! let stats = Simulation::new(&spec, &routing, &traffic, cfg).unwrap().finish();
 //! assert!(stats.drained);
 //! ```
 
@@ -458,7 +458,7 @@ mod tests {
         let pattern = UniformRandom::new(4);
         let stats = Simulation::new(&spec, &routing, &pattern, fast_cfg(0.2))
             .unwrap()
-            .run();
+            .finish();
         assert!(stats.drained);
     }
 
@@ -470,7 +470,7 @@ mod tests {
         let pattern = UniformRandom::new(spec.num_terminals());
         let stats = Simulation::new(&spec, &routing, &pattern, fast_cfg(0.2))
             .unwrap()
-            .run();
+            .finish();
         assert!(stats.drained);
         assert!((stats.accepted_rate - 0.2).abs() < 0.04);
     }
@@ -483,7 +483,7 @@ mod tests {
         let pattern = UniformRandom::new(spec.num_terminals());
         let stats = Simulation::new(&spec, &routing, &pattern, fast_cfg(0.01))
             .unwrap()
-            .run();
+            .finish();
         assert!(stats.drained);
         // Worst: up 2 + down 2 + inject + eject = 6; best same-leaf = 2.
         assert!(stats.latency.max <= 8, "max {}", stats.latency.max);
@@ -501,7 +501,7 @@ mod tests {
         let pattern = Permutation::random(spec.num_terminals(), &mut rng);
         let stats = Simulation::new(&spec, &routing, &pattern, fast_cfg(0.6))
             .unwrap()
-            .run();
+            .finish();
         assert!(
             stats.drained,
             "fat tree should sustain 0.6 on a permutation"
@@ -517,7 +517,7 @@ mod tests {
         let pattern = UniformRandom::new(spec.num_terminals());
         let stats = Simulation::new(&spec, &routing, &pattern, fast_cfg(0.3))
             .unwrap()
-            .run();
+            .finish();
         assert!(stats.drained);
         assert!((stats.accepted_rate - 0.3).abs() < 0.04);
         // Cross-leaf packets all ran the adaptive uplink comparison.
@@ -560,7 +560,7 @@ mod tests {
         }
         let stats = Simulation::new(&spec, &routing, &IntraLeaf, fast_cfg(0.5))
             .unwrap()
-            .run();
+            .finish();
         assert!(stats.drained);
         // No network channel carries anything: all traffic ejects at the
         // ingress leaf.
@@ -584,7 +584,7 @@ mod tests {
         let pattern = UniformRandom::new(9);
         let stats = Simulation::new(&spec, &routing, &pattern, fast_cfg(0.02))
             .unwrap()
-            .run();
+            .finish();
         assert!(stats.drained);
         // Up 1, down 1, plus inject and eject, with near-zero queueing.
         assert!(stats.latency.max <= 6, "max {}", stats.latency.max);
@@ -599,7 +599,7 @@ mod tests {
         let pattern = UniformRandom::new(27);
         let stats = Simulation::new(&spec, &routing, &pattern, fast_cfg(0.15))
             .unwrap()
-            .run();
+            .finish();
         assert!(stats.drained);
     }
 
@@ -616,7 +616,7 @@ mod tests {
         let pattern = UniformRandom::new(spec.num_terminals());
         let stats = Simulation::new(&spec, &routing, &pattern, fast_cfg(0.1))
             .unwrap()
-            .run();
+            .finish();
         assert!(stats.drained, "faulty Clos starved");
     }
 
@@ -630,7 +630,7 @@ mod tests {
         let pattern = UniformRandom::new(spec.num_terminals());
         let stats = Simulation::new(&spec, &routing, &pattern, fast_cfg(0.1))
             .unwrap()
-            .run();
+            .finish();
         assert!(stats.drained);
         // Under faults every flit rides the BFS tables: no uplink tags.
         assert_eq!(stats.routing.non_minimal_takes, 0);

@@ -39,18 +39,10 @@ use crate::jobs::{JobBook, JobError, JobMix, JobSpec, Placement};
 use crate::progress::{ProgressSink, SweepProgress};
 use crate::DragonflyParams;
 
-/// Thread budget for parallel execution: `DFLY_THREADS` when set to a
-/// positive integer, otherwise the machine's available parallelism.
+/// Thread budget for parallel execution: [`dfly_netsim::thread_budget`],
+/// the rule automatic engine sharding uses too.
 pub fn configured_threads() -> usize {
-    std::env::var("DFLY_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
+    dfly_netsim::thread_budget()
 }
 
 /// Maps `f` over `items` on a pool of [`configured_threads`] workers

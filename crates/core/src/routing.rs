@@ -37,9 +37,10 @@
 use std::sync::Arc;
 
 use dfly_netsim::{
-    CandidatePath, CandidatePaths, CongestionEstimator, CreditCommitted, DecisionRecord,
-    EwmaOccupancy, Flit, GlobalOracle, NetView, PortVc, QueueOccupancy, RouteAlgebra, RouteClass,
-    RouteInfo, RoutingAlgorithm, SimError, UgalChooser, VcHybrid, VcOccupancy,
+    trace_path, CandidatePath, CandidatePaths, CongestionEstimator, CreditCommitted,
+    DecisionRecord, EwmaOccupancy, Flit, GlobalOracle, NetView, PortVc, QueueOccupancy,
+    RouteAlgebra, RouteClass, RouteInfo, RoutingAlgorithm, SimError, UgalChooser, VcHybrid,
+    VcOccupancy,
 };
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -300,55 +301,27 @@ pub fn trace_route(
     dest: usize,
     route: RouteInfo,
 ) -> Result<Vec<TraceHop>, SimError> {
-    let params = df.params();
-    if src >= params.num_terminals() || dest >= params.num_terminals() {
-        return Err(SimError::InvalidRoute("terminal out of range".into()));
-    }
     let spec = df.build_spec();
-    let mut flit = Flit {
-        packet: 0,
-        src: src as u32,
-        dest: dest as u32,
-        route,
-        created: 0,
-        injected: 0,
-        hops: 0,
-        vc: route.injection_vc,
-        is_head: true,
-        is_tail: true,
-        labeled: false,
-        tag: 0,
-    };
-    let mut router = params.router_of_terminal(src);
-    let mut hops = Vec::new();
     let bound = df.route_hop_bound();
-    for _ in 0..bound {
-        let pv = route_flit(df, router, &flit);
-        let port_spec = spec.routers[router].ports[pv.port as usize];
-        hops.push(TraceHop {
-            router,
-            port: pv.port as usize,
-            vc: pv.vc as usize,
-            class: port_spec.class,
-        });
-        match port_spec.conn {
-            dfly_netsim::Connection::Terminal { terminal } => {
-                return if terminal as usize == dest {
-                    Ok(hops)
-                } else {
-                    Err(SimError::InvalidRoute(format!(
-                        "route ejected at terminal {terminal}, not {dest}"
-                    )))
-                };
-            }
-            dfly_netsim::Connection::Router { router: peer, .. } => {
-                flit.hops += 1;
-                flit.vc = pv.vc;
-                router = peer as usize;
-            }
-        }
+    trace_path(&spec, &RouteOnly(df), src, dest, route, bound)
+}
+
+/// [`route_flit`] as a [`RoutingAlgorithm`] for the generic walker,
+/// which routes over an idle network and never injects.
+struct RouteOnly<'a>(&'a Dragonfly);
+
+impl RoutingAlgorithm for RouteOnly<'_> {
+    fn name(&self) -> String {
+        "route-only".into()
     }
-    Err(SimError::RouteLoop { src, dest, bound })
+
+    fn inject(&self, _: &NetView<'_>, _: usize, _: usize, _: &mut SmallRng) -> RouteInfo {
+        unreachable!("trace_path exercises only `route`")
+    }
+
+    fn route(&self, _view: &NetView<'_>, router: usize, flit: &Flit) -> PortVc {
+        route_flit(self.0, router, flit)
+    }
 }
 
 /// Draws a uniformly random intermediate group different from both `gs`
@@ -746,6 +719,15 @@ mod tests {
                 // local-global-local-eject at most.
                 assert!(path.len() <= 4, "{src}->{dest}: path {path:?}");
             }
+        }
+    }
+
+    #[test]
+    fn trace_route_rejects_out_of_range_terminals() {
+        let df = df72();
+        for (src, dest) in [(72, 0), (0, 72)] {
+            let err = trace_route(&df, src, dest, RouteInfo::minimal()).unwrap_err();
+            assert_eq!(err, SimError::InvalidRoute("terminal out of range".into()));
         }
     }
 

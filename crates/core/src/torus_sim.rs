@@ -31,7 +31,7 @@
 //! let mut cfg = SimConfig::paper_default(0.1);
 //! cfg.warmup = 200;
 //! cfg.measure = 500;
-//! let stats = Simulation::new(&spec, &routing, &traffic, cfg).unwrap().run();
+//! let stats = Simulation::new(&spec, &routing, &traffic, cfg).unwrap().finish();
 //! assert!(stats.drained);
 //! ```
 
@@ -403,7 +403,7 @@ mod tests {
         let pattern = UniformRandom::new(16);
         let stats = Simulation::new(&spec, &routing, &pattern, fast_cfg(0.2))
             .unwrap()
-            .run();
+            .finish();
         assert!(stats.drained);
         assert!((stats.accepted_rate - 0.2).abs() < 0.04);
     }
@@ -421,7 +421,7 @@ mod tests {
         cfg.drain_cap = 60_000;
         let stats = Simulation::new(&spec, &routing, &pattern, cfg)
             .unwrap()
-            .run();
+            .finish();
         assert!(stats.drained, "ring deadlocked or starved");
         assert!(stats.latency.count > 0);
     }
@@ -434,7 +434,7 @@ mod tests {
         let pattern = UniformRandom::new(64);
         let stats = Simulation::new(&spec, &routing, &pattern, fast_cfg(0.01))
             .unwrap()
-            .run();
+            .finish();
         assert!(stats.drained);
         // Max path: 3 dims * floor(4/2) hops + inject + eject = 8.
         assert!(stats.latency.max <= 10, "max {}", stats.latency.max);
@@ -456,7 +456,7 @@ mod tests {
         cfg.drain_cap = 0;
         let stats = Simulation::new(&spec, &routing, &pattern, cfg)
             .unwrap()
-            .run();
+            .finish();
         // Ideal is 1/3; ring arbitration (the parking-lot effect) costs
         // some of it in practice.
         assert!(
@@ -474,7 +474,7 @@ mod tests {
         let pattern = UniformRandom::new(8);
         let stats = Simulation::new(&spec, &routing, &pattern, fast_cfg(0.15))
             .unwrap()
-            .run();
+            .finish();
         assert!(stats.drained);
     }
 
@@ -556,7 +556,7 @@ mod tests {
         cfg.drain_cap = 60_000;
         let stats = Simulation::new(&spec, &routing, &pattern, cfg)
             .unwrap()
-            .run();
+            .finish();
         assert!(stats.drained, "adaptive ring starved under tornado");
         assert!(stats.routing.adaptive_decisions > 0);
         assert!(
@@ -577,7 +577,7 @@ mod tests {
         let pattern = UniformRandom::new(16);
         let stats = Simulation::new(&spec, &routing, &pattern, fast_cfg(0.05))
             .unwrap()
-            .run();
+            .finish();
         assert!(stats.drained);
         let rate = stats.routing.minimal_take_rate().unwrap();
         assert!(rate > 0.9, "minimal take rate {rate} at near-zero load");
@@ -606,7 +606,7 @@ mod tests {
         cfg.drain_cap = 60_000;
         let stats = Simulation::new(&spec, &routing, &pattern, cfg)
             .unwrap()
-            .run();
+            .finish();
         assert!(stats.drained);
         assert!(stats.routing.adaptive_decisions > 0);
         assert_eq!(
@@ -629,7 +629,7 @@ mod tests {
         let pattern = UniformRandom::new(16);
         let stats = Simulation::new(&spec, &routing, &pattern, fast_cfg(0.1))
             .unwrap()
-            .run();
+            .finish();
         assert!(stats.drained, "faulty torus starved");
     }
 
@@ -644,7 +644,7 @@ mod tests {
         let pattern = UniformRandom::new(8);
         let stats = Simulation::new(&spec, &routing, &pattern, fast_cfg(0.15))
             .unwrap()
-            .run();
+            .finish();
         assert!(stats.drained);
         // Under faults every flit rides the BFS tables: no long-way tags.
         assert_eq!(stats.routing.non_minimal_takes, 0);

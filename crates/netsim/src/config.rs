@@ -141,6 +141,22 @@ impl CreditMode {
     }
 }
 
+/// The one thread-budget rule, shared by automatic sharding
+/// ([`SimConfig::shards`] `== 0`) and the sweep-level thread pools:
+/// `DFLY_THREADS` when set to a positive integer, otherwise the
+/// machine's available parallelism.
+pub fn thread_budget() -> usize {
+    std::env::var("DFLY_THREADS")
+        .ok()
+        .and_then(|v| v.parse::<usize>().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
+}
+
 /// Full configuration of a simulation run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {

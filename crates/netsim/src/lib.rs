@@ -24,7 +24,7 @@
 //! let spec    = ...;                      // NetworkSpec from a topology
 //! let algo    = ...;                      // impl RoutingAlgorithm
 //! let traffic = UniformRandom::new(spec.num_terminals());
-//! let stats   = Simulation::new(&spec, &algo, &traffic, SimConfig::paper_default(0.4))?.run();
+//! let stats   = Simulation::new(&spec, &algo, &traffic, SimConfig::paper_default(0.4))?.finish();
 //! println!("avg latency {:?}", stats.avg_latency());
 //! ```
 
@@ -54,7 +54,9 @@ pub use adaptive::{
     GlobalOracle, QueueOccupancy, UgalChooser, UgalDecision, VcHybrid, VcOccupancy,
 };
 pub use algebra::RouteAlgebra;
-pub use config::{CreditMode, InjectionKind, SimConfig, TdEstimator, TelemetryConfig, Termination};
+pub use config::{
+    thread_budget, CreditMode, InjectionKind, SimConfig, TdEstimator, TelemetryConfig, Termination,
+};
 pub use error::SimError;
 pub use fault::{FaultClass, FaultPlan, FaultTable};
 pub use flit::{Flit, RouteClass, RouteInfo};

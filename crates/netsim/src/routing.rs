@@ -620,4 +620,50 @@ mod tests {
         let pv = r.route(&view, 0, &flit);
         assert_eq!(pv, PortVc::new(1, 1));
     }
+
+    /// Hostile routing over [`line_spec`]: every flit at router `r`
+    /// leaves through port `self.0[r]`, whatever its destination.
+    struct PortPerRouter([usize; 3]);
+    impl RoutingAlgorithm for PortPerRouter {
+        fn name(&self) -> String {
+            "port-per-router".into()
+        }
+        fn inject(&self, _: &NetView<'_>, _: usize, _: usize, _: &mut SmallRng) -> RouteInfo {
+            RouteInfo::minimal()
+        }
+        fn route(&self, _view: &NetView<'_>, router: usize, _flit: &Flit) -> PortVc {
+            PortVc::new(self.0[router], 0)
+        }
+    }
+
+    #[test]
+    fn trace_path_rejects_out_of_range_and_misdelivered_routes() {
+        let spec = line_spec();
+        let r = ShortestPathRouting::new(&spec);
+        for (src, dest) in [(3, 0), (0, 3)] {
+            let err = trace_path(&spec, &r, src, dest, RouteInfo::minimal(), 8).unwrap_err();
+            assert!(matches!(err, SimError::InvalidRoute(_)), "{err}");
+        }
+        // Router 0's port 0 ejects at terminal 0, not the requested 1.
+        let eject_at_once = PortPerRouter([0, 0, 0]);
+        let err = trace_path(&spec, &eject_at_once, 0, 1, RouteInfo::minimal(), 8).unwrap_err();
+        assert!(matches!(err, SimError::InvalidRoute(_)), "{err}");
+    }
+
+    #[test]
+    fn trace_path_reports_a_loop_with_the_bound_it_was_given() {
+        // Router 0's port 1 and router 1's port 0 are the two ends of
+        // one link, so the flit ping-pongs across it forever.
+        let spec = line_spec();
+        let ping_pong = PortPerRouter([1, 0, 0]);
+        for bound in [1, 7] {
+            let err = trace_path(&spec, &ping_pong, 0, 1, RouteInfo::minimal(), bound);
+            let want = SimError::RouteLoop {
+                src: 0,
+                dest: 1,
+                bound,
+            };
+            assert_eq!(err, Err(want));
+        }
+    }
 }

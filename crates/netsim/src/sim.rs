@@ -31,6 +31,10 @@
 //!    of the UGAL family happens here, at the source router, seeing the
 //!    settled post-transmission queues), and sends one flit onto its
 //!    injection channel if a credit is available.
+//!
+//! That sequence is written down once, as the `EngineShared::PHASES`
+//! table; the run loop (`worker_drive`) and [`Simulation::step`] are its
+//! only two walkers.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -41,7 +45,9 @@ use dfly_traffic::{rng_for, Bernoulli, Delivery, OnOff, OpenLoop, TrafficPattern
 use rand::rngs::SmallRng;
 
 use crate::arena::{FlitArena, FlitQueue};
-use crate::config::{CreditMode, InjectionKind, SimConfig, TdEstimator, Termination};
+use crate::config::{
+    thread_budget, CreditMode, InjectionKind, SimConfig, TdEstimator, Termination,
+};
 use crate::error::SimError;
 use crate::flit::{Flit, RouteClass, RouteInfo};
 use crate::health::{warmup_convergence, StallReport};
@@ -603,21 +609,12 @@ struct ShardRange {
     t1: usize,
 }
 
-/// Resolves the configured shard count: `0` means auto — `DFLY_THREADS`
-/// if set (shared with the sweep-level parallel layer), otherwise the
-/// hardware thread count — and everything is clamped to the router
-/// count.
+/// Resolves the configured shard count: `0` means auto — the
+/// [`thread_budget`] shared with the sweep-level parallel layer — and
+/// everything is clamped to the router count.
 fn resolve_shards(cfg: &SimConfig, num_routers: usize) -> usize {
     let want = if cfg.shards == 0 {
-        std::env::var("DFLY_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            })
+        thread_budget()
     } else {
         cfg.shards
     };
@@ -863,8 +860,8 @@ struct ShardState<'a> {
 /// )?;
 /// let routing = ShortestPathRouting::new(&spec);
 /// let pattern = UniformRandom::new(3);
-/// let mut sim = Simulation::new(&spec, &routing, &pattern, SimConfig::paper_default(0.1))?;
-/// let stats = sim.run();
+/// let sim = Simulation::new(&spec, &routing, &pattern, SimConfig::paper_default(0.1))?;
+/// let stats = sim.finish();
 /// assert!(stats.drained);
 /// assert!(stats.avg_latency().unwrap() >= 2.0);
 /// # Ok(())
@@ -872,11 +869,10 @@ struct ShardState<'a> {
 /// ```
 pub struct Simulation<'a> {
     eng: EngineShared<'a>,
+    /// At least one shard. Every shard finishes every cycle together,
+    /// so the replicated run state (current cycle, stall diagnosis,
+    /// completion cycle) is read off shard 0.
     shards: Vec<ShardState<'a>>,
-    cycle: u64,
-    /// Stall diagnosis from the last `drive`, if the watchdog fired.
-    /// Identical on every shard, so shard 0's copy is canonical.
-    stalled: Option<StallReport>,
 }
 
 /// Working state of the per-channel time-series sampler (per shard:
@@ -901,6 +897,33 @@ struct ChannelSampler {
 impl<'a> EngineShared<'a> {
     fn in_window(&self, t: u64) -> bool {
         t >= self.win_start && t < self.win_end
+    }
+
+    /// Read-only view over every router's output-side state at cycle
+    /// `t` — the one place the engine turns the shared table into a
+    /// [`NetView`].
+    ///
+    /// # Safety
+    ///
+    /// For the view's lifetime no thread may mutate the output-side
+    /// fields (`out_q`, `out_port_count`, `credits`, `outstanding`) of
+    /// any router. Input-side writes through field projections may run
+    /// concurrently — the view never reads them. Each caller states why
+    /// its phase guarantees this.
+    #[allow(unsafe_code)]
+    unsafe fn view(&self, t: u64) -> NetView<'_> {
+        // SAFETY: `routers` holds `len` cores and stays borrowed, through
+        // `&self`, for the view's whole lifetime; freedom from
+        // output-side writers is the caller's contract.
+        unsafe {
+            NetView::from_raw(
+                self.spec,
+                self.routers.base(),
+                self.routers.len(),
+                self.cfg.buffer_depth,
+                t,
+            )
+        }
     }
 
     /// Phase 1 — drain the cross-shard mailboxes (flits and credits
@@ -1086,15 +1109,7 @@ impl<'a> EngineShared<'a> {
         {
             // SAFETY: no shard mutates output-side router fields during
             // phase 2, which is all the view reads.
-            let view = unsafe {
-                NetView::from_raw(
-                    self.spec,
-                    self.routers.base(),
-                    self.routers.len(),
-                    self.cfg.buffer_depth,
-                    t,
-                )
-            };
+            let view = unsafe { self.view(t) };
             for &(r, _, h) in &st.arrivals {
                 let flit = st.arena.get(h);
                 st.arrival_routes
@@ -1472,15 +1487,7 @@ impl<'a> EngineShared<'a> {
         // Router state is frozen during this phase, so one view serves
         // every adaptive decision this cycle.
         // SAFETY: no shard mutates router state during phase 5.
-        let view = unsafe {
-            NetView::from_raw(
-                self.spec,
-                self.routers.base(),
-                self.routers.len(),
-                self.cfg.buffer_depth,
-                t,
-            )
-        };
+        let view = unsafe { self.view(t) };
         let mut staged = 0usize;
         for term in st.range.t0..st.range.t1 {
             let tl = term - st.range.t0;
@@ -1651,45 +1658,36 @@ impl<'a> EngineShared<'a> {
         }
     }
 
-    /// One shard worker's warm-up/measure/drain loop: five phase
-    /// segments per cycle, each ending at the barrier, then the
-    /// termination condition every shard evaluates identically from the
-    /// published counters.
-    fn worker_drive(&self, st: &mut ShardState<'a>, timed: bool) {
+    /// What a cycle is: the five phase segments, in execution order and
+    /// in [`SimPerf::PHASE_NAMES`] order. Between two consecutive
+    /// entries every shard must have finished the earlier one (see
+    /// `ShardTable` for why). Only [`EngineShared::worker_drive`]
+    /// (barrier after each entry) and [`Simulation::step`] (all shards
+    /// inline per entry) walk this table.
+    const PHASES: [fn(&Self, &mut ShardState<'a>, u64); 5] = [
+        Self::seg_credits,
+        Self::seg_arrivals,
+        Self::seg_switch,
+        Self::seg_transmit,
+        Self::seg_inject,
+    ];
+
+    /// One shard worker's warm-up/measure/drain loop: every phase of
+    /// [`EngineShared::PHASES`] per cycle, each ending at the barrier,
+    /// then the termination condition every shard evaluates identically
+    /// from the published counters. `TIMED` adds the per-phase compute
+    /// clock behind [`SimPerf`]; the untimed instantiation compiles
+    /// without it.
+    fn worker_drive<const TIMED: bool>(&self, st: &mut ShardState<'a>) {
         let hard_cap = self.win_end + self.cfg.drain_cap;
         while st.cycle < hard_cap {
             let t = st.cycle;
-            if timed {
-                let clock = Instant::now();
-                self.seg_credits(st, t);
-                st.phases[0] += clock.elapsed();
-                self.exch.barrier.wait();
-                let clock = Instant::now();
-                self.seg_arrivals(st, t);
-                st.phases[1] += clock.elapsed();
-                self.exch.barrier.wait();
-                let clock = Instant::now();
-                self.seg_switch(st, t);
-                st.phases[2] += clock.elapsed();
-                self.exch.barrier.wait();
-                let clock = Instant::now();
-                self.seg_transmit(st, t);
-                st.phases[3] += clock.elapsed();
-                self.exch.barrier.wait();
-                let clock = Instant::now();
-                self.seg_inject(st, t);
-                st.phases[4] += clock.elapsed();
-                self.exch.barrier.wait();
-            } else {
-                self.seg_credits(st, t);
-                self.exch.barrier.wait();
-                self.seg_arrivals(st, t);
-                self.exch.barrier.wait();
-                self.seg_switch(st, t);
-                self.exch.barrier.wait();
-                self.seg_transmit(st, t);
-                self.exch.barrier.wait();
-                self.seg_inject(st, t);
+            for (p, phase) in Self::PHASES.iter().enumerate() {
+                let clock = TIMED.then(Instant::now);
+                phase(self, st, t);
+                if let Some(clock) = clock {
+                    st.phases[p] += clock.elapsed();
+                }
                 self.exch.barrier.wait();
             }
             st.cycle = t + 1;
@@ -2151,8 +2149,6 @@ impl<'a> Simulation<'a> {
                 exch: Exchange::new(shard_count),
             },
             shards,
-            cycle: 0,
-            stalled: None,
         })
     }
 
@@ -2163,7 +2159,7 @@ impl<'a> Simulation<'a> {
 
     /// Current cycle.
     pub fn cycle(&self) -> u64 {
-        self.cycle
+        self.shards[0].cycle
     }
 
     /// Number of router shards the engine resolved to (after clamping
@@ -2172,60 +2168,38 @@ impl<'a> Simulation<'a> {
         self.shards.len()
     }
 
-    /// Runs warm-up, measurement and drain, returning the statistics.
+    /// Runs warm-up, measurement and drain, consuming the simulation and
+    /// returning the statistics (a run [`Simulation::step`] already
+    /// advanced continues from its current cycle).
     ///
     /// The run ends when every labelled packet has been delivered, or
     /// when the drain cap is exceeded (the network is saturated at this
     /// load); [`RunStats::drained`] records which. If the stall
-    /// watchdog fires the run also ends (with `drained == false`);
-    /// [`Simulation::stall_report`] holds the diagnosis. Use
-    /// [`Simulation::try_run`] to surface a stall as a typed error.
-    pub fn run(&mut self) -> RunStats {
-        self.drive(false);
-        self.collect()
-    }
-
-    /// Like [`Simulation::run`], but a watchdog stall ends the run with
-    /// [`SimError::Stalled`] instead of undrained statistics.
-    pub fn try_run(&mut self) -> Result<RunStats, SimError> {
-        self.drive(false);
-        match self.stalled {
-            Some(report) => Err(SimError::Stalled(report)),
-            None => Ok(self.collect()),
-        }
-    }
-
-    /// Runs to completion like [`Simulation::run`], consuming the
-    /// simulation so the final histograms move into the returned stats
-    /// instead of being cloned.
+    /// watchdog fires the run also ends, with `drained == false`; use
+    /// [`Simulation::try_finish`] to get the diagnosis as a typed error.
     pub fn finish(mut self) -> RunStats {
-        self.drive(false);
-        self.collect_owned()
+        self.drive::<false>();
+        self.collect()
     }
 
     /// Like [`Simulation::finish`], but a watchdog stall ends the run
     /// with [`SimError::Stalled`] instead of undrained statistics.
     pub fn try_finish(mut self) -> Result<RunStats, SimError> {
-        self.drive(false);
-        match self.stalled {
+        self.drive::<false>();
+        match self.shards[0].stalled {
             Some(report) => Err(SimError::Stalled(report)),
-            None => Ok(self.collect_owned()),
+            None => Ok(self.collect()),
         }
     }
 
-    /// The stall watchdog's diagnosis from the last run, if it fired.
-    pub fn stall_report(&self) -> Option<StallReport> {
-        self.stalled
-    }
-
-    /// Runs to completion, consuming the simulation, and additionally
-    /// reports wall-clock performance counters (per-phase wall time,
-    /// cycles/sec, flit-hops/sec, shard count).
+    /// Like [`Simulation::finish`], and additionally reports wall-clock
+    /// performance counters (per-phase wall time, cycles/sec,
+    /// flit-hops/sec, shard count).
     pub fn run_instrumented(mut self) -> (RunStats, SimPerf) {
         let start = Instant::now();
-        self.drive(true);
+        self.drive::<true>();
         let mut perf = SimPerf {
-            cycles: self.cycle,
+            cycles: self.cycle(),
             wall: start.elapsed(),
             shards: self.shards.len(),
             ..SimPerf::default()
@@ -2239,91 +2213,39 @@ impl<'a> Simulation<'a> {
                 }
             }
         }
-        (self.collect_owned(), perf)
+        (self.collect(), perf)
     }
 
-    /// The warm-up/measure/drain loop shared by the `run` variants: one
-    /// worker per shard (shard 0 runs on the calling thread), or a
-    /// plain inline loop when there is a single shard.
-    fn drive(&mut self, timed: bool) {
+    /// The warm-up/measure/drain loop behind every consuming entry
+    /// point: one [`EngineShared::worker_drive`] per shard, shard 0's on
+    /// the calling thread — so a single shard runs inline and spawns
+    /// nothing.
+    fn drive<const TIMED: bool>(&mut self) {
         let eng = &self.eng;
-        if self.shards.len() == 1 {
-            eng.worker_drive(&mut self.shards[0], timed);
-        } else {
-            std::thread::scope(|scope| {
-                let mut workers = self.shards.iter_mut();
-                let first = workers.next().expect("at least one shard");
-                for st in workers {
-                    scope.spawn(move || eng.worker_drive(st, timed));
-                }
-                eng.worker_drive(first, timed);
-            });
-        }
-        self.cycle = self.shards[0].cycle;
-        self.stalled = self.shards[0].stalled;
+        let mut workers = self.shards.iter_mut();
+        let first = workers.next().expect("at least one shard");
+        std::thread::scope(|scope| {
+            for st in workers {
+                scope.spawn(move || eng.worker_drive::<TIMED>(st));
+            }
+            eng.worker_drive::<TIMED>(first);
+        });
     }
 
-    /// Advances the simulation by one cycle, accumulating per-phase wall
-    /// time into `timers` (diagnostic; summed across shards, since the
-    /// single-stepping path runs every shard's segment inline).
-    #[doc(hidden)]
-    pub fn step_timed(&mut self, timers: &mut [Duration; 5]) {
-        let t = self.cycle;
-        let clock = Instant::now();
-        for st in self.shards.iter_mut() {
-            self.eng.seg_credits(st, t);
-        }
-        timers[0] += clock.elapsed();
-        let clock = Instant::now();
-        for st in self.shards.iter_mut() {
-            self.eng.seg_arrivals(st, t);
-        }
-        timers[1] += clock.elapsed();
-        let clock = Instant::now();
-        for st in self.shards.iter_mut() {
-            self.eng.seg_switch(st, t);
-        }
-        timers[2] += clock.elapsed();
-        let clock = Instant::now();
-        for st in self.shards.iter_mut() {
-            self.eng.seg_transmit(st, t);
-        }
-        timers[3] += clock.elapsed();
-        let clock = Instant::now();
-        for st in self.shards.iter_mut() {
-            self.eng.seg_inject(st, t);
-        }
-        timers[4] += clock.elapsed();
-        for st in self.shards.iter_mut() {
-            st.cycle = t + 1;
-        }
-        self.cycle = t + 1;
-    }
-
-    /// Advances the simulation by one cycle. Shard segments run inline
+    /// Advances the simulation by one cycle without testing for
+    /// termination. Each phase of the cycle runs inline over the shards
     /// in shard order — bit-identical to the threaded path, because
     /// between two barriers the shards touch disjoint state.
     pub fn step(&mut self) {
-        let t = self.cycle;
-        for st in self.shards.iter_mut() {
-            self.eng.seg_credits(st, t);
-        }
-        for st in self.shards.iter_mut() {
-            self.eng.seg_arrivals(st, t);
-        }
-        for st in self.shards.iter_mut() {
-            self.eng.seg_switch(st, t);
-        }
-        for st in self.shards.iter_mut() {
-            self.eng.seg_transmit(st, t);
-        }
-        for st in self.shards.iter_mut() {
-            self.eng.seg_inject(st, t);
+        let t = self.cycle();
+        for phase in EngineShared::PHASES {
+            for st in self.shards.iter_mut() {
+                phase(&self.eng, st, t);
+            }
         }
         for st in self.shards.iter_mut() {
             st.cycle = t + 1;
         }
-        self.cycle = t + 1;
     }
 
     /// Concatenates per-shard channel series in shard order (= global
@@ -2353,105 +2275,13 @@ impl<'a> Simulation<'a> {
         Some(merged)
     }
 
-    /// Builds the final statistics snapshot (cloning the histograms, so
-    /// the simulation stays usable).
-    fn collect(&self) -> RunStats {
-        let mut histogram = self.shards[0].histogram.clone();
-        let mut minimal_histogram = self.shards[0].minimal_histogram.clone();
-        let mut latency_log = self.shards[0].latency_log.clone();
-        for st in &self.shards[1..] {
-            histogram.merge(&st.histogram);
-            minimal_histogram.merge(&st.minimal_histogram);
-            latency_log.merge(&st.latency_log);
-        }
-        let series = Self::merge_series(
-            self.shards
-                .iter()
-                .filter_map(|st| st.sampler.as_ref().map(|s| s.series.clone()))
-                .collect(),
-        );
-        let trace = Self::merge_trace(
-            self.shards
-                .iter()
-                .filter_map(|st| st.tracer.as_ref().map(FlitTracer::snapshot))
-                .collect(),
-        );
-        self.stats_with(histogram, minimal_histogram, latency_log, series, trace)
-    }
-
-    /// Builds the final statistics snapshot, consuming the simulation so
-    /// the histograms (and telemetry buffers) move instead of being
-    /// cloned.
-    fn collect_owned(mut self) -> RunStats {
-        let mut histogram = std::mem::replace(&mut self.shards[0].histogram, Histogram::new(1, 1));
-        let mut minimal_histogram =
-            std::mem::replace(&mut self.shards[0].minimal_histogram, Histogram::new(1, 1));
-        let mut latency_log = std::mem::take(&mut self.shards[0].latency_log);
-        for st in &self.shards[1..] {
-            histogram.merge(&st.histogram);
-            minimal_histogram.merge(&st.minimal_histogram);
-            latency_log.merge(&st.latency_log);
-        }
-        let series = Self::merge_series(
-            self.shards
-                .iter_mut()
-                .filter_map(|st| st.sampler.take().map(|s| s.series))
-                .collect(),
-        );
-        let trace = Self::merge_trace(
-            self.shards
-                .iter_mut()
-                .filter_map(|st| st.tracer.take().map(FlitTracer::finish))
-                .collect(),
-        );
-        self.stats_with(histogram, minimal_histogram, latency_log, series, trace)
-    }
-
-    fn stats_with(
-        &self,
-        histogram: Histogram,
-        minimal_histogram: Histogram,
-        latency_log: LogHistogram,
-        series: Option<TimeSeries>,
-        trace: Option<crate::telemetry::FlitTrace>,
-    ) -> RunStats {
-        let cfg = &self.eng.cfg;
-        let spec = self.eng.spec;
-        let denom = (spec.num_terminals() as u64 * cfg.measure) as f64;
-        let mut latency = LatencySummary::default();
-        let mut minimal_latency = LatencySummary::default();
-        let mut non_minimal_latency = LatencySummary::default();
-        let mut hops = LatencySummary::default();
-        let mut telemetry = RouteTelemetry::default();
-        let mut scoreboard = EstimatorScoreboard::new();
-        let mut injected = 0u64;
-        let mut ejected = 0u64;
-        let mut generated_labeled = 0u64;
-        let mut ejected_labeled = 0u64;
-        let mut warmup_ejects = [0u64; 4];
-        let mut warmup_lat = [0u64; 4];
-        for st in &self.shards {
-            for w in 0..4 {
-                warmup_ejects[w] += st.warmup_ejects[w];
-                warmup_lat[w] += st.warmup_lat[w];
-            }
-            latency.merge(&st.latency);
-            minimal_latency.merge(&st.minimal_latency);
-            non_minimal_latency.merge(&st.non_minimal_latency);
-            hops.merge(&st.hops);
-            telemetry.minimal_takes += st.telemetry.minimal_takes;
-            telemetry.non_minimal_takes += st.telemetry.non_minimal_takes;
-            telemetry.adaptive_decisions += st.telemetry.adaptive_decisions;
-            telemetry.estimator_disagreements += st.telemetry.estimator_disagreements;
-            telemetry.fault_avoided_decisions += st.telemetry.fault_avoided_decisions;
-            telemetry.dropped_candidates += st.telemetry.dropped_candidates;
-            telemetry.oracle_probe_fallbacks += st.telemetry.oracle_probe_fallbacks;
-            scoreboard.merge(&st.scoreboard);
-            injected += st.injected_in_window;
-            ejected += st.ejected_in_window;
-            generated_labeled += st.gen_labeled;
-            ejected_labeled += st.eject_labeled;
-        }
+    /// Builds the final statistics, consuming the simulation: every
+    /// other shard's accumulators fold into shard 0's in shard order, so
+    /// the histograms and telemetry buffers move into the result
+    /// instead of being cloned.
+    fn collect(self) -> RunStats {
+        let Simulation { eng, mut shards } = self;
+        let (cfg, spec) = (&eng.cfg, eng.spec);
         // Each channel is counted only by its source router's owning
         // shard, so a single read there replaces the former all-shards
         // sum. Scale mode drops the report entirely.
@@ -2460,8 +2290,8 @@ impl<'a> Simulation<'a> {
         } else {
             spec.network_channels()
                 .map(|(r, p)| {
-                    let flat = self.eng.port_base[r] as usize + p;
-                    let st = &self.shards[self.eng.router_shard[r] as usize];
+                    let flat = eng.port_base[r] as usize + p;
+                    let st = &shards[eng.router_shard[r] as usize];
                     let flits = st.sent_in_window[flat - st.flat0];
                     ChannelLoad {
                         router: r,
@@ -2473,27 +2303,67 @@ impl<'a> Simulation<'a> {
                 })
                 .collect()
         };
+        let series = Self::merge_series(
+            shards
+                .iter_mut()
+                .filter_map(|st| st.sampler.take().map(|s| s.series))
+                .collect(),
+        );
+        let trace = Self::merge_trace(
+            shards
+                .iter_mut()
+                .filter_map(|st| st.tracer.take().map(FlitTracer::finish))
+                .collect(),
+        );
+        let mut rest = shards.into_iter();
+        let mut acc = rest.next().expect("at least one shard");
+        for st in rest {
+            for w in 0..4 {
+                acc.warmup_ejects[w] += st.warmup_ejects[w];
+                acc.warmup_lat[w] += st.warmup_lat[w];
+            }
+            acc.latency.merge(&st.latency);
+            acc.minimal_latency.merge(&st.minimal_latency);
+            acc.non_minimal_latency.merge(&st.non_minimal_latency);
+            acc.hops.merge(&st.hops);
+            acc.histogram.merge(&st.histogram);
+            acc.minimal_histogram.merge(&st.minimal_histogram);
+            acc.latency_log.merge(&st.latency_log);
+            acc.telemetry.minimal_takes += st.telemetry.minimal_takes;
+            acc.telemetry.non_minimal_takes += st.telemetry.non_minimal_takes;
+            acc.telemetry.adaptive_decisions += st.telemetry.adaptive_decisions;
+            acc.telemetry.estimator_disagreements += st.telemetry.estimator_disagreements;
+            acc.telemetry.fault_avoided_decisions += st.telemetry.fault_avoided_decisions;
+            acc.telemetry.dropped_candidates += st.telemetry.dropped_candidates;
+            acc.telemetry.oracle_probe_fallbacks += st.telemetry.oracle_probe_fallbacks;
+            acc.scoreboard.merge(&st.scoreboard);
+            acc.injected_in_window += st.injected_in_window;
+            acc.ejected_in_window += st.ejected_in_window;
+            acc.gen_labeled += st.gen_labeled;
+            acc.eject_labeled += st.eject_labeled;
+        }
+        let denom = (spec.num_terminals() as u64 * cfg.measure) as f64;
         let (converged, warmup_throughput_drift, warmup_latency_drift) =
-            warmup_convergence(&warmup_ejects, &warmup_lat);
+            warmup_convergence(&acc.warmup_ejects, &acc.warmup_lat);
         RunStats {
-            cycles: self.cycle,
+            cycles: acc.cycle,
             offered_load: cfg.injection.rate() * cfg.packet_len as f64,
-            injected_rate: injected as f64 / denom,
-            accepted_rate: ejected as f64 / denom,
-            drained: generated_labeled == ejected_labeled,
-            latency,
-            minimal_latency,
-            non_minimal_latency,
-            hops,
-            histogram,
-            minimal_histogram,
+            injected_rate: acc.injected_in_window as f64 / denom,
+            accepted_rate: acc.ejected_in_window as f64 / denom,
+            drained: acc.gen_labeled == acc.eject_labeled,
+            latency: acc.latency,
+            minimal_latency: acc.minimal_latency,
+            non_minimal_latency: acc.non_minimal_latency,
+            hops: acc.hops,
+            histogram: acc.histogram,
+            minimal_histogram: acc.minimal_histogram,
             channel_loads,
-            routing: telemetry,
-            latency_log,
-            scoreboard,
+            routing: acc.telemetry,
+            latency_log: acc.latency_log,
+            scoreboard: acc.scoreboard,
             series,
             trace,
-            completion: self.shards[0].completion,
+            completion: acc.completion,
             converged,
             warmup_throughput_drift,
             warmup_latency_drift,
@@ -2506,15 +2376,7 @@ impl<'a> Simulation<'a> {
     fn view(&self) -> NetView<'_> {
         // SAFETY: `&self` with no running workers means no concurrent
         // mutation.
-        unsafe {
-            NetView::from_raw(
-                self.eng.spec,
-                self.eng.routers.base(),
-                self.eng.routers.len(),
-                self.eng.cfg.buffer_depth,
-                self.cycle,
-            )
-        }
+        unsafe { self.eng.view(self.cycle()) }
     }
 
     /// Exclusive access to every router core (test hook).
@@ -2572,7 +2434,7 @@ mod tests {
         let routing = ShortestPathRouting::new(&spec);
         let stats = Simulation::new(&spec, &routing, pattern, cfg)
             .unwrap()
-            .run();
+            .finish();
         stats
     }
 
@@ -2700,28 +2562,68 @@ mod tests {
     }
 
     #[test]
-    fn finish_and_instrumented_match_run() {
-        let spec = line_spec();
+    fn instrumented_matches_finish_at_one_and_two_shards() {
+        let spec = monotone_line_spec();
         let routing = ShortestPathRouting::new(&spec);
         let pattern = UniformRandom::new(3);
         let cfg = SimConfig::paper_default(0.3).with_seed(11);
-        let by_run = Simulation::new(&spec, &routing, &pattern, cfg.clone())
-            .unwrap()
-            .run();
         let by_finish = Simulation::new(&spec, &routing, &pattern, cfg.clone())
             .unwrap()
             .finish();
-        assert_eq!(by_run, by_finish);
-        let (by_inst, perf) = Simulation::new(&spec, &routing, &pattern, cfg)
-            .unwrap()
-            .run_instrumented();
-        assert_eq!(by_run, by_inst);
-        assert_eq!(perf.cycles, by_run.cycles);
-        assert!(perf.flit_hops > 0);
-        assert!(perf.cycles_per_sec() > 0.0);
-        assert!(perf.flit_hops_per_sec() > 0.0);
-        let phase_sum: std::time::Duration = perf.phases.iter().sum();
-        assert!(perf.wall >= phase_sum);
+        for shards in [1, 2] {
+            let cfg = cfg.clone().with_shards(shards);
+            let (by_inst, perf) = Simulation::new(&spec, &routing, &pattern, cfg)
+                .unwrap()
+                .run_instrumented();
+            assert_eq!(by_inst, by_finish, "{shards}-shard timed run diverged");
+            assert_eq!(perf.shards, shards);
+            assert_eq!(perf.shard_phases.len(), shards);
+            assert_eq!(perf.cycles, by_finish.cycles);
+            assert!(perf.flit_hops > 0);
+            assert!(perf.cycles_per_sec() > 0.0);
+            assert!(perf.flit_hops_per_sec() > 0.0);
+            let phase_sum: std::time::Duration = perf.phases.iter().sum();
+            assert!(perf.wall >= phase_sum);
+        }
+    }
+
+    #[test]
+    fn stepped_then_finished_matches_driven() {
+        // `step()` never tests for termination, so `finish()` after k
+        // steps inside the window continues the same run — the
+        // benchmark's stepped rep (k = window - 1) depends on it. Full
+        // telemetry on, so series and trace are covered too.
+        let spec = monotone_line_spec();
+        let routing = ShortestPathRouting::new(&spec);
+        let pattern = UniformRandom::new(3);
+        let mut cfg = SimConfig::paper_default(0.3).with_seed(9);
+        cfg.warmup = 200;
+        cfg.measure = 1_000;
+        cfg.telemetry = crate::config::TelemetryConfig {
+            sample_every: 8,
+            trace_rate: 1.0,
+            trace_seed: 5,
+        };
+        let build = |shards: usize| {
+            Simulation::new(&spec, &routing, &pattern, cfg.clone().with_shards(shards)).unwrap()
+        };
+        let driven = build(1).finish();
+        assert!(driven.drained);
+        for shards in [1, 2] {
+            for k in [1, 700, 1_199] {
+                let mut sim = build(shards);
+                assert_eq!(sim.shard_count(), shards);
+                for _ in 0..k {
+                    sim.step();
+                }
+                assert_eq!(sim.cycle(), k);
+                assert_eq!(
+                    sim.finish(),
+                    driven,
+                    "{k} steps then finish at {shards} shard(s) diverged"
+                );
+            }
+        }
     }
 
     #[test]
@@ -2733,7 +2635,7 @@ mod tests {
         let routing = ShortestPathRouting::new(&spec);
         let pattern = UniformRandom::new(3);
         let mut sim = Simulation::new(&spec, &routing, &pattern, cfg).unwrap();
-        sim.run();
+        sim.drive::<false>();
         for st in &mut sim.shards {
             st.workload = Box::new(dfly_traffic::Idle);
         }
@@ -2775,7 +2677,7 @@ mod tests {
         let routing = ShortestPathRouting::new(&spec);
         let pattern = UniformRandom::new(3);
         let mut sim = Simulation::new(&spec, &routing, &pattern, cfg).unwrap();
-        sim.run();
+        sim.drive::<false>();
         // Stop injecting and run plenty of extra cycles.
         for st in &mut sim.shards {
             st.workload = Box::new(dfly_traffic::Idle);
@@ -2847,7 +2749,9 @@ mod tests {
         cfg.warmup = 200;
         cfg.measure = 5_000;
         cfg.drain_cap = 2_000;
-        let stats = Simulation::new(&spec, &routing, &ToTwo, cfg).unwrap().run();
+        let stats = Simulation::new(&spec, &routing, &ToTwo, cfg)
+            .unwrap()
+            .finish();
         assert!(!stats.drained, "two 0.9 sources through one link");
         // Hitting drain_cap means the sampled packets are the ones that
         // escaped the backlog: their mean is biased low, so the
@@ -2934,7 +2838,7 @@ mod tests {
         cfg.measure = 1_000;
         cfg.credit_mode = CreditMode::round_trip();
         let mut sim = Simulation::new(&spec, &routing, &pattern, cfg).unwrap();
-        sim.run();
+        sim.drive::<false>();
         let vcs = sim.spec().vcs;
         for core in sim.router_cores() {
             for (p, q) in core.ctq.iter().enumerate() {
@@ -2993,7 +2897,7 @@ mod tests {
                 Box::new(Barrier::new(vec![0, 1, 2], 3))
             })
             .unwrap()
-            .run();
+            .finish();
             stats
         };
         let one = run(1);
@@ -3074,11 +2978,9 @@ mod tests {
             cfg.warmup = 100;
             cfg.measure = 10_000;
             cfg.drain_cap = 100_000;
-            let mut sim = Simulation::new(&spec, &Spin, &pattern, cfg).unwrap();
+            let sim = Simulation::new(&spec, &Spin, &pattern, cfg).unwrap();
             assert_eq!(sim.shard_count(), shards.min(4));
-            let err = sim.try_run().expect_err("wedged ring must stall");
-            assert_eq!(sim.stall_report(), Some(force_report(&err)));
-            err
+            sim.try_finish().expect_err("wedged ring must stall")
         };
         fn force_report(err: &SimError) -> StallReport {
             match err {
@@ -3099,10 +3001,16 @@ mod tests {
         let msg = SimError::Stalled(one).to_string();
         assert!(msg.contains("router 0 port 1"), "names the channel: {msg}");
         for shards in [2, 4] {
+            let err = run(shards);
             assert_eq!(
-                force_report(&run(shards)),
+                force_report(&err),
                 one,
                 "{shards}-shard stall report diverged"
+            );
+            assert_eq!(
+                err.to_string(),
+                msg,
+                "{shards}-shard stall message diverged"
             );
         }
     }
@@ -3117,7 +3025,7 @@ mod tests {
         let routing = ShortestPathRouting::new(&spec);
         let stats = Simulation::new(&spec, &routing, &pattern, cfg)
             .unwrap()
-            .try_run()
+            .try_finish()
             .expect("healthy run must not stall");
         assert!(stats.drained);
         assert!(stats.converged, "steady warmup converges: {stats:?}");
@@ -3130,7 +3038,7 @@ mod tests {
         quiet_cfg.measure = 2_000;
         let quiet = Simulation::new(&spec, &routing, &pattern, quiet_cfg)
             .unwrap()
-            .run();
+            .finish();
         assert_eq!(stats, quiet, "watchdog perturbed the run");
     }
 

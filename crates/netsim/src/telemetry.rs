@@ -556,15 +556,6 @@ impl FlitTracer {
             events: self.events,
         }
     }
-
-    /// The trace so far, without consuming the tracer.
-    pub fn snapshot(&self) -> FlitTrace {
-        FlitTrace {
-            rate: self.rate,
-            seed: self.seed,
-            events: self.events.clone(),
-        }
-    }
 }
 
 /// Accuracy scoreboard for the active congestion estimator.

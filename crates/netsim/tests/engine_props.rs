@@ -87,7 +87,7 @@ fn light_load_conserves_packets() {
         cfg.seed = seed;
         let stats = Simulation::new(&spec, &routing, &pattern, cfg)
             .unwrap()
-            .run();
+            .finish();
         assert!(stats.drained, "{ctx}");
         assert!(stats.latency.count > 0, "{ctx}");
         // Zero-load floor: inject + eject at minimum.
@@ -122,7 +122,7 @@ fn engine_is_deterministic() {
             cfg.seed = seed;
             Simulation::new(&spec, &routing, &pattern, cfg)
                 .unwrap()
-                .run()
+                .finish()
         };
         assert_eq!(run(), run(), "case {case}: seed={seed} buffers={buffers}");
     }
@@ -142,7 +142,7 @@ fn throughput_invariant_to_latency() {
         cfg.measure = 2_000;
         let stats = Simulation::new(&spec, &routing, &pattern, cfg)
             .unwrap()
-            .run();
+            .finish();
         assert!(stats.drained, "latency {latency}");
         assert!(
             (stats.accepted_rate - 0.15).abs() < 0.03,

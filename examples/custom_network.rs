@@ -55,7 +55,7 @@ fn main() {
 
     let stats = Simulation::new(&spec, &routing, &pattern, cfg)
         .expect("valid configuration")
-        .run();
+        .finish();
 
     println!("uniform random at 0.15:");
     println!("  accepted  {:.3} flits/node/cycle", stats.accepted_rate);

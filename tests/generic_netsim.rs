@@ -65,7 +65,7 @@ fn tree_network_delivers_and_bounds_latency() {
     cfg.measure = 2_000;
     let stats = Simulation::new(&spec, &routing, &pattern, cfg)
         .unwrap()
-        .run();
+        .finish();
     assert!(stats.drained);
     // Worst path: leaf -> root -> leaf = 4 links + inject + eject = 6.
     assert!(stats.latency.max >= 6);
@@ -86,7 +86,7 @@ fn root_is_the_tree_bottleneck() {
     cfg.drain_cap = 0;
     let stats = Simulation::new(&spec, &routing, &pattern, cfg)
         .unwrap()
-        .run();
+        .finish();
     assert!(
         (0.2..0.3).contains(&stats.accepted_rate),
         "root-limited throughput {}",
@@ -121,7 +121,7 @@ fn single_pair_ping() {
     cfg.drain_cap = 10_000;
     let stats = Simulation::new(&spec, &routing, &pattern, cfg)
         .unwrap()
-        .run();
+        .finish();
     assert!(stats.drained);
     assert!(
         (stats.accepted_rate - 0.95).abs() < 0.03,
@@ -160,7 +160,7 @@ fn heterogeneous_latencies_accumulate() {
     cfg.measure = 3_000;
     let stats = Simulation::new(&spec, &routing, &pattern, cfg)
         .unwrap()
-        .run();
+        .finish();
     assert!(stats.drained);
     assert_eq!(stats.latency.min, 12); // 1 + 10 + 1
 }
@@ -208,7 +208,7 @@ fn credits_limit_inflight_on_long_channels() {
     cfg.drain_cap = 0;
     let stats = Simulation::new(&spec, &routing, &ZeroToOne, cfg)
         .unwrap()
-        .run();
+        .finish();
     // Credit round trip is ~20 cycles; 4 credits -> ~0.2 flits/cycle on
     // the channel; per-terminal accepted ~0.2 for terminal 0's flow
     // (plus the reverse flow), so the average accepted rate per node
