@@ -30,8 +30,8 @@ use std::sync::{Arc, Mutex};
 
 use dfly_netsim::LogHistogram;
 use dfly_traffic::{
-    AllReduce, AllToAll, Barrier, Bernoulli, Delivery, InjectionProcess, MessageIntent,
-    RequestReply, TrafficPattern, UniformRandom, Workload,
+    AllReduce, AllToAll, Barrier, Bernoulli, Delivery, MessageIntent, RequestReply, Source,
+    UniformRandom, Workload,
 };
 use rand::rngs::SmallRng;
 
@@ -322,7 +322,7 @@ impl JobMix {
             .map(|(spec, members)| spec.build(members.clone()))
             .collect();
         let background = (self.background_load > 0.0).then(|| Background {
-            procs: vec![Bernoulli::new(self.background_load); range.len()],
+            sources: vec![Source::new(Bernoulli::new(self.background_load)); range.len()],
             base: range.start,
             pattern: UniformRandom::new(assignment.num_terminals),
         });
@@ -412,9 +412,9 @@ impl JobLedger {
 /// Per-terminal open-loop background source for non-job terminals.
 #[derive(Debug, Clone)]
 struct Background {
-    /// One process per terminal of the shard range (job-terminal slots
+    /// One source per terminal of the shard range (job-terminal slots
     /// exist but are never drawn).
-    procs: Vec<Bernoulli>,
+    sources: Vec<Source<Bernoulli>>,
     base: usize,
     pattern: UniformRandom,
 }
@@ -438,16 +438,18 @@ impl Workload for MixWorkload {
         match self.term_job[terminal] {
             0 => {
                 let bg = self.background.as_mut()?;
-                if !bg.procs[terminal - bg.base].inject(rng) {
-                    return None;
-                }
-                Some(MessageIntent {
-                    dest: bg.pattern.destination(terminal, rng),
-                    tag: 0,
-                    tracked: false,
-                })
+                bg.sources[terminal - bg.base].offer(terminal, cycle, rng, &bg.pattern, false)
             }
             j => self.jobs[(j - 1) as usize].offer(terminal, cycle, rng),
+        }
+    }
+
+    fn quiet_until(&mut self, terminal: usize, cycle: u64, rng: &mut SmallRng) -> u64 {
+        match (self.term_job[terminal], self.background.as_mut()) {
+            (0, Some(bg)) => bg.sources[terminal - bg.base].quiet_until(cycle, rng),
+            // No job, no background: nothing will ever be offered here.
+            (0, None) => u64::MAX,
+            (j, _) => self.jobs[(j - 1) as usize].quiet_until(terminal, cycle, rng),
         }
     }
 
@@ -586,6 +588,16 @@ mod tests {
         assert!(!bg.tracked);
         assert_ne!(bg.dest, 40);
         assert!(!w.all_done());
+        // Parking: a collective's terminal is polled every cycle, a
+        // rate-1.0 background terminal is due (armed) the next cycle,
+        // and without background a non-job terminal never wakes.
+        assert_eq!(w.quiet_until(1, 0, &mut rng), 1);
+        assert_eq!(w.quiet_until(40, 0, &mut rng), 1);
+        assert!(w.offer(40, 1, &mut rng).is_some());
+        let quiet = JobMix::new(mix.jobs.clone(), mix.placement);
+        let mut silent = quiet.workload(&asg, 0..params.num_terminals(), &ledger);
+        assert_eq!(silent.quiet_until(40, 0, &mut rng), u64::MAX);
+        assert_eq!(silent.quiet_until(1, 0, &mut rng), 1);
         // A background delivery into a job terminal must not reach the
         // barrier or the books.
         let stray = Delivery {

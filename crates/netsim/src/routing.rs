@@ -74,9 +74,10 @@ impl<'a> NetView<'a> {
     ///
     /// For the view's lifetime, `routers..routers+len` must stay valid,
     /// and no thread may mutate the output-side fields (`out_q`,
-    /// `out_port_count`, `credits`, `outstanding`) of any core in that
-    /// range. Mutation of the input-side fields by other threads is
-    /// fine — the view never reads them.
+    /// `out_mask`, `out_port_count`, `credits`, `outstanding`) of any
+    /// core in that range. Mutation of the input-side fields (`inputs`,
+    /// `in_mask`, `in_port_count`) by other threads is fine — the view
+    /// never reads them.
     pub(crate) unsafe fn from_raw(
         spec: &'a NetworkSpec,
         routers: *const RouterCore,

@@ -26,15 +26,19 @@
 //! 4. **Transmission** — every output port sends one flit (round-robin
 //!    over its VC queues, subject to downstream credits); terminal ports
 //!    eject.
-//! 5. **Injection** — every terminal runs its injection process, routes
-//!    the packet at the head of its source queue (the adaptive decision
-//!    of the UGAL family happens here, at the source router, seeing the
-//!    settled post-transmission queues), and sends one flit onto its
-//!    injection channel if a credit is available.
+//! 5. **Injection** — every polled terminal (its workload was offered
+//!    the cycle in phase 1) routes the packet at the head of its source
+//!    queue (the adaptive decision of the UGAL family happens here, at
+//!    the source router, seeing the settled post-transmission queues)
+//!    and sends one flit onto its injection channel if a credit is
+//!    available. A terminal whose queue is then empty asks its workload
+//!    how long it stays quiet and sleeps on a wake calendar until then.
 //!
 //! That sequence is written down once, as the `EngineShared::PHASES`
 //! table; the run loop (`worker_drive`) and [`Simulation::step`] are its
-//! only two walkers.
+//! only two walkers. Every phase walks a worklist — due credits, active
+//! pipes, active routers and their occupied ports, polled terminals —
+//! so a cycle costs what is in flight, not what the network could hold.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -73,20 +77,25 @@ pub(crate) struct RouterCore {
     /// Each entry's arena `aux` word packs the [`PortVc`] its route
     /// computation produced.
     inputs: Vec<FlitQueue>,
-    /// Total flits in the input stage (fast idle check).
-    in_count: u32,
-    /// Flits in the input stage per input port (fast scan).
+    /// Input ports with flits in the input stage: bit `p` is set exactly
+    /// when `in_port_count[p] > 0`. Phase 3 visits only these; zero
+    /// means the input stage is empty. Input-side, like the two fields
+    /// around it.
+    in_mask: u128,
+    /// Flits in the input stage per input port.
     in_port_count: Vec<u16>,
     /// Per-output queues, flattened `[out_port * vcs + out_vc]`, capacity
     /// `buffer_depth` each — the `q` values of the paper's Figure 13.
-    /// Each entry's arena `aux` word holds the input slot the flit
-    /// arrived through, whose credit is returned when the flit is
+    /// Each entry's arena `aux` word packs the input `(port, VC)` the
+    /// flit arrived through, whose credit is returned when the flit is
     /// transmitted.
     pub(crate) out_q: Vec<FlitQueue>,
-    /// Total flits in output queues (fast idle check).
-    out_count: u32,
-    /// Flits in the output queues per output port (fast scan; also the
-    /// O(1) aggregate behind [`NetView::occupancy`]).
+    /// Output ports with queued flits: bit `p` is set exactly when
+    /// `out_port_count[p] > 0`. Phase 4 visits only these; zero means
+    /// the output queues are empty. Output-side.
+    out_mask: u128,
+    /// Flits in the output queues per output port (the O(1) aggregate
+    /// behind [`NetView::occupancy`]).
     pub(crate) out_port_count: Vec<u16>,
     /// Credits available toward the downstream input stage of each
     /// output, flattened `[out_port * vcs + vc]`. Meaningless for
@@ -108,6 +117,23 @@ pub(crate) struct RouterCore {
     sent_seq: Vec<u32>,
     /// Credits received per output (for CTQ sampling).
     credit_seq: Vec<u32>,
+}
+
+/// Largest router radix the `u128` port-occupancy masks can hold.
+const MAX_RADIX: usize = u128::BITS as usize;
+
+impl RouterCore {
+    /// Whether both occupancy masks are exactly the ports with a
+    /// non-zero count (the invariant the debug builds re-check on every
+    /// router phase 4 visits).
+    fn masks_match_counts(&self) -> bool {
+        let (mut inputs, mut outputs) = (0u128, 0u128);
+        for p in 0..self.in_port_count.len() {
+            inputs |= u128::from(self.in_port_count[p] > 0) << p;
+            outputs |= u128::from(self.out_port_count[p] > 0) << p;
+        }
+        self.in_mask == inputs && self.out_mask == outputs
+    }
 }
 
 /// Live state of one terminal.
@@ -177,47 +203,48 @@ enum CreditTarget {
     Terminal { term: u32, vc: u8 },
 }
 
-/// Calendar queue of pending credit returns: a power-of-two ring of
-/// per-cycle FIFO buckets indexed by delivery cycle.
+/// Calendar queue of events due at a future cycle — pending credit
+/// returns ([`CreditTarget`]) and parked terminals' wake-ups: a
+/// power-of-two ring of per-cycle FIFO buckets indexed by due cycle.
 ///
-/// Replaces the engine's former global `BinaryHeap`: push and delivery
-/// are O(1) per credit with no comparisons, and because every bucket is
-/// drained in insertion order the delivery sequence is exactly the
-/// heap's `(time, insertion seq)` order — results are bit-identical.
+/// Push and delivery are O(1) per event with no comparisons, and
+/// because every bucket is drained in insertion order the delivery
+/// sequence is exactly the `(time, insertion seq)` order of the global
+/// `BinaryHeap` this replaced — results are bit-identical.
 #[derive(Debug)]
-struct CreditRing {
-    /// `buckets[time & mask]` holds the credits due at `time`. Every
+struct Calendar<T> {
+    /// `buckets[time & mask]` holds the events due at `time`. Every
     /// pending time lies in `[now, now + buckets.len())`, so the
     /// bucket index maps back to an unambiguous absolute time.
-    buckets: Vec<Vec<CreditTarget>>,
+    buckets: Vec<Vec<T>>,
     mask: u64,
-    /// Total credits pending across all buckets.
+    /// Total events pending across all buckets.
     pending: usize,
 }
 
-impl CreditRing {
-    /// A ring covering delivery delays up to `horizon` cycles without
-    /// growing.
+impl<T> Calendar<T> {
+    /// A ring covering delays up to `horizon` cycles without growing.
     fn with_horizon(horizon: u64) -> Self {
         let len = (horizon + 1).max(4).next_power_of_two();
-        CreditRing {
+        Calendar {
             buckets: (0..len).map(|_| Vec::new()).collect(),
             mask: len - 1,
             pending: 0,
         }
     }
 
-    /// Queues `target` for delivery at `time`, where `time >= now`.
-    /// Channel latencies are >= 1, so locally generated credits land
-    /// strictly in the future; credits drained from a cross-shard
-    /// mailbox at the start of cycle `now` may be due exactly at `now`,
-    /// whose bucket has not been taken yet.
-    fn push(&mut self, now: u64, time: u64, target: CreditTarget) {
+    /// Queues `event` for delivery at `time`, where `time >= now`.
+    /// Channel latencies are >= 1 and wake-ups lie past the current
+    /// cycle, so locally generated events land strictly in the future;
+    /// credits drained from a cross-shard mailbox at the start of cycle
+    /// `now` may be due exactly at `now`, whose bucket has not been
+    /// taken yet.
+    fn push(&mut self, now: u64, time: u64, event: T) {
         debug_assert!(time >= now);
         if time - now > self.mask {
             self.grow(now, time);
         }
-        self.buckets[(time & self.mask) as usize].push(target);
+        self.buckets[(time & self.mask) as usize].push(event);
         self.pending += 1;
     }
 
@@ -253,15 +280,15 @@ impl CreditRing {
     }
 
     /// Removes and returns the bucket due at `now`; hand it back to
-    /// [`CreditRing::restore`] after draining so its allocation is
+    /// [`Calendar::restore`] after draining so its allocation is
     /// recycled.
-    fn take_due(&mut self, now: u64) -> Vec<CreditTarget> {
+    fn take_due(&mut self, now: u64) -> Vec<T> {
         let due = std::mem::take(&mut self.buckets[(now & self.mask) as usize]);
         self.pending -= due.len();
         due
     }
 
-    fn restore(&mut self, now: u64, mut bucket: Vec<CreditTarget>) {
+    fn restore(&mut self, now: u64, mut bucket: Vec<T>) {
         bucket.clear();
         self.buckets[(now & self.mask) as usize] = bucket;
     }
@@ -320,8 +347,27 @@ fn activate(list: &mut Vec<u32>, flags: &mut [bool], idx: usize, base: usize) {
     }
 }
 
-/// Packs a computed route into a flit's arena `aux` word while it waits
-/// in the input stage.
+/// Merges the ascending `add` into the ascending `into`, in place from
+/// the back. The two hold distinct terminals.
+fn merge_sorted(into: &mut Vec<u32>, add: &[u32]) {
+    let (mut i, mut j) = (into.len(), add.len());
+    let mut k = i + j;
+    into.resize(k, 0);
+    while j > 0 {
+        k -= 1;
+        if i > 0 && into[i - 1] > add[j - 1] {
+            i -= 1;
+            into[k] = into[i];
+        } else {
+            j -= 1;
+            into[k] = add[j];
+        }
+    }
+}
+
+/// Packs a `(port, VC)` pair into a flit's arena `aux` word: the
+/// computed route while the flit waits in the input stage, the input it
+/// arrived through once it sits in an output queue.
 #[inline]
 fn pack_pv(pv: PortVc) -> u32 {
     (u32::from(pv.port) << 8) | u32::from(pv.vc)
@@ -359,10 +405,12 @@ fn unpack_pv(aux: u32) -> PortVc {
 ///   (foreign credits and flits are staged through the exchange, never
 ///   applied directly).
 /// * Phase 2 is split-borrow: a worker writes only the *input-side*
-///   fields (`inputs`, `in_count`, `in_port_count`) of its own routers
+///   fields (`inputs`, `in_mask`, `in_port_count`) of its own routers
 ///   through raw field projections, while any worker may concurrently
-///   read the *output-side* fields through [`NetView`]. The two field
-///   sets are disjoint and no whole-struct reference is ever formed.
+///   read the *output-side* fields (`out_q`, `out_mask`,
+///   `out_port_count`, `credits`, `outstanding`) through [`NetView`].
+///   The two field sets are disjoint and no whole-struct reference is
+///   ever formed.
 /// * Phase 5 only reads router state.
 #[allow(unsafe_code)]
 mod shard_table {
@@ -726,7 +774,7 @@ struct ShardState<'a> {
     id: usize,
     range: ShardRange,
     /// This shard's slice of the workload: offered in phase 1 for every
-    /// owned terminal, notified of deliveries, and polled for completion
+    /// polled terminal, notified of deliveries, and asked for completion
     /// under work-complete termination. Shard instances coordinate only
     /// through simulated messages.
     workload: Box<dyn Workload + Send + 'a>,
@@ -749,12 +797,26 @@ struct ShardState<'a> {
     term_active: Vec<bool>,
     active_routers: Vec<u32>,
     router_active: Vec<bool>,
-    credit_ring: CreditRing,
-    /// `(router, input slot, flit handle)` staged by phase 2.
+    credit_ring: Calendar<CreditTarget>,
+    /// The terminals phases 1 and 5 visit this cycle, ascending: those
+    /// with flits in their source queue, those whose workload asked to
+    /// be offered again next cycle, and those the wake calendar just
+    /// released. Every owned terminal starts here.
+    poll: Vec<u32>,
+    /// Phase 5's survivors, which become the next cycle's `poll`.
+    poll_next: Vec<u32>,
+    /// Parked terminals: source queue empty and the workload answered
+    /// [`Workload::quiet_until`] with a later cycle, at which phase 1
+    /// merges them back into `poll`.
+    wake: Calendar<u32>,
+    /// Terminals whose workload answered `u64::MAX`: on neither list,
+    /// never polled again.
+    retired: usize,
+    /// `(router, input port, flit handle)` staged by phase 2.
     arrivals: Vec<(u32, u32, u32)>,
     arrival_routes: Vec<PortVc>,
-    /// The packets generated this cycle in phase 1, in terminal order;
-    /// consumed by phase 5.
+    /// The packets generated this cycle in phase 1, in ascending
+    /// terminal order (the order of `poll`); consumed by phase 5.
     staged_gen: Vec<StagedGen>,
     /// Outgoing cross-shard flits, buffered per target shard and
     /// flushed into the exchange once per cycle.
@@ -906,8 +968,9 @@ impl<'a> EngineShared<'a> {
     /// # Safety
     ///
     /// For the view's lifetime no thread may mutate the output-side
-    /// fields (`out_q`, `out_port_count`, `credits`, `outstanding`) of
-    /// any router. Input-side writes through field projections may run
+    /// fields (`out_q`, `out_mask`, `out_port_count`, `credits`,
+    /// `outstanding`) of any router. Input-side writes (`inputs`,
+    /// `in_mask`, `in_port_count`) through field projections may run
     /// concurrently — the view never reads them. Each caller states why
     /// its phase guarantees this.
     #[allow(unsafe_code)]
@@ -928,12 +991,16 @@ impl<'a> EngineShared<'a> {
 
     /// Phase 1 — drain the cross-shard mailboxes (flits and credits
     /// staged by other shards last cycle; their >= 1-cycle channel
-    /// latency guarantees nothing is late), deliver due credits, and
-    /// run the *generation* half of injection: the per-terminal RNG
-    /// draws that decide which terminals fire this cycle, published as
-    /// a per-shard count so phase 5 can assign globally ordered packet
-    /// ids. Per-terminal draw order (injection process, then
-    /// destination) matches the serial engine exactly.
+    /// latency guarantees nothing is late), deliver due credits, merge
+    /// the terminals the wake calendar releases this cycle into the
+    /// poll list, and run the *generation* half of injection: the
+    /// workload is offered every polled terminal in ascending order,
+    /// and the packets that fire are published as a per-shard count so
+    /// phase 5 can assign globally ordered packet ids. A parked terminal
+    /// is not offered: its workload has already accounted for the
+    /// draws those offers would have made ([`Workload::quiet_until`]),
+    /// so the per-terminal draw order matches the serial, every-cycle
+    /// engine exactly.
     #[allow(unsafe_code)]
     fn seg_credits(&self, st: &mut ShardState<'a>, t: u64) {
         let shards = self.exch.shards;
@@ -1034,8 +1101,19 @@ impl<'a> EngineShared<'a> {
                 st.note_scratch.clear();
             }
         }
+        if st.wake.pending > 0 {
+            let mut due = st.wake.take_due(t);
+            if !due.is_empty() {
+                // A bucket collects ascending runs pushed on different
+                // cycles.
+                due.sort_unstable();
+                merge_sorted(&mut st.poll, &due);
+            }
+            st.wake.restore(t, due);
+        }
         st.staged_gen.clear();
-        for term in st.range.t0..st.range.t1 {
+        for idx in 0..st.poll.len() {
+            let term = st.poll[idx] as usize;
             let tl = term - st.range.t0;
             if let Some(intent) = st.workload.offer(term, t, &mut st.terminals[tl].rng) {
                 st.staged_gen.push(StagedGen {
@@ -1075,8 +1153,7 @@ impl<'a> EngineShared<'a> {
                 st.pipes[pl].pop_front(&st.arena);
                 let dr = self.flat_router[df];
                 let dp = df as u32 - self.port_base[dr as usize];
-                let slot = dp * vcs as u32 + st.arena.vc(h) as u32;
-                st.arrivals.push((dr, slot, h));
+                st.arrivals.push((dr, dp, h));
             }
             if st.pipes[pl].is_empty() {
                 st.pipe_active[pl] = false;
@@ -1095,8 +1172,7 @@ impl<'a> EngineShared<'a> {
                 }
                 st.terminals[tl].pipe.pop_front(&st.arena);
                 let (r, p) = self.spec.terminal_port(term);
-                let slot = (p * vcs) as u32 + st.arena.vc(h) as u32;
-                st.arrivals.push((r as u32, slot, h));
+                st.arrivals.push((r as u32, p as u32, h));
             }
             if st.terminals[tl].pipe.is_empty() {
                 st.term_active[tl] = false;
@@ -1116,9 +1192,10 @@ impl<'a> EngineShared<'a> {
                     .push(self.routing.route(&view, r as usize, &flit));
             }
         }
-        for (&(r, slot, h), &pv) in st.arrivals.iter().zip(&st.arrival_routes) {
+        for (&(r, port, h), &pv) in st.arrivals.iter().zip(&st.arrival_routes) {
             let r = r as usize;
-            let slot = slot as usize;
+            let port = port as usize;
+            let slot = port * vcs + st.arena.vc(h) as usize;
             debug_assert!((st.range.r0..st.range.r1).contains(&r));
             st.arena.set_aux(h, pack_pv(pv));
             // SAFETY: `r` is owned by this shard (pipes are indexed by
@@ -1130,8 +1207,8 @@ impl<'a> EngineShared<'a> {
                 let inputs = &mut (*core).inputs;
                 inputs[slot].push_back(&mut st.arena, h);
                 debug_assert!(inputs[slot].len as usize <= self.cfg.buffer_depth);
-                (*core).in_count += 1;
-                (&mut (*core).in_port_count)[slot / vcs] += 1;
+                (*core).in_mask |= 1 << port;
+                (&mut (*core).in_port_count)[port] += 1;
             }
             activate(
                 &mut st.active_routers,
@@ -1143,7 +1220,7 @@ impl<'a> EngineShared<'a> {
     }
 
     /// Phase 3 — move flits from the input stage into their output
-    /// queues (unbounded internal speedup). The input slot index
+    /// queues (unbounded internal speedup). The input `(port, VC)`
     /// travels with the flit; its credit is returned when the flit
     /// leaves the router, so the credit round trip measures queueing
     /// *inside* this router — exactly the congestion signal of the
@@ -1152,41 +1229,54 @@ impl<'a> EngineShared<'a> {
     fn seg_switch(&self, st: &mut ShardState<'a>, t: u64) {
         let vcs = self.spec.vcs;
         let depth = self.cfg.buffer_depth;
+        // The rotating start below is `t mod radix`; routers of one
+        // radix share it, so it is recomputed only when the radix
+        // changes along the worklist.
+        let (mut radix, mut start) = (0usize, 0usize);
         // Per-router state is disjoint, so worklist order is irrelevant.
         for idx in 0..st.active_routers.len() {
             let r = st.active_routers[idx] as usize;
             // SAFETY: phase 3 is shard-exclusive over this shard's
             // routers, and the worklist only ever holds own routers.
             let core = unsafe { self.routers.get_mut(r) };
-            if core.in_count == 0 {
+            if core.in_mask == 0 {
                 continue;
             }
             let ports = core.in_port_count.len();
+            if ports != radix {
+                radix = ports;
+                start = (t % ports as u64) as usize;
+            }
             // Rotate the starting input each cycle for long-run fairness
-            // when an output queue is nearly full.
-            let start = (t as usize) % ports;
-            for i in 0..ports {
-                let port = (start + i) % ports;
-                if core.in_port_count[port] == 0 {
-                    continue;
-                }
-                for vc in 0..vcs {
-                    let slot = port * vcs + vc;
-                    while let Some(h) = core.inputs[slot].front() {
-                        let pv = unpack_pv(st.arena.aux(h));
-                        let oslot = pv.port as usize * vcs + pv.vc as usize;
-                        if core.out_q[oslot].len as usize >= depth {
-                            break; // output queue full: input backs up
+            // when an output queue is nearly full: the occupied inputs
+            // from `start` up, then the ones below it. No input gains
+            // flits during this phase, so the mask is read once.
+            let below = (1u128 << start) - 1;
+            for mut occupied in [core.in_mask & !below, core.in_mask & below] {
+                while occupied != 0 {
+                    let port = occupied.trailing_zeros() as usize;
+                    occupied &= occupied - 1;
+                    for vc in 0..vcs {
+                        let slot = port * vcs + vc;
+                        while let Some(h) = core.inputs[slot].front() {
+                            let pv = unpack_pv(st.arena.aux(h));
+                            let oslot = pv.port as usize * vcs + pv.vc as usize;
+                            if core.out_q[oslot].len as usize >= depth {
+                                break; // output queue full: input backs up
+                            }
+                            core.inputs[slot].pop_front(&st.arena);
+                            core.in_port_count[port] -= 1;
+                            // The aux word switches meaning here: route
+                            // in, origin input out (for the credit
+                            // return).
+                            st.arena.set_aux(h, pack_pv(PortVc::new(port, vc)));
+                            core.out_q[oslot].push_back(&mut st.arena, h);
+                            core.out_port_count[pv.port as usize] += 1;
+                            core.out_mask |= 1 << pv.port;
                         }
-                        core.inputs[slot].pop_front(&st.arena);
-                        core.in_count -= 1;
-                        core.in_port_count[port] -= 1;
-                        // The aux word switches meaning here: route in,
-                        // origin input slot out (for the credit return).
-                        st.arena.set_aux(h, slot as u32);
-                        core.out_q[oslot].push_back(&mut st.arena, h);
-                        core.out_count += 1;
-                        core.out_port_count[pv.port as usize] += 1;
+                    }
+                    if core.in_port_count[port] == 0 {
+                        core.in_mask &= !(1 << port);
                     }
                 }
             }
@@ -1202,6 +1292,8 @@ impl<'a> EngineShared<'a> {
         let vcs = self.spec.vcs;
         let in_window = self.in_window(t);
         let round_trip = matches!(self.cfg.credit_mode, CreditMode::RoundTrip { .. });
+        // The VC after `vc` in round-robin order.
+        let next_vc = |vc: usize| if vc + 1 == vcs { 0 } else { vc + 1 };
         // Iterate the active worklist; routers that end the phase fully
         // idle (no buffered flits anywhere) retire from it. Cross-router
         // order is irrelevant: each iteration touches only its own
@@ -1213,8 +1305,8 @@ impl<'a> EngineShared<'a> {
             // SAFETY: phase 4 is shard-exclusive over this shard's
             // routers.
             let core = unsafe { self.routers.get_mut(r) };
-            if core.out_count == 0 {
-                if core.in_count == 0 {
+            if core.out_mask == 0 {
+                if core.in_mask == 0 {
                     st.router_active[r - st.range.r0] = false;
                     st.active_routers.swap_remove(i);
                 } else {
@@ -1232,46 +1324,46 @@ impl<'a> EngineShared<'a> {
             } else {
                 0
             };
-            let ports = self.spec.routers[r].ports.len();
-            for out in 0..ports {
-                if core.out_port_count[out] == 0 {
-                    continue;
-                }
+            // The occupied outputs in ascending port order. A port only
+            // ever loses flits here, and only on its own visit, so the
+            // mask is read once.
+            let mut occupied = core.out_mask;
+            while occupied != 0 {
+                let out = occupied.trailing_zeros() as usize;
+                occupied &= occupied - 1;
                 let out_spec = self.spec.routers[r].ports[out];
                 let is_terminal = matches!(out_spec.conn, Connection::Terminal { .. });
                 // Pick the first eligible VC at or after the round-robin
                 // pointer.
-                let rr = core.rr[out] as usize;
+                let mut vc = core.rr[out] as usize;
                 let mut chosen = None;
-                for k in 0..vcs {
-                    let vc = (rr + k) % vcs;
+                for _ in 0..vcs {
                     let oslot = out * vcs + vc;
-                    if core.out_q[oslot].is_empty() {
-                        continue;
-                    }
-                    if is_terminal || core.credits[oslot] > 0 {
+                    if !core.out_q[oslot].is_empty() && (is_terminal || core.credits[oslot] > 0) {
                         chosen = Some(vc);
                         break;
                     }
+                    vc = next_vc(vc);
                 }
                 let Some(vc) = chosen else {
                     continue;
                 };
-                core.rr[out] = ((vc + 1) % vcs) as u8;
+                core.rr[out] = next_vc(vc) as u8;
                 let oslot = out * vcs + vc;
                 let h = core.out_q[oslot].pop_front(&st.arena).unwrap();
-                let in_slot = st.arena.aux(h);
-                core.out_count -= 1;
+                let origin = unpack_pv(st.arena.aux(h));
                 core.out_port_count[out] -= 1;
-                // Return the credit for the input slot the flit arrived
+                if core.out_port_count[out] == 0 {
+                    core.out_mask &= !(1 << out);
+                }
+                // Return the credit for the input the flit arrived
                 // through, now that the flit has left the router. The
                 // round-trip mechanism delays it by td(O) − min td(o)
                 // (never across global channels). Credits for a foreign
                 // upstream router are staged; terminals always share
                 // their router's shard.
-                let in_port = in_slot as usize / vcs;
-                let in_vc = (in_slot as usize % vcs) as u8;
-                let in_spec = self.spec.routers[r].ports[in_port];
+                let in_vc = origin.vc;
+                let in_spec = self.spec.routers[r].ports[origin.port as usize];
                 let delay = if round_trip && in_spec.class != ChannelClass::Global {
                     core.td[out].saturating_sub(min_td)
                 } else {
@@ -1363,7 +1455,8 @@ impl<'a> EngineShared<'a> {
                     }
                 }
             }
-            if core.in_count == 0 && core.out_count == 0 {
+            debug_assert!(core.masks_match_counts(), "router {r} port masks");
+            if core.in_mask == 0 && core.out_mask == 0 {
                 st.router_active[r - st.range.r0] = false;
                 st.active_routers.swap_remove(i);
             } else {
@@ -1407,7 +1500,7 @@ impl<'a> EngineShared<'a> {
             st.eject_total += 1;
             // Warmup-convergence windows: every packet ejected during
             // the warmup period lands in one of four equal windows,
-            // whose throughput/latency drift `stats_with` reports.
+            // whose throughput/latency drift `collect` reports.
             if arrival < self.win_start && self.win_start >= 4 {
                 let w = (arrival * 4 / self.win_start) as usize;
                 st.warmup_ejects[w] += 1;
@@ -1462,9 +1555,14 @@ impl<'a> EngineShared<'a> {
     /// Phase 5 — the injection half: derive this shard's packet-id base
     /// from the published per-shard generation counts (shards hold
     /// contiguous terminal ranges, so prefix sums reproduce the serial
-    /// engine's global packet order exactly), enqueue the flits staged
-    /// in phase 1, and inject head-of-queue flits against the frozen
-    /// router state.
+    /// engine's global packet order exactly), then for every polled
+    /// terminal enqueue the flits staged in phase 1 and inject its
+    /// head-of-queue flit against the frozen router state. Last, decide
+    /// where the terminal spends the next cycle: on the poll list while
+    /// its source queue holds flits (their route draws interleave with
+    /// the workload's on the terminal's RNG) or its workload wants the
+    /// next cycle; otherwise parked on the wake calendar until the cycle
+    /// [`Workload::quiet_until`] names.
     #[allow(unsafe_code)]
     fn seg_inject(&self, st: &mut ShardState<'a>, t: u64) {
         let packet_len = self.cfg.packet_len;
@@ -1489,7 +1587,8 @@ impl<'a> EngineShared<'a> {
         // SAFETY: no shard mutates router state during phase 5.
         let view = unsafe { self.view(t) };
         let mut staged = 0usize;
-        for term in st.range.t0..st.range.t1 {
+        for idx in 0..st.poll.len() {
+            let term = st.poll[idx] as usize;
             let tl = term - st.range.t0;
             // Enqueue the packet generated for this terminal in phase 1
             // (if any) under its globally ordered id.
@@ -1523,92 +1622,22 @@ impl<'a> EngineShared<'a> {
                     st.gen_labeled += 1;
                 }
             }
-            // Injection of the head-of-queue flit (one per cycle).
-            let Some(h) = st.terminals[tl].source.front() else {
-                continue;
-            };
-            let (route, decision) = if st.arena.is_head(h) {
-                // (Re-)evaluate the adaptive decision while the head flit
-                // waits at the source: the packet has not entered the
-                // network yet, so the freshest local state applies.
-                let dest = st.arena.dest(h) as usize;
-                let tc = &mut st.terminals[tl];
-                let (route, decision) = self.routing.inject_traced(&view, term, dest, &mut tc.rng);
-                tc.active_route = Some(route);
-                (route, decision)
-            } else {
-                let route = st.terminals[tl]
-                    .active_route
-                    .expect("body flit with no active route");
-                (route, DecisionRecord::default())
-            };
-            let vc = route.injection_vc as usize;
-            if st.terminals[tl].credits[vc] == 0 {
+            self.inject_head(st, &view, term, t);
+            if !st.terminals[tl].source.is_empty() {
+                st.poll_next.push(term as u32);
                 continue;
             }
-            let h = st.terminals[tl].source.pop_front(&st.arena).unwrap();
-            st.arena.set_route(h, route);
-            st.arena.set_vc(h, vc as u8);
-            st.arena.set_injected(h, t);
-            st.terminals[tl].credits[vc] -= 1;
-            let (r, p) = self.spec.terminal_port(term);
-            let latency = self.spec.routers[r].ports[p].latency as u64;
-            st.arena.set_due(h, t + latency);
-            st.terminals[tl].pipe.push_back(&mut st.arena, h);
-            if st.arena.is_tail(h) {
-                st.terminals[tl].active_route = None;
-            }
-            // Telemetry commits only when the head flit actually enters
-            // the injection channel: the per-cycle re-evaluations above
-            // are provisional while the flit waits for a credit.
-            if st.arena.is_head(h) && st.arena.labeled(h) {
-                match route.class {
-                    RouteClass::Minimal => st.telemetry.minimal_takes += 1,
-                    RouteClass::NonMinimal => st.telemetry.non_minimal_takes += 1,
-                }
-                if decision.adaptive {
-                    st.telemetry.adaptive_decisions += 1;
-                    if decision.estimator_disagreed {
-                        st.telemetry.estimator_disagreements += 1;
-                    }
-                    // Estimator-accuracy scoreboard: the committed
-                    // decision's estimator reading vs the oracle's.
-                    st.scoreboard.record(
-                        decision.q_chosen,
-                        decision.oracle_chosen,
-                        decision.oracle_disagreed,
-                        decision.oracle_scored,
-                    );
-                }
-                if decision.fault_avoided {
-                    st.telemetry.fault_avoided_decisions += 1;
-                }
-                st.telemetry.dropped_candidates += decision.dropped_candidates as u64;
-                st.telemetry.oracle_probe_fallbacks += decision.probe_fallbacks as u64;
-                let packet = st.arena.packet(h);
-                let (src, dest) = (st.arena.src(h), st.arena.dest(h));
-                if let Some(tr) = st.tracer.as_mut() {
-                    if tr.selected(packet) {
-                        tr.push(
-                            t,
-                            packet,
-                            TraceEventKind::Inject {
-                                src,
-                                dest,
-                                minimal: route.class == RouteClass::Minimal,
-                                q_chosen: decision.q_chosen,
-                                oracle: decision.oracle_chosen,
-                            },
-                        );
-                    }
-                }
-            }
-            activate(&mut st.active_terms, &mut st.term_active, term, st.range.t0);
-            if in_win {
-                st.injected_in_window += 1;
+            match st.workload.quiet_until(term, t, &mut st.terminals[tl].rng) {
+                u64::MAX => st.retired += 1,
+                until if until <= t + 1 => st.poll_next.push(term as u32),
+                until => st.wake.push(t, until, term as u32),
             }
         }
         debug_assert_eq!(staged, st.staged_gen.len());
+        std::mem::swap(&mut st.poll, &mut st.poll_next);
+        st.poll_next.clear();
+        #[cfg(debug_assertions)]
+        self.check_poll_lists(st);
         st.next_packet += total;
         self.sample_tick(st, t);
         if !fixed_window {
@@ -1623,6 +1652,127 @@ impl<'a> EngineShared<'a> {
         if wd > 0 && (t + 1).is_multiple_of(wd) {
             self.exch.wd_hops[st.id].store(st.flit_hops, Ordering::Release);
             self.exch.wd_ejects[st.id].store(st.eject_total, Ordering::Release);
+        }
+    }
+
+    /// Injects the head-of-queue flit of `term`, if it has one and a
+    /// credit for it (one flit per terminal per cycle).
+    fn inject_head(&self, st: &mut ShardState<'a>, view: &NetView<'_>, term: usize, t: u64) {
+        let tl = term - st.range.t0;
+        let Some(h) = st.terminals[tl].source.front() else {
+            return;
+        };
+        let (route, decision) = if st.arena.is_head(h) {
+            // (Re-)evaluate the adaptive decision while the head flit
+            // waits at the source: the packet has not entered the
+            // network yet, so the freshest local state applies.
+            let dest = st.arena.dest(h) as usize;
+            let tc = &mut st.terminals[tl];
+            let (route, decision) = self.routing.inject_traced(view, term, dest, &mut tc.rng);
+            tc.active_route = Some(route);
+            (route, decision)
+        } else {
+            let route = st.terminals[tl]
+                .active_route
+                .expect("body flit with no active route");
+            (route, DecisionRecord::default())
+        };
+        let vc = route.injection_vc as usize;
+        if st.terminals[tl].credits[vc] == 0 {
+            return;
+        }
+        let h = st.terminals[tl].source.pop_front(&st.arena).unwrap();
+        st.arena.set_route(h, route);
+        st.arena.set_vc(h, vc as u8);
+        st.arena.set_injected(h, t);
+        st.terminals[tl].credits[vc] -= 1;
+        let (r, p) = self.spec.terminal_port(term);
+        let latency = self.spec.routers[r].ports[p].latency as u64;
+        st.arena.set_due(h, t + latency);
+        st.terminals[tl].pipe.push_back(&mut st.arena, h);
+        if st.arena.is_tail(h) {
+            st.terminals[tl].active_route = None;
+        }
+        // Telemetry commits only when the head flit actually enters
+        // the injection channel: the per-cycle re-evaluations above
+        // are provisional while the flit waits for a credit.
+        if st.arena.is_head(h) && st.arena.labeled(h) {
+            match route.class {
+                RouteClass::Minimal => st.telemetry.minimal_takes += 1,
+                RouteClass::NonMinimal => st.telemetry.non_minimal_takes += 1,
+            }
+            if decision.adaptive {
+                st.telemetry.adaptive_decisions += 1;
+                if decision.estimator_disagreed {
+                    st.telemetry.estimator_disagreements += 1;
+                }
+                // Estimator-accuracy scoreboard: the committed
+                // decision's estimator reading vs the oracle's.
+                st.scoreboard.record(
+                    decision.q_chosen,
+                    decision.oracle_chosen,
+                    decision.oracle_disagreed,
+                    decision.oracle_scored,
+                );
+            }
+            if decision.fault_avoided {
+                st.telemetry.fault_avoided_decisions += 1;
+            }
+            st.telemetry.dropped_candidates += decision.dropped_candidates as u64;
+            st.telemetry.oracle_probe_fallbacks += decision.probe_fallbacks as u64;
+            let packet = st.arena.packet(h);
+            let (src, dest) = (st.arena.src(h), st.arena.dest(h));
+            if let Some(tr) = st.tracer.as_mut() {
+                if tr.selected(packet) {
+                    tr.push(
+                        t,
+                        packet,
+                        TraceEventKind::Inject {
+                            src,
+                            dest,
+                            minimal: route.class == RouteClass::Minimal,
+                            q_chosen: decision.q_chosen,
+                            oracle: decision.oracle_chosen,
+                        },
+                    );
+                }
+            }
+        }
+        activate(&mut st.active_terms, &mut st.term_active, term, st.range.t0);
+        if self.in_window(t) {
+            st.injected_in_window += 1;
+        }
+    }
+
+    /// Debug-build invariant of the terminal lists, checked at the end
+    /// of every phase 5: each owned terminal is in exactly one place —
+    /// the (strictly ascending) poll list, one wake-calendar bucket, or
+    /// retired — and none with flits in its source queue is off the
+    /// poll list.
+    #[cfg(debug_assertions)]
+    fn check_poll_lists(&self, st: &ShardState<'a>) {
+        const POLLED: u8 = 1;
+        let t0 = st.range.t0;
+        let mut place = vec![0u8; st.terminals.len()];
+        assert!(st.poll.windows(2).all(|w| w[0] < w[1]), "poll list order");
+        for &term in &st.poll {
+            place[term as usize - t0] = POLLED;
+        }
+        for bucket in st.wake.buckets.iter().filter(|b| !b.is_empty()) {
+            for &term in bucket {
+                let slot = &mut place[term as usize - t0];
+                assert_eq!(*slot, 0, "terminal {term} parked twice or while polled");
+                *slot = POLLED + 1;
+            }
+        }
+        let unplaced = place.iter().filter(|&&p| p == 0).count();
+        assert_eq!(unplaced, st.retired, "terminals lost from the lists");
+        for (tl, tc) in st.terminals.iter().enumerate() {
+            assert!(
+                tc.source.is_empty() || place[tl] == POLLED,
+                "terminal {} has queued flits but is not polled",
+                t0 + tl
+            );
         }
     }
 
@@ -1872,8 +2022,9 @@ impl<'a> Simulation<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] if the configuration is invalid or the
-    /// pattern's terminal count does not match the network's.
+    /// Returns [`SimError`] if the configuration is invalid, the
+    /// pattern's terminal count does not match the network's, or a
+    /// router has more than 128 ports.
     pub fn new(
         spec: &'a NetworkSpec,
         routing: &'a dyn RoutingAlgorithm,
@@ -1913,7 +2064,8 @@ impl<'a> Simulation<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] if the configuration is invalid.
+    /// Returns [`SimError`] if the configuration is invalid or a router
+    /// has more than 128 ports.
     pub fn with_workload<F>(
         spec: &'a NetworkSpec,
         routing: &'a dyn RoutingAlgorithm,
@@ -1924,6 +2076,12 @@ impl<'a> Simulation<'a> {
         F: Fn(std::ops::Range<usize>) -> Box<dyn Workload + Send + 'a>,
     {
         cfg.validate()?;
+        if let Some(r) = spec.routers.iter().position(|r| r.ports.len() > MAX_RADIX) {
+            return Err(SimError::InvalidSpec(format!(
+                "router {r} has {} ports; the engine supports at most {MAX_RADIX}",
+                spec.routers[r].ports.len()
+            )));
+        }
         let vcs = spec.vcs;
         let round_trip = matches!(cfg.credit_mode, CreditMode::RoundTrip { .. });
         let mut routers = Vec::with_capacity(spec.num_routers());
@@ -1939,10 +2097,10 @@ impl<'a> Simulation<'a> {
             flat += ports as u32;
             routers.push(RouterCore {
                 inputs: vec![FlitQueue::new(); ports * vcs],
-                in_count: 0,
+                in_mask: 0,
                 in_port_count: vec![0; ports],
                 out_q: vec![FlitQueue::new(); ports * vcs],
-                out_count: 0,
+                out_mask: 0,
                 out_port_count: vec![0; ports],
                 credits: vec![cfg.buffer_depth as u32; ports * vcs],
                 outstanding: vec![0; ports],
@@ -2085,7 +2243,12 @@ impl<'a> Simulation<'a> {
                     term_active: vec![false; range.t1 - range.t0],
                     active_routers: Vec::new(),
                     router_active: vec![false; range.r1 - range.r0],
-                    credit_ring: CreditRing::with_horizon(horizon),
+                    credit_ring: Calendar::with_horizon(horizon),
+                    poll: (range.t0 as u32..range.t1 as u32).collect(),
+                    poll_next: Vec::new(),
+                    // Grows to the longest gap a workload answers.
+                    wake: Calendar::with_horizon(0),
+                    retired: 0,
                     arrivals: Vec::new(),
                     arrival_routes: Vec::new(),
                     staged_gen: Vec::new(),
@@ -2539,9 +2702,9 @@ mod tests {
     }
 
     #[test]
-    fn credit_ring_delivers_in_push_order_and_grows() {
+    fn calendar_delivers_in_push_order_and_grows() {
         let tgt = |vc: u8| CreditTarget::Terminal { term: 0, vc };
-        let mut ring = CreditRing::with_horizon(2);
+        let mut ring = Calendar::with_horizon(2);
         assert_eq!(ring.mask, 3);
         // Same delivery cycle: FIFO. Far future: forces growth with
         // pending events that must re-slot to their absolute times.
@@ -2647,6 +2810,11 @@ mod tests {
             assert!(st.active_terms.is_empty());
             assert!(st.active_routers.is_empty());
             assert_eq!(st.credit_ring.pending, 0);
+            // `Idle` answers "never": every terminal the calendar woke
+            // has been retired, none is polled or parked.
+            assert!(st.poll.is_empty());
+            assert_eq!(st.wake.pending, 0);
+            assert_eq!(st.retired, st.terminals.len());
             assert!(!st.pipe_active.iter().any(|&b| b));
             assert!(!st.router_active.iter().any(|&b| b));
             // Every arena slot returned to the free list: no handle
@@ -2687,8 +2855,8 @@ mod tests {
         }
         let sp = sim.spec();
         for (r, core) in sim.router_cores().iter().enumerate() {
-            assert_eq!(core.in_count, 0, "router {r} input stage not empty");
-            assert_eq!(core.out_count, 0, "router {r} output queues not empty");
+            assert_eq!(core.in_mask, 0, "router {r} input stage not empty");
+            assert_eq!(core.out_mask, 0, "router {r} output queues not empty");
             assert!(core.ctq.is_empty(), "conventional mode allocated a CTQ");
             for (slot, &c) in core.credits.iter().enumerate() {
                 let port = slot / sp.vcs;
@@ -2916,6 +3084,47 @@ mod tests {
         let pattern = UniformRandom::new(3);
         let stats = run_line(SimConfig::paper_default(0.2).with_seed(3), &pattern);
         assert_eq!(stats.completion, None);
+    }
+
+    #[test]
+    fn radix_beyond_the_port_masks_is_rejected() {
+        // One router, every port a terminal: 128 ports fit the `u128`
+        // occupancy masks, 129 do not.
+        let star = |n: u32| {
+            NetworkSpec::validated(
+                vec![RouterSpec {
+                    ports: (0..n).map(term).collect(),
+                }],
+                2,
+            )
+            .unwrap()
+        };
+        let build = |spec: &NetworkSpec| {
+            let routing = ShortestPathRouting::new(spec);
+            let pattern = UniformRandom::new(spec.num_terminals());
+            let mut cfg = SimConfig::paper_default(0.2);
+            cfg.warmup = 50;
+            cfg.measure = 200;
+            Simulation::new(spec, &routing, &pattern, cfg).map(|sim| sim.finish())
+        };
+        let widest = build(&star(128)).expect("radix 128 is supported");
+        assert!(widest.drained && widest.latency.count > 0);
+        match build(&star(129)) {
+            Err(SimError::InvalidSpec(msg)) => assert!(msg.contains("129 ports"), "{msg}"),
+            other => panic!("expected InvalidSpec, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn merge_sorted_interleaves_and_appends() {
+        let mut poll = vec![2, 5, 9];
+        merge_sorted(&mut poll, &[0, 3, 4, 11]);
+        assert_eq!(poll, [0, 2, 3, 4, 5, 9, 11]);
+        merge_sorted(&mut poll, &[]);
+        assert_eq!(poll.len(), 7);
+        let mut empty = Vec::new();
+        merge_sorted(&mut empty, &[1, 7]);
+        assert_eq!(empty, [1, 7]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Packet injection processes.
 
 use rand::rngs::SmallRng;
-use rand::Rng;
+use rand::{Rng, RngCore};
 
 use crate::error::ConfigError;
 
@@ -18,6 +18,16 @@ pub trait InjectionProcess {
 
     /// Returns `true` if a packet is injected this cycle.
     fn inject(&mut self, rng: &mut SmallRng) -> bool;
+
+    /// Runs up to `limit` consecutive trials and stops at the first
+    /// success: `Some(k)` means trial `k` (0-based) injected, `None`
+    /// that all `limit` trials failed. Draws and state changes are
+    /// exactly those of the `k + 1` (or `limit`) [`Self::inject`] calls
+    /// it stands for, which is what lets a source run its trials ahead
+    /// of the simulated cycle without changing the run.
+    fn first_success(&mut self, rng: &mut SmallRng, limit: u64) -> Option<u64> {
+        (0..limit).find(|_| self.inject(rng))
+    }
 }
 
 /// Memoryless injection: a packet is generated each cycle with fixed
@@ -26,6 +36,9 @@ pub trait InjectionProcess {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Bernoulli {
     rate: f64,
+    /// `ceil(rate * 2^53)`: a trial succeeds iff the generator's 53-bit
+    /// sample is below it.
+    threshold: u64,
 }
 
 impl Bernoulli {
@@ -40,7 +53,10 @@ impl Bernoulli {
             (0.0..=1.0).contains(&rate),
             "injection rate {rate} outside [0, 1]"
         );
-        Bernoulli { rate }
+        // `rate * 2^53` is an exact power-of-two scaling, so the ceiling
+        // is the exact integer bound of `sample * 2^-53 < rate`.
+        let threshold = (rate * (1u64 << 53) as f64).ceil() as u64;
+        Bernoulli { rate, threshold }
     }
 }
 
@@ -53,8 +69,12 @@ impl InjectionProcess for Bernoulli {
         self.rate
     }
 
+    /// `rng.gen_bool(rate)` in integer form: `gen_bool` compares the
+    /// 53-bit sample `k * 2^-53` with `rate`, and for an integer `k`
+    /// that is `k < ceil(rate * 2^53)` — same draw, same answer, no
+    /// float conversion in the look-ahead loop.
     fn inject(&mut self, rng: &mut SmallRng) -> bool {
-        rng.gen_bool(self.rate)
+        (rng.next_u64() >> 11) < self.threshold
     }
 }
 
@@ -190,6 +210,12 @@ impl InjectionProcess for OnOff {
     }
 }
 
+/// The rates the look-ahead tests sweep: both extremes, the largest
+/// rate below 1 (where a rounding slip in the integer bound would show)
+/// and ordinary loads.
+#[cfg(test)]
+pub(crate) const EDGE_RATES: [f64; 6] = [0.0, 1e-4, 0.02, 0.5, 1.0 - f64::EPSILON / 2.0, 1.0];
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,6 +240,66 @@ mod tests {
             assert!(!zero.inject(&mut rng));
             assert!(one.inject(&mut rng));
         }
+    }
+
+    #[test]
+    fn bernoulli_integer_trial_is_gen_bool() {
+        for rate in EDGE_RATES {
+            for seed in 0..8 {
+                let mut p = Bernoulli::new(rate);
+                let mut a = rng_for(seed, 3);
+                let mut b = a.clone();
+                for i in 0..20_000 {
+                    assert_eq!(p.inject(&mut a), b.gen_bool(rate), "rate {rate} draw {i}");
+                }
+                assert_eq!(a, b, "rate {rate}: generator states diverged");
+            }
+        }
+        // The bound itself at the extremes: never, all but the largest
+        // sample, always.
+        assert_eq!(Bernoulli::new(0.0).threshold, 0);
+        assert_eq!(Bernoulli::new(EDGE_RATES[4]).threshold, (1 << 53) - 1);
+        assert_eq!(Bernoulli::new(1.0).threshold, 1 << 53);
+        assert_eq!(Bernoulli::new(f64::MIN_POSITIVE).threshold, 1);
+    }
+
+    /// `first_success` against the trial-by-trial loop it stands for:
+    /// same index, same process state, same generator state — also when
+    /// the limit runs out first.
+    fn check_first_success<P: InjectionProcess + Clone + PartialEq + std::fmt::Debug>(proto: &P) {
+        for seed in 0..8 {
+            for limit in [0, 1, 7, 1024] {
+                let (mut ahead, mut stepped) = (proto.clone(), proto.clone());
+                let mut a = rng_for(seed, 5);
+                let mut b = a.clone();
+                for round in 0..50 {
+                    let got = ahead.first_success(&mut a, limit);
+                    let mut want = None;
+                    for k in 0..limit {
+                        if stepped.inject(&mut b) {
+                            want = Some(k);
+                            break;
+                        }
+                    }
+                    assert_eq!(
+                        got, want,
+                        "{proto:?} seed {seed} limit {limit} round {round}"
+                    );
+                    assert_eq!(ahead, stepped);
+                    assert_eq!(a, b, "{proto:?}: generator states diverged");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn first_success_matches_the_trial_loop() {
+        for rate in EDGE_RATES {
+            check_first_success(&Bernoulli::new(rate));
+        }
+        check_first_success(&OnOff::with_rate(0.02, 8.0));
+        check_first_success(&OnOff::with_rate_and_duty(0.1, 16.0, 0.25).unwrap());
+        check_first_success(&OnOff::with_rate_and_duty(0.3, 8.0, 1.0).unwrap());
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub use pattern::{
 };
 pub use workload::{
     AllReduce, AllReduceAlgo, AllToAll, Barrier, Delivery, Idle, MessageIntent, OpenLoop,
-    RequestReply, Workload,
+    RequestReply, Source, Workload, LOOKAHEAD,
 };
 
 use rand::rngs::SmallRng;

@@ -11,21 +11,22 @@
 //!
 //! # Contract
 //!
-//! The engine calls [`Workload::offer`] once per local terminal per
-//! cycle, in ascending terminal order, and [`Workload::delivered`] for
-//! each delivered packet — once at the destination terminal (the
-//! message arrived) and once at the source terminal (the send
-//! completed), in a canonical order (ascending packet id, then
-//! terminal) regardless of how the simulation is sharded. One workload
-//! instance exists *per engine shard*; instances coordinate only
-//! through simulated messages, never shared state, which is what keeps
-//! sharded runs bit-identical. All state must therefore be partitioned
-//! by terminal: an instance may only consult state of terminals it has
-//! been offered.
+//! Each cycle the engine calls [`Workload::offer`] for every polled
+//! local terminal, in ascending terminal order; a terminal is polled
+//! unless a [`Workload::quiet_until`] answer has parked it until a
+//! later cycle. It calls [`Workload::delivered`] for each delivered
+//! packet — once at the destination terminal (the message arrived) and
+//! once at the source terminal (the send completed), in a canonical
+//! order (ascending packet id, then terminal) regardless of how the
+//! simulation is sharded. One workload instance exists *per engine
+//! shard*; instances coordinate only through simulated messages, never
+//! shared state, which is what keeps sharded runs bit-identical. All
+//! state must therefore be partitioned by terminal: an instance may
+//! only consult state of terminals it has been offered.
 //!
-//! Determinism: `offer` may draw from the per-terminal RNG it is
-//! handed, but must not consult any other source of randomness or
-//! global mutable state.
+//! Determinism: `offer` and `quiet_until` may draw from the
+//! per-terminal RNG they are handed, but must not consult any other
+//! source of randomness or global mutable state.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -70,9 +71,31 @@ pub trait Workload {
     fn name(&self) -> &'static str;
 
     /// Asks `terminal` whether it injects a packet at `cycle`. Called
-    /// once per local terminal per cycle, in ascending terminal order.
+    /// for every polled terminal each cycle, in ascending terminal
+    /// order (see [`Self::quiet_until`] for which terminals are not).
     /// `rng` is the terminal's private deterministic stream.
     fn offer(&mut self, terminal: usize, cycle: u64, rng: &mut SmallRng) -> Option<MessageIntent>;
+
+    /// The next cycle at which `terminal` has to be offered again; the
+    /// engine skips its `offer` calls on every cycle in between, and
+    /// never polls it again after `u64::MAX`.
+    ///
+    /// Called at the end of `cycle`, and only while the terminal's
+    /// source queue is empty — the one state in which nothing but
+    /// `offer` draws from `rng`, so trials can be run ahead of time.
+    /// An implementation must leave the run exactly as if the terminal
+    /// had been offered every cycle:
+    ///
+    /// * every skipped `offer` would have returned `None`;
+    /// * the draws consumed here are exactly the draws those skipped
+    ///   offers would have made, plus at most the deciding trial of the
+    ///   returned cycle, which `offer` must then not repeat;
+    /// * the answer does not depend on deliveries: a workload whose
+    ///   offers react to [`Self::delivered`] keeps the default, which
+    ///   polls the terminal every cycle.
+    fn quiet_until(&mut self, _terminal: usize, cycle: u64, _rng: &mut SmallRng) -> u64 {
+        cycle + 1
+    }
 
     /// Reports a delivery. Called once with `terminal == msg.dest`
     /// (the message arrived there) and — if [`Self::wants_delivery`] —
@@ -89,8 +112,7 @@ pub trait Workload {
 
     /// `true` once every terminal this instance has been offered is
     /// finished. Drives the engine's `Termination::WorkComplete` runs;
-    /// open-ended
-    /// workloads return `false` forever.
+    /// open-ended workloads return `false` forever.
     fn all_done(&self) -> bool {
         false
     }
@@ -110,6 +132,10 @@ impl Workload for Idle {
         None
     }
 
+    fn quiet_until(&mut self, _: usize, _: u64, _: &mut SmallRng) -> u64 {
+        u64::MAX
+    }
+
     fn delivered(&mut self, _: usize, _: &Delivery, _: u64) {}
 
     fn wants_delivery(&self) -> bool {
@@ -121,6 +147,76 @@ impl Workload for Idle {
     }
 }
 
+/// Injection trials one [`Source::quiet_until`] call runs ahead at most.
+/// A terminal that never fires is therefore woken once per `LOOKAHEAD`
+/// cycles to run the next batch: the same trials as polling it every
+/// cycle, at no more than the same cost.
+pub const LOOKAHEAD: u64 = 1024;
+
+/// One terminal's open-loop source: its [`InjectionProcess`] plus the
+/// look-ahead state behind [`Workload::quiet_until`]. Owns the draw
+/// order — injection trial, then destination if it fired — that every
+/// historical sweep depends on.
+#[derive(Debug, Clone)]
+pub struct Source<P> {
+    proc: P,
+    /// The cycle whose trial [`Self::quiet_until`] already ran and saw
+    /// succeed; `offer` there draws only the destination. `u64::MAX`
+    /// when no trial is outstanding.
+    armed: u64,
+}
+
+impl<P: InjectionProcess> Source<P> {
+    /// A source driven by `proc`, with no trial run ahead.
+    pub fn new(proc: P) -> Self {
+        Source {
+            proc,
+            armed: u64::MAX,
+        }
+    }
+
+    /// [`Workload::offer`] for this terminal: one injection trial
+    /// (unless [`Self::quiet_until`] already ran it), then one
+    /// destination draw if it fired.
+    pub fn offer(
+        &mut self,
+        terminal: usize,
+        cycle: u64,
+        rng: &mut SmallRng,
+        pattern: &(impl TrafficPattern + ?Sized),
+        tracked: bool,
+    ) -> Option<MessageIntent> {
+        if self.armed == cycle {
+            self.armed = u64::MAX;
+        } else {
+            debug_assert_eq!(self.armed, u64::MAX, "offered at {cycle} while parked");
+            if !self.proc.inject(rng) {
+                return None;
+            }
+        }
+        Some(MessageIntent {
+            dest: pattern.destination(terminal, rng),
+            tag: 0,
+            tracked,
+        })
+    }
+
+    /// [`Workload::quiet_until`] for this terminal: runs the trials of
+    /// the cycles after `cycle` until one succeeds and returns that
+    /// cycle, armed; after [`LOOKAHEAD`] failures returns
+    /// `cycle + LOOKAHEAD + 1`, whose trial is still to run.
+    pub fn quiet_until(&mut self, cycle: u64, rng: &mut SmallRng) -> u64 {
+        debug_assert_eq!(self.armed, u64::MAX, "looked ahead twice");
+        match self.proc.first_success(rng, LOOKAHEAD) {
+            Some(k) => {
+                self.armed = cycle + 1 + k;
+                self.armed
+            }
+            None => cycle + LOOKAHEAD + 1,
+        }
+    }
+}
+
 /// Open-loop adapter: wraps a classic [`InjectionProcess`] + traffic
 /// pattern pair as a [`Workload`].
 ///
@@ -129,8 +225,8 @@ impl Workload for Idle {
 /// it fired, both from the terminal's own RNG — so every historical
 /// sweep stays bit-identical through this adapter.
 pub struct OpenLoop<'a, P> {
-    /// Per-terminal process states, indexed by `terminal - base`.
-    procs: Vec<P>,
+    /// Per-terminal sources, indexed by `terminal - base`.
+    sources: Vec<Source<P>>,
     /// First terminal this instance is responsible for.
     base: usize,
     pattern: &'a dyn TrafficPattern,
@@ -143,7 +239,7 @@ impl<'a, P: InjectionProcess + Clone> OpenLoop<'a, P> {
     /// one-process-per-terminal setup).
     pub fn new(proto: &P, range: std::ops::Range<usize>, pattern: &'a dyn TrafficPattern) -> Self {
         OpenLoop {
-            procs: vec![proto.clone(); range.len()],
+            sources: vec![Source::new(proto.clone()); range.len()],
             base: range.start,
             pattern,
             tracked: true,
@@ -164,15 +260,12 @@ impl<P: InjectionProcess + Clone> Workload for OpenLoop<'_, P> {
         "open-loop"
     }
 
-    fn offer(&mut self, terminal: usize, _cycle: u64, rng: &mut SmallRng) -> Option<MessageIntent> {
-        if !self.procs[terminal - self.base].inject(rng) {
-            return None;
-        }
-        Some(MessageIntent {
-            dest: self.pattern.destination(terminal, rng),
-            tag: 0,
-            tracked: self.tracked,
-        })
+    fn offer(&mut self, terminal: usize, cycle: u64, rng: &mut SmallRng) -> Option<MessageIntent> {
+        self.sources[terminal - self.base].offer(terminal, cycle, rng, self.pattern, self.tracked)
+    }
+
+    fn quiet_until(&mut self, terminal: usize, cycle: u64, rng: &mut SmallRng) -> u64 {
+        self.sources[terminal - self.base].quiet_until(cycle, rng)
     }
 
     fn delivered(&mut self, _: usize, _: &Delivery, _: u64) {}
@@ -913,6 +1006,112 @@ mod tests {
                 assert_eq!(got, expect, "terminal {t} cycle {cycle}");
             }
         }
+    }
+
+    /// Drives one `OpenLoop` by `offer` every cycle and a twin through
+    /// the `quiet_until`/`offer` protocol the engine follows, and
+    /// demands the same `(cycle, dest)` sequence and the same final
+    /// generator state. After a packet fires the terminal is "busy"
+    /// (non-empty source queue) for a seeded stretch: polled every
+    /// cycle, with one extra draw per cycle on the same generator
+    /// standing in for the source router's route draws.
+    fn check_lookahead<P: InjectionProcess + Clone>(proto: &P, seed: u64, label: &str) {
+        use rand::{Rng, RngCore};
+        const TERM: usize = 3;
+        const CYCLES: u64 = 6_000;
+        let pattern = UniformRandom::new(16);
+        let mut every = OpenLoop::new(proto, TERM..TERM + 1, &pattern);
+        let mut parked = OpenLoop::new(proto, TERM..TERM + 1, &pattern);
+        let mut rng_e = rng_for(seed, TERM as u64);
+        let mut rng_p = rng_e.clone();
+        // Each side draws its busy stretches from its own copy of one
+        // control stream, in firing order.
+        let mut ctl_e = rng_for(seed, 99);
+        let mut ctl_p = ctl_e.clone();
+        let (mut busy_e, mut busy_p) = (0u64, 0u64); // busy while cycle < busy_*
+        let (mut fired_e, mut fired_p) = (Vec::new(), Vec::new());
+        let mut next_poll = 0u64;
+        for cycle in 0..CYCLES {
+            if let Some(i) = every.offer(TERM, cycle, &mut rng_e) {
+                fired_e.push((cycle, i.dest));
+                busy_e = busy_e.max(cycle + ctl_e.gen_range(0u64..6));
+            }
+            if cycle < busy_e {
+                rng_e.next_u64();
+            }
+            if cycle < next_poll {
+                continue;
+            }
+            if let Some(i) = parked.offer(TERM, cycle, &mut rng_p) {
+                fired_p.push((cycle, i.dest));
+                busy_p = busy_p.max(cycle + ctl_p.gen_range(0u64..6));
+            }
+            next_poll = if cycle < busy_p {
+                rng_p.next_u64();
+                cycle + 1
+            } else {
+                let until = parked.quiet_until(TERM, cycle, &mut rng_p);
+                assert!(until > cycle && until <= cycle + LOOKAHEAD + 1, "{label}");
+                until
+            };
+        }
+        // The twin may have run its trials past the horizon: bring the
+        // every-cycle side up to the twin's next poll, which both then
+        // take, and the generators must agree again.
+        for cycle in CYCLES..next_poll {
+            assert_eq!(every.offer(TERM, cycle, &mut rng_e), None, "{label}");
+        }
+        assert_eq!(
+            every.offer(TERM, next_poll, &mut rng_e),
+            parked.offer(TERM, next_poll, &mut rng_p),
+            "{label} seed {seed}: offers at the common poll {next_poll} differ"
+        );
+        assert_eq!(
+            fired_e, fired_p,
+            "{label} seed {seed}: firing sequences differ"
+        );
+        assert_eq!(rng_e, rng_p, "{label} seed {seed}: generator states differ");
+    }
+
+    #[test]
+    fn lookahead_protocol_reproduces_every_cycle_polling() {
+        use crate::injection::{OnOff, EDGE_RATES};
+        for seed in 0..8 {
+            for rate in EDGE_RATES {
+                check_lookahead(&Bernoulli::new(rate), seed, &format!("bernoulli {rate}"));
+            }
+            check_lookahead(&OnOff::with_rate(0.02, 8.0), seed, "on-off");
+            check_lookahead(&OnOff::with_rate(1e-4, 40.0), seed, "on-off sparse");
+            check_lookahead(
+                &OnOff::with_rate_and_duty(0.1, 16.0, 0.25).unwrap(),
+                seed,
+                "markov on-off",
+            );
+        }
+    }
+
+    #[test]
+    fn lookahead_miss_returns_unarmed_and_idle_never_wakes() {
+        let pattern = UniformRandom::new(4);
+        let mut never = OpenLoop::new(&Bernoulli::new(0.0), 0..1, &pattern);
+        let mut rng = rng_for(5, 0);
+        let mut reference = rng.clone();
+        assert_eq!(never.quiet_until(0, 10, &mut rng), 10 + LOOKAHEAD + 1);
+        // Exactly LOOKAHEAD trials were drawn, and the wake-up cycle's
+        // own trial is still to run.
+        for _ in 0..LOOKAHEAD {
+            rand::RngCore::next_u64(&mut reference);
+        }
+        assert_eq!(rng, reference);
+        assert_eq!(never.offer(0, 10 + LOOKAHEAD + 1, &mut rng), None);
+        assert_ne!(rng, reference);
+        // A rate-1 source is due, armed, the very next cycle.
+        let mut always = OpenLoop::new(&Bernoulli::new(1.0), 0..1, &pattern);
+        assert_eq!(always.quiet_until(0, 7, &mut rng), 8);
+        assert!(always.offer(0, 8, &mut rng).is_some());
+        assert_eq!(Idle.quiet_until(0, 7, &mut rng), u64::MAX);
+        // Collectives keep the default: polled every cycle.
+        assert_eq!(Barrier::new(vec![0, 1], 1).quiet_until(0, 7, &mut rng), 8);
     }
 
     #[test]

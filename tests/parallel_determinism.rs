@@ -5,11 +5,16 @@
 //! topology routes through the shared adaptive layer — one adaptive
 //! sweep per baseline topology as well.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dfly_netsim::{CreditMode, SimConfig, Simulation, TelemetryConfig, Termination};
+use dfly_netsim::{CreditMode, InjectionKind, SimConfig, Simulation, TelemetryConfig, Termination};
 use dfly_topo::{FlattenedButterfly, FoldedClos, Torus};
-use dfly_traffic::{AllReduce, Barrier, UniformRandom, Workload};
+use dfly_traffic::{
+    AllReduce, Barrier, Bernoulli, Delivery, InjectionProcess, MessageIntent, OnOff, OpenLoop,
+    UniformRandom, Workload,
+};
+use rand::rngs::SmallRng;
 
 use dragonfly::butterfly::{ButterflyNetwork, ButterflyRouting};
 use dragonfly::clos_sim::{ClosNetwork, ClosRouting};
@@ -494,4 +499,203 @@ fn workload_sweep_books_identical_across_threads_and_shards() {
             );
         }
     }
+}
+
+/// Test-only judge for the terminal wake calendar: forwards a workload
+/// unchanged except that, with `parks` off, it keeps the default
+/// `quiet_until` — so the engine polls every terminal every cycle, the
+/// way it did before terminals could be parked. Counts `offer` calls.
+struct Probe<W> {
+    inner: W,
+    parks: bool,
+    offers: Arc<AtomicU64>,
+}
+
+impl<W> Probe<W> {
+    fn polled_every_cycle(inner: W) -> Self {
+        Probe {
+            inner,
+            parks: false,
+            offers: Arc::default(),
+        }
+    }
+}
+
+impl<W: Workload> Workload for Probe<W> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn offer(&mut self, terminal: usize, cycle: u64, rng: &mut SmallRng) -> Option<MessageIntent> {
+        self.offers.fetch_add(1, Ordering::Relaxed);
+        self.inner.offer(terminal, cycle, rng)
+    }
+
+    fn quiet_until(&mut self, terminal: usize, cycle: u64, rng: &mut SmallRng) -> u64 {
+        if self.parks {
+            self.inner.quiet_until(terminal, cycle, rng)
+        } else {
+            cycle + 1
+        }
+    }
+
+    fn delivered(&mut self, terminal: usize, msg: &Delivery, cycle: u64) {
+        self.inner.delivered(terminal, msg, cycle);
+    }
+
+    fn wants_delivery(&self) -> bool {
+        self.inner.wants_delivery()
+    }
+
+    fn all_done(&self) -> bool {
+        self.inner.all_done()
+    }
+}
+
+/// Parking open-loop terminals on the wake calendar must be invisible:
+/// the engine's own open-loop run equals the same source polled every
+/// cycle, for memoryless and bursty injection, one- and four-flit
+/// packets, and with MIN (no draws at the source router) as well as
+/// UGAL-L (route draws interleave with the injection trials on each
+/// terminal's generator), at 1, 2 and 4 shards.
+#[test]
+fn wake_calendar_matches_polling_every_cycle_open_loop() {
+    fn check<P: InjectionProcess + Clone + Send>(
+        sim: &dragonfly::DragonflySim,
+        routing: RoutingChoice,
+        kind: InjectionKind,
+        proc: &P,
+        packet_len: usize,
+    ) {
+        let spec = sim.spec();
+        let pattern = UniformRandom::new(spec.num_terminals());
+        for shards in [1, 2, 4] {
+            let mut cfg = SimConfig::paper_default(0.0);
+            cfg.injection = kind;
+            cfg.packet_len = packet_len;
+            cfg.warmup = 200;
+            cfg.measure = 1_500;
+            cfg.drain_cap = 5_000;
+            cfg.seed = 51;
+            cfg.shards = shards;
+            let routing_a = routing.build(sim.shared_dragonfly());
+            let parked = Simulation::new(spec, routing_a.as_ref(), &pattern, cfg.clone())
+                .unwrap()
+                .finish();
+            let routing_b = routing.build(sim.shared_dragonfly());
+            let polled = Simulation::with_workload(spec, routing_b.as_ref(), cfg, |range| {
+                Box::new(Probe::polled_every_cycle(OpenLoop::new(
+                    proc, range, &pattern,
+                )))
+            })
+            .unwrap()
+            .finish();
+            assert!(parked.drained && parked.latency.count > 0);
+            assert_eq!(
+                parked, polled,
+                "{routing:?} {kind:?} x{packet_len} at {shards} shard(s)"
+            );
+        }
+    }
+    let sim = dragonfly::DragonflySim::new(dragonfly::DragonflyParams::new(2, 4, 2).unwrap());
+    for routing in [RoutingChoice::Min, RoutingChoice::UgalL] {
+        for packet_len in [1, 4] {
+            let rate = 0.08 / packet_len as f64;
+            check(
+                &sim,
+                routing,
+                InjectionKind::Bernoulli { rate },
+                &Bernoulli::new(rate),
+                packet_len,
+            );
+            let (burst_len, duty) = (12.0, 0.25);
+            check(
+                &sim,
+                routing,
+                InjectionKind::MarkovOnOff {
+                    rate,
+                    burst_len,
+                    duty,
+                },
+                &OnOff::with_rate_and_duty(rate, burst_len, duty).unwrap(),
+                packet_len,
+            );
+        }
+    }
+}
+
+/// The same judge over a closed loop: two collectives (polled every
+/// cycle either way — their offers react to deliveries) with open-loop
+/// background on the remaining terminals, which parks.
+#[test]
+fn wake_calendar_matches_polling_every_cycle_job_mix() {
+    let params = dragonfly::DragonflyParams::new(2, 4, 2).unwrap();
+    let sim = dragonfly::DragonflySim::new(params);
+    let mix = dragonfly::JobMix::new(
+        vec![
+            dragonfly::JobSpec::all_to_all("alpha", 8),
+            dragonfly::JobSpec::barrier("beta", 8, 3),
+        ],
+        dragonfly::Placement::Interfering,
+    )
+    .with_background(0.1);
+    let assignment = mix.assign(&params).unwrap();
+    let run = |shards: usize, parks: bool| {
+        let mut cfg = SimConfig::paper_default(0.0);
+        cfg.warmup = 0;
+        cfg.measure = 30_000;
+        cfg.drain_cap = 30_000;
+        cfg.seed = 52;
+        cfg.termination = Termination::WorkComplete;
+        cfg.shards = shards;
+        let ledger = mix.ledger();
+        let stats = sim.run_workload(RoutingChoice::UgalL, cfg, &|range| {
+            Box::new(Probe {
+                inner: mix.workload(&assignment, range, &ledger),
+                parks,
+                offers: Arc::default(),
+            })
+        });
+        (stats, ledger.snapshot())
+    };
+    let reference = run(1, false);
+    assert!(reference.0.completion.is_some(), "mix never completed");
+    for shards in [1, 2, 4] {
+        assert_eq!(
+            run(shards, true),
+            reference,
+            "parked job mix diverged at {shards} shard(s)"
+        );
+    }
+}
+
+/// What the calendar buys: at load 0.01 a terminal is offered on the
+/// cycles it fires or still holds flits, not on every cycle.
+#[test]
+fn parked_terminals_are_rarely_offered() {
+    let sim = dragonfly::DragonflySim::new(dragonfly::DragonflyParams::new(2, 4, 2).unwrap());
+    let spec = sim.spec();
+    let pattern = UniformRandom::new(spec.num_terminals());
+    let routing = RoutingChoice::Min.build(sim.shared_dragonfly());
+    let mut cfg = SimConfig::paper_default(0.01);
+    cfg.warmup = 200;
+    cfg.measure = 3_000;
+    cfg.seed = 53;
+    let offers = Arc::new(AtomicU64::new(0));
+    let stats = Simulation::with_workload(spec, routing.as_ref(), cfg, |range| {
+        Box::new(Probe {
+            inner: OpenLoop::new(&Bernoulli::new(0.01), range, &pattern),
+            parks: true,
+            offers: Arc::clone(&offers),
+        })
+    })
+    .unwrap()
+    .finish();
+    assert!(stats.drained && stats.latency.count > 0);
+    let every_cycle = spec.num_terminals() as u64 * stats.cycles;
+    let offers = offers.load(Ordering::Relaxed);
+    assert!(
+        offers * 20 < every_cycle,
+        "{offers} offers is not under 5 % of {every_cycle} terminal-cycles"
+    );
 }
