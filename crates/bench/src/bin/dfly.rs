@@ -24,8 +24,9 @@ fn usage() -> ExitCode {
          [--buffers B] [--cycles C] [--seed S]\n  \
          dfly sweep    -p P -a A -H H [-g G] --routing R --traffic T --loads L1,L2,..\n  \
          dfly cost     -n NODES\n\n\
-         routings: min val ugal-l ugal-lvc ugal-lvch ugal-lcr ugal-g\n\
-         traffic:  ur wc tornado perm"
+         routings: {}\n\
+         traffic:  ur wc tornado perm",
+        ROUTINGS.map(|(spelling, _)| spelling).join(" ")
     );
     ExitCode::from(2)
 }
@@ -58,18 +59,26 @@ fn params_from(flags: &HashMap<String, String>) -> Result<DragonflyParams, Strin
     }
 }
 
+/// CLI spelling of every routing: the one table `routing_from` matches
+/// on and the usage text lists.
+const ROUTINGS: [(&str, RoutingChoice); RoutingChoice::ALL.len()] = [
+    ("min", RoutingChoice::Min),
+    ("val", RoutingChoice::Valiant),
+    ("ugal-l", RoutingChoice::UgalL),
+    ("ugal-lvc", RoutingChoice::UgalLVc),
+    ("ugal-lvch", RoutingChoice::UgalLVcH),
+    ("ugal-lcr", RoutingChoice::UgalLCr),
+    ("ugal-g", RoutingChoice::UgalG),
+    ("ugal-lewma", RoutingChoice::UgalLEwma),
+];
+
 fn routing_from(flags: &HashMap<String, String>) -> Result<RoutingChoice, String> {
-    match flags.get("routing").map(String::as_str) {
-        Some("min") => Ok(RoutingChoice::Min),
-        Some("val") => Ok(RoutingChoice::Valiant),
-        Some("ugal-l") => Ok(RoutingChoice::UgalL),
-        Some("ugal-lvc") => Ok(RoutingChoice::UgalLVc),
-        Some("ugal-lvch") => Ok(RoutingChoice::UgalLVcH),
-        Some("ugal-lcr") => Ok(RoutingChoice::UgalLCr),
-        Some("ugal-g") => Ok(RoutingChoice::UgalG),
-        Some(other) => Err(format!("unknown routing {other}")),
-        None => Err("missing --routing".into()),
-    }
+    let name = flags.get("routing").ok_or("missing --routing")?;
+    ROUTINGS
+        .iter()
+        .find(|(spelling, _)| spelling == name)
+        .map(|&(_, choice)| choice)
+        .ok_or_else(|| format!("unknown routing {name}"))
 }
 
 fn traffic_from(flags: &HashMap<String, String>) -> Result<TrafficChoice, String> {
@@ -265,5 +274,24 @@ fn main() -> ExitCode {
             eprintln!("error: {msg}");
             ExitCode::from(2)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_routing_choice_has_a_cli_spelling_that_parses_back() {
+        for choice in RoutingChoice::ALL {
+            let (spelling, _) = ROUTINGS
+                .iter()
+                .find(|(_, c)| *c == choice)
+                .unwrap_or_else(|| panic!("{} has no CLI spelling", choice.label()));
+            let flags = HashMap::from([("routing".to_string(), spelling.to_string())]);
+            assert_eq!(routing_from(&flags), Ok(choice), "--routing {spelling}");
+        }
+        let flags = HashMap::from([("routing".to_string(), "ugal-x".to_string())]);
+        assert_eq!(routing_from(&flags), Err("unknown routing ugal-x".into()));
     }
 }

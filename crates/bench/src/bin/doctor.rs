@@ -1,33 +1,23 @@
-//! Run-health doctor: replays the campaign journal and the BENCH
-//! artifacts of a finished (or crashed) session and prints a verdict
-//! table, so "did anything go wrong in that overnight sweep?" is one
-//! command instead of an archaeology session.
+//! Run-health doctor: replays the campaign journal of a finished (or
+//! crashed) session and prints a verdict table, so "did anything go
+//! wrong in that overnight sweep?" is one command instead of an
+//! archaeology session. It judges health only; speed verdicts come
+//! from `dfly-benchmark compare` (see `scripts/bench_history.sh`).
 //!
-//! Checks, in order:
+//! Checks, in order: every journal entry decodes; work-complete
+//! (workload) cells actually completed; undrained sweep cells are
+//! reported as saturation (expected at the top of a latency-load
+//! curve, so informational); cells whose warmup failed the
+//! convergence gate are warned about.
 //!
-//! * **campaign journal** — every entry decodes; work-complete
-//!   (workload) cells actually completed; undrained sweep cells are
-//!   reported as saturation (expected at the top of a latency-load
-//!   curve, so informational); cells whose warmup failed the
-//!   convergence gate are warned about.
-//! * **BENCH document** (`BENCH_parallel_sweep.json`) — every
-//!   `bit_identical` flag is true and the cached legs matched the
-//!   fresh ones; the `health` section reports zero stalls and a
-//!   transparent watchdog; the telemetry-disabled and watchdog-armed
-//!   overheads are inside their CI budgets; the emitted wall-clock
-//!   field manifest matches the compiled-in [`WALLCLOCK_FIELDS`] list.
-//!
-//! Usage: `doctor [CAMPAIGN_DIR] [BENCH_JSON]` — the directory
-//! defaults to `DFLY_CAMPAIGN_DIR` or `target/campaign`, the document
-//! to `BENCH_parallel_sweep.json`. Missing inputs are reported and
-//! skipped, never invented.
-//!
-//! Exit code: 0 when no check FAILed (WARNs allowed), 2 otherwise.
+//! Usage: `doctor [CAMPAIGN_DIR]` — the directory defaults to
+//! `DFLY_CAMPAIGN_DIR` or `target/campaign`. A missing journal is
+//! reported and skipped, never invented. Exit code: 0 when no check
+//! FAILed (WARNs allowed), 2 otherwise and on a usage error.
 
 use std::fmt;
 use std::process::ExitCode;
 
-use dfly_bench::{WALLCLOCK_EXACT_KEYS, WALLCLOCK_FIELDS};
 use dragonfly::CampaignStore;
 
 /// Severity of one verdict row.
@@ -50,15 +40,12 @@ impl fmt::Display for Status {
     }
 }
 
+#[derive(Default)]
 struct Report {
     rows: Vec<(String, Status, String)>,
 }
 
 impl Report {
-    fn new() -> Self {
-        Report { rows: Vec::new() }
-    }
-
     fn row(&mut self, check: &str, status: Status, detail: impl Into<String>) {
         self.rows.push((check.to_string(), status, detail.into()));
     }
@@ -66,62 +53,6 @@ impl Report {
     fn count(&self, status: Status) -> usize {
         self.rows.iter().filter(|(_, s, _)| *s == status).count()
     }
-}
-
-/// First `"key": <number>` occurrence in `doc`.
-fn find_num(doc: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\": ");
-    let start = doc.find(&needle)? + needle.len();
-    let rest = &doc[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// First `"key": true|false` occurrence in `doc`.
-fn find_bool(doc: &str, key: &str) -> Option<bool> {
-    let needle = format!("\"{key}\": ");
-    let start = doc.find(&needle)? + needle.len();
-    let rest = &doc[start..];
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
-    }
-}
-
-/// Every `"key": true|false` occurrence in `doc`, in document order.
-fn find_all_bools(doc: &str, key: &str) -> Vec<bool> {
-    let needle = format!("\"{key}\": ");
-    let mut out = Vec::new();
-    let mut at = 0;
-    while let Some(i) = doc[at..].find(&needle) {
-        let start = at + i + needle.len();
-        let rest = &doc[start..];
-        if rest.starts_with("true") {
-            out.push(true);
-        } else if rest.starts_with("false") {
-            out.push(false);
-        }
-        at = start;
-    }
-    out
-}
-
-/// The string items of the first `"key": [...]` array in `doc`.
-fn find_string_array(doc: &str, key: &str) -> Option<Vec<String>> {
-    let needle = format!("\"{key}\": [");
-    let start = doc.find(&needle)? + needle.len();
-    let body = &doc[start..doc[start..].find(']')? + start];
-    Some(
-        body.split(',')
-            .map(|s| s.trim().trim_matches('"').to_string())
-            .filter(|s| !s.is_empty())
-            .collect(),
-    )
 }
 
 fn check_campaign(report: &mut Report, dir: &str) {
@@ -224,158 +155,19 @@ fn check_campaign(report: &mut Report, dir: &str) {
     }
 }
 
-fn check_bench(report: &mut Report, path: &str) {
-    let doc = match std::fs::read_to_string(path) {
-        Ok(d) => d,
-        Err(_) => {
-            report.row(
-                "BENCH document",
-                Status::Info,
-                format!("{path} not found - run perfstat to generate it"),
-            );
-            return;
-        }
-    };
-
-    let flags = find_all_bools(&doc, "bit_identical");
-    let cached = find_bool(&doc, "cached_matches_fresh");
-    if !flags.is_empty() && flags.iter().all(|&b| b) && cached != Some(false) {
-        report.row(
-            "determinism",
-            Status::Ok,
-            format!(
-                "{} bit_identical flags true, cached matches fresh",
-                flags.len()
-            ),
-        );
-    } else {
-        report.row(
-            "determinism",
-            Status::Fail,
-            format!("bit_identical flags {flags:?}, cached_matches_fresh {cached:?}"),
-        );
-    }
-
-    match (
-        find_num(&doc, "stalls"),
-        find_bool(&doc, "watchdog_transparent"),
-    ) {
-        (Some(stalls), Some(transparent)) => {
-            let clean = stalls == 0.0 && transparent;
-            report.row(
-                "stall watchdog",
-                if clean { Status::Ok } else { Status::Fail },
-                format!("{stalls:.0} stalls, transparent: {transparent}"),
-            );
-            match find_bool(&doc, "converged") {
-                Some(true) => report.row("reference convergence", Status::Ok, "warmup converged"),
-                Some(false) => report.row(
-                    "reference convergence",
-                    Status::Warn,
-                    "reference run warmup exceeded the drift limit",
-                ),
-                None => report.row(
-                    "reference convergence",
-                    Status::Warn,
-                    "no converged flag in the health section",
-                ),
-            }
-        }
-        _ => report.row(
-            "stall watchdog",
-            Status::Warn,
-            "no health section - regenerate the document with current perfstat",
-        ),
-    }
-
-    // Overhead budgets mirror the CI gates: a relative ceiling plus a
-    // small absolute grace for short quick-mode runs.
-    let overheads = [
-        (
-            "telemetry-disabled overhead",
-            "disabled_secs",
-            "reference_secs",
-            1.03,
-        ),
-        ("watchdog overhead", "watchdog_secs", "disabled_secs", 1.05),
-    ];
-    for (check, num_key, den_key, limit) in overheads {
-        match (find_num(&doc, num_key), find_num(&doc, den_key)) {
-            (Some(num), Some(den)) => {
-                let ok = num <= limit * den + 0.05;
-                report.row(
-                    check,
-                    if ok { Status::Ok } else { Status::Fail },
-                    format!(
-                        "{num:.3}s vs {den:.3}s (limit {limit:.2}x + 50ms): {:.3}x",
-                        num / den.max(1e-12)
-                    ),
-                );
-            }
-            _ => report.row(
-                check,
-                Status::Warn,
-                format!("missing {num_key}/{den_key} in the document"),
-            ),
-        }
-    }
-
-    // Cross-document regression: when the cold-run document is kept
-    // next to the warm one (CI renames it *.first.json), the warm
-    // run's telemetry-disabled median must not have blown up against
-    // it. Wall clock across whole runs is noisy, so this warns rather
-    // than fails.
-    let prev_path = path.replace(".json", ".first.json");
-    if let Ok(prev) = std::fs::read_to_string(&prev_path) {
-        if let (Some(cur), Some(before)) = (
-            find_num(&doc, "disabled_secs"),
-            find_num(&prev, "disabled_secs"),
-        ) {
-            let ok = cur <= 1.5 * before + 0.05;
-            report.row(
-                "overhead vs previous run",
-                if ok { Status::Ok } else { Status::Warn },
-                format!("disabled {cur:.3}s vs {before:.3}s in {prev_path}"),
-            );
-        }
-    }
-
-    // The wall-clock manifest the document advertises must match the
-    // compiled-in list the warm-compare scrubs with.
-    let fields = find_string_array(&doc, "wallclock_fields");
-    let exact = find_string_array(&doc, "wallclock_exact");
-    let expect_fields: Vec<String> = WALLCLOCK_FIELDS.iter().map(|s| s.to_string()).collect();
-    let expect_exact: Vec<String> = WALLCLOCK_EXACT_KEYS.iter().map(|s| s.to_string()).collect();
-    let matches = fields.as_deref() == Some(expect_fields.as_slice())
-        && exact.as_deref() == Some(expect_exact.as_slice());
-    report.row(
-        "wall-clock manifest",
-        if matches { Status::Ok } else { Status::Fail },
-        if matches {
-            format!(
-                "{} substrings + {} exact keys match the compiled-in list",
-                WALLCLOCK_FIELDS.len(),
-                WALLCLOCK_EXACT_KEYS.len()
-            )
-        } else {
-            format!("document manifest {fields:?}/{exact:?} diverged from the compiled-in list")
-        },
-    );
-}
-
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let dir = args
         .next()
         .or_else(|| std::env::var("DFLY_CAMPAIGN_DIR").ok())
         .unwrap_or_else(|| "target/campaign".to_string());
-    let bench = args
-        .next()
-        .unwrap_or_else(|| "BENCH_parallel_sweep.json".to_string());
+    if let Some(extra) = args.next() {
+        eprintln!("doctor: unexpected argument {extra}\nusage: doctor [CAMPAIGN_DIR]");
+        return ExitCode::from(2);
+    }
 
-    let mut report = Report::new();
+    let mut report = Report::default();
     check_campaign(&mut report, &dir);
-    check_bench(&mut report, &bench);
 
     println!("| check | status | detail |");
     println!("|---|---|---|");

@@ -19,20 +19,6 @@ use dragonfly::{
 pub mod figures;
 pub mod heatmap;
 
-/// Key substrings marking a BENCH JSON field as wall-clock-derived:
-/// timings, rates, memory high-water marks and overhead ratios. These
-/// legitimately differ between a cold and a warm (fully cached)
-/// perfstat run; everything else in the two BENCH documents must be
-/// byte-identical. The list is emitted into the BENCH document's
-/// `health.wallclock_fields` so the CI warm-compare scrubs with
-/// exactly this set and the `doctor` binary cross-checks the emitted
-/// manifest against it — there is no second copy to drift.
-pub const WALLCLOCK_FIELDS: &[&str] = &["secs", "speedup", "per_sec", "rss", "wall", "over"];
-
-/// Exact BENCH JSON keys that also differ between cold and warm runs:
-/// the campaign hit/miss split flips when the store warms up.
-pub const WALLCLOCK_EXACT_KEYS: &[&str] = &["hits", "misses"];
-
 /// Simulation window sizes used by the figure harness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Windows {
@@ -102,12 +88,7 @@ impl Windows {
 
 /// The paper's evaluation network: 1K nodes, `p = h = 4`, `a = 8`.
 pub fn paper_network() -> DragonflySim {
-    DragonflySim::new(paper_params())
-}
-
-/// Parameters of the paper's evaluation network.
-pub fn paper_params() -> DragonflyParams {
-    DragonflyParams::new(4, 8, 4).expect("paper parameters are valid")
+    DragonflySim::new(DragonflyParams::new(4, 8, 4).expect("paper parameters are valid"))
 }
 
 /// The campaign store selected by `DFLY_CAMPAIGN_DIR`, if any: point

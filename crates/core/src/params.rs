@@ -212,6 +212,29 @@ mod tests {
     }
 
     #[test]
+    fn figure4_scale_points_are_the_advertised_sizes() {
+        // The two networks the scale-mode runs use: the benchmark's
+        // 262K-terminal workload and the million-terminal release test.
+        // (p, a, h) -> (groups, routers, terminals, radix).
+        for ((p, a, h), sizes) in [
+            ((16, 32, 16), (513, 16_416, 262_656, 63)),
+            ((23, 46, 23), (1_059, 48_714, 1_120_422, 91)),
+        ] {
+            let d = DragonflyParams::new(p, a, h).unwrap();
+            assert_eq!(
+                (
+                    d.num_groups(),
+                    d.num_routers(),
+                    d.num_terminals(),
+                    d.router_radix()
+                ),
+                sizes,
+                "p={p} a={a} h={h}"
+            );
+        }
+    }
+
+    #[test]
     fn radix64_scales_past_256k() {
         // §3.1: "with radix-64 routers, the topology scales to over 256K
         // nodes".

@@ -16,21 +16,28 @@
 //! the hop the route function takes — the queue an adaptive decision
 //! inspects is the queue the packet uses.
 //!
+//! The last test runs the layer's other product, the estimator-accuracy
+//! scoreboard, for every estimator on the two topologies that carry the
+//! whole family.
+//!
 //! Cases are drawn from a seeded RNG (no external property-testing
 //! dependency — the container builds offline), so every run exercises
 //! the same deterministic case set.
 
 use std::sync::Arc;
 
-use dfly_netsim::{trace_path, CandidatePaths, ChannelClass, RouteInfo, TraceHop};
+use dfly_netsim::{
+    trace_path, CandidatePaths, ChannelClass, CreditMode, InjectionKind, NetworkSpec, RouteInfo,
+    RoutingAlgorithm, SimConfig, Simulation, TraceHop,
+};
 use dfly_topo::{FlattenedButterfly, FoldedClos, Torus};
-use dfly_traffic::rng_for;
+use dfly_traffic::{rng_for, UniformRandom};
 use rand::Rng;
 
 use dragonfly::butterfly::{ButterflyNetwork, ButterflyRouting};
 use dragonfly::clos_sim::{ClosNetwork, ClosRouting};
 use dragonfly::torus_sim::{TorusNetwork, TorusRouting};
-use dragonfly::{trace_route, Dragonfly, DragonflyParams, UgalVariant};
+use dragonfly::{trace_route, Dragonfly, DragonflyParams, UgalRouting, UgalVariant};
 
 /// Asserts a rank sequence never decreases (the acyclic-resource
 /// witness: a packet only ever moves to an equal- or higher-ranked VC).
@@ -306,6 +313,63 @@ fn clos_candidates_eject_with_equal_length_up_down_paths() {
             assert_eq!((alt[0].port, alt[0].vc), (nm.port as usize, nm.vc as usize));
             assert_eq!(alt.len(), hops.len(), "up/down path lengths diverged");
             assert!(network_hops(&alt).all(|h| h.vc == 0), "clos left VC 0");
+        }
+    }
+}
+
+/// The estimator-accuracy scoreboard on both topologies that run the
+/// full estimator family: under bursty Markov on/off injection every
+/// one of the six congestion estimators has its UGAL decisions scored
+/// against the oracle queue depth, and the oracle scored against itself
+/// is exact — zero error, never a disagreement.
+#[test]
+fn every_estimator_is_scored_and_the_oracle_scores_itself_exactly() {
+    let df = Arc::new(Dragonfly::new(DragonflyParams::new(2, 4, 2).unwrap()));
+    let df_spec = df.build_spec();
+    let fb = Arc::new(ButterflyNetwork::new(FlattenedButterfly::new(2, 6, 2)));
+    let fb_spec = fb.build_spec();
+    for variant in [
+        UgalVariant::Local,
+        UgalVariant::LocalVc,
+        UgalVariant::LocalVcHybrid,
+        UgalVariant::LocalEwma,
+        UgalVariant::CreditRoundTrip,
+        UgalVariant::Global,
+    ] {
+        let cases: [(&NetworkSpec, Box<dyn RoutingAlgorithm>); 2] = [
+            (
+                &df_spec,
+                Box::new(UgalRouting::new(Arc::clone(&df), variant)),
+            ),
+            (
+                &fb_spec,
+                Box::new(ButterflyRouting::ugal(Arc::clone(&fb), variant)),
+            ),
+        ];
+        for (spec, routing) in cases {
+            let mut cfg = SimConfig::paper_default(0.2).with_seed(1);
+            cfg.warmup = 500;
+            cfg.measure = 1_000;
+            cfg.drain_cap = 6_000;
+            cfg.injection = InjectionKind::MarkovOnOff {
+                rate: 0.2,
+                burst_len: 8.0,
+                duty: 0.5,
+            };
+            if variant == UgalVariant::CreditRoundTrip {
+                cfg.credit_mode = CreditMode::round_trip();
+            }
+            let pattern = UniformRandom::new(spec.num_terminals());
+            let board = Simulation::new(spec, routing.as_ref(), &pattern, cfg)
+                .expect("estimator-accuracy run must be valid")
+                .finish()
+                .scoreboard;
+            let name = routing.name();
+            assert!(board.scored > 0, "{name}: no scored decisions");
+            if variant == UgalVariant::Global {
+                assert_eq!(board.mean_abs_error(), Some(0.0), "{name}");
+                assert_eq!(board.disagreement_rate(), Some(0.0), "{name}");
+            }
         }
     }
 }

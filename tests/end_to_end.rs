@@ -203,3 +203,43 @@ fn tapered_dragonfly_trades_capacity_for_cables() {
     );
     assert!(tapered_cap > full_cap * 0.3, "but not collapse it");
 }
+
+/// The paper's Figure 4 regime: the million-terminal dragonfly
+/// (p = 23, a = 46, h = 23; 1,120,422 terminals) builds and runs a
+/// short MIN/uniform point in `scale_mode` inside a 4 GB peak-RSS
+/// budget — router memory is O(radix), a next-hop table alone would
+/// blow it. Release only:
+/// `cargo test --release --test end_to_end -- --ignored`.
+#[test]
+#[ignore = "1.1M terminals: minutes of release-build time, ~1.1 GB"]
+fn million_terminal_network_runs_inside_the_memory_budget() {
+    let sim = DragonflySim::new(DragonflyParams::new(23, 46, 23).unwrap());
+    let mut cfg = sim.config(0.2);
+    cfg.seed = 1;
+    cfg.warmup = 60;
+    cfg.measure = 120;
+    cfg.drain_cap = 3_000;
+    cfg.scale_mode = true;
+    let stats = sim.run(RoutingChoice::Min, TrafficChoice::Uniform, cfg);
+    assert!(
+        stats.channel_loads.is_empty(),
+        "scale mode kept per-channel load counters"
+    );
+    assert!(stats.accepted_rate > 0.0, "nothing delivered");
+
+    // `VmHWM` is the process's peak resident set; this is the only test
+    // an `--ignored` run of this binary executes, so it is this run's.
+    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
+        eprintln!("no /proc/self/status here: peak-RSS assertion skipped");
+        return;
+    };
+    let peak_mb = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.split_whitespace().next())
+        .and_then(|kb| kb.parse::<f64>().ok())
+        .expect("VmHWM line in /proc/self/status")
+        / 1024.0;
+    eprintln!("million-terminal run: VmHWM {peak_mb:.0} MB");
+    assert!(peak_mb < 4096.0, "peak RSS {peak_mb:.0} MB >= 4096 MB");
+}

@@ -19,7 +19,7 @@ use rand::rngs::SmallRng;
 use dragonfly::butterfly::{ButterflyNetwork, ButterflyRouting};
 use dragonfly::clos_sim::{ClosNetwork, ClosRouting};
 use dragonfly::torus_sim::{TorusNetwork, TorusRouting};
-use dragonfly::{RoutingChoice, RunGrid, RunPlan, TrafficChoice, UgalVariant};
+use dragonfly::{FaultSweep, RoutingChoice, RunGrid, RunPlan, TrafficChoice, UgalVariant};
 
 #[test]
 fn run_grid_parallel_matches_serial_on_paper_network() {
@@ -49,6 +49,38 @@ fn run_grid_parallel_matches_serial_on_paper_network() {
             "parallel ({threads} threads) diverged from serial"
         );
     }
+}
+
+/// The fault-degradation curve on the same 1K-node network: saturation
+/// throughput with 0, 1/16 and 1/8 of the global cables failed must be
+/// bit-identical serial vs pool, really fail links, never collapse to
+/// zero, and fall monotonically — fewer cables cannot carry more.
+#[test]
+fn fault_sweep_on_1056_nodes_is_monotone_and_parallel_identical() {
+    let sim = dfly_bench::paper_network();
+    let mut cfg = sim.config(1.0);
+    cfg.warmup = 100;
+    cfg.measure = 300;
+    cfg.seed = 1;
+    let sweep = FaultSweep::new(
+        *sim.dragonfly().params(),
+        RoutingChoice::UgalLVcH,
+        TrafficChoice::Uniform,
+        &cfg,
+        &[0.0, 1.0 / 16.0, 1.0 / 8.0],
+        42,
+    );
+    let serial = sweep.execute_on(1).expect("fault plans must apply");
+    let parallel = sweep.execute_on(4).expect("fault plans must apply");
+    assert_eq!(serial, parallel, "parallel fault sweep diverged");
+    let links: Vec<usize> = serial.iter().map(|pt| pt.failed_links).collect();
+    assert_eq!(links, [0, 33, 66], "1/16 and 1/8 of 528 global cables");
+    let curve: Vec<f64> = serial.iter().map(|pt| pt.throughput()).collect();
+    assert!(curve.iter().all(|&t| t > 0.0), "collapsed: {curve:?}");
+    assert!(
+        curve.windows(2).all(|pair| pair[1] <= pair[0] + 1e-9),
+        "fault curve not monotone: {curve:?}"
+    );
 }
 
 #[test]
@@ -303,6 +335,33 @@ fn sharded_engine_bit_identical_on_every_topology() {
         &df_pattern,
         &fast_cfg(31),
     );
+
+    // The armed stall watchdog is one more thing the shards rendezvous
+    // on: checking every 512 cycles (four checkpoints in this window)
+    // it must leave the statistics of the disarmed 1-shard run
+    // untouched at 1 and at 4 shards, and the engine must really run
+    // the shard count it was asked for.
+    let mut wd_cfg = fast_cfg(35);
+    wd_cfg.injection = InjectionKind::Bernoulli { rate: 0.3 };
+    wd_cfg.warmup = 500;
+    wd_cfg.measure = 2_000;
+    let run_ugal_l = |shards: usize, watchdog_every: u64| {
+        let routing = RoutingChoice::UgalL.build(Arc::clone(&df_arc));
+        let mut cfg = wd_cfg.clone().with_watchdog(watchdog_every);
+        cfg.shards = shards;
+        Simulation::new(&df_spec, routing.as_ref(), &df_pattern, cfg)
+            .unwrap()
+            .run_instrumented()
+    };
+    let (disarmed, _) = run_ugal_l(1, 0);
+    for shards in [1, 4] {
+        let (armed, perf) = run_ugal_l(shards, 512);
+        assert_eq!(perf.shards, shards, "engine ignored the shard count");
+        assert_eq!(
+            armed, disarmed,
+            "watchdog perturbed the {shards}-shard dragonfly run"
+        );
+    }
 
     let fb = Arc::new(ButterflyNetwork::new(FlattenedButterfly::new(2, 4, 2)));
     let fb_spec = fb.build_spec();
