@@ -43,7 +43,7 @@ use dfly_topo::{FlattenedButterfly, Topology};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-use crate::network::{valiant_phase, NetRouting, NetTopology, SimNetwork};
+use crate::network::{valiant_phase, BfsFaults, NetRouting, NetTopology, SimNetwork};
 
 /// A flattened butterfly wired for cycle-accurate simulation.
 pub type ButterflyNetwork = SimNetwork<FbTopology>;
@@ -135,8 +135,10 @@ impl FbTopology {
     }
 }
 
+impl BfsFaults for FbTopology {}
+
 impl NetTopology for FbTopology {
-    const PREFIX: &'static str = "FB";
+    const PREFIX: &'static str = "FB-";
     const OBLIVIOUS: &'static str = "MIN";
     const RESALT_DETOURS: bool = true;
     const DETOURS_UNDER_FAULTS: bool = true;

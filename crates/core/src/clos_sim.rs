@@ -36,7 +36,7 @@ use dfly_topo::{FoldedClos, Topology};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-use crate::network::{NetRouting, NetTopology, SimNetwork};
+use crate::network::{BfsFaults, NetRouting, NetTopology, SimNetwork};
 
 /// A folded Clos wired for cycle-accurate simulation.
 ///
@@ -157,8 +157,10 @@ impl ClosTopology {
     }
 }
 
+impl BfsFaults for ClosTopology {}
+
 impl NetTopology for ClosTopology {
-    const PREFIX: &'static str = "clos";
+    const PREFIX: &'static str = "clos-";
     const OBLIVIOUS: &'static str = "updown";
 
     /// Leaves: ports `[0, k/2)` terminals, `[k/2, k)` up. Interior

@@ -9,7 +9,8 @@ use dfly_netsim::{
 };
 use dfly_traffic::{GroupAdversarial, Permutation, TrafficPattern, UniformRandom, Workload};
 
-use crate::routing::{MinimalRouting, UgalRouting, UgalVariant, ValiantRouting};
+use crate::network::{NetRouting, SimNetwork};
+use crate::routing::UgalVariant;
 use crate::topology::Dragonfly;
 use crate::DragonflyParams;
 
@@ -76,16 +77,18 @@ impl RoutingChoice {
         matches!(self, RoutingChoice::UgalLCr)
     }
 
-    /// Builds the routing algorithm for `df`. Public so generic
-    /// cross-topology harnesses (e.g. the bench crate's curve sweeps)
-    /// can drive dragonfly choices through the same code path as the
-    /// baseline topologies.
+    /// Builds the routing algorithm for `df`: the shared
+    /// [`NetRouting`] family over the dragonfly, whose faults stay its
+    /// own. Public so generic cross-topology harnesses (e.g. the bench
+    /// crate's curve sweeps) can drive dragonfly choices through the
+    /// same code path as the baseline topologies.
     pub fn build(&self, df: Arc<Dragonfly>) -> Box<dyn RoutingAlgorithm + Send + Sync> {
-        match (self, self.ugal_variant()) {
-            (_, Some(variant)) => Box::new(UgalRouting::new(df, variant)),
-            (RoutingChoice::Min, None) => Box::new(MinimalRouting::new(df)),
-            (_, None) => Box::new(ValiantRouting::new(df)),
-        }
+        let net = Arc::new(SimNetwork::<Dragonfly>::new((*df).clone()));
+        Box::new(match (self, self.ugal_variant()) {
+            (_, Some(variant)) => NetRouting::ugal(net, variant),
+            (RoutingChoice::Min, None) => NetRouting::new(net),
+            (_, None) => NetRouting::valiant(net),
+        })
     }
 }
 
@@ -275,21 +278,6 @@ impl DragonflySim {
         self.simulate(choice, Source::Traffic(traffic), cfg, |sim| sim.finish())
     }
 
-    /// Like [`DragonflySim::run`], but surfaces a stall watchdog trip
-    /// (see [`SimConfig::watchdog_every`](dfly_netsim::SimConfig)) as
-    /// [`SimError::Stalled`] instead of silently returning the stats of
-    /// a wedged run.
-    pub fn try_run(
-        &self,
-        choice: RoutingChoice,
-        traffic: TrafficChoice,
-        cfg: SimConfig,
-    ) -> Result<RunStats, SimError> {
-        self.simulate(choice, Source::Traffic(traffic), cfg, |sim| {
-            sim.try_finish()
-        })
-    }
-
     /// Runs one simulation driven by a closed-loop workload instead of
     /// an open-loop traffic pattern (see `dfly_traffic::Workload`).
     ///
@@ -347,22 +335,6 @@ impl DragonflySim {
             .map(|(&load, stats)| LoadPoint { load, stats })
             .collect()
     }
-
-    /// Estimates saturation throughput: the accepted rate at an offered
-    /// load of ~1.0 (the network accepts what it can and the measured
-    /// ejection rate plateaus at capacity).
-    pub fn saturation_throughput(
-        &self,
-        choice: RoutingChoice,
-        traffic: TrafficChoice,
-        base: &SimConfig,
-    ) -> f64 {
-        let mut cfg = base.clone();
-        cfg.injection = dfly_netsim::InjectionKind::Bernoulli { rate: 1.0 };
-        // Don't wait for a futile drain at full load.
-        cfg.drain_cap = 0;
-        self.run(choice, traffic, cfg).accepted_rate
-    }
 }
 
 #[cfg(test)]
@@ -396,12 +368,13 @@ mod tests {
     #[test]
     fn min_saturates_early_on_worst_case() {
         let sim = tiny();
-        // Capacity under WC for MIN is 1/(a*h) = 1/8 of injection bw.
-        let cap = sim.saturation_throughput(
-            RoutingChoice::Min,
-            TrafficChoice::WorstCase,
-            &fast_cfg(&sim, 1.0),
-        );
+        // Capacity under WC for MIN is 1/(a*h) = 1/8 of injection bw:
+        // the accepted rate at full offered load, without a futile drain.
+        let mut cfg = fast_cfg(&sim, 1.0);
+        cfg.drain_cap = 0;
+        let cap = sim
+            .run(RoutingChoice::Min, TrafficChoice::WorstCase, cfg)
+            .accepted_rate;
         assert!(cap < 0.2, "MIN WC capacity {cap}");
         assert!(cap > 0.05, "MIN WC capacity {cap}");
     }

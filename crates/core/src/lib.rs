@@ -9,10 +9,12 @@
 //! * [`DragonflyParams`] / [`Dragonfly`] — configuration, wiring
 //!   (fully-connected groups, offset-ring inter-group channels), and a
 //!   [`dfly_netsim::NetworkSpec`] builder for cycle-accurate simulation;
-//! * the routing family of the paper — [`MinimalRouting`] (MIN),
-//!   [`ValiantRouting`] (VAL) and [`UgalRouting`] with its
-//!   [`UgalVariant`]s (UGAL-L, UGAL-L_VC, UGAL-L_VCH, UGAL-G), plus
-//!   UGAL-L_CR via the simulator's credit round-trip mode;
+//! * the routing family of the paper — [`RoutingChoice::build`] returns
+//!   the shared [`network::NetRouting`] over the dragonfly:
+//!   `NetRouting::new` (MIN), `NetRouting::valiant` (VAL) and
+//!   `NetRouting::ugal` with its [`UgalVariant`]s (UGAL-L, UGAL-L_VC,
+//!   UGAL-L_VCH, UGAL-G), plus UGAL-L_CR via the simulator's credit
+//!   round-trip mode;
 //! * [`DragonflySim`] — a harness that wires the network once and sweeps
 //!   routing choices, traffic patterns and loads the way the paper's
 //!   figures do;
@@ -21,9 +23,10 @@
 //! * [`butterfly`] / [`clos_sim`] / [`torus_sim`] — the flattened
 //!   butterfly, folded Clos and k-ary n-cube torus (the paper's §5
 //!   baselines) wired for the same simulator, each with its own
-//!   deadlock-free routing — three instances of the one [`network`]
-//!   harness, which owns faults, spec building, sweeping and the
-//!   oblivious / Valiant / UGAL routing family;
+//!   deadlock-free routing — with the dragonfly, the four instances of
+//!   the one [`network`] harness, which owns spec building, sweeping,
+//!   the oblivious / Valiant / UGAL routing family and (for the three
+//!   baselines) faults;
 //! * link-failure injection — apply a [`FaultPlan`] with
 //!   [`Dragonfly::with_fault_plan`] / [`DragonflySim::with_faults`] and
 //!   every routing algorithm steers around the dead links; [`FaultSweep`]
@@ -77,7 +80,5 @@ pub use parallel::{
 };
 pub use params::DragonflyParams;
 pub use progress::{ProgressSink, SweepProgress};
-pub use routing::{
-    trace_route, MinimalRouting, TraceHop, UgalRouting, UgalVariant, ValiantRouting,
-};
+pub use routing::{trace_route, TraceHop, UgalVariant};
 pub use topology::{ChannelLatencies, Dragonfly, GroupTopology};

@@ -1,4 +1,4 @@
-//! The one simulation harness shared by the baseline topologies.
+//! The one simulation harness shared by every topology.
 //!
 //! A topology describes itself fault-free: its closed-form
 //! [`RouteAlgebra`], its two UGAL [`CandidatePaths`], and the four
@@ -8,22 +8,24 @@
 //!
 //! * [`SimNetwork`] owns the topology, the channel latency and the
 //!   link-failure state. Under a [`FaultPlan`] every routing question
-//!   is answered from per-destination BFS columns over the surviving
-//!   links ([`FaultTable`]) — strictly decreasing alive distance, so no
-//!   loops — and the topology's own arithmetic is never consulted.
-//!   Detours then share a phase's VC, so deadlock freedom under faults
-//!   is best-effort rather than proven.
+//!   of a [`BfsFaults`] topology is answered from per-destination BFS
+//!   columns over the surviving links ([`FaultTable`]) — strictly
+//!   decreasing alive distance, so no loops — and the topology's own
+//!   arithmetic is never consulted. Detours then share a phase's VC, so
+//!   deadlock freedom under faults is best-effort rather than proven.
 //! * [`NetRouting`] is the routing family over any such network:
 //!   oblivious, Valiant, or UGAL with any [`UgalVariant`] estimator.
 //!
-//! [`crate::butterfly`], [`crate::clos_sim`] and [`crate::torus_sim`]
-//! are instances; see DESIGN.md, "Adding a topology".
+//! [`crate::butterfly`], [`crate::clos_sim`], [`crate::torus_sim`] and
+//! the dragonfly ([`crate::RoutingChoice::build`]) are instances; see
+//! DESIGN.md, "Adding a topology".
 
 use std::sync::Arc;
 
 use dfly_netsim::{
     CandidatePath, CandidatePaths, Connection, DecisionRecord, FaultPlan, FaultTable, Flit,
-    NetView, NetworkSpec, PortVc, RouteAlgebra, RouteInfo, RoutingAlgorithm, SimConfig, SimError,
+    NetView, NetworkSpec, PortVc, RouteAlgebra, RouteClass, RouteInfo, RoutingAlgorithm, SimConfig,
+    SimError,
 };
 use dfly_traffic::TrafficPattern;
 use rand::rngs::SmallRng;
@@ -35,7 +37,7 @@ use crate::LoadPoint;
 /// What a topology implements, beyond its fault-free [`RouteAlgebra`]
 /// and [`CandidatePaths`], to run on the shared harness.
 pub trait NetTopology: RouteAlgebra + CandidatePaths + Send + Sync {
-    /// Prefix of every routing name, e.g. `"FB"` in `FB-UGAL-L`.
+    /// Prefix of every routing name, e.g. `"FB-"` in `FB-UGAL-L`.
     const PREFIX: &'static str;
     /// Name of the oblivious mode, e.g. `"MIN"` in `FB-MIN`.
     const OBLIVIOUS: &'static str;
@@ -47,6 +49,10 @@ pub trait NetTopology: RouteAlgebra + CandidatePaths + Send + Sync {
     /// intermediate on VC0, then the destination on VC1). Otherwise
     /// routing falls back to minimal under faults.
     const DETOURS_UNDER_FAULTS: bool = false;
+    /// Whether a Valiant packet draws its tag before its salt (then
+    /// [`NetTopology::draw_tag`] sees salt 0) instead of after it — the
+    /// dragonfly's frozen VAL draw order.
+    const VALIANT_TAG_FIRST: bool = false;
 
     /// The fault-free wiring with `latency`-cycle network channels.
     fn wire(&self, latency: u32) -> NetworkSpec;
@@ -67,7 +73,29 @@ pub trait NetTopology: RouteAlgebra + CandidatePaths + Send + Sync {
     fn fault_vc(&self, _router: usize, _target: usize, _port: usize, vc: usize) -> usize {
         vc
     }
+
+    /// The VC a packet of route `class` occupies on its injection
+    /// channel. The dragonfly keeps its frozen schedule: minimal on VC1,
+    /// non-minimal on VC0.
+    fn injection_vc(&self, _class: RouteClass) -> u8 {
+        0
+    }
+
+    /// The only route class a fault model the topology keeps itself
+    /// leaves between `router` and terminal `dest` (on another router):
+    /// `NonMinimal` when every direct channel is dead, `Minimal` when no
+    /// detour survives. Such a packet takes that class without a UGAL
+    /// comparison, recorded as [`DecisionRecord::fault_forced`] — the
+    /// dragonfly's frozen forced detours and forced-minimal fallbacks.
+    fn forced_class(&self, _router: usize, _dest: usize) -> Option<RouteClass> {
+        None
+    }
 }
+
+/// A [`NetTopology`] that takes the harness's BFS fault model
+/// ([`SimNetwork::with_fault_plan`]). The dragonfly is not one: it masks
+/// failed slots itself, which keeps the paper's VC order.
+pub trait BfsFaults: NetTopology {}
 
 /// A topology wired for cycle-accurate simulation, with optional
 /// link failures.
@@ -103,21 +131,7 @@ impl<T: NetTopology> SimNetwork<T> {
         }
     }
 
-    /// Applies a [`FaultPlan`], composing with any faults already
-    /// present: routes then follow BFS shortest paths over the
-    /// surviving links.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidFaultPlan`] for malformed plans and
-    /// [`SimError::Unreachable`] when the plan disconnects the network.
-    pub fn with_fault_plan(mut self, plan: &FaultPlan) -> Result<Self, SimError> {
-        let spec = self.build_spec().with_faults(plan)?;
-        self.faults = spec.has_faults().then(|| Box::new(FaultTable::new(&spec)));
-        Ok(self)
-    }
-
-    /// Whether a fault plan with at least one failed link is applied.
+    /// Whether [`SimNetwork::with_fault_plan`] failed at least one link.
     pub fn has_faults(&self) -> bool {
         self.faults.is_some()
     }
@@ -169,6 +183,22 @@ impl<T: NetTopology> SimNetwork<T> {
         base: &SimConfig,
     ) -> Result<Vec<LoadPoint>, SimError> {
         crate::parallel::sweep_network(&self.build_spec(), routing, pattern, loads, base)
+    }
+}
+
+impl<T: BfsFaults> SimNetwork<T> {
+    /// Applies a [`FaultPlan`], composing with any faults already
+    /// present: routes then follow BFS shortest paths over the
+    /// surviving links.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InvalidFaultPlan`] for malformed plans and
+    /// [`SimError::Unreachable`] when the plan disconnects the network.
+    pub fn with_fault_plan(mut self, plan: &FaultPlan) -> Result<Self, SimError> {
+        let spec = self.build_spec().with_faults(plan)?;
+        self.faults = spec.has_faults().then(|| Box::new(FaultTable::new(&spec)));
+        Ok(self)
     }
 }
 
@@ -248,8 +278,11 @@ impl<T: NetTopology> RouteAlgebra for SimNetwork<T> {
 /// the intermediate router, probed where it leaves that router.
 impl<T: NetTopology> CandidatePaths for SimNetwork<T> {
     fn minimal_candidate(&self, router: usize, dest: usize, salt: u32) -> CandidatePath {
-        let rd = self.topology.terminal_router(dest);
-        let Some(f) = self.faults.as_ref().filter(|_| router != rd) else {
+        let faulted = self
+            .faults
+            .as_ref()
+            .map(|f| (f, self.topology.terminal_router(dest)));
+        let Some((f, rd)) = faulted.filter(|&(_, rd)| router != rd) else {
             return self.topology.minimal_candidate(router, dest, salt);
         };
         let first = fault_hop(&self.topology, f, router, rd, 0);
@@ -336,7 +369,7 @@ impl<T: NetTopology> RoutingAlgorithm for NetRouting<T> {
             Policy::Valiant => "VAL",
             Policy::Ugal(ugal) => ugal.variant.label(),
         };
-        format!("{}-{policy}", T::PREFIX)
+        format!("{}{policy}", T::PREFIX)
     }
 
     fn inject(&self, view: &NetView<'_>, src: usize, dest: usize, rng: &mut SmallRng) -> RouteInfo {
@@ -351,22 +384,39 @@ impl<T: NetTopology> RoutingAlgorithm for NetRouting<T> {
         rng: &mut SmallRng,
     ) -> (RouteInfo, DecisionRecord) {
         let net = &*self.net;
-        let minimal = RouteInfo::minimal().with_salt(rng.gen());
-        let stay_minimal = (minimal, DecisionRecord::default());
+        let topology = &net.topology;
         let rs = net.terminal_router(src);
-        if matches!(self.policy, Policy::Oblivious)
-            || rs == net.terminal_router(dest)
-            || (net.has_faults() && !T::DETOURS_UNDER_FAULTS)
-        {
-            return stay_minimal;
+        let detours =
+            rs != net.terminal_router(dest) && (!net.has_faults() || T::DETOURS_UNDER_FAULTS);
+        let forced = detours.then(|| topology.forced_class(rs, dest)).flatten();
+        let wants_tag = detours
+            && (!matches!(self.policy, Policy::Oblivious)
+                || forced == Some(RouteClass::NonMinimal));
+        let tag_first = T::VALIANT_TAG_FIRST && matches!(self.policy, Policy::Valiant);
+        let mut tag = None;
+        if wants_tag && tag_first {
+            tag = topology.draw_tag(rs, dest, 0, rng);
         }
-        let Some(tag) = net.topology.draw_tag(rs, dest, minimal.salt, rng) else {
-            return stay_minimal;
+        let salt: u32 = rng.gen();
+        if wants_tag && !tag_first {
+            tag = topology.draw_tag(rs, dest, salt, rng);
+        }
+        let minimal = RouteInfo::minimal()
+            .with_salt(salt)
+            .with_injection_vc(topology.injection_vc(RouteClass::Minimal));
+        let Some(tag) = tag else {
+            // Faults took the detour a non-oblivious policy asked for.
+            let record = match forced {
+                Some(RouteClass::Minimal) if wants_tag => DecisionRecord::fault_forced(),
+                _ => DecisionRecord::default(),
+            };
+            return (minimal, record);
         };
         let record = match &self.policy {
-            Policy::Ugal(ugal) => {
-                let m = net.minimal_candidate(rs, dest, minimal.salt);
-                let nm = net.non_minimal_candidate(rs, dest, tag, minimal.salt);
+            Policy::Valiant => DecisionRecord::default(),
+            Policy::Ugal(ugal) if forced.is_none() => {
+                let m = net.minimal_candidate(rs, dest, salt);
+                let nm = net.non_minimal_candidate(rs, dest, tag, salt);
                 let decision = ugal.chooser.choose(view, rs, &m, &nm);
                 let record = DecisionRecord::from(&decision);
                 if decision.minimal {
@@ -374,14 +424,14 @@ impl<T: NetTopology> RoutingAlgorithm for NetRouting<T> {
                 }
                 record
             }
-            _ => DecisionRecord::default(),
+            // A forced detour, which oblivious routing takes too.
+            _ => DecisionRecord::fault_forced(),
         };
-        let salt = if T::RESALT_DETOURS {
-            rng.gen()
-        } else {
-            minimal.salt
-        };
-        (RouteInfo::non_minimal(tag).with_salt(salt), record)
+        let salt = if T::RESALT_DETOURS { rng.gen() } else { salt };
+        let route = RouteInfo::non_minimal(tag)
+            .with_salt(salt)
+            .with_injection_vc(topology.injection_vc(RouteClass::NonMinimal));
+        (route, record)
     }
 
     fn route(&self, _view: &NetView<'_>, router: usize, flit: &Flit) -> PortVc {
@@ -414,7 +464,7 @@ mod tests {
     /// Composed plans, then: the spec the harness hands out is exactly a
     /// fresh wiring with the recorded cables re-marked, and the hop bound
     /// follows the alive diameter per BFS phase.
-    fn check_faulted<T: NetTopology + Clone>(clean: SimNetwork<T>, phases: usize) {
+    fn check_faulted<T: BfsFaults + Clone>(clean: SimNetwork<T>, phases: usize) {
         let net = clean
             .clone()
             .with_fault_plan(&FaultPlan::random_any(0.05, 3))

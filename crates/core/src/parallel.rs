@@ -586,8 +586,7 @@ pub struct FaultSweep {
     /// Traffic pattern under test.
     pub traffic: TrafficChoice,
     /// Base configuration; each point forces an offered load of 1.0 and
-    /// skips the (futile) drain, as
-    /// [`DragonflySim::saturation_throughput`] does.
+    /// skips the (futile) drain: a saturation-throughput probe.
     pub cfg: SimConfig,
     /// Failed-link fractions, one run per entry.
     pub fractions: Vec<f64>,
@@ -1164,12 +1163,9 @@ mod tests {
         let base = fast_cfg(&sim, 0.0);
         let loads = [0.1, 0.25];
         let by_grid = sim.sweep(RoutingChoice::Min, TrafficChoice::Uniform, &loads, &base);
-        let algo_df = std::sync::Arc::new(crate::topology::Dragonfly::new(
-            DragonflyParams::new(2, 4, 2).unwrap(),
-        ));
-        let routing = crate::routing::MinimalRouting::new(algo_df);
+        let routing = RoutingChoice::Min.build(sim.shared_dragonfly());
         let pattern = dfly_traffic::UniformRandom::new(sim.spec().num_terminals());
-        let generic = sweep_network(sim.spec(), &routing, &pattern, &loads, &base)
+        let generic = sweep_network(sim.spec(), routing.as_ref(), &pattern, &loads, &base)
             .expect("valid sweep configuration");
         assert_eq!(by_grid.len(), generic.len());
         for (a, b) in by_grid.iter().zip(&generic) {
@@ -1183,12 +1179,9 @@ mod tests {
         let sim = tiny();
         let mut base = fast_cfg(&sim, 0.0);
         base.measure = 0; // rejected by SimConfig::validate
-        let algo_df = std::sync::Arc::new(crate::topology::Dragonfly::new(
-            DragonflyParams::new(2, 4, 2).unwrap(),
-        ));
-        let routing = crate::routing::MinimalRouting::new(algo_df);
+        let routing = RoutingChoice::Min.build(sim.shared_dragonfly());
         let pattern = dfly_traffic::UniformRandom::new(sim.spec().num_terminals());
-        let result = sweep_network(sim.spec(), &routing, &pattern, &[0.1], &base);
+        let result = sweep_network(sim.spec(), routing.as_ref(), &pattern, &[0.1], &base);
         assert!(matches!(result, Err(SimError::InvalidConfig(_))));
     }
 

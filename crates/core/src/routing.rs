@@ -1,20 +1,22 @@
-//! Routing algorithms for the dragonfly: MIN, VAL and the UGAL family.
+//! Routing for the dragonfly: MIN, VAL and the UGAL family.
 //!
-//! All algorithms share the same per-hop route computation and the
-//! paper's deadlock-free VC assignment (Figure 7); they differ only in
-//! the *injection-time* decision between the minimal and the Valiant
+//! The dragonfly is a [`NetTopology`], so its routings are the shared
+//! [`NetRouting`] family, built by [`crate::RoutingChoice::build`]. All
+//! share the same per-hop route computation and the paper's
+//! deadlock-free VC assignment (Figure 7); they differ only in the
+//! *injection-time* decision between the minimal and the Valiant
 //! (non-minimal) path:
 //!
-//! | algorithm | decision |
-//! |---|---|
-//! | [`MinimalRouting`] | always minimal |
-//! | [`ValiantRouting`] | always non-minimal (random intermediate group) |
-//! | [`UgalRouting`] ([`UgalVariant::Local`]) | `q_m·H_m ≤ q_nm·H_nm` with local total-port occupancies |
-//! | [`UgalVariant::LocalVc`] | per-VC occupancies (UGAL-L_VC) |
-//! | [`UgalVariant::LocalVcHybrid`] | per-VC only when the two paths share an output port (UGAL-L_VCH) |
-//! | [`UgalVariant::Global`] | oracle occupancy of the actual global channels (UGAL-G) |
-//! | [`UgalVariant::CreditRoundTrip`] | the hybrid rule over credit-inclusive estimates (UGAL-L_CR) |
-//! | [`UgalVariant::LocalEwma`] | EWMA-smoothed local total-port occupancies (UGAL-L_EWMA) |
+//! | choice | built as | decision |
+//! |---|---|---|
+//! | `Min` | [`NetRouting::new`] | always minimal |
+//! | `Valiant` | [`NetRouting::valiant`] | always non-minimal (random intermediate group) |
+//! | `UgalL` | [`NetRouting::ugal`] + [`UgalVariant::Local`] | `q_m·H_m ≤ q_nm·H_nm` with local total-port occupancies |
+//! | `UgalLVc` | … + [`UgalVariant::LocalVc`] | per-VC occupancies (UGAL-L_VC) |
+//! | `UgalLVcH` | … + [`UgalVariant::LocalVcHybrid`] | per-VC only when the two paths share an output port (UGAL-L_VCH) |
+//! | `UgalG` | … + [`UgalVariant::Global`] | oracle occupancy of the actual global channels (UGAL-G) |
+//! | `UgalLCr` | … + [`UgalVariant::CreditRoundTrip`] | the hybrid rule over credit-inclusive estimates (UGAL-L_CR) |
+//! | `UgalLEwma` | … + [`UgalVariant::LocalEwma`] | EWMA-smoothed local total-port occupancies (UGAL-L_EWMA) |
 //!
 //! UGAL-L(CR) pairs [`UgalVariant::CreditRoundTrip`] with
 //! [`dfly_netsim::CreditMode::RoundTrip`]: queue estimates count the
@@ -37,66 +39,117 @@
 use std::sync::Arc;
 
 use dfly_netsim::{
-    trace_path, CandidatePath, CandidatePaths, CongestionEstimator, CreditCommitted,
-    DecisionRecord, EwmaOccupancy, Flit, GlobalOracle, NetView, PortVc, QueueOccupancy,
-    RouteAlgebra, RouteClass, RouteInfo, RoutingAlgorithm, SimError, UgalChooser, VcHybrid,
-    VcOccupancy,
+    trace_path, CandidatePath, CandidatePaths, CongestionEstimator, CreditCommitted, EwmaOccupancy,
+    Flit, GlobalOracle, NetworkSpec, PortVc, QueueOccupancy, RouteAlgebra, RouteClass, RouteInfo,
+    SimError, UgalChooser, VcHybrid, VcOccupancy,
 };
 use rand::rngs::SmallRng;
 use rand::Rng;
 
+use crate::network::{NetRouting, NetTopology, SimNetwork};
 use crate::topology::Dragonfly;
 
 pub use dfly_netsim::TraceHop;
 
-/// Per-hop route computation shared by every algorithm.
-///
-/// `flit.route` carries the class, the intermediate group and the salt;
-/// everything else is derived from the dragonfly tables, so the function
-/// is deterministic and every flit of a packet follows the same path.
-fn route_flit(df: &Dragonfly, router: usize, flit: &Flit) -> PortVc {
-    let params = df.params();
-    let dest = flit.dest as usize;
-    let rd = params.router_of_terminal(dest);
-    if router == rd {
-        return PortVc::new(df.eject_port(dest), 0);
+/// The dragonfly on the shared harness. Its faults are its own
+/// ([`Dragonfly::with_fault_plan`]), seen by the harness only through
+/// [`NetTopology::forced_class`]: it is not
+/// [`BfsFaults`](crate::network::BfsFaults), so routes keep the
+/// `l0 < g0 < l1 < g1 < l2` order.
+impl NetTopology for Dragonfly {
+    const PREFIX: &'static str = "";
+    const OBLIVIOUS: &'static str = "MIN";
+    const VALIANT_TAG_FIRST: bool = true;
+
+    /// [`Dragonfly::build_spec`]: the per-class [`crate::ChannelLatencies`]
+    /// stand in for `latency`, and applied faults are marked.
+    fn wire(&self, _latency: u32) -> NetworkSpec {
+        self.build_spec()
     }
-    let gr = params.group_of_router(router);
-    let gd = params.group_of_router(rd);
-    if gr == gd {
-        // Local hop(s) in the destination group (or intra-group minimal
-        // traffic): dimension-ordered within multi-dimensional groups.
-        return PortVc::new(df.local_next_hop(router, rd), 2);
+
+    fn hop_bound(&self) -> usize {
+        self.route_hop_bound() - 1
     }
-    let salt = flit.route.salt;
-    let (target_group, leg) = match flit.route.class {
-        RouteClass::Minimal => (gd, 0),
-        RouteClass::NonMinimal => {
-            let gi = flit
-                .route
-                .intermediate()
-                .expect("non-minimal flit without intermediate") as usize;
-            if gr == gi {
-                (gd, 1)
-            } else {
-                (gi, 0)
-            }
+
+    /// `flit.route` carries the class, the intermediate group and the
+    /// salt; everything else is derived from the dragonfly tables, so
+    /// every flit of a packet follows the same path.
+    fn route(&self, router: usize, flit: &Flit) -> PortVc {
+        let params = self.params();
+        let dest = flit.dest as usize;
+        let rd = params.router_of_terminal(dest);
+        if router == rd {
+            return PortVc::new(self.eject_port(dest), 0);
         }
-    };
-    let q = df
-        .pick_global_slot(gr, target_group, salt, leg)
-        .expect("routed group pair keeps an alive channel");
-    let owner = df.slot_router(gr, q);
-    // VC for this hop: minimal hops use VC1 until the destination group;
-    // non-minimal hops use VC0 on the first leg and VC1 on the second.
-    let vc = match flit.route.class {
-        RouteClass::Minimal => 1,
-        RouteClass::NonMinimal => leg,
-    } as usize;
-    if owner == router {
-        PortVc::new(df.slot_port(q), vc)
-    } else {
-        PortVc::new(df.local_next_hop(router, owner), vc)
+        let gr = params.group_of_router(router);
+        let gd = params.group_of_router(rd);
+        if gr == gd {
+            // Local hop(s) in the destination group, dimension-ordered
+            // within multi-dimensional groups.
+            return PortVc::new(self.local_next_hop(router, rd), 2);
+        }
+        let (target_group, leg) = match flit.route.intermediate() {
+            None => (gd, 0),
+            Some(gi) if gr == gi as usize => (gd, 1),
+            Some(gi) => (gi as usize, 0),
+        };
+        let q = self
+            .pick_global_slot(gr, target_group, flit.route.salt, leg)
+            .expect("routed group pair keeps an alive channel");
+        let owner = self.slot_router(gr, q);
+        // Minimal hops use VC1 until the destination group; non-minimal
+        // hops use VC0 on the first leg and VC1 on the second.
+        let vc = match flit.route.class {
+            RouteClass::Minimal => 1,
+            RouteClass::NonMinimal => leg,
+        } as usize;
+        if owner == router {
+            PortVc::new(self.slot_port(q), vc)
+        } else {
+            PortVc::new(self.local_next_hop(router, owner), vc)
+        }
+    }
+
+    /// A uniformly random intermediate group among those whose Valiant
+    /// legs both survive (every third group fault-free).
+    fn draw_tag(&self, router: usize, dest: usize, _salt: u32, rng: &mut SmallRng) -> Option<u32> {
+        let params = self.params();
+        let gs = params.group_of_router(router);
+        let gd = params.group_of_terminal(dest);
+        let g = params.num_groups();
+        match self.viable_intermediates(gs, gd) {
+            Some(viable) => (!viable.is_empty()).then(|| viable[rng.gen_range(0..viable.len())]),
+            None if gs == gd || g < 3 => None,
+            None => Some(third_group(gs, gd, rng.gen_range(0..g - 2))),
+        }
+    }
+
+    fn injection_vc(&self, class: RouteClass) -> u8 {
+        match class {
+            RouteClass::Minimal => 1,
+            RouteClass::NonMinimal => 0,
+        }
+    }
+
+    /// Under a fault plan, an inter-group pair whose direct channels all
+    /// died must detour, and one left without a viable intermediate
+    /// (while a third group exists) must stay minimal.
+    fn forced_class(&self, router: usize, dest: usize) -> Option<RouteClass> {
+        if !self.has_faults() {
+            return None;
+        }
+        let params = self.params();
+        let gs = params.group_of_router(router);
+        let gd = params.group_of_terminal(dest);
+        if gs == gd {
+            None
+        } else if self.global_slot_count(gs, gd) == 0 {
+            Some(RouteClass::NonMinimal)
+        } else if self.valiant_degree(router, dest) == 0 && params.num_groups() >= 3 {
+            Some(RouteClass::Minimal)
+        } else {
+            None
+        }
     }
 }
 
@@ -175,24 +228,21 @@ impl RouteAlgebra for Dragonfly {
         let gs = params.group_of_router(router);
         let gd = params.group_of_router(params.router_of_terminal(dest));
         debug_assert_ne!(gs, gd, "no detour for intra-group traffic");
-        if let Some(viable) = self.viable_intermediates(gs, gd) {
-            return viable[i];
+        match self.viable_intermediates(gs, gd) {
+            Some(viable) => viable[i],
+            None => third_group(gs, gd, i),
         }
-        // Fault-free: the i-th group other than gs and gd.
-        let (lo, hi) = (gs.min(gd), gs.max(gd));
-        let mut gi = i;
-        if gi >= lo {
-            gi += 1;
-        }
-        if gi >= hi {
-            gi += 1;
-        }
-        gi as u32
     }
 
     fn vc_count(&self) -> usize {
         3
     }
+}
+
+/// The `i`-th group other than `gs` and `gd`.
+fn third_group(gs: usize, gd: usize, i: usize) -> u32 {
+    let gi = i + usize::from(i >= gs.min(gd));
+    (gi + usize::from(gi >= gs.max(gd))) as u32
 }
 
 /// The dragonfly's UGAL candidates: the minimal path (≤ 1 global
@@ -205,9 +255,8 @@ impl RouteAlgebra for Dragonfly {
 /// Under a fault plan the salt picks among the *surviving* parallel
 /// channels only, and each candidate reports the removed channels along
 /// its legs as [`CandidatePath::dropped`]. Callers must not request a
-/// candidate whose group pair has lost every direct channel (injection
-/// logic checks [`Dragonfly::global_slot_count`] /
-/// [`Dragonfly::viable_intermediates`] first).
+/// candidate whose group pair has lost every direct channel (the
+/// harness consults [`NetTopology::forced_class`] first).
 impl CandidatePaths for Dragonfly {
     fn minimal_candidate(&self, router: usize, dest: usize, salt: u32) -> CandidatePath {
         let params = self.params();
@@ -301,190 +350,15 @@ pub fn trace_route(
     dest: usize,
     route: RouteInfo,
 ) -> Result<Vec<TraceHop>, SimError> {
-    let spec = df.build_spec();
-    let bound = df.route_hop_bound();
-    trace_path(&spec, &RouteOnly(df), src, dest, route, bound)
-}
-
-/// [`route_flit`] as a [`RoutingAlgorithm`] for the generic walker,
-/// which routes over an idle network and never injects.
-struct RouteOnly<'a>(&'a Dragonfly);
-
-impl RoutingAlgorithm for RouteOnly<'_> {
-    fn name(&self) -> String {
-        "route-only".into()
-    }
-
-    fn inject(&self, _: &NetView<'_>, _: usize, _: usize, _: &mut SmallRng) -> RouteInfo {
-        unreachable!("trace_path exercises only `route`")
-    }
-
-    fn route(&self, _view: &NetView<'_>, router: usize, flit: &Flit) -> PortVc {
-        route_flit(self.0, router, flit)
-    }
-}
-
-/// Draws a uniformly random intermediate group different from both `gs`
-/// and `gd`. Returns `None` when no third group exists.
-fn random_intermediate(g: usize, gs: usize, gd: usize, rng: &mut SmallRng) -> Option<usize> {
-    debug_assert_ne!(gs, gd);
-    if g < 3 {
-        return None;
-    }
-    let mut gi = rng.gen_range(0..g - 2);
-    let (lo, hi) = if gs < gd { (gs, gd) } else { (gd, gs) };
-    if gi >= lo {
-        gi += 1;
-    }
-    if gi >= hi {
-        gi += 1;
-    }
-    Some(gi)
-}
-
-/// Fault-aware intermediate draw: uniform over the third groups whose
-/// Valiant legs both survive (every third group on a fault-free
-/// network). Returns `None` when no usable intermediate exists.
-fn pick_intermediate(df: &Dragonfly, gs: usize, gd: usize, rng: &mut SmallRng) -> Option<usize> {
-    match df.viable_intermediates(gs, gd) {
-        None => random_intermediate(df.params().num_groups(), gs, gd, rng),
-        Some([]) => None,
-        Some(viable) => Some(viable[rng.gen_range(0..viable.len())] as usize),
-    }
-}
-
-/// Minimal (MIN) routing: always the shortest path — at most one global
-/// channel (local, global, local).
-///
-/// Optimal for benign traffic; collapses to `1/(a·h)` throughput on the
-/// worst-case pattern because an entire group's traffic funnels through
-/// one global channel.
-#[derive(Debug, Clone)]
-pub struct MinimalRouting {
-    df: Arc<Dragonfly>,
-}
-
-impl MinimalRouting {
-    /// Creates MIN routing over `df`.
-    pub fn new(df: Arc<Dragonfly>) -> Self {
-        MinimalRouting { df }
-    }
-}
-
-impl RoutingAlgorithm for MinimalRouting {
-    fn name(&self) -> String {
-        "MIN".into()
-    }
-
-    fn inject(&self, view: &NetView<'_>, src: usize, dest: usize, rng: &mut SmallRng) -> RouteInfo {
-        self.inject_traced(view, src, dest, rng).0
-    }
-
-    fn inject_traced(
-        &self,
-        _view: &NetView<'_>,
-        src: usize,
-        dest: usize,
-        rng: &mut SmallRng,
-    ) -> (RouteInfo, DecisionRecord) {
-        let salt: u32 = rng.gen();
-        if self.df.has_faults() {
-            let params = self.df.params();
-            let gs = params.group_of_terminal(src);
-            let gd = params.group_of_terminal(dest);
-            if gs != gd && self.df.global_slot_count(gs, gd) == 0 {
-                // Every direct channel is dead: detour through a viable
-                // intermediate group (fault validation guarantees one).
-                let viable = self
-                    .df
-                    .viable_intermediates(gs, gd)
-                    .expect("faulted network has viability tables");
-                let gi = viable[rng.gen_range(0..viable.len())];
-                let route = RouteInfo::non_minimal(gi)
-                    .with_salt(salt)
-                    .with_injection_vc(0);
-                let record = DecisionRecord::fault_forced();
-                return (route, record);
-            }
-        }
-        let route = RouteInfo::minimal().with_salt(salt).with_injection_vc(1);
-        (route, DecisionRecord::default())
-    }
-
-    fn route(&self, _view: &NetView<'_>, router: usize, flit: &Flit) -> PortVc {
-        route_flit(&self.df, router, flit)
-    }
-}
-
-/// Valiant (VAL) routing: every inter-group packet detours through a
-/// uniformly random intermediate group, bounding worst-case throughput
-/// at ~50% of capacity (each packet crosses two global channels) while
-/// halving best-case throughput for benign traffic.
-#[derive(Debug, Clone)]
-pub struct ValiantRouting {
-    df: Arc<Dragonfly>,
-}
-
-impl ValiantRouting {
-    /// Creates VAL routing over `df`.
-    pub fn new(df: Arc<Dragonfly>) -> Self {
-        ValiantRouting { df }
-    }
-}
-
-impl RoutingAlgorithm for ValiantRouting {
-    fn name(&self) -> String {
-        "VAL".into()
-    }
-
-    fn inject(&self, view: &NetView<'_>, src: usize, dest: usize, rng: &mut SmallRng) -> RouteInfo {
-        self.inject_traced(view, src, dest, rng).0
-    }
-
-    fn inject_traced(
-        &self,
-        _view: &NetView<'_>,
-        src: usize,
-        dest: usize,
-        rng: &mut SmallRng,
-    ) -> (RouteInfo, DecisionRecord) {
-        let params = self.df.params();
-        let gs = params.group_of_terminal(src);
-        let gd = params.group_of_terminal(dest);
-        if gs == gd {
-            // Intra-group traffic stays minimal; Valiant randomisation at
-            // the system level only needs to balance the global channels.
-            let route = RouteInfo::minimal()
-                .with_salt(rng.gen())
-                .with_injection_vc(1);
-            return (route, DecisionRecord::default());
-        }
-        match pick_intermediate(&self.df, gs, gd, rng) {
-            Some(gi) => {
-                let route = RouteInfo::non_minimal(gi as u32)
-                    .with_salt(rng.gen())
-                    .with_injection_vc(0);
-                (route, DecisionRecord::default())
-            }
-            None => {
-                // No third group (tiny network), or faults killed every
-                // viable intermediate while the direct channel survives.
-                let route = RouteInfo::minimal()
-                    .with_salt(rng.gen())
-                    .with_injection_vc(1);
-                let record = if self.df.has_faults() && params.num_groups() >= 3 {
-                    DecisionRecord::fault_forced()
-                } else {
-                    DecisionRecord::default()
-                };
-                (route, record)
-            }
-        }
-    }
-
-    fn route(&self, _view: &NetView<'_>, router: usize, flit: &Flit) -> PortVc {
-        route_flit(&self.df, router, flit)
-    }
+    let routing = NetRouting::new(Arc::new(SimNetwork::<Dragonfly>::new(df.clone())));
+    trace_path(
+        &df.build_spec(),
+        &routing,
+        src,
+        dest,
+        route,
+        df.route_hop_bound(),
+    )
 }
 
 /// Which congestion information the UGAL decision consults.
@@ -516,7 +390,7 @@ pub enum UgalVariant {
     /// integer exponentially weighted moving average (weight 1/4 on new
     /// readings), damping the transient-burst noise that inflates the
     /// raw occupancy estimators' error under Markov on/off injection.
-    /// The estimator is stateful, so each [`UgalRouting`] instance
+    /// The estimator is stateful, so each [`NetRouting`] instance
     /// (and each clone) carries its own accumulators.
     LocalEwma,
 }
@@ -550,38 +424,6 @@ impl UgalVariant {
     }
 }
 
-/// Universal Globally-Adaptive Load-balanced routing (UGAL) over a
-/// dragonfly: picks minimal or Valiant per packet by comparing
-/// `q_m · H_m ≤ q_nm · H_nm`.
-///
-/// # Example
-///
-/// ```
-/// use std::sync::Arc;
-/// use dragonfly::{Dragonfly, DragonflyParams, UgalRouting, UgalVariant};
-///
-/// let df = Arc::new(Dragonfly::new(DragonflyParams::new(2, 4, 2).unwrap()));
-/// let ugal = UgalRouting::new(df, UgalVariant::LocalVcHybrid);
-/// ```
-#[derive(Debug, Clone)]
-pub struct UgalRouting {
-    df: Arc<Dragonfly>,
-    ugal: VariantChooser,
-}
-
-impl UgalRouting {
-    /// Creates UGAL routing of the given variant over `df`.
-    pub fn new(df: Arc<Dragonfly>, variant: UgalVariant) -> Self {
-        let ugal = VariantChooser::new(variant);
-        UgalRouting { df, ugal }
-    }
-
-    /// The variant in use.
-    pub fn variant(&self) -> UgalVariant {
-        self.ugal.variant
-    }
-}
-
 /// A UGAL variant together with the chooser built over its estimator —
 /// what every topology's UGAL routing carries.
 #[derive(Debug)]
@@ -604,83 +446,11 @@ impl Clone for VariantChooser {
     }
 }
 
-impl RoutingAlgorithm for UgalRouting {
-    fn name(&self) -> String {
-        self.ugal.variant.label().into()
-    }
-
-    fn inject(&self, view: &NetView<'_>, src: usize, dest: usize, rng: &mut SmallRng) -> RouteInfo {
-        self.inject_traced(view, src, dest, rng).0
-    }
-
-    fn inject_traced(
-        &self,
-        view: &NetView<'_>,
-        src: usize,
-        dest: usize,
-        rng: &mut SmallRng,
-    ) -> (RouteInfo, DecisionRecord) {
-        let df = &self.df;
-        let params = df.params();
-        let rs = params.router_of_terminal(src);
-        let rd = params.router_of_terminal(dest);
-        let gs = params.group_of_router(rs);
-        let gd = params.group_of_router(rd);
-        let salt: u32 = rng.gen();
-        if rs == rd || gs == gd {
-            let route = RouteInfo::minimal().with_salt(salt).with_injection_vc(1);
-            return (route, DecisionRecord::default());
-        }
-        let direct_alive = !df.has_faults() || df.global_slot_count(gs, gd) > 0;
-        let gi = match pick_intermediate(df, gs, gd, rng) {
-            Some(gi) => gi,
-            None if direct_alive => {
-                // No usable intermediate: minimal is the only shape left.
-                let route = RouteInfo::minimal().with_salt(salt).with_injection_vc(1);
-                let record = if df.has_faults() && params.num_groups() >= 3 {
-                    DecisionRecord::fault_forced()
-                } else {
-                    DecisionRecord::default()
-                };
-                return (route, record);
-            }
-            None => unreachable!(
-                "fault validation guarantees a direct channel or a viable intermediate"
-            ),
-        };
-        if !direct_alive {
-            // Every direct channel is dead: the Valiant path wins without
-            // a queue comparison.
-            let route = RouteInfo::non_minimal(gi as u32)
-                .with_salt(salt)
-                .with_injection_vc(0);
-            let record = DecisionRecord::fault_forced();
-            return (route, record);
-        }
-        let m = df.minimal_candidate(rs, dest, salt);
-        let nm = df.non_minimal_candidate(rs, dest, gi as u32, salt);
-        let decision = self.ugal.chooser.choose(view, rs, &m, &nm);
-        let record = DecisionRecord::from(&decision);
-        if decision.minimal {
-            let route = RouteInfo::minimal().with_salt(salt).with_injection_vc(1);
-            (route, record)
-        } else {
-            let route = RouteInfo::non_minimal(gi as u32)
-                .with_salt(salt)
-                .with_injection_vc(0);
-            (route, record)
-        }
-    }
-
-    fn route(&self, _view: &NetView<'_>, router: usize, flit: &Flit) -> PortVc {
-        route_flit(&self.df, router, flit)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::params::DragonflyParams;
+    use crate::RoutingChoice;
     use dfly_netsim::{ChannelClass, FaultPlan};
     use dfly_traffic::rng_for;
 
@@ -825,31 +595,27 @@ mod tests {
 
     #[test]
     fn random_intermediate_avoids_endpoints() {
+        let df = df72();
         let mut rng = rng_for(5, 0);
         let mut seen = [false; 9];
+        // Router 8 sits in group 2, terminal 48 in group 6.
         for _ in 0..500 {
-            let gi = random_intermediate(9, 2, 6, &mut rng).unwrap();
+            let gi = df.draw_tag(8, 48, 0, &mut rng).unwrap() as usize;
             assert_ne!(gi, 2);
             assert_ne!(gi, 6);
             seen[gi] = true;
         }
         assert_eq!(seen.iter().filter(|&&s| s).count(), 7);
-        assert_eq!(random_intermediate(2, 0, 1, &mut rng), None);
+        let two_groups = Dragonfly::new(DragonflyParams::with_groups(1, 2, 1, 2).unwrap());
+        assert_eq!(two_groups.draw_tag(0, 2, 0, &mut rng), None);
     }
 
     #[test]
     fn ugal_names() {
         let df = df72();
-        assert_eq!(
-            UgalRouting::new(df.clone(), UgalVariant::Local).name(),
-            "UGAL-L"
-        );
-        assert_eq!(
-            UgalRouting::new(df.clone(), UgalVariant::Global).name(),
-            "UGAL-G"
-        );
-        assert_eq!(MinimalRouting::new(df.clone()).name(), "MIN");
-        assert_eq!(ValiantRouting::new(df).name(), "VAL");
+        for choice in RoutingChoice::ALL {
+            assert_eq!(choice.build(df.clone()).name(), choice.label());
+        }
     }
 
     /// A 72-terminal dragonfly with the single group 0 <-> 1 global

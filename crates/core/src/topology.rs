@@ -34,6 +34,9 @@ impl Default for ChannelLatencies {
     }
 }
 
+/// The most intra-group dimensions a [`GroupTopology`] may have.
+const MAX_GROUP_DIMS: usize = 8;
+
 /// How the `a` routers of a group are connected (§3.2, Figure 6).
 ///
 /// The paper's default is a fully connected group — equivalently a 1-D
@@ -164,8 +167,8 @@ impl Dragonfly {
     /// # Errors
     ///
     /// Returns an error if a flattened-butterfly group's dimension sizes
-    /// do not multiply to `a`, contain a dimension smaller than 2, or
-    /// are empty.
+    /// do not multiply to `a`, contain a dimension smaller than 2, are
+    /// empty, or number more than 8.
     pub fn with_group_topology(
         params: DragonflyParams,
         group: GroupTopology,
@@ -175,8 +178,8 @@ impl Dragonfly {
         let dims = match group {
             GroupTopology::Complete => vec![a],
             GroupTopology::FlattenedButterfly(dims) => {
-                if dims.is_empty() {
-                    return Err("group needs at least one dimension".into());
+                if dims.is_empty() || dims.len() > MAX_GROUP_DIMS {
+                    return Err(format!("group needs 1 to {MAX_GROUP_DIMS} dimensions"));
                 }
                 if dims.iter().any(|&s| s < 2) {
                     return Err("every group dimension needs >= 2 routers".into());
@@ -672,9 +675,8 @@ impl Dragonfly {
 
     /// Intra-group coordinates of a router (by its index within the
     /// group), least-significant dimension first.
-    fn group_coords(&self, idx: usize) -> [usize; 8] {
-        debug_assert!(self.dims.len() <= 8);
-        let mut coords = [0usize; 8];
+    fn group_coords(&self, idx: usize) -> [usize; MAX_GROUP_DIMS] {
+        let mut coords = [0usize; MAX_GROUP_DIMS];
         let mut rem = idx;
         for (d, &s) in self.dims.iter().enumerate() {
             coords[d] = rem % s;
@@ -1166,6 +1168,14 @@ mod tests {
         assert!(Dragonfly::with_group_topology(
             params,
             GroupTopology::FlattenedButterfly(vec![8, 1]),
+            ChannelLatencies::default(),
+        )
+        .is_err());
+        // Nine dimensions multiply to a = 512 but overflow the
+        // coordinate array every later route computation uses.
+        assert!(Dragonfly::with_group_topology(
+            DragonflyParams::with_groups(1, 512, 1, 2).unwrap(),
+            GroupTopology::FlattenedButterfly(vec![2; 9]),
             ChannelLatencies::default(),
         )
         .is_err());

@@ -42,7 +42,7 @@ use dfly_netsim::{
 use dfly_topo::{Topology, Torus};
 use rand::rngs::SmallRng;
 
-use crate::network::{NetRouting, NetTopology, SimNetwork};
+use crate::network::{BfsFaults, NetRouting, NetTopology, SimNetwork};
 
 /// A torus wired for cycle-accurate simulation.
 pub type TorusNetwork = SimNetwork<TorusTopology>;
@@ -172,8 +172,10 @@ impl TorusTopology {
     }
 }
 
+impl BfsFaults for TorusTopology {}
+
 impl NetTopology for TorusTopology {
-    const PREFIX: &'static str = "torus";
+    const PREFIX: &'static str = "torus-";
     const OBLIVIOUS: &'static str = "DOR";
 
     /// Concentration ports, then per dimension the +direction port and

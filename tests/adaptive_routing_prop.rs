@@ -36,8 +36,9 @@ use rand::Rng;
 
 use dragonfly::butterfly::{ButterflyNetwork, ButterflyRouting};
 use dragonfly::clos_sim::{ClosNetwork, ClosRouting};
+use dragonfly::network::{NetRouting, SimNetwork};
 use dragonfly::torus_sim::{TorusNetwork, TorusRouting};
-use dragonfly::{trace_route, Dragonfly, DragonflyParams, UgalRouting, UgalVariant};
+use dragonfly::{trace_route, Dragonfly, DragonflyParams, UgalVariant};
 
 /// Asserts a rank sequence never decreases (the acyclic-resource
 /// witness: a packet only ever moves to an equal- or higher-ranked VC).
@@ -324,7 +325,9 @@ fn clos_candidates_eject_with_equal_length_up_down_paths() {
 /// is exact — zero error, never a disagreement.
 #[test]
 fn every_estimator_is_scored_and_the_oracle_scores_itself_exactly() {
-    let df = Arc::new(Dragonfly::new(DragonflyParams::new(2, 4, 2).unwrap()));
+    let df = Arc::new(SimNetwork::<Dragonfly>::new(Dragonfly::new(
+        DragonflyParams::new(2, 4, 2).unwrap(),
+    )));
     let df_spec = df.build_spec();
     let fb = Arc::new(ButterflyNetwork::new(FlattenedButterfly::new(2, 6, 2)));
     let fb_spec = fb.build_spec();
@@ -339,7 +342,7 @@ fn every_estimator_is_scored_and_the_oracle_scores_itself_exactly() {
         let cases: [(&NetworkSpec, Box<dyn RoutingAlgorithm>); 2] = [
             (
                 &df_spec,
-                Box::new(UgalRouting::new(Arc::clone(&df), variant)),
+                Box::new(NetRouting::ugal(Arc::clone(&df), variant)),
             ),
             (
                 &fb_spec,
