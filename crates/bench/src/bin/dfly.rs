@@ -1,4 +1,5 @@
-//! `dfly` — a command-line front end for the dragonfly library.
+//! `dfly` — the command-line front end for the dragonfly library, and
+//! the workspace's one binary.
 //!
 //! ```text
 //! dfly info     -p 4 -a 8 -H 4 [-g N]          topology facts
@@ -7,28 +8,55 @@
 //! dfly sweep    -p 4 -a 8 -H 4 --routing ugal-g --traffic ur \
 //!               --loads 0.1,0.3,0.5,0.7,0.9
 //! dfly cost     -n 16384                        Figure-19 style table
+//! dfly fig      <id> | all | list               the paper's tables and figures
+//! dfly doctor   [CAMPAIGN_DIR]                  campaign-journal health verdict
+//! dfly resume                                   campaign crash/resume check
 //! ```
+//!
+//! `dfly fig` regenerates the evaluation from the one figure table in
+//! `dfly_bench::figures`: `all` prints the paper's set as one document,
+//! `list` names every id. `DFLY_QUICK=1` shortens the simulation
+//! windows; `DFLY_CAMPAIGN_DIR` serves already-computed cells from a
+//! campaign store.
+//!
+//! `dfly doctor` replays a campaign journal and prints a verdict table
+//! (see [`cmd_doctor`]); `dfly resume` runs a small fixed grid through
+//! the store and can kill itself mid-campaign (see [`cmd_resume`]).
+//!
+//! Exit codes: 0 on success, 2 on a usage error, a failed command or an
+//! UNHEALTHY doctor verdict, 3 when `dfly resume` kills itself.
 
 use std::collections::HashMap;
+use std::fmt;
+use std::io::Write as _;
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
+use dfly_bench::figures::{self, FIGURES};
+use dfly_bench::Windows;
 use dfly_cost::{CostConfig, PowerModel};
+use dfly_netsim::json::JsonWriter;
 use dfly_topo::Topology;
-use dragonfly::{DragonflyParams, DragonflySim, RoutingChoice, RunGrid, RunPlan, TrafficChoice};
+use dragonfly::{
+    CampaignStore, DragonflyParams, DragonflySim, RoutingChoice, RunGrid, RunPlan, TrafficChoice,
+};
 
-fn usage() -> ExitCode {
+fn usage() -> u8 {
     eprintln!(
         "usage:\n  \
          dfly info     -p P -a A -H H [-g G]\n  \
          dfly simulate -p P -a A -H H [-g G] --routing R --traffic T --load L\n                \
          [--buffers B] [--cycles C] [--seed S]\n  \
          dfly sweep    -p P -a A -H H [-g G] --routing R --traffic T --loads L1,L2,..\n  \
-         dfly cost     -n NODES\n\n\
+         dfly cost     -n NODES\n  \
+         dfly fig      ID | all | list\n  \
+         dfly doctor   [CAMPAIGN_DIR]\n  \
+         dfly resume\n\n\
          routings: {}\n\
          traffic:  ur wc tornado perm",
         ROUTINGS.map(|(spelling, _)| spelling).join(" ")
     );
-    ExitCode::from(2)
+    2
 }
 
 fn parse_flags(args: &[String]) -> Option<HashMap<String, String>> {
@@ -253,11 +281,282 @@ fn cmd_cost(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+/// `dfly fig <id>|all|list`.
+fn cmd_fig(args: &[String]) -> u8 {
+    let [id] = args else {
+        return usage();
+    };
+    let win = Windows::from_env();
+    match id.as_str() {
+        "all" => figures::print_all(&win),
+        "list" => {
+            for f in &FIGURES {
+                println!("{:26} {}", f.id, f.title);
+            }
+        }
+        id => match figures::figure(id) {
+            Some(f) => figures::print_one(f, &win),
+            None => {
+                eprintln!("dfly fig: unknown figure {id} (`dfly fig list` names them)");
+                return 2;
+            }
+        },
+    }
+    0
+}
+
+/// Severity of one doctor verdict row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Status {
+    Ok,
+    Info,
+    Warn,
+    Fail,
+}
+
+impl fmt::Display for Status {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.pad(match self {
+            Status::Ok => "OK",
+            Status::Info => "INFO",
+            Status::Warn => "WARN",
+            Status::Fail => "FAIL",
+        })
+    }
+}
+
+/// The doctor's verdict rows: (check, status, detail).
+type Report = Vec<(&'static str, Status, String)>;
+
+/// The checks over one campaign store, in order: every journal entry
+/// decodes; work-complete (workload) cells actually completed;
+/// undrained sweep cells are reported as saturation (expected at the
+/// top of a latency-load curve, so informational); cells whose warmup
+/// failed the convergence gate are warned about.
+fn check_campaign(dir: &str) -> Report {
+    if !std::path::Path::new(dir).join("journal.jsonl").is_file() {
+        let detail = format!("no journal at {dir} - nothing to replay");
+        return vec![("campaign journal", Status::Info, detail)];
+    }
+    let store = match CampaignStore::open(dir) {
+        Ok(s) => s,
+        Err(e) => {
+            let detail = format!("store at {dir} unopenable: {e}");
+            return vec![("campaign journal", Status::Fail, detail)];
+        }
+    };
+    let mut report = Report::new();
+    // Entries written by a superseded codec generation are permanent
+    // cache misses by design (the canon embeds the format version), so
+    // they don't count against decode coverage — only current-format
+    // payloads that fail to decode indicate damage.
+    let records = store.records();
+    let stale = store.stale_len();
+    report.push((
+        "campaign journal",
+        if records.len() + stale == store.len() {
+            Status::Ok
+        } else {
+            Status::Warn
+        },
+        format!(
+            "{}/{} entries decoded, {} from superseded formats ({}, revision {})",
+            records.len(),
+            store.len(),
+            stale,
+            store.dir().display(),
+            store.revision()
+        ),
+    ));
+
+    let workloads = records.iter().filter(|r| r.kind == "workload");
+    let n = workloads.clone().count();
+    let wedged = workloads.filter(|r| r.stats.completion.is_none()).count();
+    report.push(if wedged == 0 {
+        let detail = format!("{n}/{n} work-complete cells finished");
+        ("workload completion", Status::Ok, detail)
+    } else {
+        let detail = format!("{wedged}/{n} work-complete cells hit their cycle cap");
+        ("workload completion", Status::Fail, detail)
+    });
+
+    // Undrained open-loop cells that were configured to drain: expected
+    // exactly at the saturated top of a latency-load curve, so they are
+    // surfaced but not failed. Saturation probes (drain_cap: 0) are
+    // exempt entirely.
+    let saturated = records
+        .iter()
+        .filter(|r| r.kind != "workload" && r.drain_expected() && !r.stats.drained)
+        .count();
+    report.push((
+        "saturated cells",
+        Status::Info,
+        format!("{saturated} undrained sweep cells (expected at saturation)"),
+    ));
+
+    let unconverged = records.iter().filter(|r| !r.stats.converged).count();
+    let n = records.len();
+    report.push(if unconverged == 0 {
+        let detail = format!("{n}/{n} cells converged");
+        ("warmup convergence", Status::Ok, detail)
+    } else {
+        let detail = format!("{unconverged}/{n} cells exceeded the warmup drift limit");
+        ("warmup convergence", Status::Warn, detail)
+    });
+    report
+}
+
+/// `dfly doctor [CAMPAIGN_DIR]`: replays the campaign journal of a
+/// finished (or crashed) session and prints a verdict table, so "did
+/// anything go wrong in that overnight sweep?" is one command. It
+/// judges health only; speed verdicts come from `dfly-benchmark
+/// compare` (see `scripts/bench_history.sh`).
+///
+/// The directory defaults to `DFLY_CAMPAIGN_DIR`, then
+/// `target/campaign`. A missing journal is reported and skipped, never
+/// invented. Exit code: 0 when no check FAILed (WARNs allowed), 2
+/// otherwise and on a usage error.
+fn cmd_doctor(args: &[String]) -> u8 {
+    if let [_, extra, ..] = args {
+        eprintln!("dfly doctor: unexpected argument {extra}\nusage: dfly doctor [CAMPAIGN_DIR]");
+        return 2;
+    }
+    let dir = args
+        .first()
+        .cloned()
+        .or_else(|| std::env::var("DFLY_CAMPAIGN_DIR").ok())
+        .unwrap_or_else(|| "target/campaign".to_string());
+    let report = check_campaign(&dir);
+    println!("| check | status | detail |");
+    println!("|---|---|---|");
+    for (check, status, detail) in &report {
+        println!("| {check} | {status} | {detail} |");
+    }
+    let count = |status| report.iter().filter(|row| row.1 == status).count();
+    let (fails, warns) = (count(Status::Fail), count(Status::Warn));
+    println!(
+        "doctor: verdict {} ({fails} FAIL, {warns} WARN)",
+        if fails > 0 { "UNHEALTHY" } else { "CLEAN" }
+    );
+    if fails > 0 {
+        2
+    } else {
+        0
+    }
+}
+
+/// `dfly resume`: the campaign crash/resume check. Runs a small fixed
+/// grid through the campaign store, optionally killing itself
+/// mid-campaign after a configured number of cache misses (leaving a
+/// torn partial line at the journal tail), so a follow-up invocation
+/// can prove that the rerun simulates only the missing cells and still
+/// matches a fresh serial sweep byte for byte.
+///
+/// Knobs:
+/// * `DFLY_CAMPAIGN_DIR` — store directory (default
+///   `target/campaign_resume`);
+/// * `DFLY_CAMPAIGN_KILL=K` — exit with code 3 after `K` cache misses
+///   have been journaled, appending a torn partial entry first.
+///
+/// Without the kill knob it completes the grid, compares the cached
+/// results against a fresh serial sweep, and prints a one-line JSON
+/// summary: `{"total":…,"hits":…,"misses":…,"identical":…,"entries":…}`.
+fn cmd_resume(args: &[String]) -> u8 {
+    if !args.is_empty() {
+        return usage();
+    }
+    let dir =
+        std::env::var("DFLY_CAMPAIGN_DIR").unwrap_or_else(|_| "target/campaign_resume".to_string());
+    let kill_after: Option<usize> = std::env::var("DFLY_CAMPAIGN_KILL")
+        .ok()
+        .and_then(|v| v.parse().ok());
+
+    // A fixed 2x2x2 grid on the 72-terminal network: small enough for
+    // CI, large enough that a mid-grid kill leaves real work behind.
+    let sim = DragonflySim::new(DragonflyParams::new(2, 4, 2).expect("valid params"));
+    let mut cfg = sim.config(0.1);
+    cfg.seed = 1;
+    cfg.warmup = 200;
+    cfg.measure = 600;
+    cfg.drain_cap = 20_000;
+    let grid = RunGrid::cross(
+        &[RoutingChoice::Min, RoutingChoice::UgalLVcH],
+        &[TrafficChoice::Uniform, TrafficChoice::WorstCase],
+        &[0.1, 0.3],
+        &cfg,
+    );
+
+    let store = CampaignStore::open(&dir).expect("campaign store must open");
+    eprintln!(
+        "dfly resume: {} runs, store at {} ({} entries)",
+        grid.len(),
+        store.dir().display(),
+        store.len()
+    );
+
+    if let Some(kill_after) = kill_after {
+        // Streaming kill leg: single-threaded so the journal grows in
+        // plan order, abort once `kill_after` misses have streamed to
+        // disk. The torn tail appended below — the first half of the
+        // last journaled line, without its newline — is what a crash
+        // mid-write leaves; recovery must truncate it, not reject the
+        // journal.
+        let misses = AtomicUsize::new(0);
+        let journal = store.dir().join("journal.jsonl");
+        grid.execute_cached_streaming_on(&sim, &store, 1, &|i, _stats, hit| {
+            if hit {
+                return;
+            }
+            let done = misses.fetch_add(1, Ordering::SeqCst) + 1;
+            eprintln!("dfly resume: miss {done} (plan {i}) journaled");
+            if done >= kill_after {
+                let text = std::fs::read(&journal).expect("journal exists");
+                let last = text[..text.len() - 1].rsplit(|&b| b == b'\n').next();
+                let last = last.expect("a miss was journaled");
+                let mut f = std::fs::OpenOptions::new()
+                    .append(true)
+                    .open(&journal)
+                    .expect("journal exists");
+                f.write_all(&last[..last.len() / 2])
+                    .expect("append torn tail");
+                f.flush().expect("flush torn tail");
+                eprintln!("dfly resume: killed after {done} misses (torn tail appended)");
+                std::process::exit(3);
+            }
+        })
+        .expect("campaign kill leg must run");
+        // Fewer cells than the kill threshold: fall through and report.
+        eprintln!("dfly resume: grid finished before reaching the kill threshold");
+    }
+
+    let (cached, report) = grid
+        .execute_cached(&sim, &store)
+        .expect("campaign grid must run");
+    let fresh = grid.execute_on(&sim, 1);
+    let identical = cached == fresh;
+    assert!(identical, "cached grid diverged from fresh serial grid");
+    let mut summary = JsonWriter::new();
+    summary.begin_object().key("total").u64(grid.len() as u64);
+    summary.key("hits").u64(report.hits as u64);
+    summary.key("misses").u64(report.misses as u64);
+    summary.key("identical").bool(identical);
+    summary.key("entries").u64(store.len() as u64).end_object();
+    println!("{}", summary.finish());
+    0
+}
+
+/// Runs one command line (without the program name); returns the
+/// process exit code.
+fn run(args: &[String]) -> u8 {
     let Some((cmd, rest)) = args.split_first() else {
         return usage();
     };
+    match cmd.as_str() {
+        "fig" => return cmd_fig(rest),
+        "doctor" => return cmd_doctor(rest),
+        "resume" => return cmd_resume(rest),
+        _ => {}
+    }
     let Some(flags) = parse_flags(rest) else {
         return usage();
     };
@@ -269,12 +568,17 @@ fn main() -> ExitCode {
         _ => return usage(),
     };
     match result {
-        Ok(()) => ExitCode::SUCCESS,
+        Ok(()) => 0,
         Err(msg) => {
             eprintln!("error: {msg}");
-            ExitCode::from(2)
+            2
         }
     }
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    ExitCode::from(run(&args))
 }
 
 #[cfg(test)]
@@ -293,5 +597,28 @@ mod tests {
         }
         let flags = HashMap::from([("routing".to_string(), "ugal-x".to_string())]);
         assert_eq!(routing_from(&flags), Err("unknown routing ugal-x".into()));
+    }
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn every_figure_id_dispatches_and_an_unknown_one_exits_2() {
+        // Every table entry resolves, to itself (so no id is shadowed),
+        // through the lookup `dfly fig` uses; the analytic ones (no
+        // simulation) run to completion.
+        for f in &FIGURES {
+            assert!(std::ptr::eq(figures::figure(f.id).expect(f.id), f));
+        }
+        assert_eq!(FIGURES[figures::PAPER_SET - 1].id, "fig19");
+        for id in ["fig1", "tab1", "fig2", "fig4", "tab2", "fig19", "list"] {
+            assert_eq!(run(&args(&format!("fig {id}"))), 0, "dfly fig {id}");
+        }
+        assert_eq!(run(&args("fig fig99")), 2);
+        assert_eq!(run(&args("fig")), 2);
+        assert_eq!(run(&args("fig fig1 fig2")), 2);
+        assert_eq!(run(&args("resume extra")), 2);
+        assert_eq!(run(&args("nonsense")), 2);
     }
 }

@@ -1,14 +1,104 @@
-//! One generator per table/figure of the paper's evaluation.
+//! One generator per table/figure of the paper's evaluation, plus the
+//! extension experiments, and [`FIGURES`] — the one table of them that
+//! `dfly fig <id>|all|list` dispatches over.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use dfly_cost::{
     case_study_64k, dragonfly_cable_lengths_in_e, max_dragonfly_terminals,
     radix_for_single_global_hop, table2, CableCostModel, CostConfig, CABLE_TECHNOLOGIES,
 };
-use dragonfly::{DragonflyParams, RoutingChoice, TrafficChoice};
+use dfly_netsim::{CreditMode, InjectionKind, RunStats, Simulation, TdEstimator};
+use dfly_topo::{FlattenedButterfly, FoldedClos, Topology, Torus};
+use dfly_traffic::UniformRandom;
+use dragonfly::butterfly::{ButterflyNetwork, ButterflyRouting};
+use dragonfly::clos_sim::{ClosNetwork, ClosRouting};
+use dragonfly::torus_sim::{TorusNetwork, TorusRouting};
+use dragonfly::{DragonflyParams, DragonflySim, RoutingChoice, TrafficChoice, UgalVariant};
 
-use crate::{fmt_latency, paper_network, sweep_curves, CurveSpec, SweepPoint, Windows};
+use crate::{
+    fmt_latency, paper_network, sweep_curves, sweep_topology_curves, CurveSpec, SweepPoint,
+    TopoCurve, Windows,
+};
+
+/// One entry of the figure table.
+#[derive(Debug, Clone, Copy)]
+pub struct Figure {
+    /// The id `dfly fig <id>` selects it by.
+    pub id: &'static str,
+    /// One-line title: the heading of a stand-alone run.
+    pub title: &'static str,
+    /// Prints the figure's tables to standard output.
+    pub run: fn(&Windows),
+}
+
+const fn fig(id: &'static str, title: &'static str, run: fn(&Windows)) -> Figure {
+    Figure { id, title, run }
+}
+
+/// How many leading [`FIGURES`] entries make up the paper's evaluation
+/// — what `dfly fig all` prints, recorded in `figures_quick.md`.
+pub const PAPER_SET: usize = 14;
+
+/// Every table and figure generator: the paper's evaluation first, in
+/// `dfly fig all` order, then the extension experiments.
+#[rustfmt::skip]
+pub static FIGURES: [Figure; 18] = [
+    fig("fig1", "Figure 1 — radix required for one global hop vs N", |_| fig1()),
+    fig("tab1", "Table 1 — cable technology characteristics", |_| tab1()),
+    fig("fig2", "Figure 2 — cable cost vs length", |_| fig2()),
+    fig("fig4", "Figure 4 — dragonfly scalability vs router radix", |_| fig4()),
+    fig("fig8", "Figure 8 — routing algorithm comparison (UR and WC)", fig8),
+    fig("fig9", "Figure 9 — global channel utilisation under UGAL-L/G", fig9),
+    fig("fig10", "Figure 10 — the VC-discriminating UGAL variants", fig10),
+    fig("fig11", "Figure 11 — minimal vs non-minimal packet latency", fig11),
+    fig("fig12", "Figure 12 — packet latency histograms", fig12),
+    fig("fig14", "Figure 14 — latency vs load across buffer depths", fig14),
+    fig("fig16", "Figure 16 — UGAL-L_CR vs UGAL-L_VCH vs UGAL-G", fig16),
+    fig("ext_tail_latency", "Tail latency vs load (1K nodes)", ext_tail_latency),
+    fig("tab2", "Table 2 and Figure 18 — dragonfly vs flattened butterfly", |_| tab2()),
+    fig("fig19", "Figure 19 — cost per node vs network size", |_| fig19()),
+    fig("ext_baselines", "Four topologies on one engine (uniform random)", ext_baselines),
+    fig("ext_bursty", "Bursty vs Bernoulli injection (WC traffic, 1K nodes)", ext_bursty),
+    fig("ext_butterfly_comparison", "Dragonfly vs flattened butterfly, simulated head-to-head",
+        ext_butterfly_comparison),
+    fig("ablations", "Credit round-trip ablations (UGAL-L_CR, WC traffic at 0.2)", ablations),
+];
+
+/// The table entry with id `id`.
+pub fn figure(id: &str) -> Option<&'static Figure> {
+    FIGURES.iter().find(|f| f.id == id)
+}
+
+/// Prints one figure as a stand-alone document: its title as the
+/// heading, then its tables.
+pub fn print_one(figure: &Figure, win: &Windows) {
+    println!("# {}", figure.title);
+    (figure.run)(win);
+}
+
+/// Prints the paper's evaluation — the first [`PAPER_SET`] entries, in
+/// table order — as one document.
+pub fn print_all(win: &Windows) {
+    println!("# Dragonfly paper — regenerated tables and figures");
+    println!("(windows: {win:?})");
+    for figure in &FIGURES[..PAPER_SET] {
+        (figure.run)(win);
+    }
+}
+
+/// A table cell for one run's mean latency: `sat` when it did not
+/// drain, `-` when it ejected nothing.
+fn latency_cell(stats: &RunStats) -> String {
+    if stats.drained {
+        stats
+            .avg_latency()
+            .map_or_else(|| "-".into(), |l| format!("{l:.1}"))
+    } else {
+        "sat".into()
+    }
+}
 
 /// The worst-case-pattern load axis of the paper's Figures 8(b)–16.
 pub const WC_LOADS: [f64; 11] = [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5, 0.55];
@@ -490,6 +580,235 @@ pub fn fig19() {
             save(clos.per_node()),
             save(torus.per_node()),
         );
+    }
+}
+
+/// Extension experiment: all four of the paper's §5 topologies
+/// simulated head-to-head on the same cycle-accurate engine —
+/// dragonfly, flattened butterfly, folded Clos and 3-D torus of
+/// comparable size — under uniform random traffic.
+///
+/// The paper compares these topologies on cost only; simulating them
+/// behaviourally shows the other side of the trade: the torus's hop
+/// count inflates its latency, the Clos needs twice the hops of the
+/// dragonfly, and the butterfly matches the dragonfly only by spending
+/// twice the router ports. All four curves fan out as one flat batch of
+/// independent runs (see [`sweep_topology_curves`]).
+pub fn ext_baselines(win: &Windows) {
+    // Four machines near 64-72 terminals.
+    let df = DragonflySim::new(DragonflyParams::new(2, 4, 2).unwrap()); // 72
+    let fbn = Arc::new(ButterflyNetwork::new(FlattenedButterfly::new(2, 6, 2))); // 72
+    let clos = Arc::new(ClosNetwork::new(FoldedClos::new(3, 8))); // 64
+    let torus = Arc::new(TorusNetwork::new(Torus::new(3, 4, 1))); // 64
+
+    let fb_spec = Arc::new(fbn.build_spec());
+    let clos_spec = Arc::new(clos.build_spec());
+    let torus_spec = Arc::new(torus.build_spec());
+
+    println!(
+        "| network | terminals | routers | radix |\n|---|---|---|---|\n\
+         | dragonfly | {} | {} | {} |\n\
+         | flattened butterfly | {} | {} | {} |\n\
+         | folded Clos | {} | {} | {} |\n\
+         | 3-D torus | {} | {} | {} |",
+        df.spec().num_terminals(),
+        df.spec().num_routers(),
+        df.dragonfly().router_radix(),
+        fb_spec.num_terminals(),
+        fb_spec.num_routers(),
+        fbn.topology().radix(),
+        clos_spec.num_terminals(),
+        clos_spec.num_routers(),
+        clos.topology().radix(),
+        torus_spec.num_terminals(),
+        torus_spec.num_routers(),
+        torus.topology().radix(),
+    );
+
+    let loads = win.thin(&[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]);
+    let base = win.config(0.1);
+    let curves = [
+        TopoCurve {
+            label: "dragonfly UGAL".into(),
+            ..TopoCurve::dragonfly(&df, RoutingChoice::UgalLVcH, TrafficChoice::Uniform)
+        },
+        TopoCurve::new(
+            "butterfly UGAL",
+            Arc::clone(&fb_spec),
+            Arc::new(ButterflyRouting::ugal(Arc::clone(&fbn), UgalVariant::Local)),
+            Arc::new(UniformRandom::new(fb_spec.num_terminals())),
+        ),
+        TopoCurve::new(
+            "Clos up/down",
+            Arc::clone(&clos_spec),
+            Arc::new(ClosRouting::new(Arc::clone(&clos))),
+            Arc::new(UniformRandom::new(clos_spec.num_terminals())),
+        ),
+        TopoCurve::new(
+            "torus DOR",
+            Arc::clone(&torus_spec),
+            Arc::new(TorusRouting::new(Arc::clone(&torus))),
+            Arc::new(UniformRandom::new(torus_spec.num_terminals())),
+        ),
+    ];
+    let (series, _) = sweep_topology_curves(&curves, &loads, &base, false, false);
+
+    print!("\n| load |");
+    for (label, _) in &series {
+        print!(" {label} |");
+    }
+    println!();
+    println!("|---|{}", "---|".repeat(series.len()));
+    for (i, &load) in loads.iter().enumerate() {
+        print!("| {load:.1} |");
+        for (_, points) in &series {
+            print!(" {} |", latency_cell(&points[i].stats));
+        }
+        println!();
+    }
+    println!(
+        "\nHop counts at 0.1 load: dragonfly/butterfly ~2, Clos ~2x ranks, \
+         torus ~k (the diameter penalty the paper's cost argument starts from)."
+    );
+}
+
+/// Extension experiment: bursty (on/off) injection versus the paper's
+/// Bernoulli process at equal average rate. Burstiness stresses the
+/// adaptive decision — queues oscillate, so the UGAL estimate is stale
+/// more often — and rewards the credit round-trip variant's faster
+/// congestion sensing.
+pub fn ext_bursty(win: &Windows) {
+    let sim = paper_network();
+    println!("| load | process | UGAL-L_VCH | UGAL-L_CR | UGAL-G |");
+    println!("|---|---|---|---|---|");
+    for &load in &win.thin(&[0.1, 0.2, 0.3]) {
+        for (name, kind) in [
+            ("bernoulli", InjectionKind::Bernoulli { rate: load }),
+            (
+                "on/off x16",
+                InjectionKind::OnOff {
+                    rate: load,
+                    burst_len: 16.0,
+                },
+            ),
+        ] {
+            let mut row = format!("| {load:.1} | {name} |");
+            for choice in [
+                RoutingChoice::UgalLVcH,
+                RoutingChoice::UgalLCr,
+                RoutingChoice::UgalG,
+            ] {
+                let mut cfg = win.config(load);
+                cfg.injection = kind;
+                let stats = sim.run(choice, TrafficChoice::WorstCase, cfg);
+                row.push_str(&format!(" {} |", latency_cell(&stats)));
+            }
+            println!("{row}");
+        }
+    }
+    println!(
+        "\nBurstiness raises everyone's latency; the ordering\n\
+         VCH > CR > G (and CR's closeness to G) survives it."
+    );
+}
+
+/// Extension experiment (beyond the paper's cost-only §5 comparison):
+/// a flattened butterfly and a dragonfly of similar size and router
+/// radix on the same engine, compared on latency and saturation.
+pub fn ext_butterfly_comparison(win: &Windows) {
+    // Comparable machines from radix-7-ish parts:
+    //  - dragonfly p=h=2, a=4: 72 terminals, radix 7;
+    //  - 2-D flattened butterfly c=2, s=6: 72 terminals, radix 12.
+    let df = DragonflySim::new(DragonflyParams::new(2, 4, 2).unwrap());
+    let fbn = Arc::new(ButterflyNetwork::new(FlattenedButterfly::new(2, 6, 2)));
+    let fb_spec = fbn.build_spec();
+    println!(
+        "dragonfly: N={}, radix {}; butterfly: N={}, radix {}",
+        df.spec().num_terminals(),
+        df.dragonfly().router_radix(),
+        fb_spec.num_terminals(),
+        fbn.topology().radix(),
+    );
+
+    println!("\n| load | DF MIN | DF UGAL-L_VCH | FB MIN | FB UGAL-L |");
+    println!("|---|---|---|---|---|");
+    let traffic = UniformRandom::new(72);
+    for &load in &win.thin(&[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]) {
+        let cfg = win.config(load);
+        let df_min = df.run(RoutingChoice::Min, TrafficChoice::Uniform, cfg.clone());
+        let df_ugal = df.run(RoutingChoice::UgalLVcH, TrafficChoice::Uniform, cfg.clone());
+        let fb_lat = |routing: &ButterflyRouting| {
+            latency_cell(
+                &Simulation::new(&fb_spec, routing, &traffic, cfg.clone())
+                    .unwrap()
+                    .finish(),
+            )
+        };
+        println!(
+            "| {load:.1} | {} | {} | {} | {} |",
+            latency_cell(&df_min),
+            latency_cell(&df_ugal),
+            fb_lat(&ButterflyRouting::new(fbn.clone())),
+            fb_lat(&ButterflyRouting::ugal(fbn.clone(), UgalVariant::Local)),
+        );
+    }
+    println!(
+        "\nBoth reach comparable uniform-random performance; the dragonfly \
+         does it with {} network ports per router instead of {} — the whole \
+         point of the virtual-router construction.",
+        df.dragonfly().router_radix() - 2,
+        fbn.topology().radix() - 2,
+    );
+}
+
+/// Ablations of the credit round-trip mechanism's design choices
+/// (DESIGN.md): the td estimator (last sample vs EWMA), the CTQ
+/// sampling ratio (the paper suggests tracking 1 of 4 credits
+/// suffices), and buffer depth under UGAL-L_CR.
+pub fn ablations(win: &Windows) {
+    let sim = paper_network();
+    let row = |label: String, mode: CreditMode, buffers: usize| {
+        let mut cfg = win.config(0.2).with_buffer_depth(buffers);
+        cfg.credit_mode = mode;
+        let stats = sim.run(RoutingChoice::UgalLCr, TrafficChoice::WorstCase, cfg);
+        println!(
+            "| {label} | {} | {} |",
+            fmt_latency(stats.avg_latency()),
+            fmt_latency(stats.minimal_latency.mean()),
+        );
+    };
+
+    println!("\n## td estimator");
+    println!("| estimator | avg latency | minimal-packet latency |");
+    println!("|---|---|---|");
+    for (name, estimator) in [
+        ("last sample (paper)", TdEstimator::LastSample),
+        ("EWMA 1/4", TdEstimator::Ewma { shift: 2 }),
+        ("EWMA 1/16", TdEstimator::Ewma { shift: 4 }),
+    ] {
+        let mode = CreditMode::RoundTrip {
+            sample: 1,
+            estimator,
+        };
+        row(name.to_string(), mode, 16);
+    }
+
+    println!("\n## CTQ sampling ratio (paper: 1-of-4 suffices)");
+    println!("| tracked credits | avg latency | minimal-packet latency |");
+    println!("|---|---|---|");
+    for sample in [1u32, 2, 4, 8] {
+        let mode = CreditMode::RoundTrip {
+            sample,
+            estimator: TdEstimator::LastSample,
+        };
+        row(format!("1 of {sample}"), mode, 16);
+    }
+
+    println!("\n## buffer depth (CR should be ~independent; cf. Figure 16)");
+    println!("| buffers | avg latency | minimal-packet latency |");
+    println!("|---|---|---|");
+    for buffers in [16usize, 64, 256] {
+        row(buffers.to_string(), CreditMode::round_trip(), buffers);
     }
 }
 

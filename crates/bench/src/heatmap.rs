@@ -12,6 +12,7 @@
 
 use std::fmt::Write as _;
 
+use dfly_netsim::json::JsonWriter;
 use dfly_netsim::TimeSeries;
 
 /// One heatmap row: a channel's identity and its occupancy samples.
@@ -88,41 +89,20 @@ impl Heatmap {
     /// The matrix as a JSON object: tick axis, per-row channel
     /// identity, and the occupancy samples.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let _ = write!(out, "\"every\": {}, \"ticks\": [", self.every);
-        for (i, t) in self.ticks.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "{t}");
+        let mut w = JsonWriter::new();
+        w.begin_object().key("every").u64(self.every);
+        w.key("ticks").u64s(self.ticks.iter().copied());
+        w.key("dropped_channels").u64(self.dropped as u64);
+        w.key("rows").begin_array();
+        for r in &self.rows {
+            w.begin_object().key("router").u64(r.router);
+            w.key("port").u64(r.port).key("class").str(&r.class);
+            w.key("peak").u64(r.peak());
+            w.key("occupancy").u64s(r.occupancy.iter().copied());
+            w.end_object();
         }
-        let _ = write!(
-            out,
-            "], \"dropped_channels\": {}, \"rows\": [",
-            self.dropped
-        );
-        for (i, r) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(
-                out,
-                "{{\"router\": {}, \"port\": {}, \"class\": \"{}\", \"peak\": {}, \"occupancy\": [",
-                r.router,
-                r.port,
-                r.class,
-                r.peak()
-            );
-            for (j, v) in r.occupancy.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(out, "{v}");
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-        out
+        w.end_array().end_object();
+        w.finish()
     }
 
     /// The matrix as a gnuplot data file: commented header identifying
@@ -216,7 +196,7 @@ mod tests {
         let hm = Heatmap::from_series(&series()).top(1);
         assert_eq!(hm.rows.len(), 1);
         assert_eq!(hm.dropped, 1);
-        assert!(hm.to_json().contains("\"dropped_channels\": 1"));
+        assert!(hm.to_json().contains("\"dropped_channels\":1"));
         // top() beyond the row count is a no-op.
         let full = Heatmap::from_series(&series()).top(10);
         assert_eq!(full.dropped, 0);
@@ -226,14 +206,26 @@ mod tests {
     fn json_and_gnuplot_round_the_matrix() {
         let hm = Heatmap::from_series(&series());
         let json = hm.to_json();
-        assert!(json.contains("\"ticks\": [32, 64, 96]"));
-        assert!(json.contains("\"class\": \"Global\""));
-        assert!(json.contains("\"occupancy\": [0, 7, 4]"));
+        assert!(json.contains("\"ticks\":[32,64,96]"));
+        assert!(json.contains("\"class\":\"Global\""));
+        assert!(json.contains("\"occupancy\":[0,7,4]"));
         let gp = hm.to_gnuplot();
         assert!(gp.contains("matrix with image"));
         assert!(gp.contains("# row 0: router 3 port 0 class Global peak 7"));
         // Data lines: hottest channel first.
         let data: Vec<&str> = gp.lines().filter(|l| !l.starts_with('#')).collect();
         assert_eq!(data, vec!["0 7 4", "1 2 1"]);
+    }
+
+    #[test]
+    fn class_names_are_escaped_and_scan_back_intact() {
+        let mut hm = Heatmap::from_series(&series());
+        let class = "odd \"class\"\nname";
+        hm.rows[0].class = class.to_string();
+        let json = hm.to_json();
+        let at = json.find("\"class\":\"").expect("row class") + "\"class\":\"".len();
+        let (back, rest) = dfly_netsim::json::scan_json_string(&json[at..]).expect("class scans");
+        assert_eq!(back, class);
+        assert!(rest.starts_with(",\"peak\":7"), "{rest}");
     }
 }

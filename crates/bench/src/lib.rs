@@ -1,11 +1,11 @@
 //! Figure/table regeneration harness for the dragonfly paper.
 //!
 //! Every table and figure of the paper's evaluation has a function here
-//! that recomputes its rows and prints them as a markdown-ish table; the
-//! `src/bin` binaries are thin wrappers (`fig8_routing_comparison`,
-//! `fig19_cost_comparison`, …) and the `figures` binary runs the whole
-//! set. Set `DFLY_QUICK=1` to use shorter simulation windows and coarser
-//! sweeps while iterating.
+//! that recomputes its rows and prints them as a markdown-ish table, and
+//! one entry in [`figures::FIGURES`]; the `dfly` binary runs one entry
+//! (`dfly fig fig8`) or the paper's whole set (`dfly fig all`). Set
+//! `DFLY_QUICK=1` to use shorter simulation windows and coarser sweeps
+//! while iterating.
 
 use std::sync::Arc;
 

@@ -1,9 +1,9 @@
-//! End-to-end exercises of the `campaign_resume` binary's recovery
-//! branches that the CI crash/resume job does not reach: a campaign
-//! directory with no journal at all, and a store whose advisory
-//! `index.json` sidecar has been corrupted. Both must complete with
-//! exit code 0 — the journal is the only authority, the index is
-//! rebuilt on every open and never read back.
+//! End-to-end exercises of `dfly resume`'s recovery branches that the
+//! CI crash/resume job does not reach: a campaign directory with no
+//! journal at all, and a store holding a leftover `index.json` sidecar
+//! from an older build. Both must complete with exit code 0 — the
+//! journal is the only authority, and nothing reads or rewrites the
+//! sidecar.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -14,15 +14,16 @@ fn temp_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// Runs the binary against `dir` and returns (exit code, stdout).
+/// Runs `dfly resume` against `dir` and returns (exit code, stdout).
 fn run_resume(dir: &Path) -> (i32, String) {
-    let out = Command::new(env!("CARGO_BIN_EXE_campaign_resume"))
+    let out = Command::new(env!("CARGO_BIN_EXE_dfly"))
+        .arg("resume")
         .env("DFLY_CAMPAIGN_DIR", dir)
         .env_remove("DFLY_CAMPAIGN_KILL")
         .output()
-        .expect("campaign_resume must spawn");
+        .expect("dfly resume must spawn");
     (
-        out.status.code().expect("campaign_resume must exit"),
+        out.status.code().expect("dfly resume must exit"),
         String::from_utf8_lossy(&out.stdout).into_owned(),
     )
 }
@@ -44,27 +45,22 @@ fn missing_journal_runs_the_whole_grid_fresh() {
 }
 
 #[test]
-fn corrupt_index_sidecar_is_rebuilt_not_fatal() {
-    let dir = temp_dir("corrupt-index");
+fn leftover_index_sidecar_from_an_older_build_is_ignored() {
+    let dir = temp_dir("leftover-index");
     let (code, stdout) = run_resume(&dir);
     assert_eq!(code, 0, "populating run must succeed: {stdout}");
-
-    // The index is advisory: garbage there must not fail the rerun or
-    // shadow the journal's contents.
     let index = dir.join("index.json");
-    assert!(index.is_file(), "open must have written the index sidecar");
-    std::fs::write(&index, b"{not json at all").unwrap();
+    assert!(!index.exists(), "the store writes no index sidecar");
 
+    // Older builds kept an index.json beside the journal; a stale or
+    // garbled one must neither fail the rerun nor shadow the journal.
+    std::fs::write(&index, b"{not json at all").unwrap();
     let (code, stdout) = run_resume(&dir);
-    assert_eq!(code, 0, "corrupt index must be advisory: {stdout}");
+    assert_eq!(code, 0, "a leftover index must be ignored: {stdout}");
     assert_eq!(
         stdout.trim(),
         "{\"total\":8,\"hits\":8,\"misses\":0,\"identical\":true,\"entries\":8}"
     );
-    let rebuilt = std::fs::read_to_string(&index).unwrap();
-    assert!(
-        rebuilt.starts_with("{\"format\": "),
-        "index must be rebuilt from the journal: {rebuilt}"
-    );
+    assert_eq!(std::fs::read(&index).unwrap(), b"{not json at all");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,4 +1,4 @@
-//! End-to-end exercises of the `doctor` binary over real campaign
+//! End-to-end exercises of `dfly doctor` over real campaign
 //! stores: a healthy one, one holding work-complete cells that hit
 //! their cycle cap, and a directory with no journal at all — plus the
 //! usage error. The verdict line and the exit code are the product, so
@@ -19,15 +19,16 @@ fn temp_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// Runs `doctor` with `args` and returns (exit code, stdout, stderr).
+/// Runs `dfly doctor` with `args` and returns (exit code, stdout, stderr).
 fn run_doctor(args: &[&Path]) -> (i32, String, String) {
-    let out = Command::new(env!("CARGO_BIN_EXE_doctor"))
+    let out = Command::new(env!("CARGO_BIN_EXE_dfly"))
+        .arg("doctor")
         .args(args)
         .env_remove("DFLY_CAMPAIGN_DIR")
         .output()
-        .expect("doctor must spawn");
+        .expect("dfly doctor must spawn");
     (
-        out.status.code().expect("doctor must exit"),
+        out.status.code().expect("dfly doctor must exit"),
         String::from_utf8_lossy(&out.stdout).into_owned(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
     )
@@ -86,6 +87,7 @@ fn healthy_store_gets_a_clean_verdict() {
     ] {
         assert!(stdout.contains(row), "missing `{row}` in:\n{stdout}");
     }
+    assert!(!dir.join("index.json").exists(), "no index sidecar");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -123,9 +125,10 @@ fn missing_journal_is_reported_not_invented() {
         "{stdout}"
     );
     assert!(stdout.contains("doctor: verdict CLEAN"), "{stdout}");
-    assert!(
-        !dir.join("journal.jsonl").exists(),
-        "doctor wrote a journal"
+    assert_eq!(
+        std::fs::read_dir(&dir).unwrap().count(),
+        0,
+        "doctor wrote into the store it inspects"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -136,5 +139,8 @@ fn an_extra_argument_is_a_usage_error() {
     let (code, stdout, stderr) = run_doctor(&[&dir, Path::new("extra.json")]);
     assert_eq!(code, 2);
     assert!(stdout.is_empty(), "no verdict on a usage error: {stdout}");
-    assert!(stderr.contains("usage: doctor [CAMPAIGN_DIR]"), "{stderr}");
+    assert!(
+        stderr.contains("usage: dfly doctor [CAMPAIGN_DIR]"),
+        "{stderr}"
+    );
 }

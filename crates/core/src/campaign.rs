@@ -13,18 +13,21 @@
 //! simulation would produce.
 //!
 //! Results persist in an append-only JSON-lines journal
-//! (`journal.jsonl`) plus a small `index.json` sidecar, both inside the
-//! store directory. Completed cells stream to the journal the moment
-//! they finish — a campaign killed mid-grid keeps everything it
+//! (`journal.jsonl`) inside the store directory, written by the
+//! workspace's one [`JsonWriter`] and read back with its
+//! [`scan_json_string`]. Completed cells stream to the journal the
+//! moment they finish — a campaign killed mid-grid keeps everything it
 //! already computed. Crash safety:
 //!
 //! * the journal is append-only and each entry is one line; a torn
 //!   tail line (the process died mid-`write`) is detected on open and
 //!   truncated away, sacrificing at most the one in-flight result;
-//! * the sidecar is rewritten through [`atomic_write`] (temp file +
-//!   `rename`), so readers never observe a half-written index;
-//! * the journal is authoritative — `index.json` is advisory and
-//!   rebuilt from a full journal scan on every open.
+//! * the journal is the only record — the in-memory index is rebuilt
+//!   from a full journal scan on every open, and a leftover `index.json`
+//!   from an older build is ignored;
+//! * each append is `flush`ed, not `fsync`ed: a process crash loses at
+//!   most the in-flight line, a power cut may lose whatever the OS had
+//!   not yet written back.
 //!
 //! Collision safety does not rest on the 64-bit hash alone: the full
 //! canonical string is stored with every entry and compared on lookup,
@@ -42,9 +45,9 @@ use std::fmt::Write as _;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use dfly_netsim::json::{scan_json_string, JsonWriter};
 use dfly_netsim::{
     ChannelClass, ChannelLoad, ChannelSeries, EstimatorScoreboard, FlitTrace, Histogram,
     LatencySummary, LogHistogram, RouteTelemetry, RunStats, SimError, TimeSeries, TraceEvent,
@@ -55,20 +58,17 @@ use crate::experiment::DragonflySim;
 use crate::jobs::JobError;
 use crate::parallel::{CachedCell, FaultPoint, RunCell, RunPlan, WorkloadPoint};
 
-/// Version tag prefixed to every canonical key string and recorded in
-/// the index. Bump it whenever the canonical encoding or the result
-/// codec changes shape: old journal entries then simply never match.
+/// Version tag prefixed to every canonical key string. Bump it whenever
+/// the canonical encoding or the result codec changes shape: old
+/// journal entries then simply never match.
 const FORMAT_VERSION: &str = "dfly-campaign-v2";
 
 /// Journal file name inside the store directory.
 const JOURNAL_FILE: &str = "journal.jsonl";
 
-/// Advisory index file name inside the store directory.
-const INDEX_FILE: &str = "index.json";
-
 /// Advisory per-cell timing sidecar inside the store directory. Wall
 /// clock is non-deterministic, so timings never enter the journal:
-/// they only seed progress ETAs and the doctor's overhead view.
+/// they only seed progress ETAs.
 const TIMINGS_FILE: &str = "timings.jsonl";
 
 /// 64-bit FNV-1a over `bytes` — small, dependency-free, and stable
@@ -182,34 +182,6 @@ impl CampaignReport {
     }
 }
 
-/// Writes `contents` to `path` atomically: the bytes land in a sibling
-/// temp file first and replace `path` with a single `rename`, so a
-/// crash mid-write can never leave a torn file under the final name.
-/// The temp name is unique per call (process id + a process-wide
-/// counter), so concurrent writers of one path never share a temp file.
-pub fn atomic_write(path: impl AsRef<Path>, contents: &[u8]) -> io::Result<()> {
-    static CALLS: AtomicU64 = AtomicU64::new(0);
-    let path = path.as_ref();
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(format!(
-        ".tmp{}-{}",
-        std::process::id(),
-        CALLS.fetch_add(1, Ordering::Relaxed)
-    ));
-    let tmp = PathBuf::from(tmp);
-    let mut file = File::create(&tmp)?;
-    file.write_all(contents)?;
-    file.sync_all()?;
-    drop(file);
-    match fs::rename(&tmp, path) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            let _ = fs::remove_file(&tmp);
-            Err(e)
-        }
-    }
-}
-
 /// One decoded journal entry: a result of some `kind` under its full
 /// canonical key.
 struct JournalEntry {
@@ -310,7 +282,7 @@ impl CampaignStore {
             f.sync_all()?;
         }
         let journal = OpenOptions::new().create(true).append(true).open(&path)?;
-        let store = CampaignStore {
+        Ok(CampaignStore {
             dir,
             revision: revision.to_string(),
             inner: Mutex::new(StoreInner {
@@ -318,9 +290,7 @@ impl CampaignStore {
                 journal,
                 entries,
             }),
-        };
-        store.write_index(entries)?;
-        Ok(store)
+        })
     }
 
     /// The store directory.
@@ -343,17 +313,6 @@ impl CampaignStore {
         self.len() == 0
     }
 
-    fn write_index(&self, entries: usize) -> Result<(), CampaignError> {
-        let body = format!(
-            "{{\"format\": \"{}\", \"revision\": \"{}\", \"entries\": {}}}\n",
-            dfly_netsim::telemetry::json_escape(FORMAT_VERSION),
-            dfly_netsim::telemetry::json_escape(&self.revision),
-            entries
-        );
-        atomic_write(self.dir.join(INDEX_FILE), body.as_bytes())?;
-        Ok(())
-    }
-
     /// The stored payload for `key` under `kind`, if any. Matches on
     /// the full canonical string, not just the hash.
     fn lookup_payload(&self, kind: &str, key: &CampaignKey) -> Option<String> {
@@ -367,7 +326,7 @@ impl CampaignStore {
     }
 
     /// Appends one result to the journal (idempotent: re-inserting an
-    /// already-stored key is a no-op) and refreshes the index sidecar.
+    /// already-stored key is a no-op).
     fn insert_payload(
         &self,
         kind: &str,
@@ -383,13 +342,13 @@ impl CampaignStore {
                 return Ok(());
             }
         }
-        let line = format!(
-            "{{\"kind\":\"{}\",\"key\":\"{:016x}\",\"canon\":\"{}\",\"payload\":\"{}\"}}\n",
-            dfly_netsim::telemetry::json_escape(kind),
-            key.hash,
-            dfly_netsim::telemetry::json_escape(&key.canon),
-            dfly_netsim::telemetry::json_escape(&payload)
-        );
+        let mut line = JsonWriter::new();
+        line.begin_object().key("kind").str(kind);
+        line.key("key").str(&format!("{:016x}", key.hash));
+        line.key("canon").str(&key.canon);
+        line.key("payload").str(&payload).end_object();
+        let mut line = line.finish();
+        line.push('\n');
         inner.journal.write_all(line.as_bytes())?;
         inner.journal.flush()?;
         inner.map.entry(key.hash).or_default().push(JournalEntry {
@@ -398,9 +357,7 @@ impl CampaignStore {
             payload,
         });
         inner.entries += 1;
-        // Still under the lock: index writes land in journal order, so
-        // the sidecar never publishes a stale count.
-        self.write_index(inner.entries)
+        Ok(())
     }
 
     /// The key of `cell`: format version, cell kind, this store's code
@@ -449,30 +406,25 @@ impl CampaignStore {
     /// (`timings.jsonl`). Best-effort: timing loss never fails a sweep,
     /// so write errors are swallowed.
     pub fn record_timing(&self, kind: &str, secs: f64) {
-        let line = format!(
-            "{{\"kind\":\"{}\",\"secs\":{:.6}}}\n",
-            dfly_netsim::telemetry::json_escape(kind),
-            secs
-        );
+        let mut line = timing_prefix(kind);
+        line.f64(secs).end_object();
         if let Ok(mut f) = OpenOptions::new()
             .create(true)
             .append(true)
             .open(self.dir.join(TIMINGS_FILE))
         {
-            let _ = f.write_all(line.as_bytes());
+            let _ = writeln!(f, "{}", line.finish());
         }
     }
 
     /// All journaled cell timings for `kind`, in append order. Missing
-    /// or unparsable sidecar lines simply contribute nothing.
+    /// or unparsable sidecar lines, and values that are not a finite
+    /// number of seconds ≥ 0, simply contribute nothing.
     pub fn timings(&self, kind: &str) -> Vec<f64> {
         let Ok(text) = fs::read_to_string(self.dir.join(TIMINGS_FILE)) else {
             return Vec::new();
         };
-        let prefix = format!(
-            "{{\"kind\":\"{}\",\"secs\":",
-            dfly_netsim::telemetry::json_escape(kind)
-        );
+        let prefix = timing_prefix(kind).finish();
         text.lines()
             .filter_map(|line| {
                 line.strip_prefix(prefix.as_str())?
@@ -480,6 +432,7 @@ impl CampaignStore {
                     .parse::<f64>()
                     .ok()
             })
+            .filter(|secs| secs.is_finite() && *secs >= 0.0)
             .collect()
     }
 
@@ -490,7 +443,7 @@ impl CampaignStore {
         if secs.is_empty() {
             return None;
         }
-        secs.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
+        secs.sort_by(f64::total_cmp);
         Some(secs[secs.len() / 2])
     }
 
@@ -510,8 +463,8 @@ impl CampaignStore {
             .count()
     }
 
-    /// Decodes every journaled result for health inspection (see the
-    /// `doctor` binary in the bench crate), in no particular order.
+    /// Decodes every journaled result for health inspection (see
+    /// `dfly doctor` in the bench crate), in no particular order.
     /// Undecodable payloads are skipped, exactly as the lookup path
     /// treats them; entries from superseded codec generations (see
     /// [`CampaignStore::stale_len`]) are among the skipped.
@@ -537,6 +490,13 @@ impl CampaignStore {
         }
         out
     }
+}
+
+/// A timing-sidecar line up to its value: `{"kind":"…","secs":`.
+fn timing_prefix(kind: &str) -> JsonWriter {
+    let mut line = JsonWriter::new();
+    line.begin_object().key("kind").str(kind).key("secs");
+    line
 }
 
 /// One journaled result decoded for health inspection: the entry kind,
@@ -581,33 +541,6 @@ fn parse_journal_line(line: &str) -> Option<JournalEntry> {
         canon,
         payload,
     })
-}
-
-/// Unescapes a JSON string starting right after its opening quote;
-/// returns the content and the remainder after the closing quote.
-fn scan_json_string(s: &str) -> Option<(String, &str)> {
-    let mut out = String::new();
-    let mut chars = s.char_indices();
-    while let Some((i, c)) = chars.next() {
-        match c {
-            '"' => return Some((out, &s[i + 1..])),
-            '\\' => match chars.next()?.1 {
-                '\\' => out.push('\\'),
-                '"' => out.push('"'),
-                'n' => out.push('\n'),
-                'u' => {
-                    let mut code = 0u32;
-                    for _ in 0..4 {
-                        code = code * 16 + chars.next()?.1.to_digit(16)?;
-                    }
-                    out.push(char::from_u32(code)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
-    None
 }
 
 // ---------------------------------------------------------------------
@@ -1205,25 +1138,19 @@ mod tests {
         )
         .unwrap();
         assert_eq!(store.median_timing("run"), None);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn atomic_write_replaces_whole_files() {
-        let dir = temp_dir("atomic");
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("artifact.json");
-        atomic_write(&path, b"{\"v\": 1}").unwrap();
-        assert_eq!(fs::read(&path).unwrap(), b"{\"v\": 1}");
-        atomic_write(&path, b"{\"v\": 2}").unwrap();
-        assert_eq!(fs::read(&path).unwrap(), b"{\"v\": 2}");
-        // No temp droppings left behind.
-        let leftovers: Vec<_> = fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.file_name().to_string_lossy().contains(".tmp"))
-            .collect();
-        assert!(leftovers.is_empty());
+        // Nor do values that are not a duration: NaN and infinities
+        // would poison the median's sort, a negative time is no time.
+        fs::write(
+            dir.join(TIMINGS_FILE),
+            b"{\"kind\":\"run\",\"secs\":NaN}\n{\"kind\":\"run\",\"secs\":1.0}\n\
+              {\"kind\":\"run\",\"secs\":inf}\n{\"kind\":\"run\",\"secs\":-1}\n\
+              {\"kind\":\"run\",\"secs\":null}\n",
+        )
+        .unwrap();
+        assert_eq!(store.timings("run"), vec![1.0]);
+        assert_eq!(store.median_timing("run"), Some(1.0));
+        store.record_timing("run", f64::NAN);
+        assert_eq!(store.timings("run"), vec![1.0]);
         let _ = fs::remove_dir_all(&dir);
     }
 

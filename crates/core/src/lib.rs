@@ -67,9 +67,7 @@ mod routing;
 mod topology;
 pub mod torus_sim;
 
-pub use campaign::{
-    atomic_write, CampaignError, CampaignKey, CampaignReport, CampaignStore, JournalRecord,
-};
+pub use campaign::{CampaignError, CampaignKey, CampaignReport, CampaignStore, JournalRecord};
 pub use dfly_netsim::{FaultClass, FaultPlan, SimError};
 pub use experiment::{DragonflySim, LoadPoint, RoutingChoice, TrafficChoice};
 pub use jobs::{

@@ -30,15 +30,24 @@ use std::path::Path;
 use std::sync::Mutex;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
-use dfly_netsim::telemetry::json_escape;
+use dfly_netsim::json::JsonWriter;
 
 /// Milliseconds since the Unix epoch — the wall-clock stamp on every
 /// emitted event.
-fn unix_ms() -> u128 {
+fn unix_ms() -> u64 {
     SystemTime::now()
         .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_millis())
+        .map(|d| d.as_millis() as u64)
         .unwrap_or(0)
+}
+
+/// Opens the JSON object of one `kind` event of the sweep `sweep`;
+/// [`ProgressSink::emit`] stamps and closes it.
+fn event(kind: &str, sweep: &str) -> JsonWriter {
+    let mut w = JsonWriter::new();
+    w.begin_object().key("event").str(kind);
+    w.key("sweep").str(sweep);
+    w
 }
 
 enum Outlet {
@@ -103,15 +112,17 @@ impl ProgressSink {
         matches!(self.outlet, Outlet::Off)
     }
 
-    /// Emits one event: `json` to a file sink, `human` to a TTY sink.
-    fn emit(&self, json: &str, human: &str) {
+    /// Emits one event: `json` (see [`event`]), stamped with
+    /// `unix_ms`, to a file sink; `human` to a TTY sink.
+    fn emit(&self, mut json: JsonWriter, human: &str) {
         match &self.outlet {
             Outlet::Off => {}
             Outlet::Tty => eprintln!("{human}"),
             Outlet::File(file) => {
+                json.key("unix_ms").u64(unix_ms()).end_object();
                 let mut file = file.lock().expect("progress sink poisoned");
                 // Best-effort: a full disk must not kill the sweep.
-                let _ = writeln!(file, "{json}");
+                let _ = writeln!(file, "{}", json.finish());
                 let _ = file.flush();
             }
         }
@@ -152,14 +163,9 @@ impl<'s> SweepProgress<'s> {
         prior_secs: Option<f64>,
     ) -> Self {
         if !sink.is_off() {
-            let json = format!(
-                "{{\"event\":\"begin\",\"sweep\":\"{}\",\"total\":{},\"unix_ms\":{}}}",
-                json_escape(sweep),
-                total,
-                unix_ms()
-            );
-            let human = format!("[{sweep}] 0/{total} starting");
-            sink.emit(&json, &human);
+            let mut json = event("begin", sweep);
+            json.key("total").u64(total as u64);
+            sink.emit(json, &format!("[{sweep}] 0/{total} starting"));
         }
         SweepProgress {
             sink,
@@ -194,26 +200,18 @@ impl<'s> SweepProgress<'s> {
             let per_cell = median(&mut st.miss_secs).or(self.prior_secs);
             (st.done, st.hits, per_cell.map(|s| s * remaining as f64))
         };
-        let eta_json = eta.map_or("null".to_string(), |e| format!("{e:.3}"));
-        let json = format!(
-            "{{\"event\":\"cell\",\"sweep\":\"{}\",\"cell\":{},\"hit\":{},\"secs\":{:.3},\
-             \"done\":{},\"total\":{},\"hits\":{},\"eta_secs\":{},\"unix_ms\":{}}}",
-            json_escape(&self.sweep),
-            index,
-            hit,
-            secs,
-            done,
-            self.total,
-            hits,
-            eta_json,
-            unix_ms()
-        );
+        let mut json = event("cell", &self.sweep);
+        json.key("cell").u64(index as u64).key("hit").bool(hit);
+        json.key("secs").f64(secs).key("done").u64(done as u64);
+        json.key("total").u64(self.total as u64);
+        json.key("hits").u64(hits as u64);
+        json.key("eta_secs").f64(eta);
         let eta_human = eta.map_or(String::new(), |e| format!(" eta {e:.1}s"));
         let human = format!(
             "[{}] {}/{} ({} hits){}",
             self.sweep, done, self.total, hits, eta_human
         );
-        self.sink.emit(&json, &human);
+        self.sink.emit(json, &human);
     }
 
     /// Emits the `end` event with the final tally and total wall time.
@@ -223,17 +221,12 @@ impl<'s> SweepProgress<'s> {
         }
         let st = self.state.lock().expect("sweep progress poisoned");
         let secs = self.started.elapsed().as_secs_f64();
-        let json = format!(
-            "{{\"event\":\"end\",\"sweep\":\"{}\",\"done\":{},\"total\":{},\"hits\":{},\
-             \"misses\":{},\"secs\":{:.3},\"unix_ms\":{}}}",
-            json_escape(&self.sweep),
-            st.done,
-            self.total,
-            st.hits,
-            st.done - st.hits,
-            secs,
-            unix_ms()
-        );
+        let mut json = event("end", &self.sweep);
+        json.key("done").u64(st.done as u64);
+        json.key("total").u64(self.total as u64);
+        json.key("hits").u64(st.hits as u64);
+        json.key("misses").u64((st.done - st.hits) as u64);
+        json.key("secs").f64(secs);
         let human = format!(
             "[{}] done: {}/{} cells, {} hits, {} misses in {:.1}s",
             self.sweep,
@@ -243,7 +236,7 @@ impl<'s> SweepProgress<'s> {
             st.done - st.hits,
             secs
         );
-        self.sink.emit(&json, &human);
+        self.sink.emit(json, &human);
     }
 }
 
@@ -295,12 +288,12 @@ mod tests {
         assert!(lines[0].contains("\"total\":3"));
         // First cell is a hit: the ETA falls back to the prior median.
         assert!(lines[1].contains("\"hit\":true"));
-        assert!(lines[1].contains("\"eta_secs\":1.000"), "{}", lines[1]);
+        assert!(lines[1].contains("\"eta_secs\":1,"), "{}", lines[1]);
         // Second cell: one live miss at 1.25s, one cell left.
         assert!(lines[2].contains("\"done\":2"));
-        assert!(lines[2].contains("\"eta_secs\":1.250"), "{}", lines[2]);
+        assert!(lines[2].contains("\"eta_secs\":1.25,"), "{}", lines[2]);
         // Last cell: nothing remaining, ETA zero.
-        assert!(lines[3].contains("\"eta_secs\":0.000"), "{}", lines[3]);
+        assert!(lines[3].contains("\"eta_secs\":0,"), "{}", lines[3]);
         assert!(lines[4].contains("\"event\":\"end\""));
         assert!(lines[4].contains("\"hits\":1"));
         assert!(lines[4].contains("\"misses\":2"));

@@ -25,7 +25,9 @@
 
 use std::fmt;
 
+use crate::json::JsonWriter;
 use crate::sim::SimPerf;
+use crate::telemetry::begin_chrome_event;
 
 /// Relative drift between the last two warmup quarters above which a
 /// run is declared unconverged. The comparison uses a symmetric
@@ -207,19 +209,13 @@ impl SpanTree {
     /// tracer. Track 0 holds the engine and phase rows; track `s + 1`
     /// holds shard `s`.
     pub fn to_chrome_json(&self) -> String {
-        let mut out = String::from("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n");
-        let mut first = true;
+        let mut w = JsonWriter::new();
+        w.begin_object().key("displayTimeUnit").str("ms");
+        w.key("traceEvents").begin_array();
         let mut stack = vec![&self.root];
         while let Some(span) = stack.pop() {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            out.push_str(&format!(
-                "{{\"name\": \"{}\", \"ph\": \"X\", \"ts\": {}, \"dur\": {}, \
-                 \"pid\": 0, \"tid\": {}}}",
-                span.name, span.start_us, span.dur_us, span.track
-            ));
+            begin_chrome_event(&mut w, &span.name, span.start_us, span.dur_us, span.track)
+                .end_object();
             // Children pushed in reverse so they emit in declaration
             // order — the output is deterministic either way, but this
             // keeps the document readable.
@@ -227,8 +223,8 @@ impl SpanTree {
                 stack.push(child);
             }
         }
-        out.push_str("\n]}\n");
-        out
+        w.end_array().end_object();
+        w.finish()
     }
 
     /// Total number of spans in the tree (root included).
@@ -345,11 +341,23 @@ mod tests {
     fn chrome_json_is_well_formed() {
         let json = SpanTree::from_perf(&sample_perf()).to_chrome_json();
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert_eq!(json.matches("\"ph\": \"X\"").count(), 16);
-        assert!(json.contains("\"name\": \"engine\""));
-        assert!(json.contains("\"name\": \"switch\""));
-        assert!(json.contains("\"name\": \"shard 1\""));
+        assert_eq!(json.matches("\"ph\":\"X\"").count(), 16);
+        assert!(json.contains("\"name\":\"engine\""));
+        assert!(json.contains("\"name\":\"switch\""));
+        assert!(json.contains("\"name\":\"shard 1\""));
         // Balanced braces — cheap structural sanity without a parser.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
+    }
+
+    #[test]
+    fn span_names_are_escaped_and_scan_back_intact() {
+        let mut tree = SpanTree::from_perf(&sample_perf());
+        let name = "say \"hi\"\nthen \\ leave";
+        tree.root.name = name.to_string();
+        let json = tree.to_chrome_json();
+        let at = json.find("\"name\":\"").expect("root event") + "\"name\":\"".len();
+        let (back, rest) = crate::json::scan_json_string(&json[at..]).expect("name scans");
+        assert_eq!(back, name);
+        assert!(rest.starts_with(",\"ph\":\"X\""), "{rest}");
     }
 }

@@ -43,6 +43,7 @@ mod error;
 mod fault;
 mod flit;
 mod health;
+pub mod json;
 mod routing;
 mod sim;
 mod spec;

@@ -2,9 +2,9 @@
 //! histograms, time-resolved channel traces, a sampling flit tracer,
 //! and the estimator-accuracy scoreboard.
 //!
-//! Everything in this module is plain data with hand-written JSON
-//! emission so the artifacts are reproducible byte-for-byte: two runs
-//! that produce equal values produce equal JSON, which is what the
+//! Everything in this module is plain data, exported through the one
+//! [`JsonWriter`] so the artifacts are reproducible byte-for-byte: two
+//! runs that produce equal values produce equal JSON, which is what the
 //! serial-vs-parallel determinism tests assert. No wall-clock reads,
 //! no hashing with ambient state — the flit tracer's packet selection
 //! is a pure function of `(trace_seed, packet id)`.
@@ -13,12 +13,12 @@
 //! *rare* event (one histogram insert per ejected packet, one
 //! scoreboard update per injected packet) or gated behind a single
 //! predictable branch in the per-flit hot path (channel sampling, flit
-//! tracing). The Criterion bench `single_run_ugal_l` guards the
-//! disabled-mode overhead at under 3%.
+//! tracing). What tracing costs in host time is the benchmark's
+//! `bench.trace_overhead`.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
+use crate::json::JsonWriter;
 use crate::spec::ChannelClass;
 
 /// SplitMix64 finalizer; the tracer's packet-selection hash.
@@ -32,23 +32,6 @@ pub fn splitmix64(mut x: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
-}
-
-/// Escapes a string for embedding in a JSON document.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// A histogram over `u64` values with logarithmic (power-of-two)
@@ -170,25 +153,19 @@ impl LogHistogram {
     /// JSON object: exact summary stats plus the non-empty buckets as
     /// `[upper_edge, count]` pairs.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"buckets\": [",
-            self.count, self.sum, self.min, self.max
-        );
-        let mut first = true;
-        for (b, &n) in self.buckets.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            if !first {
-                out.push_str(", ");
-            }
-            first = false;
-            let _ = write!(out, "[{}, {}]", bucket_upper(b), n);
+        let mut w = JsonWriter::new();
+        self.write_json(&mut w);
+        w.finish()
+    }
+
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object().key("count").u64(self.count);
+        w.key("sum").u64(self.sum).key("min").u64(self.min);
+        w.key("max").u64(self.max).key("buckets").begin_array();
+        for (b, &n) in self.buckets.iter().enumerate().filter(|b| *b.1 > 0) {
+            w.u64s([bucket_upper(b), n]);
         }
-        out.push_str("]}");
-        out
+        w.end_array().end_object();
     }
 }
 
@@ -248,42 +225,21 @@ impl MetricsRegistry {
     /// JSON object with `counters`, `gauges`, and `histograms`
     /// sections, all sorted by name.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\": {");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{}\": {}", json_escape(k), v);
+        let mut w = JsonWriter::new();
+        w.begin_object().key("counters").begin_object();
+        for (k, v) in &self.counters {
+            w.key(k).u64(*v);
         }
-        out.push_str("}, \"gauges\": {");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{}\": {}", json_escape(k), fmt_f64(*v));
+        w.end_object().key("gauges").begin_object();
+        for (k, v) in &self.gauges {
+            w.key(k).f64(*v);
         }
-        out.push_str("}, \"histograms\": {");
-        for (i, (k, v)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{}\": {}", json_escape(k), v.to_json());
+        w.end_object().key("histograms").begin_object();
+        for (k, v) in &self.histograms {
+            v.write_json(w.key(k));
         }
-        out.push_str("}}");
-        out
-    }
-}
-
-/// Formats an `f64` as a JSON number (shortest round-trip form; JSON
-/// has no NaN/Inf, so those clamp to `null`).
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        // `Display` prints integral floats without a decimal point;
-        // that is still a valid JSON number, keep it.
-        s
-    } else {
-        "null".to_string()
+        w.end_object().end_object();
+        w.finish()
     }
 }
 
@@ -347,46 +303,39 @@ impl TimeSeries {
     /// JSON object with the cadence, tick vector, and per-channel
     /// columns.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"every\": {}, \"vcs\": {}, \"ticks\": ",
-            self.every, self.vcs
-        );
-        push_u64_array(&mut out, self.ticks.iter().copied());
-        out.push_str(", \"channels\": [");
-        for (i, ch) in self.channels.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(
-                out,
-                "{{\"router\": {}, \"port\": {}, \"class\": \"{:?}\", \"occupancy\": ",
-                ch.router, ch.port, ch.class
-            );
-            push_u64_array(&mut out, ch.occupancy.iter().map(|&v| u64::from(v)));
-            out.push_str(", \"vc_occupancy\": ");
-            push_u64_array(&mut out, ch.vc_occupancy.iter().map(|&v| u64::from(v)));
-            out.push_str(", \"credits\": ");
-            push_u64_array(&mut out, ch.credits.iter().map(|&v| u64::from(v)));
-            out.push_str(", \"sent\": ");
-            push_u64_array(&mut out, ch.sent.iter().map(|&v| u64::from(v)));
-            out.push('}');
+        let mut w = JsonWriter::new();
+        w.begin_object().key("every").u64(self.every);
+        w.key("vcs").u64(self.vcs);
+        w.key("ticks").u64s(self.ticks.iter().copied());
+        w.key("channels").begin_array();
+        for ch in &self.channels {
+            w.begin_object().key("router").u64(ch.router);
+            w.key("port").u64(ch.port);
+            w.key("class").str(&format!("{:?}", ch.class));
+            w.key("occupancy").u64s(ch.occupancy.iter().copied());
+            w.key("vc_occupancy").u64s(ch.vc_occupancy.iter().copied());
+            w.key("credits").u64s(ch.credits.iter().copied());
+            w.key("sent").u64s(ch.sent.iter().copied());
+            w.end_object();
         }
-        out.push_str("]}");
-        out
+        w.end_array().end_object();
+        w.finish()
     }
 }
 
-fn push_u64_array(out: &mut String, values: impl Iterator<Item = u64>) {
-    out.push('[');
-    for (i, v) in values.enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{v}");
-    }
-    out.push(']');
+/// Opens one chrome-trace complete ("X") event on process 0: `name` on
+/// track `tid`, from `ts` for `dur`. The caller may add keys (`args`)
+/// before closing the object.
+pub(crate) fn begin_chrome_event<'w>(
+    w: &'w mut JsonWriter,
+    name: &str,
+    ts: u64,
+    dur: u64,
+    tid: u64,
+) -> &'w mut JsonWriter {
+    w.begin_object().key("name").str(name).key("ph").str("X");
+    w.key("ts").u64(ts).key("dur").u64(dur);
+    w.key("pid").u64(0u64).key("tid").u64(tid)
 }
 
 /// One event recorded by the flit tracer.
@@ -449,42 +398,41 @@ impl FlitTrace {
     /// complete "X" event per record, `ts` in cycles, one track per
     /// packet.
     pub fn to_chrome_json(&self) -> String {
-        let mut out = String::from("{\"displayTimeUnit\": \"ns\", \"traceEvents\": [");
-        for (i, ev) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let (name, args) = match &ev.kind {
+        let mut w = JsonWriter::new();
+        w.begin_object().key("displayTimeUnit").str("ns");
+        w.key("traceEvents").begin_array();
+        for ev in &self.events {
+            let name = match ev.kind {
+                TraceEventKind::Inject { .. } => "inject",
+                TraceEventKind::Hop { .. } => "hop",
+                TraceEventKind::Eject { .. } => "eject",
+            };
+            begin_chrome_event(&mut w, name, ev.cycle, 1, ev.packet);
+            w.key("args").begin_object();
+            match ev.kind {
                 TraceEventKind::Inject {
                     src,
                     dest,
                     minimal,
                     q_chosen,
                     oracle,
-                } => (
-                    "inject",
-                    format!(
-                        "{{\"src\": {src}, \"dest\": {dest}, \"minimal\": {minimal}, \
-                         \"q_chosen\": {q_chosen}, \"oracle\": {oracle}}}"
-                    ),
-                ),
-                TraceEventKind::Hop { router, port, vc } => (
-                    "hop",
-                    format!("{{\"router\": {router}, \"port\": {port}, \"vc\": {vc}}}"),
-                ),
-                TraceEventKind::Eject { latency } => {
-                    ("eject", format!("{{\"latency\": {latency}}}"))
+                } => {
+                    w.key("src").u64(src).key("dest").u64(dest);
+                    w.key("minimal").bool(minimal);
+                    w.key("q_chosen").u64(q_chosen).key("oracle").u64(oracle);
                 }
-            };
-            let _ = write!(
-                out,
-                "{{\"name\": \"{name}\", \"ph\": \"X\", \"ts\": {}, \"dur\": 1, \
-                 \"pid\": 0, \"tid\": {}, \"args\": {args}}}",
-                ev.cycle, ev.packet
-            );
+                TraceEventKind::Hop { router, port, vc } => {
+                    w.key("router").u64(router).key("port").u64(port);
+                    w.key("vc").u64(vc);
+                }
+                TraceEventKind::Eject { latency } => {
+                    w.key("latency").u64(latency);
+                }
+            }
+            w.end_object().end_object();
         }
-        out.push_str("]}");
-        out
+        w.end_array().end_object();
+        w.finish()
     }
 }
 
@@ -639,29 +587,17 @@ impl EstimatorScoreboard {
 
     /// JSON object with counts, means, and the error distribution.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"decisions\": {}, \"scored\": {}, \"oracle_disagreements\": {}, \
-             \"mean_estimate\": {}, \"mean_oracle\": {}, \"mean_abs_error\": {}, \
-             \"disagreement_rate\": {}, \"abs_error\": {}}}",
-            self.decisions,
-            self.scored,
-            self.oracle_disagreements,
-            opt_f64(self.mean_estimate()),
-            opt_f64(self.mean_oracle()),
-            opt_f64(self.mean_abs_error()),
-            opt_f64(self.disagreement_rate()),
-            self.abs_error.to_json()
-        );
-        out
-    }
-}
-
-fn opt_f64(v: Option<f64>) -> String {
-    match v {
-        Some(v) => fmt_f64(v),
-        None => "null".to_string(),
+        let mut w = JsonWriter::new();
+        w.begin_object().key("decisions").u64(self.decisions);
+        w.key("scored").u64(self.scored);
+        w.key("oracle_disagreements").u64(self.oracle_disagreements);
+        w.key("mean_estimate").f64(self.mean_estimate());
+        w.key("mean_oracle").f64(self.mean_oracle());
+        w.key("mean_abs_error").f64(self.mean_abs_error());
+        w.key("disagreement_rate").f64(self.disagreement_rate());
+        self.abs_error.write_json(w.key("abs_error"));
+        w.end_object();
+        w.finish()
     }
 }
 
@@ -775,8 +711,18 @@ mod tests {
         let alpha = json.find("\"alpha\"").unwrap();
         let zeta = json.find("\"zeta\"").unwrap();
         assert!(alpha < zeta, "counters must be emitted in sorted order");
-        assert!(json.contains("\"speedup\": 2.5"));
+        assert!(json.contains("\"speedup\":2.5"));
         assert_eq!(json, r.clone().to_json());
+        let mut h = LogHistogram::new();
+        h.record(0);
+        h.record(5);
+        r.histograms.insert("lat".into(), h);
+        assert_eq!(
+            r.to_json(),
+            "{\"counters\":{\"alpha\":2,\"zeta\":1},\"gauges\":{\"speedup\":2.5},\
+             \"histograms\":{\"lat\":{\"count\":2,\"sum\":5,\"min\":0,\"max\":5,\
+             \"buckets\":[[0,1],[7,1]]}}}"
+        );
     }
 
     #[test]
@@ -821,10 +767,11 @@ mod tests {
         let json = t.finish().to_chrome_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"traceEvents\""));
-        assert!(json.contains("\"name\": \"inject\""));
-        assert!(json.contains("\"tid\": 42"));
-        assert!(json.contains("\"latency\": 7"));
-        assert_eq!(json.matches("\"ph\": \"X\"").count(), 3);
+        assert!(json.contains("\"name\":\"inject\""));
+        assert!(json.contains("\"tid\":42"));
+        assert!(json.contains("\"args\":{\"latency\":7}"));
+        assert!(json.contains("\"args\":{\"router\":9,\"port\":3,\"vc\":1}"));
+        assert_eq!(json.matches("\"ph\":\"X\"").count(), 3);
     }
 
     #[test]
@@ -845,11 +792,5 @@ mod tests {
         assert_eq!(s.decisions, 4);
         assert_eq!(s.scored, 3);
         assert_eq!(s.abs_error.count, 3);
-    }
-
-    #[test]
-    fn json_escape_handles_controls() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 }

@@ -75,8 +75,9 @@ fn cached_matches_fresh_at_every_shard_count() {
 
 #[test]
 fn concurrent_inserts_keep_every_entry_and_the_index_count() {
-    // 8 writers on one store: every insert journals, and the index
-    // sidecar — rewritten per insert — ends on the full count.
+    // 8 writers on one store: every insert journals, and the
+    // in-memory index — and a reopen's scan of the journal — ends on
+    // the full count.
     const THREADS: u64 = 8;
     const PER_THREAD: u64 = 50;
     let dir = temp_store_dir("concurrent");
@@ -102,11 +103,6 @@ fn concurrent_inserts_keep_every_entry_and_the_index_count() {
     let total = (THREADS * PER_THREAD) as usize;
     assert_eq!(store.len(), total);
     drop(store);
-    let index = std::fs::read_to_string(dir.join("index.json")).expect("index exists");
-    assert!(
-        index.contains(&format!("\"entries\": {total}}}")),
-        "index published a stale count: {index}"
-    );
     let store = CampaignStore::open(&dir).expect("store reopens");
     assert_eq!(store.len(), total);
     let _ = std::fs::remove_dir_all(&dir);

@@ -25,54 +25,31 @@ use dragonfly::network::{BfsFaults, SimNetwork};
 use dragonfly::torus_sim::{TorusNetwork, TorusRouting};
 use dragonfly::{DragonflyParams, DragonflySim, RoutingChoice, UgalVariant};
 
-/// The full debug rendering of `stats`, normalised to what the engine
-/// emitted when the fingerprints were captured. Fields added after the
-/// capture are normalised out: `completion` while unset (always `None`
-/// on fixed-window runs, so it still trips if a closed-loop value ever
+/// FNV-1a over the full debug rendering of `stats` — any change to
+/// RunStats content or ordering shifts it. The debug string carries
+/// every field the latency log, flit trace and channel series JSON
+/// documents export, so the hash pins run content, not how those
+/// documents are formatted. Fields added after the capture are
+/// normalised out: `completion` while unset (always `None` on
+/// fixed-window runs, so it still trips if a closed-loop value ever
 /// leaks into an open-loop run) and the trailing warmup-convergence
 /// diagnostics (`converged` and the drift pair), which are derived from
 /// warmup-only counters and cannot alter the simulated traffic.
-fn normalised_debug(stats: &RunStats) -> String {
+fn fingerprint(stats: &RunStats) -> u64 {
     let debug = format!("{stats:?}").replace(", completion: None", "");
     // The convergence diagnostics are the last fields of RunStats, so
     // truncating at the first of them and re-closing the struct leaves
     // the pre-capture rendering intact.
-    match debug.find(", converged: ") {
+    let debug = match debug.find(", converged: ") {
         Some(at) => format!("{} }}", &debug[..at]),
         None => debug,
-    }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
+    };
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
+    for b in debug.bytes() {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-/// FNV-1a over the normalised debug rendering plus the exported JSON
-/// bytes — any change to RunStats content, ordering or formatting
-/// shifts it.
-fn fingerprint(stats: &RunStats) -> u64 {
-    let mut bytes = normalised_debug(stats).into_bytes();
-    bytes.extend_from_slice(stats.latency_log.to_json().as_bytes());
-    if let Some(trace) = &stats.trace {
-        bytes.extend_from_slice(trace.to_chrome_json().as_bytes());
-    }
-    if let Some(series) = &stats.series {
-        bytes.extend_from_slice(series.to_json().as_bytes());
-    }
-    fnv1a(&bytes)
-}
-
-/// FNV-1a over the normalised debug rendering alone. The debug string
-/// already carries every field the latency log, flit trace and channel
-/// series documents export, so this pins the same run content without
-/// pinning how those documents are formatted.
-fn debug_fingerprint(stats: &RunStats) -> u64 {
-    fnv1a(normalised_debug(stats).as_bytes())
 }
 
 /// One fixed-window run of `routing` over `spec` under uniform traffic
@@ -104,19 +81,17 @@ fn golden_run(
 
 #[test]
 fn open_loop_adapter_matches_pre_refactor_baselines() {
-    let cases: [(RoutingChoice, InjectionKind, u64, u64, u64); 3] = [
+    let cases: [(RoutingChoice, InjectionKind, u64, u64); 3] = [
         (
             RoutingChoice::Min,
             InjectionKind::Bernoulli { rate: 0.1 },
             42,
-            0xe50a_a897_a165_f551,
             0x0737_915c_2aaa_e991,
         ),
         (
             RoutingChoice::UgalLVcH,
             InjectionKind::Bernoulli { rate: 0.2 },
             7,
-            0x07d9_f0a8_b839_949b,
             0xc3f3_54f1_43c1_0b74,
         ),
         (
@@ -127,13 +102,12 @@ fn open_loop_adapter_matches_pre_refactor_baselines() {
                 duty: 0.5,
             },
             23,
-            0x2a2c_ce80_e36d_5cd6,
             0xabcf_f5ad_77d9_887a,
         ),
     ];
     let sim = DragonflySim::new(DragonflyParams::new(2, 4, 2).unwrap());
     let mut drift = String::new();
-    for (choice, injection, seed, want, want_debug) in cases {
+    for (choice, injection, seed, want) in cases {
         let routing = choice.build(sim.shared_dragonfly());
         let stats = golden_run(
             sim.spec(),
@@ -143,11 +117,10 @@ fn open_loop_adapter_matches_pre_refactor_baselines() {
             CreditMode::Conventional,
         );
         assert!(stats.drained, "golden run did not drain");
-        let got = (fingerprint(&stats), debug_fingerprint(&stats));
-        if got != (want, want_debug) {
+        let got = fingerprint(&stats);
+        if got != want {
             drift.push_str(&format!(
-                "open-loop fingerprint drifted: {choice:?} / {injection:?} / seed {seed} -> {:#018x}, {:#018x}\n",
-                got.0, got.1
+                "open-loop fingerprint drifted: {choice:?} / {injection:?} / seed {seed} -> {got:#018x}\n"
             ));
         }
     }
@@ -194,40 +167,37 @@ fn dragonfly_routings_match_pre_harness_fingerprints() {
             "clean 72",
             DragonflySim::new(df72),
             vec![
-                (Min, 0x55dd_f5ab_e8c2_51e0, 0x72de_6a8d_ba5b_3013),
-                (Valiant, 0xaf60_42e5_21e4_16f4, 0xc1f7_a34b_825f_c885),
-                (UgalL, 0xe1a2_25df_851b_101a, 0x1495_aae1_2bc1_50b3),
-                (UgalLVc, 0xe28c_3358_cec4_ee08, 0x3899_c053_0705_3057),
-                (UgalLVcH, 0x8fbc_a228_bf75_cc7a, 0x0a60_15ef_f361_a8ed),
-                (UgalLCr, 0xb96f_c78e_09d6_1bb8, 0x2bdd_5f59_2a14_b77e),
-                (UgalG, 0x1ea6_8fbc_025d_dc69, 0x84d4_8cab_3fc8_d705),
-                (UgalLEwma, 0xb334_ed79_54a1_9fe7, 0x60b2_6433_d828_36bc),
+                (Min, 0x72de_6a8d_ba5b_3013),
+                (Valiant, 0xc1f7_a34b_825f_c885),
+                (UgalL, 0x1495_aae1_2bc1_50b3),
+                (UgalLVc, 0x3899_c053_0705_3057),
+                (UgalLVcH, 0x0a60_15ef_f361_a8ed),
+                (UgalLCr, 0x2bdd_5f59_2a14_b77e),
+                (UgalG, 0x84d4_8cab_3fc8_d705),
+                (UgalLEwma, 0x60b2_6433_d828_36bc),
             ],
         ),
         (
             "72, 0-1 global cut",
             faulted(df72, group_cable(df72, 0, 1)),
             vec![
-                (Min, 0xfa30_a1f5_b3d1_d053, 0x8ed5_519c_9314_c5c5),
-                (Valiant, 0x9966_6477_ab67_634d, 0x4120_c431_1598_d350),
-                (UgalLVcH, 0xec44_4aae_a162_6d28, 0x420d_d799_0bd2_9a75),
+                (Min, 0x8ed5_519c_9314_c5c5),
+                (Valiant, 0x4120_c431_1598_d350),
+                (UgalLVcH, 0x420d_d799_0bd2_9a75),
             ],
         ),
         (
             "72, local cut",
             faulted(df72, local_cut),
-            vec![
-                (Min, 0x2f4e_8864_ffc8_d85f, 0xdaf7_f943_a47b_cb81),
-                (UgalL, 0x494a_7d83_a463_e468, 0x2784_cd7e_4f2e_e566),
-            ],
+            vec![(Min, 0xdaf7_f943_a47b_cb81), (UgalL, 0x2784_cd7e_4f2e_e566)],
         ),
         (
             "g=5, one of two 0-1 cables cut",
             faulted(df5, group_cable(df5, 0, 1)),
             vec![
-                (Min, 0xd226_2733_8d1a_64d8, 0x7f80_5b60_2210_71bd),
-                (Valiant, 0x0ffd_1a34_b9d7_8d21, 0xa58d_fffc_fa83_06d8),
-                (UgalG, 0xf6aa_35e7_e40f_e4f4, 0x0349_2185_5164_2490),
+                (Min, 0x7f80_5b60_2210_71bd),
+                (Valiant, 0xa58d_fffc_fa83_06d8),
+                (UgalG, 0x0349_2185_5164_2490),
             ],
         ),
         // 0 -> 2 must detour through group 1, and 0 -> 1 has no viable
@@ -236,15 +206,15 @@ fn dragonfly_routings_match_pre_harness_fingerprints() {
             "g=3, 0-2 cut",
             faulted(df3, group_cable(df3, 0, 2)),
             vec![
-                (Valiant, 0xf28d_16cf_29a4_a101, 0xfccc_74fe_b2d2_6c3b),
-                (UgalL, 0x2651_41c5_0b6a_c165, 0x1ee8_6fe8_971b_ad1f),
+                (Valiant, 0xfccc_74fe_b2d2_6c3b),
+                (UgalL, 0x1ee8_6fe8_971b_ad1f),
             ],
         ),
     ];
     let mut drift = String::new();
     for (label, sim, cases) in &rows {
         assert_eq!(sim.spec().has_faults(), !label.starts_with("clean"));
-        for &(choice, want, want_debug) in cases {
+        for &(choice, want) in cases {
             let routing = choice.build(sim.shared_dragonfly());
             let credit_mode = if choice.needs_round_trip_credits() {
                 CreditMode::round_trip()
@@ -258,12 +228,12 @@ fn dragonfly_routings_match_pre_harness_fingerprints() {
                 11,
                 credit_mode,
             );
-            let got = (fingerprint(&stats), debug_fingerprint(&stats));
-            if got != (want, want_debug) {
+            let got = fingerprint(&stats);
+            if got != want {
                 drift.push_str(&format!(
-                    "dragonfly fingerprint drifted: {label} / {choice:?} -> {:#018x}, {:#018x} \
+                    "dragonfly fingerprint drifted: {label} / {choice:?} -> {got:#018x} \
                      (drained {}, fault-avoided {})\n",
-                    got.0, got.1, stats.drained, stats.routing.fault_avoided_decisions
+                    stats.drained, stats.routing.fault_avoided_decisions
                 ));
             }
         }
@@ -304,28 +274,28 @@ fn maybe_cut<T: BfsFaults>(net: SimNetwork<T>, cut: bool) -> Arc<SimNetwork<T>> 
 /// shared harness must reproduce each run bit for bit.
 #[test]
 fn baseline_topologies_match_pre_harness_fingerprints() {
-    let want: [[(u64, u64); 7]; 2] = [
+    let want: [[u64; 7]; 2] = [
         [
-            (0x787c_841f_3cf7_551f, 0xa610_3c4d_2a9d_bec7),
-            (0xe10f_f730_90b3_dae2, 0xea5d_eaa4_b399_fa53),
-            (0xe707_4871_94ca_70e1, 0xf9a8_7a57_33b2_1348),
-            (0xb7cf_72d0_b825_d0c3, 0xcf8c_5068_d890_c498),
-            (0xcc08_437b_2183_ed13, 0xc2eb_8a53_c824_ac77),
-            (0xc65c_36df_80d6_927d, 0xcfeb_ebb3_4792_4e46),
-            (0x7ce4_870c_2836_17a7, 0xddb6_e18d_5f1d_a7fa),
+            0xa610_3c4d_2a9d_bec7,
+            0xea5d_eaa4_b399_fa53,
+            0xf9a8_7a57_33b2_1348,
+            0xcf8c_5068_d890_c498,
+            0xc2eb_8a53_c824_ac77,
+            0xcfeb_ebb3_4792_4e46,
+            0xddb6_e18d_5f1d_a7fa,
         ],
         // One cable cut. Clos and torus fall back to minimal under
         // faults, so their two modes coincide; the faulted Clos rides
         // first-port BFS columns, saturates one uplink and does not
         // drain — that too is frozen.
         [
-            (0x2972_fbf3_7492_b4dd, 0x73b9_4364_bf02_48f8),
-            (0x1453_6cc7_d424_4402, 0xdbff_6a41_86ab_16c5),
-            (0x14dc_264a_a95f_1a01, 0xe079_eeb3_b459_561e),
-            (0x2375_3a08_35c5_2d9f, 0xff39_2cfa_d676_fb17),
-            (0x2375_3a08_35c5_2d9f, 0xff39_2cfa_d676_fb17),
-            (0x5341_2698_29fe_5b53, 0xca32_e21a_16ad_0b53),
-            (0x5341_2698_29fe_5b53, 0xca32_e21a_16ad_0b53),
+            0x73b9_4364_bf02_48f8,
+            0xdbff_6a41_86ab_16c5,
+            0xe079_eeb3_b459_561e,
+            0xff39_2cfa_d676_fb17,
+            0xff39_2cfa_d676_fb17,
+            0xca32_e21a_16ad_0b53,
+            0xca32_e21a_16ad_0b53,
         ],
     ];
     let mut drift = String::new();
@@ -368,13 +338,11 @@ fn baseline_topologies_match_pre_harness_fingerprints() {
                 11,
                 credit_mode,
             );
-            let got = (fingerprint(&stats), debug_fingerprint(&stats));
+            let got = fingerprint(&stats);
             if got != want {
                 drift.push_str(&format!(
-                    "baseline fingerprint drifted: {} / cut {cut} -> {:#018x}, {:#018x}\n",
-                    routing.name(),
-                    got.0,
-                    got.1
+                    "baseline fingerprint drifted: {} / cut {cut} -> {got:#018x}\n",
+                    routing.name()
                 ));
             }
         }
