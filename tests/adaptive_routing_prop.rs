@@ -14,7 +14,10 @@
 //!
 //! plus that the candidate's advertised first hop (port, VC) is exactly
 //! the hop the route function takes — the queue an adaptive decision
-//! inspects is the queue the packet uses.
+//! inspects is the queue the packet uses. On the dragonfly the judge
+//! also checks each candidate's hop count and oracle probe against the
+//! traced path, over every group organisation, tapering and random
+//! fault plans: those are the `H` and `q` of UGAL's `q·H` comparison.
 //!
 //! The last test runs the layer's other product, the estimator-accuracy
 //! scoreboard, for every estimator on the two topologies that carry the
@@ -27,8 +30,8 @@
 use std::sync::Arc;
 
 use dfly_netsim::{
-    trace_path, CandidatePaths, ChannelClass, CreditMode, InjectionKind, NetworkSpec, RouteInfo,
-    RoutingAlgorithm, SimConfig, Simulation, TraceHop,
+    trace_path, CandidatePath, CandidatePaths, ChannelClass, CreditMode, InjectionKind,
+    NetworkSpec, RouteInfo, RoutingAlgorithm, SimConfig, Simulation, TraceHop,
 };
 use dfly_topo::{FlattenedButterfly, FoldedClos, Torus};
 use dfly_traffic::{rng_for, UniformRandom};
@@ -38,7 +41,9 @@ use dragonfly::butterfly::{ButterflyNetwork, ButterflyRouting};
 use dragonfly::clos_sim::{ClosNetwork, ClosRouting};
 use dragonfly::network::{NetRouting, SimNetwork};
 use dragonfly::torus_sim::{TorusNetwork, TorusRouting};
-use dragonfly::{trace_route, Dragonfly, DragonflyParams, UgalVariant};
+use dragonfly::{
+    ChannelLatencies, Dragonfly, DragonflyParams, FaultPlan, GroupTopology, UgalVariant,
+};
 
 /// Asserts a rank sequence never decreases (the acyclic-resource
 /// witness: a packet only ever moves to an equal- or higher-ranked VC).
@@ -54,8 +59,12 @@ fn network_hops(hops: &[TraceHop]) -> impl Iterator<Item = &TraceHop> {
     hops.iter().filter(|h| h.class != ChannelClass::Terminal)
 }
 
-#[test]
-fn dragonfly_candidates_eject_and_rank_monotone() {
+/// The dragonfly builds the candidate judge walks: complete groups at
+/// random sizes, 2-D and 3-D flattened-butterfly groups, a tapered and
+/// a non-maximal-`g` build, and random any-link fault plans over three
+/// of them (seeds whose plan disconnects a group are skipped).
+fn dragonfly_builds() -> Vec<(String, Dragonfly)> {
+    let mut builds = Vec::new();
     for case in 0..10u64 {
         let mut rng = rng_for(0xADA0, case);
         let p = rng.gen_range(1usize..=3);
@@ -63,63 +72,124 @@ fn dragonfly_candidates_eject_and_rank_monotone() {
         let h = rng.gen_range(1usize..=3);
         let g = rng.gen_range(2usize..=a * h + 1);
         let params = DragonflyParams::with_groups(p, a, h, g).unwrap();
-        let df = Dragonfly::new(params);
+        builds.push((format!("complete {params:?}"), Dragonfly::new(params)));
+    }
+    let fb = |dims: Vec<usize>| {
+        let params = DragonflyParams::new(2, 8, 2).unwrap();
+        let group = GroupTopology::FlattenedButterfly(dims);
+        Dragonfly::with_group_topology(params, group, ChannelLatencies::default()).unwrap()
+    };
+    let non_max = DragonflyParams::with_groups(2, 4, 2, 5).unwrap();
+    let clean = [
+        ("fb [2, 4]", fb(vec![2, 4])),
+        ("fb [2, 2, 2]", fb(vec![2, 2, 2])),
+        ("taper 0.5", Dragonfly::with_taper(non_max, 0.5).unwrap()),
+        ("non-maximal g", Dragonfly::new(non_max)),
+        (
+            "complete 72",
+            Dragonfly::new(DragonflyParams::new(2, 4, 2).unwrap()),
+        ),
+    ];
+    for (name, df) in &clean[1..] {
+        for seed in 0..4u64 {
+            let plan = FaultPlan::random_any(0.1, seed);
+            if let Ok(faulted) = df.clone().with_fault_plan(&plan) {
+                builds.push((format!("{name} + random_any(0.1, {seed})"), faulted));
+            }
+        }
+    }
+    assert!(builds.len() >= 10 + 12, "too few fault plans applied");
+    builds.extend(clean.map(|(name, df)| (name.to_string(), df)));
+    builds
+}
+
+/// Walks both UGAL candidates of sampled pairs on every dragonfly build
+/// and checks what UGAL's `q·H` comparison reads: the first hop (port,
+/// VC), the hop count `H` against the traced path, and the probe point
+/// against the traced path's first global channel — plus the ejection
+/// and deadlock-rank witnesses. Under a fault plan only the candidates
+/// the harness may request are walked: minimal where a direct channel
+/// survives, non-minimal through a viable intermediate.
+#[test]
+fn dragonfly_candidates_eject_and_rank_monotone() {
+    // Rank in the paper's deadlock order l0 < g0 < l1 < g1 < l2.
+    let rank = |hop: &TraceHop| match hop.class {
+        ChannelClass::Local => 2 * hop.vc,
+        ChannelClass::Global => 2 * hop.vc + 1,
+        ChannelClass::Terminal => unreachable!("filtered"),
+    };
+    // The candidate's claims against the path a packet actually takes.
+    let judge = |c: &CandidatePath, hops: &[TraceHop], ctx: &str| {
+        assert_eq!(
+            (hops[0].port, hops[0].vc),
+            (c.port as usize, c.vc as usize),
+            "{ctx}: first hop"
+        );
+        assert_eq!(c.hops as usize, network_hops(hops).count(), "{ctx}: hops");
+        let probe = hops
+            .iter()
+            .find(|h| h.class == ChannelClass::Global)
+            .map(|h| (h.router as u32, h.port as u16));
+        let claimed = (c.probe_router != u32::MAX).then_some((c.probe_router, c.probe_port));
+        assert_eq!(claimed, probe, "{ctx}: probe");
+        let ranks: Vec<usize> = network_hops(hops).map(rank).collect();
+        assert_monotone(&ranks, ctx);
+    };
+    let mut walked = 0usize;
+    for (case, (name, df)) in dragonfly_builds().into_iter().enumerate() {
+        let mut rng = rng_for(0xADA3, case as u64);
+        let params = *df.params();
+        let g = params.num_groups();
         let n = params.num_terminals();
         let bound = df.route_hop_bound();
-        // Rank in the paper's deadlock order l0 < g0 < l1 < g1 < l2.
-        let rank = |hop: &TraceHop| match hop.class {
-            ChannelClass::Local => 2 * hop.vc,
-            ChannelClass::Global => 2 * hop.vc + 1,
-            ChannelClass::Terminal => unreachable!("filtered"),
+        let spec = df.build_spec();
+        let routing = NetRouting::new(Arc::new(SimNetwork::<Dragonfly>::new(df.clone())));
+        let trace = |src, dest, route| {
+            trace_path(&spec, &routing, src, dest, route, bound)
+                .unwrap_or_else(|e| panic!("{name}: {src}->{dest} {route:?}: {e}"))
         };
-        for _ in 0..16 {
+        for _ in 0..160 {
             let src = rng.gen_range(0..n);
             let dest = rng.gen_range(0..n);
             let salt: u32 = rng.gen();
             let rs = params.router_of_terminal(src);
-            let m = df.minimal_candidate(rs, dest, salt);
-            let hops = trace_route(&df, src, dest, RouteInfo::minimal().with_salt(salt))
-                .expect("minimal candidate must eject");
-            assert!(hops.len() <= bound, "minimal exceeded {bound} hops");
-            assert_eq!(
-                (hops[0].port, hops[0].vc),
-                (m.port as usize, m.vc as usize),
-                "minimal candidate first hop mismatch {src}->{dest}"
-            );
-            let ranks: Vec<usize> = network_hops(&hops).map(rank).collect();
-            assert_monotone(&ranks, "dragonfly minimal");
-
             let (gs, gd) = (
                 params.group_of_terminal(src),
                 params.group_of_terminal(dest),
             );
+            if gs == gd || df.global_slot_count(gs, gd) > 0 {
+                let m = df.minimal_candidate(rs, dest, salt);
+                let hops = trace(src, dest, RouteInfo::minimal().with_salt(salt));
+                judge(&m, &hops, &format!("{name}: minimal {src}->{dest}"));
+                walked += 1;
+            }
             if g < 3 || gs == gd {
                 continue;
             }
-            let mut gi = rng.gen_range(0..g - 2);
-            for skip in [gs.min(gd), gs.max(gd)] {
-                if gi >= skip {
-                    gi += 1;
+            let gi = match df.viable_intermediates(gs, gd) {
+                Some([]) => continue,
+                Some(viable) => viable[rng.gen_range(0..viable.len())] as usize,
+                None => {
+                    let mut gi = rng.gen_range(0..g - 2);
+                    for skip in [gs.min(gd), gs.max(gd)] {
+                        if gi >= skip {
+                            gi += 1;
+                        }
+                    }
+                    gi
                 }
-            }
+            };
             let nm = df.non_minimal_candidate(rs, dest, gi as u32, salt);
-            let hops = trace_route(
-                &df,
-                src,
-                dest,
-                RouteInfo::non_minimal(gi as u32).with_salt(salt),
-            )
-            .expect("non-minimal candidate must eject");
-            assert!(hops.len() <= bound, "non-minimal exceeded {bound} hops");
-            assert_eq!(
-                (hops[0].port, hops[0].vc),
-                (nm.port as usize, nm.vc as usize),
-                "non-minimal candidate first hop mismatch {src}->{dest} via {gi}"
+            let hops = trace(src, dest, RouteInfo::non_minimal(gi as u32).with_salt(salt));
+            judge(
+                &nm,
+                &hops,
+                &format!("{name}: non-minimal {src}->{dest} via {gi}"),
             );
-            let ranks: Vec<usize> = network_hops(&hops).map(rank).collect();
-            assert_monotone(&ranks, "dragonfly non-minimal");
+            walked += 1;
         }
     }
+    assert!(walked > 5_000, "only {walked} candidate paths walked");
 }
 
 #[test]
