@@ -72,42 +72,10 @@ impl NetTopology for Dragonfly {
     }
 
     /// `flit.route` carries the class, the intermediate group and the
-    /// salt; everything else is derived from the dragonfly tables, so
-    /// every flit of a packet follows the same path.
+    /// salt; everything else is read from the dragonfly tables, so every
+    /// flit of a packet follows the same path.
     fn route(&self, router: usize, flit: &Flit) -> PortVc {
-        let params = self.params();
-        let dest = flit.dest as usize;
-        let rd = params.router_of_terminal(dest);
-        if router == rd {
-            return PortVc::new(self.eject_port(dest), 0);
-        }
-        let gr = params.group_of_router(router);
-        let gd = params.group_of_router(rd);
-        if gr == gd {
-            // Local hop(s) in the destination group, dimension-ordered
-            // within multi-dimensional groups.
-            return PortVc::new(self.local_next_hop(router, rd), 2);
-        }
-        let (target_group, leg) = match flit.route.intermediate() {
-            None => (gd, 0),
-            Some(gi) if gr == gi as usize => (gd, 1),
-            Some(gi) => (gi as usize, 0),
-        };
-        let q = self
-            .pick_global_slot(gr, target_group, flit.route.salt, leg)
-            .expect("routed group pair keeps an alive channel");
-        let owner = self.slot_router(gr, q);
-        // Minimal hops use VC1 until the destination group; non-minimal
-        // hops use VC0 on the first leg and VC1 on the second.
-        let vc = match flit.route.class {
-            RouteClass::Minimal => 1,
-            RouteClass::NonMinimal => leg,
-        } as usize;
-        if owner == router {
-            PortVc::new(self.slot_port(q), vc)
-        } else {
-            PortVc::new(self.local_next_hop(router, owner), vc)
-        }
+        self.next_hop(router, flit.dest as usize, flit.route)
     }
 
     /// A uniformly random intermediate group among those whose Valiant
@@ -153,10 +121,10 @@ impl NetTopology for Dragonfly {
     }
 }
 
-/// Closed-form routing algebra for the dragonfly: every answer falls
-/// out of the group/slot arithmetic (ring schedule, local next-hop
-/// coordinates), so no per-pair state is stored. Under a fault plan
-/// the salt-selected slot is drawn from the surviving channels and the
+/// Routing algebra for the dragonfly: every answer is read from the
+/// slot, ring and group-local tables built with the wiring, which are
+/// O(a·h + a² + g) and hold no per-pair state. Under a fault plan the
+/// salt-selected slot is drawn from the surviving channels and the
 /// Valiant set shrinks to the viable intermediates.
 impl RouteAlgebra for Dragonfly {
     fn terminal_router(&self, terminal: usize) -> usize {
@@ -168,46 +136,12 @@ impl RouteAlgebra for Dragonfly {
     }
 
     fn minimal_port(&self, router: usize, dest: usize, salt: u32) -> PortVc {
-        let params = self.params();
-        let rd = params.router_of_terminal(dest);
-        if router == rd {
-            return PortVc::new(self.eject_port(dest), 0);
-        }
-        let gs = params.group_of_router(router);
-        let gd = params.group_of_router(rd);
-        if gs == gd {
-            return PortVc::new(self.local_next_hop(router, rd), 2);
-        }
-        let q = self
-            .pick_global_slot(gs, gd, salt, 0)
-            .expect("minimal route requested for a pair with an alive channel");
-        let owner = self.slot_router(gs, q);
-        let port = if router == owner {
-            self.slot_port(q)
-        } else {
-            self.local_next_hop(router, owner)
-        };
-        PortVc::new(port, 1)
+        let path = self.candidate(router, dest, None, salt);
+        PortVc::new(path.port as usize, path.vc as usize)
     }
 
     fn minimal_hops(&self, router: usize, dest: usize, salt: u32) -> u32 {
-        let params = self.params();
-        let rd = params.router_of_terminal(dest);
-        if router == rd {
-            return 0;
-        }
-        let gs = params.group_of_router(router);
-        let gd = params.group_of_router(rd);
-        if gs == gd {
-            return self.local_hops(router, rd) as u32;
-        }
-        let q = self
-            .pick_global_slot(gs, gd, salt, 0)
-            .expect("minimal route requested for a pair with an alive channel");
-        let owner = self.slot_router(gs, q);
-        let (pg, pq) = self.global_slot_target(gs, q).expect("wired slot");
-        let entry = self.slot_router(pg, pq);
-        self.local_hops(router, owner) as u32 + 1 + self.local_hops(entry, rd) as u32
+        self.candidate(router, dest, None, salt).hops
     }
 
     fn valiant_degree(&self, router: usize, dest: usize) -> usize {
@@ -259,22 +193,7 @@ fn third_group(gs: usize, gd: usize, i: usize) -> u32 {
 /// harness consults [`NetTopology::forced_class`] first).
 impl CandidatePaths for Dragonfly {
     fn minimal_candidate(&self, router: usize, dest: usize, salt: u32) -> CandidatePath {
-        let params = self.params();
-        let first = self.minimal_port(router, dest, salt);
-        let hops = RouteAlgebra::minimal_hops(self, router, dest, salt);
-        let path = CandidatePath::new(first.port as usize, first.vc as usize, hops);
-        let rd = params.router_of_terminal(dest);
-        let gs = params.group_of_router(router);
-        let gd = params.group_of_router(rd);
-        if router == rd || gs == gd {
-            return path;
-        }
-        // The probe point is the salt-selected global channel itself.
-        let q = self
-            .pick_global_slot(gs, gd, salt, 0)
-            .expect("candidate requested for a pair with an alive channel");
-        path.with_probe(self.slot_router(gs, q), self.slot_port(q))
-            .with_dropped(self.dead_global_slots(gs, gd))
+        self.candidate(router, dest, None, salt)
     }
 
     fn non_minimal_candidate(
@@ -284,38 +203,7 @@ impl CandidatePaths for Dragonfly {
         intermediate: u32,
         salt: u32,
     ) -> CandidatePath {
-        let params = self.params();
-        let rs = router;
-        let gi = intermediate as usize;
-        let rd = params.router_of_terminal(dest);
-        let gs = params.group_of_router(rs);
-        let gd = params.group_of_router(rd);
-        debug_assert!(gi != gs && gi != gd, "intermediate must be a third group");
-        let q1 = self
-            .pick_global_slot(gs, gi, salt, 0)
-            .expect("viable intermediate keeps its first leg alive");
-        let owner1 = self.slot_router(gs, q1);
-        let (pg1, pq1) = self.global_slot_target(gs, q1).expect("wired slot");
-        let entry1 = self.slot_router(pg1, pq1);
-        let q2 = self
-            .pick_global_slot(gi, gd, salt, 1)
-            .expect("viable intermediate keeps its second leg alive");
-        let owner2 = self.slot_router(gi, q2);
-        let (pg2, pq2) = self.global_slot_target(gi, q2).expect("wired slot");
-        let entry2 = self.slot_router(pg2, pq2);
-        let hops = self.local_hops(rs, owner1) as u32
-            + 1
-            + self.local_hops(entry1, owner2) as u32
-            + 1
-            + self.local_hops(entry2, rd) as u32;
-        let port = if rs == owner1 {
-            self.slot_port(q1)
-        } else {
-            self.local_next_hop(rs, owner1)
-        };
-        CandidatePath::new(port, 0, hops)
-            .with_probe(owner1, self.slot_port(q1))
-            .with_dropped(self.dead_global_slots(gs, gi) + self.dead_global_slots(gi, gd))
+        self.candidate(router, dest, Some(intermediate as usize), salt)
     }
 }
 

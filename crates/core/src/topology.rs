@@ -3,7 +3,8 @@
 use std::collections::VecDeque;
 
 use dfly_netsim::{
-    ChannelClass, Connection, FaultPlan, NetworkSpec, PortSpec, RouterSpec, SimError,
+    CandidatePath, ChannelClass, Connection, FaultPlan, NetworkSpec, PortSpec, PortVc, RouteClass,
+    RouteInfo, RouterSpec, SimError,
 };
 use dfly_topo::{Graph, Topology};
 
@@ -67,6 +68,12 @@ pub enum GroupTopology {
 /// Within a group, global slot `q ∈ [0, a·h)` lives on router `q / h`,
 /// global port `q mod h`.
 ///
+/// Every fault-free routing answer is read from three small tables
+/// built once with the wiring — the ring of each global slot (`a·h`
+/// entries), the rings at each offset (`g/2 + 2` starts over the
+/// rings), and the group-local `(port, hops)` table (`a²` entries) — so
+/// routing memory is O(a·h + a² + g), independent of the terminal count.
+///
 /// # Example
 ///
 /// ```
@@ -84,21 +91,26 @@ pub struct Dragonfly {
     /// Intra-group dimension sizes (product = `a`); `[a]` for a
     /// complete group.
     dims: Vec<usize>,
-    /// First local-port offset of each dimension (within the local port
-    /// range).
-    dim_base: Vec<usize>,
     /// Local ports per router: `Σ (dims[d] - 1)`.
     local_ports: usize,
-    /// The offset rings the construction placed, in placement order
-    /// (bases ascending). Every group's slot layout is identical — each
-    /// ring advances every group's next free slot by exactly its cost —
-    /// so the whole `(group, slot) → (peer_group, peer_slot)` wiring is
-    /// arithmetic over this O(a·h)-entry schedule instead of the former
-    /// O(g²) slot tables.
+    /// The offset rings the construction placed, ordered by offset `d`
+    /// and, within one offset, by placement (bases ascending). Every
+    /// group's slot layout is identical — each ring advances every
+    /// group's next free slot by exactly its cost — so the whole
+    /// `(group, slot) → (peer_group, peer_slot)` wiring is arithmetic
+    /// over this O(a·h)-entry schedule instead of O(g²) slot tables.
     rings: Vec<Ring>,
-    /// Ring positions (indices into `rings`) by offset `d`; an offset
-    /// appears more than once when the port budget repeats rings.
-    rings_by_d: Vec<Vec<u16>>,
+    /// The rings at offset `d` are `rings[ring_start[d]..ring_start[d +
+    /// 1]]` (`g/2 + 2` entries); an offset has more than one ring when
+    /// the port budget repeats rings, none at `d = 0`.
+    ring_start: Vec<u16>,
+    /// Global slot `q` of any group (`a·h` entries): its router, port
+    /// and ring.
+    slots: Vec<Slot>,
+    /// Fault-free group-local routing, `local[i * a + j]`: the
+    /// dimension-ordered first port and the hop count from group member
+    /// `i` to member `j` (port [`NO_PORT`] and 0 hops on the diagonal).
+    local: Vec<LocalHop>,
     /// Global slots per group left unused (by the ring construction or
     /// bandwidth tapering).
     unused_slots_per_group: usize,
@@ -119,6 +131,33 @@ struct Ring {
     /// otherwise 2 (one toward `+d`, one toward `-d`).
     cost: u8,
 }
+
+/// One global slot of a group's slot numbering.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// Group-local index of the router owning the slot (`q / h`).
+    router: u16,
+    /// The slot's port on that router (`p + local ports + q mod h`).
+    port: u16,
+    /// Index into [`Dragonfly::rings`] of the slot's ring; [`NO_RING`]
+    /// for a slot the construction left unused.
+    ring: u16,
+}
+
+/// [`Slot::ring`] of an unused slot.
+const NO_RING: u16 = u16::MAX;
+
+/// A group-local route: the first port from one group member toward
+/// another and the local hops it takes. Under a fault plan the same
+/// pair is read from [`DragonflyFaults`]' BFS tables.
+#[derive(Debug, Clone, Copy)]
+struct LocalHop {
+    port: u16,
+    hops: u16,
+}
+
+/// [`LocalHop::port`] from a router to itself.
+const NO_PORT: u16 = u16::MAX;
 
 /// Derived fault state: which channels survive and how to route around
 /// the dead ones while keeping the paper's VC schedule intact. Local
@@ -251,14 +290,9 @@ impl Dragonfly {
         let unused = ah - budget;
         let half = g / 2;
         let mut rings = Vec::new();
-        let mut rings_by_d = vec![Vec::new(); half + 1];
         let mut base = 0usize;
         'outer: loop {
             let mut placed = false;
-            // `d` is the ring distance, not just an index into
-            // `rings_by_d` — the enumerate form clippy suggests obscures
-            // the cost arithmetic below.
-            #[allow(clippy::needless_range_loop)]
             for d in 1..=half {
                 let cost = if 2 * d == g { 1 } else { 2 };
                 if budget < cost {
@@ -266,7 +300,6 @@ impl Dragonfly {
                 }
                 budget -= cost;
                 placed = true;
-                rings_by_d[d].push(rings.len() as u16);
                 rings.push(Ring {
                     d: d as u16,
                     base: base as u16,
@@ -284,21 +317,72 @@ impl Dragonfly {
             }
         }
 
+        // Group the rings by offset (the sort is stable, so each
+        // offset's rings keep placement order) and index them by offset.
+        rings.sort_by_key(|r| r.d);
+        let ring_start = (0..=half + 1)
+            .map(|d| rings.partition_point(|r| (r.d as usize) < d) as u16)
+            .collect();
+
+        let p = params.terminals_per_router();
+        let h = params.global_ports_per_router();
         let mut dim_base = Vec::with_capacity(dims.len());
         let mut local_ports = 0;
         for &s in &dims {
             dim_base.push(local_ports);
             local_ports += s - 1;
         }
+        let mut slots: Vec<Slot> = (0..ah)
+            .map(|q| Slot {
+                router: (q / h) as u16,
+                port: (p + local_ports + q % h) as u16,
+                ring: NO_RING,
+            })
+            .collect();
+        for (i, r) in rings.iter().enumerate() {
+            let base = r.base as usize;
+            for slot in &mut slots[base..base + r.cost as usize] {
+                slot.ring = i as u16;
+            }
+        }
+
+        // The dimension-ordered local route between every ordered pair
+        // of group members: it corrects the lowest differing dimension
+        // first, and takes one hop per differing dimension.
+        let a = params.routers_per_group();
+        let coords: Vec<[usize; MAX_GROUP_DIMS]> = (0..a)
+            .map(|idx| {
+                let mut coords = [0usize; MAX_GROUP_DIMS];
+                let mut rem = idx;
+                for (d, &s) in dims.iter().enumerate() {
+                    coords[d] = rem % s;
+                    rem /= s;
+                }
+                coords
+            })
+            .collect();
+        let mut local = Vec::with_capacity(a * a);
+        for me in &coords {
+            for them in &coords {
+                let mut differ = (0..dims.len()).filter(|&d| me[d] != them[d]);
+                let port = differ.next().map_or(NO_PORT, |d| {
+                    let them = them[d] - usize::from(them[d] > me[d]);
+                    (p + dim_base[d] + them) as u16
+                });
+                let hops = u16::from(port != NO_PORT) + differ.count() as u16;
+                local.push(LocalHop { port, hops });
+            }
+        }
 
         Dragonfly {
             params,
             latencies,
             dims,
-            dim_base,
             local_ports,
             rings,
-            rings_by_d,
+            ring_start,
+            slots,
+            local,
             unused_slots_per_group: unused + budget,
             faults: None,
         }
@@ -354,8 +438,10 @@ impl Dragonfly {
                 if i == j {
                     continue;
                 }
-                alive_links[i * g + j] = (0..self.clean_slot_count(i, j))
-                    .map(|k| self.clean_slot_at(i, j, k))
+                alive_links[i * g + j] = self
+                    .rings_between(i, j)
+                    .iter()
+                    .map(|&ring| self.slot_in_ring(ring, i, j))
                     .filter(|&q| !spec.is_failed(self.slot_router(i, q), self.slot_port(q)))
                     .map(|q| q as u16)
                     .collect();
@@ -480,10 +566,10 @@ impl Dragonfly {
 
     /// How many parallel `gs → gd` global channels a fault plan removed
     /// (0 on a fault-free network).
-    pub(crate) fn dead_global_slots(&self, gs: usize, gd: usize) -> u32 {
+    fn dead_global_slots(&self, gs: usize, gd: usize) -> u32 {
         let g = self.params.num_groups();
         match &self.faults {
-            Some(f) => (self.clean_slot_count(gs, gd) - f.alive_links[gs * g + gd].len()) as u32,
+            Some(f) => (self.rings_between(gs, gd).len() - f.alive_links[gs * g + gd].len()) as u32,
             None => 0,
         }
     }
@@ -540,16 +626,14 @@ impl Dragonfly {
         self.unused_slots_per_group
     }
 
-    /// Global slots per group the ring construction actually wired.
-    fn used_slots(&self) -> usize {
-        self.params.global_ports_per_group() - self.unused_slots_per_group
-    }
-
-    /// Canonical ring offset between two distinct groups.
-    fn ring_offset(&self, x: usize, y: usize) -> usize {
+    /// The rings joining `x` to `y`: those at the pair's offset
+    /// `min((y - x) mod g, (x - y) mod g)`, in placement order (none
+    /// for `x == y`).
+    fn rings_between(&self, x: usize, y: usize) -> &[Ring] {
         let g = self.params.num_groups();
-        let diff = (y + g - x) % g;
-        diff.min(g - diff)
+        let diff = if y >= x { y - x } else { y + g - x };
+        let d = diff.min(g - diff);
+        &self.rings[self.ring_start[d] as usize..self.ring_start[d + 1] as usize]
     }
 
     /// `x`'s slot within `ring` whose channel leads to `y` (one of `x`'s
@@ -564,28 +648,8 @@ impl Dragonfly {
         if ring.cost == 1 {
             return base;
         }
-        let plus = (x + d) % self.params.num_groups() == y;
-        if (x >= d) == plus {
-            base + 1
-        } else {
-            base
-        }
-    }
-
-    /// Fault-free count of parallel `src → dst` global channels: the
-    /// number of placed rings at the pair's offset.
-    fn clean_slot_count(&self, src_group: usize, dst_group: usize) -> usize {
-        if src_group == dst_group {
-            return 0;
-        }
-        self.rings_by_d[self.ring_offset(src_group, dst_group)].len()
-    }
-
-    /// Fault-free `i`-th parallel `src → dst` slot, in ring-placement
-    /// order.
-    fn clean_slot_at(&self, src_group: usize, dst_group: usize, i: usize) -> usize {
-        let ring = self.rings[self.rings_by_d[self.ring_offset(src_group, dst_group)][i] as usize];
-        self.slot_in_ring(ring, src_group, dst_group)
+        let plus = x + d == y || x + d == y + self.params.num_groups();
+        base + usize::from((x >= d) == plus)
     }
 
     /// How many parallel `src_group → dst_group` global channels exist
@@ -601,14 +665,14 @@ impl Dragonfly {
         assert!(src_group < g && dst_group < g, "group out of range");
         match &self.faults {
             Some(f) => f.alive_links[src_group * g + dst_group].len(),
-            None => self.clean_slot_count(src_group, dst_group),
+            None => self.rings_between(src_group, dst_group).len(),
         }
     }
 
     /// The `i`-th of the parallel `src_group → dst_group` global slots,
-    /// `i < global_slot_count(..)`. Computed arithmetically from the
-    /// ring schedule on a fault-free network; read from the surviving
-    /// slot lists under a fault plan.
+    /// `i < global_slot_count(..)`. Read from the ring schedule on a
+    /// fault-free network; from the surviving slot lists under a fault
+    /// plan.
     ///
     /// # Panics
     ///
@@ -618,12 +682,19 @@ impl Dragonfly {
         assert!(src_group < g && dst_group < g, "group out of range");
         match &self.faults {
             Some(f) => f.alive_links[src_group * g + dst_group][i] as usize,
-            None => self.clean_slot_at(src_group, dst_group, i),
+            None => {
+                let ring = self.rings_between(src_group, dst_group)[i];
+                self.slot_in_ring(ring, src_group, dst_group)
+            }
         }
     }
 
     /// Salt-picks one of the parallel `src_group → dst_group` slots, or
     /// `None` when the pair has no (surviving) direct channel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either group index is out of range.
     pub fn pick_global_slot(
         &self,
         src_group: usize,
@@ -631,8 +702,38 @@ impl Dragonfly {
         salt: u32,
         leg: u32,
     ) -> Option<usize> {
-        let n = self.global_slot_count(src_group, dst_group);
-        (n > 0).then(|| self.global_slot_at(src_group, dst_group, self.pick(n, salt, leg)))
+        self.pick_leg(src_group, dst_group, salt, leg)
+            .map(|(q, _)| q)
+    }
+
+    /// The salt-picked `src → dst` global channel of route leg `leg`, as
+    /// its slot in `src` and the slot it lands on in `dst`; `None` when
+    /// the pair has no (surviving) direct channel. The one slot pick
+    /// behind every route, candidate and [`Dragonfly::pick_global_slot`].
+    fn pick_leg(&self, src: usize, dst: usize, salt: u32, leg: u32) -> Option<(usize, usize)> {
+        let g = self.params.num_groups();
+        assert!(src < g && dst < g, "group out of range");
+        let ring = match &self.faults {
+            None => {
+                let rings = self.rings_between(src, dst);
+                if rings.is_empty() {
+                    return None;
+                }
+                rings[self.pick(rings.len(), salt, leg)]
+            }
+            Some(f) => {
+                let alive = &f.alive_links[src * g + dst];
+                if alive.is_empty() {
+                    return None;
+                }
+                let q = alive[self.pick(alive.len(), salt, leg)] as usize;
+                self.rings[self.slots[q].ring as usize]
+            }
+        };
+        Some((
+            self.slot_in_ring(ring, src, dst),
+            self.slot_in_ring(ring, dst, src),
+        ))
     }
 
     /// `(peer_group, peer_slot)` reached by global slot `q` of `group`,
@@ -643,16 +744,14 @@ impl Dragonfly {
     /// Panics if `group` or `q` is out of range.
     pub fn global_slot_target(&self, group: usize, q: usize) -> Option<(usize, usize)> {
         let g = self.params.num_groups();
-        let ah = self.params.global_ports_per_group();
-        assert!(group < g && q < ah, "out of range");
-        if q >= self.used_slots() {
+        assert!(group < g && q < self.slots.len(), "out of range");
+        let ring = self.slots[q].ring;
+        if ring == NO_RING {
             return None;
         }
-        // Bases ascend in placement order; find the ring containing q.
-        let idx = self.rings.partition_point(|r| (r.base as usize) <= q) - 1;
-        let ring = self.rings[idx];
-        let (d, off) = (ring.d as usize, q - ring.base as usize);
-        let plus = ring.cost == 1 || ((group < d) == (off == 0));
+        let ring = self.rings[ring as usize];
+        let d = ring.d as usize;
+        let plus = ring.cost == 1 || ((group < d) == (q == ring.base as usize));
         let peer = if plus {
             (group + d) % g
         } else {
@@ -663,26 +762,50 @@ impl Dragonfly {
 
     /// Router (global index) owning global slot `q` of `group`.
     pub fn slot_router(&self, group: usize, q: usize) -> usize {
-        group * self.params.routers_per_group() + q / self.params.global_ports_per_router()
+        group * self.params.routers_per_group() + self.slots[q].router as usize
     }
 
     /// Router port carrying global slot `q`.
     pub fn slot_port(&self, q: usize) -> usize {
-        let p = self.params.terminals_per_router();
-        let h = self.params.global_ports_per_router();
-        p + self.local_ports + q % h
+        self.slots[q].port as usize
     }
 
-    /// Intra-group coordinates of a router (by its index within the
-    /// group), least-significant dimension first.
-    fn group_coords(&self, idx: usize) -> [usize; MAX_GROUP_DIMS] {
-        let mut coords = [0usize; MAX_GROUP_DIMS];
-        let mut rem = idx;
-        for (d, &s) in self.dims.iter().enumerate() {
-            coords[d] = rem % s;
-            rem /= s;
+    /// `(group, index within the group)` of `router`.
+    fn locate(&self, router: usize) -> (usize, usize) {
+        let a = self.params.routers_per_group();
+        let group = router / a;
+        (group, router - group * a)
+    }
+
+    /// The local route from member `from` to member `to` of `group`
+    /// (group-local indices): the table fault-free, the BFS tables over
+    /// the surviving links under a fault plan.
+    fn local_route(&self, group: usize, from: usize, to: usize) -> LocalHop {
+        let a = self.params.routers_per_group();
+        match &self.faults {
+            None => self.local[from * a + to],
+            Some(f) => {
+                let at = (group * a + from) * a + to;
+                LocalHop {
+                    port: f.local_next[at],
+                    hops: f.local_dist[at],
+                }
+            }
         }
-        coords
+    }
+
+    /// From member `from` of `group` to the channel of its global slot
+    /// `q`: the first port (the slot's own when `from` owns it) and the
+    /// local hops before the channel.
+    fn to_slot(&self, group: usize, from: usize, q: usize) -> (usize, u32) {
+        let slot = self.slots[q];
+        let hop = self.local_route(group, from, slot.router as usize);
+        let port = if slot.router as usize == from {
+            slot.port
+        } else {
+            hop.port
+        };
+        (port as usize, u32::from(hop.hops))
     }
 
     /// Local hops between two routers of the same group: the number of
@@ -694,14 +817,9 @@ impl Dragonfly {
     ///
     /// Panics if the routers are in different groups.
     pub fn local_hops(&self, router: usize, peer: usize) -> usize {
-        let a = self.params.routers_per_group();
-        assert_eq!(router / a, peer / a, "routers in different groups");
-        if let Some(f) = &self.faults {
-            return f.local_dist[router * a + peer % a] as usize;
-        }
-        let ca = self.group_coords(router % a);
-        let cb = self.group_coords(peer % a);
-        (0..self.dims.len()).filter(|&d| ca[d] != cb[d]).count()
+        let ((group, from), (peer_group, to)) = (self.locate(router), self.locate(peer));
+        assert_eq!(group, peer_group, "routers in different groups");
+        self.local_route(group, from, to).hops as usize
     }
 
     /// The local port of `router` leading one hop toward `peer` (both in
@@ -713,46 +831,103 @@ impl Dragonfly {
     ///
     /// Panics if the routers are not distinct members of one group.
     pub fn local_next_hop(&self, router: usize, peer: usize) -> usize {
-        let a = self.params.routers_per_group();
-        assert_eq!(router / a, peer / a, "routers in different groups");
+        let ((group, from), (peer_group, to)) = (self.locate(router), self.locate(peer));
+        assert_eq!(group, peer_group, "routers in different groups");
         assert_ne!(router, peer, "no local channel to self");
-        if let Some(f) = &self.faults {
-            return f.local_next[router * a + peer % a] as usize;
-        }
-        self.local_port_toward(router, peer)
+        self.local_route(group, from, to).port as usize
     }
 
-    /// The fault-free dimension-ordered local port from `router` toward
-    /// `peer`: the physical wiring, used to build the spec.
-    fn local_port_toward(&self, router: usize, peer: usize) -> usize {
+    /// The group members behind `from`'s local ports, in port order:
+    /// the members one local hop away, placed by the table's port.
+    fn local_peers(&self, from: usize) -> Vec<usize> {
         let a = self.params.routers_per_group();
-        let ca = self.group_coords(router % a);
-        let cb = self.group_coords(peer % a);
-        let d = (0..self.dims.len())
-            .find(|&d| ca[d] != cb[d])
-            .expect("distinct routers differ somewhere");
-        let me = ca[d];
-        let them = cb[d];
         let p = self.params.terminals_per_router();
-        p + self.dim_base[d] + if them < me { them } else { them - 1 }
+        let mut peers = vec![0; self.local_ports];
+        for (to, hop) in self.local[from * a..(from + 1) * a].iter().enumerate() {
+            if hop.hops == 1 {
+                peers[hop.port as usize - p] = to;
+            }
+        }
+        peers
     }
 
-    /// The router reached from `router` through its local port `port`.
-    fn local_peer(&self, router: usize, port: usize) -> usize {
-        let p = self.params.terminals_per_router();
-        let off = port - p;
-        let d = (0..self.dims.len())
-            .rfind(|&d| self.dim_base[d] <= off)
-            .expect("port within local range");
-        let within = off - self.dim_base[d];
-        let ca = self.group_coords(router % self.params.routers_per_group());
-        let me = ca[d];
-        let them = if within < me { within } else { within + 1 };
-        // Rebuild the group-local index with dimension d replaced.
-        let place: usize = self.dims[..d].iter().product();
-        let idx = router % self.params.routers_per_group();
-        let group = router - idx;
-        group + idx - me * place + them * place
+    /// The next hop of a flit at `router` bound for terminal `dest` on
+    /// `route`: ejection at the destination router, dimension-ordered
+    /// local hops on VC2 inside the destination group, otherwise toward
+    /// the salt-picked channel of the current leg — VC1 for minimal
+    /// routes, VC0 on a non-minimal route's first leg and VC1 on its
+    /// second.
+    pub(crate) fn next_hop(&self, router: usize, dest: usize, route: RouteInfo) -> PortVc {
+        let rd = self.params.router_of_terminal(dest);
+        if router == rd {
+            return PortVc::new(self.eject_port(dest), 0);
+        }
+        let (gr, from) = self.locate(router);
+        let (gd, to) = self.locate(rd);
+        if gr == gd {
+            return PortVc::new(self.local_route(gr, from, to).port as usize, 2);
+        }
+        let (target, leg) = match route.intermediate() {
+            None => (gd, 0),
+            Some(gi) if gr == gi as usize => (gd, 1),
+            Some(gi) => (gi as usize, 0),
+        };
+        let (q, _) = self
+            .pick_leg(gr, target, route.salt, leg)
+            .expect("routed group pair keeps an alive channel");
+        let vc = match route.class {
+            RouteClass::Minimal => 1,
+            RouteClass::NonMinimal => leg as usize,
+        };
+        PortVc::new(self.to_slot(gr, from, q).0, vc)
+    }
+
+    /// The route from `router` to terminal `dest` through intermediate
+    /// group `via` (`None` for the minimal route), with `salt` picking
+    /// each leg's channel once, summarised as a UGAL candidate: its first
+    /// port and VC, its network hops, its first global channel as the
+    /// probe point, and the channels a fault plan removed from its legs.
+    pub(crate) fn candidate(
+        &self,
+        router: usize,
+        dest: usize,
+        via: Option<usize>,
+        salt: u32,
+    ) -> CandidatePath {
+        let rd = self.params.router_of_terminal(dest);
+        if router == rd {
+            return CandidatePath::new(self.eject_port(dest), 0, 0);
+        }
+        let (gs, from) = self.locate(router);
+        let (gd, to) = self.locate(rd);
+        debug_assert!(
+            via != Some(gs) && via != Some(gd),
+            "intermediate must be a third group"
+        );
+        if gs == gd {
+            let hop = self.local_route(gs, from, to);
+            return CandidatePath::new(hop.port as usize, 2, u32::from(hop.hops));
+        }
+        let first = via.unwrap_or(gd);
+        let (q, landing) = self
+            .pick_leg(gs, first, salt, 0)
+            .expect("candidate requested for a leg with an alive channel");
+        let (port, mut hops) = self.to_slot(gs, from, q);
+        let mut dropped = self.dead_global_slots(gs, first);
+        let mut entry = self.slots[landing].router as usize;
+        if first != gd {
+            let (q2, landing2) = self
+                .pick_leg(first, gd, salt, 1)
+                .expect("viable intermediate keeps its second leg alive");
+            hops += 1 + self.to_slot(first, entry, q2).1;
+            dropped += self.dead_global_slots(first, gd);
+            entry = self.slots[landing2].router as usize;
+        }
+        hops += 1 + u32::from(self.local_route(gd, entry, to).hops);
+        let vc = if via.is_some() { 0 } else { 1 };
+        CandidatePath::new(port, vc, hops)
+            .with_probe(self.slot_router(gs, q), self.slot_port(q))
+            .with_dropped(dropped)
     }
 
     /// Deterministically picks one of `n` parallel channels from a
@@ -799,9 +974,10 @@ impl Dragonfly {
         let a = self.params.routers_per_group();
         let h = self.params.global_ports_per_router();
         let g = self.params.num_groups();
+        let peers: Vec<Vec<usize>> = (0..a).map(|idx| self.local_peers(idx)).collect();
         let mut routers = Vec::with_capacity(self.params.num_routers());
         for grp in 0..g {
-            for idx in 0..a {
+            for (idx, peers) in peers.iter().enumerate() {
                 let router = grp * a + idx;
                 let mut ports = Vec::with_capacity(p + self.local_ports + h);
                 for t in 0..p {
@@ -813,12 +989,11 @@ impl Dragonfly {
                         class: ChannelClass::Terminal,
                     });
                 }
-                for port in p..p + self.local_ports {
-                    let peer = self.local_peer(router, port);
+                for &peer in peers {
                     ports.push(PortSpec {
                         conn: Connection::Router {
-                            router: peer as u32,
-                            port: self.local_port_toward(peer, router) as u32,
+                            router: (grp * a + peer) as u32,
+                            port: self.local[peer * a + idx].port.into(),
                         },
                         latency: self.latencies.local,
                         class: ChannelClass::Local,
@@ -869,15 +1044,13 @@ impl Topology for Dragonfly {
         let a = self.params.routers_per_group();
         let g = self.params.num_groups();
         let ah = self.params.global_ports_per_group();
-        let p = self.params.terminals_per_router();
+        let peers: Vec<Vec<usize>> = (0..a).map(|idx| self.local_peers(idx)).collect();
         let mut graph = Graph::new(self.params.num_routers());
         for grp in 0..g {
-            for idx in 0..a {
-                let r = grp * a + idx;
-                for port in p..p + self.local_ports {
-                    let peer = self.local_peer(r, port);
-                    if r < peer {
-                        graph.add_bidirectional(r, peer);
+            for (idx, peers) in peers.iter().enumerate() {
+                for &peer in peers {
+                    if idx < peer {
+                        graph.add_bidirectional(grp * a + idx, grp * a + peer);
                     }
                 }
             }

@@ -2,12 +2,14 @@
 //!
 //! A [`RouteAlgebra`] answers every routing question — the minimal
 //! first hop, the remaining hop count, the Valiant intermediate set,
-//! the VC schedule — from `(router, dest)` index arithmetic alone. No
-//! per-pair tables are built or stored: memory per router is O(radix),
-//! independent of node count, which is what lets a million-terminal
-//! network route without an O(routers²) `next_hop` matrix.
+//! the VC schedule — from `(router, dest)` index arithmetic. No
+//! per-pair tables are built or stored: an implementation may keep only
+//! tables sized by the router's radix (the dragonfly's slot, ring and
+//! group-local tables, O(a·h + a² + g)), independent of node count,
+//! which is what lets a million-terminal network route without an
+//! O(routers²) `next_hop` matrix.
 //!
-//! Fault-free, every implementation is pure index math. Under an
+//! Fault-free, every implementation is index math over those. Under an
 //! active [`crate::FaultPlan`] implementations may consult the
 //! lazily-built per-destination BFS columns of [`crate::FaultTable`] —
 //! the one place tables are permitted, and then only for the
@@ -15,7 +17,7 @@
 
 use crate::PortVc;
 
-/// Computed (table-free) routing for a direct network: terminals
+/// Computed routing (no per-pair tables) for a direct network: terminals
 /// concentrated on routers, minimal paths, and a Valiant-style
 /// non-minimal spread identified by per-topology integer tags.
 ///

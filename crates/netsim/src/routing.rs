@@ -95,13 +95,23 @@ impl<'a> NetView<'a> {
         }
     }
 
-    /// Pointer to router `core`'s state, bounds-checked.
+    /// Pointer to router `router`'s state and its output slot
+    /// `port * vcs + vc`, bounds-checked against the view and the
+    /// core's own port count (so every read is O(1)).
     #[inline]
-    fn core(&self, router: usize) -> *const RouterCore {
+    fn core(&self, router: usize, port: usize, vc: usize) -> (*const RouterCore, usize) {
         assert!(router < self.len, "router range");
+        assert!(vc < self.spec.vcs, "vc range");
         // SAFETY: in range per the assert; valid per the constructor
-        // contract.
-        unsafe { self.routers.add(router) }
+        // contract, which also permits this shared read of the
+        // output-side `out_port_count` (projected alone, never the whole
+        // struct).
+        let (core, ports) = unsafe {
+            let core = self.routers.add(router);
+            (core, (*core).out_port_count.len())
+        };
+        assert!(port < ports, "port range");
+        (core, port * self.spec.vcs + vc)
     }
 
     /// The network description.
@@ -127,13 +137,12 @@ impl<'a> NetView<'a> {
     ///
     /// Panics if `router`, `port` or `vc` is out of range.
     pub fn vc_occupancy(&self, router: usize, port: usize, vc: usize) -> usize {
-        assert!(port < self.spec.routers[router].ports.len(), "port range");
-        let core = self.core(router);
+        let (core, slot) = self.core(router, port, vc);
         // SAFETY: shared read of an output-side field, permitted by the
         // constructor contract. `&(*core).out_q` projects only that
         // field, never the whole struct. Only the queue's plain `len`
         // counter is read — never the arena the handles point into.
-        unsafe { (&(*core).out_q)[port * self.spec.vcs + vc].len as usize }
+        unsafe { (&(*core).out_q)[slot].len as usize }
     }
 
     /// Flits buffered in `router` whose next hop is output `port`,
@@ -146,8 +155,7 @@ impl<'a> NetView<'a> {
     pub fn occupancy(&self, router: usize, port: usize) -> usize {
         // The engine maintains this per-port aggregate, so the hot
         // UGAL comparison is O(1) instead of a sum over VC queues.
-        assert!(port < self.spec.routers[router].ports.len(), "port range");
-        let core = self.core(router);
+        let (core, _) = self.core(router, port, 0);
         // SAFETY: shared read of an output-side field (see `core`).
         unsafe { (&(*core).out_port_count)[port] as usize }
     }
@@ -163,21 +171,18 @@ impl<'a> NetView<'a> {
     /// buffers to fill. It is the congestion estimate used by the
     /// UGAL-L(CR) variant (§4.3.2 of the paper).
     ///
-    /// For terminal ports this equals the queue depth (ejection consumes
-    /// no credits).
+    /// For terminal ports this equals the queue depth: ejection consumes
+    /// no credits, so a terminal port's credits stay at `buffer_depth`
+    /// and the difference is 0 without looking at the wiring.
     ///
     /// # Panics
     ///
     /// Panics if `router`, `port` or `vc` is out of range.
     pub fn vc_committed(&self, router: usize, port: usize, vc: usize) -> usize {
-        let slot = port * self.spec.vcs + vc;
-        let core = self.core(router);
+        let (core, slot) = self.core(router, port, vc);
         // SAFETY: shared reads of output-side fields (see `core`).
         unsafe {
-            let outstanding = match self.spec.routers[router].ports[port].conn {
-                Connection::Terminal { .. } => 0,
-                Connection::Router { .. } => self.buffer_depth - (&(*core).credits)[slot] as usize,
-            };
+            let outstanding = self.buffer_depth - (&(*core).credits)[slot] as usize;
             (&(*core).out_q)[slot].len as usize + outstanding
         }
     }
@@ -191,8 +196,7 @@ impl<'a> NetView<'a> {
     pub fn committed(&self, router: usize, port: usize) -> usize {
         // queue depth + unreturned credits, both per-port aggregates
         // the engine keeps up to date — O(1) instead of a VC sum.
-        assert!(port < self.spec.routers[router].ports.len(), "port range");
-        let core = self.core(router);
+        let (core, _) = self.core(router, port, 0);
         // SAFETY: shared reads of output-side fields (see `core`).
         unsafe { (&(*core).out_port_count)[port] as usize + (&(*core).outstanding)[port] as usize }
     }

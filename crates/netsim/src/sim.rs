@@ -56,7 +56,7 @@ use crate::error::SimError;
 use crate::flit::{Flit, RouteClass, RouteInfo};
 use crate::health::{warmup_convergence, StallReport};
 use crate::routing::{DecisionRecord, NetView, PortVc, RoutingAlgorithm};
-use crate::spec::{ChannelClass, Connection, NetworkSpec};
+use crate::spec::{ChannelClass, Connection, NetworkSpec, PortSpec};
 use crate::stats::{ChannelLoad, Histogram, LatencySummary, RouteTelemetry, RunStats};
 use crate::telemetry::{
     ChannelSeries, EstimatorScoreboard, FlitTracer, LogHistogram, TimeSeries, TraceEventKind,
@@ -133,6 +133,24 @@ impl RouterCore {
             outputs |= u128::from(self.out_port_count[p] > 0) << p;
         }
         self.in_mask == inputs && self.out_mask == outputs
+    }
+
+    /// Whether every credit slot of a terminal port (per `ports`, this
+    /// router's wiring) still holds `buffer_depth`: ejection consumes no
+    /// credits, which is what lets [`NetView::vc_committed`] read
+    /// `buffer_depth − credits` without looking at the wiring. Debug
+    /// builds re-check it on every router phase 4 visits.
+    fn terminal_credits_full(&self, ports: &[PortSpec], buffer_depth: usize) -> bool {
+        let vcs = self.credits.len() / ports.len();
+        ports
+            .iter()
+            .enumerate()
+            .filter(|(_, port)| matches!(port.conn, Connection::Terminal { .. }))
+            .all(|(port, _)| {
+                self.credits[port * vcs..(port + 1) * vcs]
+                    .iter()
+                    .all(|&c| c as usize == buffer_depth)
+            })
     }
 }
 
@@ -1456,6 +1474,10 @@ impl<'a> EngineShared<'a> {
                 }
             }
             debug_assert!(core.masks_match_counts(), "router {r} port masks");
+            debug_assert!(
+                core.terminal_credits_full(&self.spec.routers[r].ports, self.cfg.buffer_depth),
+                "router {r} terminal-port credits"
+            );
             if core.in_mask == 0 && core.out_mask == 0 {
                 st.router_active[r - st.range.r0] = false;
                 st.active_routers.swap_remove(i);
@@ -2853,16 +2875,14 @@ mod tests {
         for _ in 0..2_000 {
             sim.step();
         }
-        let sp = sim.spec();
         for (r, core) in sim.router_cores().iter().enumerate() {
             assert_eq!(core.in_mask, 0, "router {r} input stage not empty");
             assert_eq!(core.out_mask, 0, "router {r} output queues not empty");
             assert!(core.ctq.is_empty(), "conventional mode allocated a CTQ");
+            // Every slot is back at the buffer depth: network ports got
+            // their credits back, terminal ports never spent any.
             for (slot, &c) in core.credits.iter().enumerate() {
-                let port = slot / sp.vcs;
-                if matches!(sp.routers[r].ports[port].conn, Connection::Router { .. }) {
-                    assert_eq!(c, 16, "router {r} slot {slot} credits {c}");
-                }
+                assert_eq!(c, 16, "router {r} slot {slot} credits {c}");
             }
         }
         for st in &sim.shards {
@@ -2994,6 +3014,40 @@ mod tests {
         assert!(view.occupancy(0, 2) >= 8, "occ {}", view.occupancy(0, 2));
         // Its ejection ports carry no backlog.
         assert_eq!(view.occupancy(1, 1), 0);
+        // Saturated, the terminal ports still hold every credit, so
+        // their committed count is their queue depth.
+        for vc in 0..2 {
+            assert_eq!(view.vc_committed(1, 1, vc), view.vc_occupancy(1, 1, vc));
+        }
+        let depth = sim.eng.cfg.buffer_depth;
+        for (r, core) in sim.router_cores().iter().enumerate() {
+            let ports = &spec.routers[r].ports;
+            assert!(core.terminal_credits_full(ports, depth), "router {r}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "vc range")]
+    fn netview_vc_occupancy_rejects_out_of_range_vc() {
+        // Router 1 of the line has two VCs per port: VC 2 of port 0 is
+        // not port 1's VC 0.
+        let spec = line_spec();
+        let routing = ShortestPathRouting::new(&spec);
+        let pattern = UniformRandom::new(3);
+        let sim =
+            Simulation::new(&spec, &routing, &pattern, SimConfig::paper_default(0.1)).unwrap();
+        sim.view().vc_occupancy(1, 0, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "vc range")]
+    fn netview_vc_committed_rejects_out_of_range_vc() {
+        let spec = line_spec();
+        let routing = ShortestPathRouting::new(&spec);
+        let pattern = UniformRandom::new(3);
+        let sim =
+            Simulation::new(&spec, &routing, &pattern, SimConfig::paper_default(0.1)).unwrap();
+        sim.view().vc_committed(1, 0, 2);
     }
 
     #[test]

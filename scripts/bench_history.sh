@@ -5,7 +5,8 @@
 # WORSE is `dfly-benchmark compare`'s verdict and nobody else's.
 #
 #     scripts/bench_history.sh record <pr>      run the benchmark, append a line
-#     scripts/bench_history.sh compare [-n K]   last line vs. the one K before it (default 1)
+#     scripts/bench_history.sh compare [-n K]   last line vs. the one K before it (default 1);
+#                                               warns on stderr when the two hosts differ
 set -eu
 cd "$(dirname "$0")/.."
 history=BENCH_history.jsonl
@@ -26,6 +27,10 @@ compare)
     tail -n "$((k + 1))" "$history" | head -n 1 > "$tmp/base.json"
     tail -n 1 "$history" > "$tmp/candidate.json"
     jq -c '.env | {pr, commit, cpu_model, nproc}' "$tmp/base.json" "$tmp/candidate.json"
+    host() { jq -c '.env | [.cpu_model, .nproc]' "$1"; }
+    if [ "$(host "$tmp/base.json")" != "$(host "$tmp/candidate.json")" ]; then
+        echo "warning: the two lines come from different hosts (cpu_model or nproc differ): read host-time verdicts as host noise" >&2
+    fi
     eval "$cli compare $tmp/base.json $tmp/candidate.json"
     ;;
 *)
