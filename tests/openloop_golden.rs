@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use dfly_netsim::{
     ChannelClass, Connection, CreditMode, FaultPlan, InjectionKind, NetworkSpec, RoutingAlgorithm,
-    RunStats, SimConfig, Simulation, TelemetryConfig,
+    RunStats, ShortestPathRouting, SimConfig, Simulation, TelemetryConfig,
 };
 use dfly_topo::{FlattenedButterfly, FoldedClos, Torus};
 use dfly_traffic::UniformRandom;
@@ -348,4 +348,31 @@ fn baseline_topologies_match_pre_harness_fingerprints() {
         }
     }
     assert!(drift.is_empty(), "{drift}");
+}
+
+/// Frozen judge for the substrate's own `ShortestPathRouting` over a
+/// spec with one cable cut: its next hops are BFS first discoveries
+/// over the surviving links, so any change to that BFS shows here.
+#[test]
+fn shortest_path_routing_on_a_cut_butterfly_is_frozen() {
+    let net = maybe_cut(
+        ButterflyNetwork::new(FlattenedButterfly::new(2, 4, 2)),
+        true,
+    );
+    let spec = net.build_spec();
+    assert!(spec.has_faults());
+    let routing = ShortestPathRouting::new(&spec);
+    let stats = golden_run(
+        &spec,
+        &routing,
+        InjectionKind::Bernoulli { rate: 0.2 },
+        11,
+        CreditMode::Conventional,
+    );
+    assert!(stats.drained, "golden run did not drain");
+    let got = fingerprint(&stats);
+    assert_eq!(
+        got, 0xb638_80da_38bd_9123,
+        "shortest-path fingerprint drifted: {got:#018x}"
+    );
 }
