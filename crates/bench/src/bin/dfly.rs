@@ -36,7 +36,6 @@ use dfly_bench::figures::{self, FIGURES};
 use dfly_bench::Windows;
 use dfly_cost::{CostConfig, PowerModel};
 use dfly_netsim::json::JsonWriter;
-use dfly_topo::Topology;
 use dragonfly::{
     CampaignStore, DragonflyParams, DragonflySim, RoutingChoice, RunGrid, RunPlan, TrafficChoice,
 };
@@ -141,10 +140,11 @@ fn cmd_info(flags: &HashMap<String, String>) -> Result<(), String> {
             / 2
     );
     println!("  balanced (a=2p=2h) {}", params.is_balanced());
-    println!("  diameter (hops)    {:?}", df.diameter());
+    let spec = df.build_spec();
+    println!("  diameter (hops)    {:?}", spec.diameter());
     println!(
         "  avg hops           {:.2}",
-        df.average_hop_count().unwrap_or(f64::NAN)
+        spec.average_hop_count().unwrap_or(f64::NAN)
     );
     Ok(())
 }

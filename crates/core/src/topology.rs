@@ -6,7 +6,7 @@ use dfly_netsim::{
     CandidatePath, ChannelClass, Connection, FaultPlan, NetworkSpec, PortSpec, PortVc, RouteClass,
     RouteInfo, RouterSpec, SimError,
 };
-use dfly_topo::{Graph, Topology};
+use dfly_topo::Topology;
 
 use crate::params::DragonflyParams;
 
@@ -82,7 +82,8 @@ pub enum GroupTopology {
 ///
 /// let df = Dragonfly::new(DragonflyParams::new(2, 4, 2).unwrap());
 /// assert_eq!(df.num_terminals(), 72);
-/// assert_eq!(df.diameter(), Some(3)); // local - global - local
+/// let spec = df.build_spec();
+/// assert_eq!(spec.diameter(), Some(3)); // local - global - local
 /// ```
 #[derive(Debug, Clone)]
 pub struct Dragonfly {
@@ -1039,32 +1040,6 @@ impl Topology for Dragonfly {
     fn radix(&self) -> usize {
         self.router_radix()
     }
-
-    fn router_graph(&self) -> Graph {
-        let a = self.params.routers_per_group();
-        let g = self.params.num_groups();
-        let ah = self.params.global_ports_per_group();
-        let peers: Vec<Vec<usize>> = (0..a).map(|idx| self.local_peers(idx)).collect();
-        let mut graph = Graph::new(self.params.num_routers());
-        for grp in 0..g {
-            for (idx, peers) in peers.iter().enumerate() {
-                for &peer in peers {
-                    if idx < peer {
-                        graph.add_bidirectional(grp * a + idx, grp * a + peer);
-                    }
-                }
-            }
-            for q in 0..ah {
-                if let Some((pg, pq)) = self.global_slot_target(grp, q) {
-                    // Add each global channel once, from the lower group.
-                    if pg > grp {
-                        graph.add_bidirectional(self.slot_router(grp, q), self.slot_router(pg, pq));
-                    }
-                }
-            }
-        }
-        graph
-    }
 }
 
 #[cfg(test)]
@@ -1208,7 +1183,7 @@ mod tests {
     #[test]
     fn diameter_is_three_for_multi_group() {
         let df = n72();
-        assert_eq!(df.diameter(), Some(3));
+        assert_eq!(df.build_spec().diameter(), Some(3));
     }
 
     #[test]
@@ -1235,7 +1210,7 @@ mod tests {
         let spec = df.build_spec();
         assert_eq!(spec.num_terminals(), 1056);
         assert_eq!(spec.num_routers(), 264);
-        assert_eq!(df.diameter(), Some(3));
+        assert_eq!(spec.diameter(), Some(3));
     }
 
     #[test]
@@ -1296,7 +1271,7 @@ mod tests {
     #[test]
     fn average_hop_count_below_three() {
         let df = n72();
-        let avg = df.average_hop_count().unwrap();
+        let avg = df.build_spec().average_hop_count().unwrap();
         assert!(avg < 3.0, "avg {avg}");
         assert!(avg > 1.5, "avg {avg}");
     }
@@ -1397,12 +1372,11 @@ mod tests {
         let spec = df.build_spec();
         assert_eq!(spec.num_terminals(), 72);
         // Validation inside build_spec checked symmetric wiring.
-        use dfly_topo::Topology;
-        assert!(df.router_graph().is_connected());
         // Worst minimal route is local(2) + global + local(2) = 5, but
         // shortest paths may cut through a third group, so the graph
-        // diameter sits between the complete-group 3 and 5.
-        let diameter = df.diameter().unwrap();
+        // diameter sits between the complete-group 3 and 5 (`Some` also
+        // means connected).
+        let diameter = spec.diameter().unwrap();
         assert!((4..=5).contains(&diameter), "diameter {diameter}");
     }
 

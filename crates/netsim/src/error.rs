@@ -34,9 +34,10 @@ pub enum SimError {
     /// link that does not exist (or is a terminal channel), or a random
     /// draw over an empty candidate set.
     InvalidFaultPlan(String),
-    /// Applying a fault plan disconnected a pair of terminals: no alive
-    /// path remains from `src` to `dest`. Raised at fault-application
-    /// time so routing never discovers it as a hang.
+    /// A pair of terminals is disconnected: no alive path leads from
+    /// `src` to `dest`. Raised when a fault plan is applied or a
+    /// shortest-path table is built, so routing never discovers it as a
+    /// hang.
     Unreachable {
         /// A terminal that lost connectivity.
         src: usize,
@@ -64,7 +65,7 @@ impl fmt::Display for SimError {
             SimError::InvalidFaultPlan(msg) => write!(f, "invalid fault plan: {msg}"),
             SimError::Unreachable { src, dest } => write!(
                 f,
-                "fault plan disconnects the network: terminal {src} cannot reach terminal {dest}"
+                "network is disconnected: terminal {src} cannot reach terminal {dest}"
             ),
             SimError::Stalled(report) => write!(f, "simulation stalled: {report}"),
         }

@@ -13,7 +13,7 @@
 //! to detour packets around dead links.
 
 use crate::error::SimError;
-use crate::spec::{ChannelClass, Connection, NetworkSpec};
+use crate::spec::{ChannelClass, Connection, HopColumn, NetworkSpec};
 
 /// Which channel class a random fault draw selects from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -203,16 +203,15 @@ fn splitmix(seed: u64, v: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One destination's reverse-BFS column: next-hop port and alive
-/// distance for every router, built lazily on first use.
+/// One destination's reverse-BFS column, built lazily on first use.
 #[derive(Debug, Clone)]
 struct FaultCol {
-    /// `next[router]` = output port toward the destination; `u16::MAX`
-    /// when `router` is the destination or the destination is
-    /// unreachable.
+    /// `next[router]` = output port toward the destination;
+    /// [`HopColumn::UNREACHED`] when `router` is the destination or the
+    /// destination is unreachable.
     next: Vec<u16>,
-    /// `dist[router]` = alive hops to the destination; `u16::MAX` when
-    /// unreachable.
+    /// `dist[router]` = alive hops to the destination, or
+    /// [`HopColumn::UNREACHED`].
     dist: Vec<u16>,
 }
 
@@ -247,36 +246,6 @@ impl Clone for FaultTable {
     }
 }
 
-/// Builds one destination's reverse-BFS column over the alive links. All
-/// links are symmetric pairs, so out-ports double as in-links.
-fn build_col(spec: &NetworkSpec, dest: usize) -> FaultCol {
-    let n = spec.num_routers();
-    let mut next = vec![u16::MAX; n];
-    let mut dist = vec![u16::MAX; n];
-    dist[dest] = 0;
-    let mut queue = std::collections::VecDeque::new();
-    queue.push_back(dest);
-    while let Some(r) = queue.pop_front() {
-        for port in spec.routers[r].ports.iter() {
-            let Connection::Router {
-                router: peer,
-                port: peer_port,
-            } = port.conn
-            else {
-                continue;
-            };
-            let (peer, peer_port) = (peer as usize, peer_port as usize);
-            if spec.is_failed(peer, peer_port) || dist[peer] != u16::MAX {
-                continue;
-            }
-            dist[peer] = dist[r] + 1;
-            next[peer] = peer_port as u16;
-            queue.push_back(peer);
-        }
-    }
-    FaultCol { next, dist }
-}
-
 impl FaultTable {
     /// Prepares lazy next-hop tables over the alive links of `spec`.
     ///
@@ -285,42 +254,12 @@ impl FaultTable {
     /// [`next_port`](Self::next_port) / [`distance`](Self::distance)
     /// touch.
     pub fn new(spec: &NetworkSpec) -> Self {
-        let n = spec.num_routers();
-        // Alive diameter by reverse BFS from every destination, reusing
-        // one scratch column; O(routers × links) time, O(routers) space.
-        let mut diameter = 0u32;
-        let mut dist = vec![u16::MAX; n];
-        let mut queue = std::collections::VecDeque::new();
-        for dest in 0..n {
-            dist.fill(u16::MAX);
-            dist[dest] = 0;
-            queue.clear();
-            queue.push_back(dest);
-            while let Some(r) = queue.pop_front() {
-                for port in spec.routers[r].ports.iter() {
-                    let Connection::Router {
-                        router: peer,
-                        port: peer_port,
-                    } = port.conn
-                    else {
-                        continue;
-                    };
-                    let (peer, peer_port) = (peer as usize, peer_port as usize);
-                    if spec.is_failed(peer, peer_port) || dist[peer] != u16::MAX {
-                        continue;
-                    }
-                    dist[peer] = dist[r] + 1;
-                    diameter = diameter.max(dist[peer] as u32);
-                    queue.push_back(peer);
-                }
-            }
-        }
         let mut cols = Vec::new();
-        cols.resize_with(n, std::sync::OnceLock::new);
+        cols.resize_with(spec.num_routers(), std::sync::OnceLock::new);
         FaultTable {
             spec: spec.clone(),
             cols,
-            diameter,
+            diameter: spec.all_pairs().0.into(),
         }
     }
 
@@ -330,20 +269,27 @@ impl FaultTable {
     }
 
     fn col(&self, dest: usize) -> &FaultCol {
-        self.cols[dest].get_or_init(|| Box::new(build_col(&self.spec, dest)))
+        self.cols[dest].get_or_init(|| {
+            let mut col = HopColumn::default();
+            self.spec.hops_to(dest, &mut col);
+            Box::new(FaultCol {
+                next: col.next,
+                dist: col.dist,
+            })
+        })
     }
 
     /// The output port at `router` of a shortest alive path to `dest`,
     /// or `None` if `router == dest` or `dest` is unreachable.
     pub fn next_port(&self, router: usize, dest: usize) -> Option<usize> {
         let p = self.col(dest).next[router];
-        (p != u16::MAX).then_some(p as usize)
+        (p != HopColumn::UNREACHED).then_some(p as usize)
     }
 
     /// Alive-graph hop distance, or `None` if unreachable.
     pub fn distance(&self, router: usize, dest: usize) -> Option<u32> {
         let d = self.col(dest).dist[router];
-        (d != u16::MAX).then_some(d as u32)
+        (d != HopColumn::UNREACHED).then_some(d as u32)
     }
 
     /// The largest finite router-to-router distance over alive links.

@@ -66,7 +66,7 @@ pub use routing::{
     trace_path, DecisionRecord, NetView, PortVc, RoutingAlgorithm, ShortestPathRouting, TraceHop,
 };
 pub use sim::{SimPerf, Simulation};
-pub use spec::{ChannelClass, Connection, NetworkSpec, PortSpec, RouterSpec};
+pub use spec::{ChannelClass, Connection, HopColumn, NetworkSpec, PortSpec, RouterSpec};
 pub use stats::{ChannelLoad, Histogram, LatencySummary, RouteTelemetry, RunStats};
 pub use telemetry::{
     ChannelSeries, EstimatorScoreboard, FlitTrace, FlitTracer, LogHistogram, MetricsRegistry,

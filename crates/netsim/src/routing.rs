@@ -3,6 +3,7 @@
 use rand::rngs::SmallRng;
 
 use crate::error::SimError;
+use crate::fault::FaultTable;
 use crate::flit::{Flit, RouteInfo};
 use crate::sim::RouterCore;
 use crate::spec::{ChannelClass, Connection, NetworkSpec};
@@ -386,86 +387,41 @@ pub fn trace_path(
 
 /// Deterministic shortest-path (table) routing with hop-indexed VCs.
 ///
-/// Next hops are precomputed by BFS with lowest-index tie-breaking; the
-/// VC is `min(hops, vcs-1)`, which suffices for deadlock freedom on
+/// Next hops are read from a lazy [`FaultTable`] — per-destination BFS
+/// columns over the alive links, first discovery in port order winning;
+/// the VC is `min(hops, vcs-1)`, which suffices for deadlock freedom on
 /// acyclic channel graphs (trees, stars, lines) and on any topology whose
 /// BFS tables happen to be cycle-free. It is the engine's baseline
 /// algorithm for tests and examples; real topologies provide their own
 /// algorithms (see the `dragonfly` crate).
 #[derive(Debug, Clone)]
 pub struct ShortestPathRouting {
-    /// `next_hop[router][dest_router]` = output port toward `dest_router`.
-    next_hop: Vec<Vec<u16>>,
-    /// Ejection port per terminal on its destination router.
-    eject_port: Vec<u16>,
+    table: FaultTable,
     vcs: usize,
 }
 
 impl ShortestPathRouting {
-    /// Builds tables for `spec` by BFS from every router.
+    /// Prepares next-hop tables for `spec`.
     ///
     /// # Panics
     ///
-    /// Panics if the network is not connected (over alive links, when
-    /// the spec carries faults); [`ShortestPathRouting::try_new`] is the
-    /// non-panicking form.
+    /// Panics if some terminal cannot reach another (over alive links,
+    /// when the spec carries faults); [`ShortestPathRouting::try_new`]
+    /// is the non-panicking form.
     pub fn new(spec: &NetworkSpec) -> Self {
-        match Self::try_new(spec) {
-            Ok(r) => r,
-            Err(SimError::Unreachable { src, dest }) => {
-                panic!("network disconnected: router {src} cannot reach {dest}")
-            }
-            Err(e) => panic!("{e}"),
-        }
+        Self::try_new(spec).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Builds tables for `spec` by BFS from every router, skipping
-    /// failed links.
+    /// Prepares next-hop tables for `spec`, skipping failed links.
     ///
     /// # Errors
     ///
-    /// [`SimError::Unreachable`] (router-indexed) if some router cannot
-    /// reach another over the alive links.
+    /// [`SimError::Unreachable`] (terminal-indexed) if some terminal
+    /// cannot reach another over the alive links.
     pub fn try_new(spec: &NetworkSpec) -> Result<Self, SimError> {
-        let n = spec.num_routers();
-        // Reverse-BFS from each destination over alive router links.
-        let mut next_hop = vec![vec![u16::MAX; n]; n];
-        for dest in 0..n {
-            // BFS from dest; next_hop[r][dest] = port of r on the first
-            // edge of a shortest r -> dest path.
-            let mut dist = vec![usize::MAX; n];
-            dist[dest] = 0;
-            let mut queue = std::collections::VecDeque::from([dest]);
-            while let Some(u) = queue.pop_front() {
-                // Look at routers v adjacent to u: v -> u edge means v can
-                // reach dest through u (links are symmetric pairs, so the
-                // reverse edge v -> u is alive iff u's port is).
-                for port in spec.routers[u].ports.iter() {
-                    if let Connection::Router { router, port: rp } = port.conn {
-                        let v = router as usize;
-                        if spec.is_failed(v, rp as usize) {
-                            continue;
-                        }
-                        if dist[v] > dist[u] + 1 {
-                            dist[v] = dist[u] + 1;
-                            next_hop[v][dest] = rp as u16;
-                            queue.push_back(v);
-                        }
-                    }
-                }
-            }
-            for (r, row) in next_hop.iter().enumerate() {
-                if r != dest && row[dest] == u16::MAX {
-                    return Err(SimError::Unreachable { src: r, dest });
-                }
-            }
-        }
-        let eject_port = (0..spec.num_terminals())
-            .map(|t| spec.terminal_port(t).1 as u16)
-            .collect();
+        spec.check_connected()?;
         Ok(ShortestPathRouting {
-            next_hop,
-            eject_port,
+            table: FaultTable::new(spec),
             vcs: spec.vcs,
         })
     }
@@ -487,17 +443,13 @@ impl RoutingAlgorithm for ShortestPathRouting {
     }
 
     fn route(&self, view: &NetView<'_>, router: usize, flit: &Flit) -> PortVc {
-        let dest_router = view.spec().terminal_router(flit.dest as usize);
+        let (dest_router, eject) = view.spec().terminal_port(flit.dest as usize);
         if router == dest_router {
-            return PortVc {
-                port: self.eject_port[flit.dest as usize],
-                vc: 0,
-            };
+            return PortVc::new(eject, 0);
         }
-        PortVc {
-            port: self.next_hop[router][dest_router],
-            vc: (flit.hops as usize).min(self.vcs - 1) as u8,
-        }
+        let port = (self.table.next_port(router, dest_router))
+            .expect("try_new checked that every terminal is reachable");
+        PortVc::new(port, (flit.hops as usize).min(self.vcs - 1))
     }
 }
 
@@ -540,9 +492,9 @@ mod tests {
         let spec = line_spec();
         let r = ShortestPathRouting::new(&spec);
         // Router 0 reaches router 2 via port 1 (toward router 1).
-        assert_eq!(r.next_hop[0][2], 1);
-        assert_eq!(r.next_hop[1][2], 1);
-        assert_eq!(r.next_hop[2][0], 0);
+        assert_eq!(r.table.next_port(0, 2), Some(1));
+        assert_eq!(r.table.next_port(1, 2), Some(1));
+        assert_eq!(r.table.next_port(2, 0), Some(0));
     }
 
     #[test]
@@ -570,6 +522,33 @@ mod tests {
     }
 
     #[test]
+    fn unreachable_names_terminals_not_routers() {
+        // Router 0 hosts terminals 0 and 1, router 1 hosts terminal 2,
+        // and no link joins them: terminal 2 is the one cut off.
+        let term = |t: u32| PortSpec {
+            conn: Connection::Terminal { terminal: t },
+            latency: 1,
+            class: ChannelClass::Terminal,
+        };
+        let spec = NetworkSpec::validated(
+            vec![
+                RouterSpec {
+                    ports: vec![term(0), term(1)],
+                },
+                RouterSpec {
+                    ports: vec![term(2)],
+                },
+            ],
+            1,
+        )
+        .unwrap();
+        let err = ShortestPathRouting::try_new(&spec).unwrap_err();
+        assert_eq!(err, SimError::Unreachable { src: 0, dest: 2 });
+        // No fault plan was applied, so the message must not blame one.
+        assert!(!err.to_string().contains("fault"), "{err}");
+    }
+
+    #[test]
     fn try_new_routes_around_failed_links() {
         use crate::fault::FaultPlan;
         use crate::spec::tests::ring_spec;
@@ -581,9 +560,9 @@ mod tests {
             .unwrap();
         let r = ShortestPathRouting::try_new(&faulted).unwrap();
         // Port 2 is counter-clockwise (toward router 3).
-        assert_eq!(r.next_hop[0][1], 2);
+        assert_eq!(r.table.next_port(0, 1), Some(2));
         let clean = ShortestPathRouting::try_new(&spec).unwrap();
-        assert_eq!(clean.next_hop[0][1], 1);
+        assert_eq!(clean.table.next_port(0, 1), Some(1));
     }
 
     #[test]
