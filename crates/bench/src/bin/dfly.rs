@@ -16,8 +16,9 @@
 //! `dfly fig` regenerates the evaluation from the one figure table in
 //! `dfly_bench::figures`: `all` prints the paper's set as one document,
 //! `list` names every id. `DFLY_QUICK=1` shortens the simulation
-//! windows; `DFLY_CAMPAIGN_DIR` serves already-computed cells from a
-//! campaign store.
+//! windows. With `DFLY_CAMPAIGN_DIR` set, every dragonfly cell of
+//! `fig`, `sweep` and `simulate` is served from (or journaled to) that
+//! campaign store (see `dfly_bench::run_plans`).
 //!
 //! `dfly doctor` replays a campaign journal and prints a verdict table
 //! (see [`cmd_doctor`]); `dfly resume` runs a small fixed grid through
@@ -33,7 +34,7 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dfly_bench::figures::{self, FIGURES};
-use dfly_bench::Windows;
+use dfly_bench::{latency_cell, run_plans, Windows};
 use dfly_cost::{CostConfig, PowerModel};
 use dfly_netsim::json::JsonWriter;
 use dragonfly::{
@@ -205,15 +206,16 @@ fn cmd_simulate(flags: &HashMap<String, String>) -> Result<(), String> {
         .ok_or("missing --load")?
         .parse()
         .map_err(|e| format!("--load: {e}"))?;
-    let sim = DragonflySim::new(params);
-    let stats = sim.run(routing, traffic, sim_config(flags, load)?);
+    let mut grid = RunGrid::new();
+    grid.push(RunPlan::new(routing, traffic, sim_config(flags, load)?));
+    let stats = &run_plans(&DragonflySim::new(params), &grid)[0];
     println!(
         "{} on {} traffic, N={}:",
         routing.label(),
         traffic.label(),
         params.num_terminals()
     );
-    print_stats(&stats);
+    print_stats(stats);
     Ok(())
 }
 
@@ -227,26 +229,22 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
         .split(',')
         .map(|s| s.trim().parse().map_err(|e| format!("--loads: {e}")))
         .collect::<Result<_, _>>()?;
-    let sim = DragonflySim::new(params);
-    println!("| load | latency | accepted | minimal % |");
-    println!("|---|---|---|---|");
     let mut grid = RunGrid::new();
     for &load in &loads {
         grid.push(RunPlan::new(routing, traffic, sim_config(flags, load)?));
     }
-    for (load, stats) in loads.iter().zip(grid.execute(&sim)) {
-        let latency = if stats.drained {
-            stats
-                .avg_latency()
-                .map(|l| format!("{l:.1}"))
-                .unwrap_or_else(|| "-".into())
-        } else {
-            "sat".into()
-        };
+    let results = run_plans(&DragonflySim::new(params), &grid);
+    println!("| load | latency | accepted | minimal % |");
+    println!("|---|---|---|---|");
+    for (load, stats) in loads.iter().zip(results) {
+        // Undrained runs report no minimal fraction, as no latency.
+        let minimal = stats
+            .minimal_fraction()
+            .map_or_else(|| "-".into(), |f| format!("{:.0}", f * 100.0));
         println!(
-            "| {load:.2} | {latency} | {:.3} | {:.0} |",
+            "| {load:.2} | {} | {:.3} | {minimal} |",
+            latency_cell(&stats),
             stats.accepted_rate,
-            stats.minimal_fraction().unwrap_or(0.0) * 100.0
         );
     }
     Ok(())

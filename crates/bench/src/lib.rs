@@ -6,14 +6,25 @@
 //! (`dfly fig fig8`) or the paper's whole set (`dfly fig all`). Set
 //! `DFLY_QUICK=1` to use shorter simulation windows and coarser sweeps
 //! while iterating.
+//!
+//! A simulated cell runs one of two ways. A dragonfly cell is a
+//! [`RunPlan`] in a [`RunGrid`] executed by [`run_plans`], which serves
+//! and journals it through the campaign store `DFLY_CAMPAIGN_DIR` names
+//! (see [`campaign_store`]). A baseline cell (flattened butterfly,
+//! folded Clos, torus) is a [`NetworkCell`] run by
+//! [`dragonfly::parallel::run_cells`] (see [`baseline_curves`]). Both
+//! fan out across the worker pool with results bit-identical at any
+//! thread count; [`assemble_curves`] cuts either kind of batch back into
+//! labelled latency-load curves.
 
 use std::sync::Arc;
 
-use dfly_netsim::{CreditMode, InjectionKind, NetworkSpec, RoutingAlgorithm, RunStats, SimConfig};
+use dfly_netsim::{NetworkSpec, RoutingAlgorithm, RunStats, SimConfig};
 use dfly_traffic::TrafficPattern;
 use dragonfly::parallel::{run_cells, NetworkCell};
 use dragonfly::{
-    CampaignStore, DragonflyParams, DragonflySim, RoutingChoice, RunGrid, RunPlan, TrafficChoice,
+    CampaignStore, DragonflyParams, DragonflySim, LoadPoint, RoutingChoice, RunGrid, RunPlan,
+    TrafficChoice,
 };
 
 pub mod figures;
@@ -111,22 +122,29 @@ pub fn campaign_store() -> Option<Arc<CampaignStore>> {
     }
 }
 
-/// One measured sweep point.
-#[derive(Debug, Clone)]
-pub struct SweepPoint {
-    /// Offered load.
-    pub load: f64,
-    /// Full run statistics.
-    pub stats: RunStats,
-}
-
-impl SweepPoint {
-    /// Average latency if the run drained.
-    pub fn latency(&self) -> Option<f64> {
-        if self.stats.drained {
-            self.stats.avg_latency()
-        } else {
-            None
+/// Runs every plan of `grid` against `sim` — the one way this crate
+/// runs a dragonfly cell. With a [`campaign_store`] the plans go
+/// through it (stored cells are served, the rest run and are
+/// journaled) and a `campaign: H hits, M misses` line goes to stderr;
+/// without one, or if the store fails, they run uncached. Results are
+/// in plan order and bit-identical either way, at any thread count.
+pub fn run_plans(sim: &DragonflySim, grid: &RunGrid) -> Vec<RunStats> {
+    let Some(store) = campaign_store() else {
+        return grid.execute(sim);
+    };
+    match grid.execute_cached(sim, &store) {
+        Ok((stats, report)) => {
+            eprintln!(
+                "campaign: {} hits, {} misses ({})",
+                report.hits,
+                report.misses,
+                store.dir().display()
+            );
+            stats
+        }
+        Err(e) => {
+            eprintln!("campaign store failed ({e}); running uncached");
+            grid.execute(sim)
         }
     }
 }
@@ -156,13 +174,13 @@ impl CurveSpec {
 }
 
 /// A labelled latency-load curve.
-pub type Curve = (String, Vec<SweepPoint>);
+pub type Curve = (String, Vec<LoadPoint>);
 /// A labelled saturation throughput.
 pub type Throughput = (String, f64);
 
-/// Computes several latency-load curves — and, when `saturation` is
-/// set, their saturation throughputs — as one flat batch of
-/// independent runs fanned out across the worker pool.
+/// Computes several dragonfly latency-load curves — and, when
+/// `saturation` is set, their saturation throughputs — as one
+/// [`RunGrid`] through [`run_plans`].
 ///
 /// Each curve is truncated one point past its first saturated load —
 /// the paper's latency-load curves end at saturation — exactly as a
@@ -181,8 +199,7 @@ pub fn sweep_curves(
     let mut grid = RunGrid::new();
     for curve in curves {
         for &load in loads {
-            let mut cfg = win.config(load).with_buffer_depth(curve.buffer_depth);
-            cfg.seed = 1;
+            let cfg = win.config(load).with_buffer_depth(curve.buffer_depth);
             grid.push(RunPlan::new(curve.choice, traffic, cfg));
         }
         if saturation {
@@ -191,39 +208,49 @@ pub fn sweep_curves(
             grid.push(RunPlan::new(curve.choice, traffic, cfg));
         }
     }
-    let results = match campaign_store() {
-        Some(store) => match grid.execute_cached(sim, &store) {
-            Ok((stats, report)) => {
-                eprintln!(
-                    "campaign: {} hits, {} misses ({})",
-                    report.hits,
-                    report.misses,
-                    store.dir().display()
-                );
-                stats
-            }
-            Err(e) => {
-                eprintln!("campaign store failed ({e}); running uncached");
-                grid.execute(sim)
-            }
-        },
-        None => grid.execute(sim),
-    };
     assemble_curves(
-        curves.iter().map(|c| &c.label),
+        curves.iter().map(|c| c.label.as_str()),
         loads,
-        results,
+        run_plans(sim, &grid),
         true,
         saturation,
     )
+}
+
+/// One baseline curve to run: its label, the wired network, the
+/// routing algorithm and the traffic pattern.
+pub type Baseline<'a> = (
+    &'a str,
+    &'a NetworkSpec,
+    &'a (dyn RoutingAlgorithm + Sync),
+    &'a (dyn TrafficPattern + Sync),
+);
+
+/// Latency-load curves on baseline networks — the one way this crate
+/// runs a non-dragonfly cell: one [`NetworkCell`] per `(curve, load)`
+/// at `win`'s windows, fanned out by [`run_cells`]. Uncached (an
+/// arbitrary routing algorithm has no canonical description to key on);
+/// every load is kept, saturated or not.
+pub fn baseline_curves(curves: &[Baseline<'_>], loads: &[f64], win: &Windows) -> Vec<Curve> {
+    let mut cells = Vec::new();
+    for &(_, spec, routing, pattern) in curves {
+        cells.extend(loads.iter().map(|&load| NetworkCell {
+            spec,
+            routing,
+            pattern,
+            cfg: win.config(load),
+        }));
+    }
+    let results = run_cells(&cells, None).expect("baseline configuration must be valid");
+    assemble_curves(curves.iter().map(|c| c.0), loads, results, false, false).0
 }
 
 /// Cuts a flat batch of results — per curve, one run per load then
 /// (when `saturation`) one drain-capped run at load 1.0 — back into
 /// labelled curves and saturation throughputs. With `truncate`, a curve
 /// ends one point past its first saturated load.
-fn assemble_curves<'a>(
-    labels: impl Iterator<Item = &'a String>,
+pub fn assemble_curves<'a>(
+    labels: impl IntoIterator<Item = &'a str>,
     loads: &[f64],
     results: Vec<RunStats>,
     truncate: bool,
@@ -239,130 +266,16 @@ fn assemble_curves<'a>(
             let stats = results.next().expect("one result per planned run");
             if !(truncate && saturated) {
                 saturated = !stats.drained;
-                points.push(SweepPoint { load, stats });
+                points.push(LoadPoint { load, stats });
             }
         }
-        series.push((label.clone(), points));
+        series.push((label.to_string(), points));
         if saturation {
             let stats = results.next().expect("one result per planned run");
-            caps.push((label.clone(), stats.accepted_rate));
+            caps.push((label.to_string(), stats.accepted_rate));
         }
     }
     (series, caps)
-}
-
-/// One latency-load curve on an arbitrary wired network: the spec plus
-/// the routing algorithm and traffic pattern driving it.
-///
-/// This is the cross-topology counterpart of [`CurveSpec`] (which is
-/// dragonfly-only): the flattened-butterfly, folded-Clos and torus
-/// baselines describe their sweeps with it so all curves — dragonfly
-/// included — fan out as one flat batch of independent runs.
-pub struct TopoCurve {
-    /// Column label.
-    pub label: String,
-    /// The wired network.
-    pub spec: Arc<NetworkSpec>,
-    /// Routing algorithm under test.
-    pub routing: Arc<dyn RoutingAlgorithm + Send + Sync>,
-    /// Offered traffic pattern.
-    pub pattern: Arc<dyn TrafficPattern + Send + Sync>,
-    /// Switch runs to round-trip credit accounting (required by
-    /// routings that meter credit round-trip latency, e.g. UGAL-L_CR).
-    pub round_trip_credits: bool,
-}
-
-impl std::fmt::Debug for TopoCurve {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TopoCurve")
-            .field("label", &self.label)
-            .field("routing", &self.routing.name())
-            .field("pattern", &self.pattern.name())
-            .field("round_trip_credits", &self.round_trip_credits)
-            .finish_non_exhaustive()
-    }
-}
-
-impl TopoCurve {
-    /// A curve for `routing` under `pattern` on `spec`.
-    pub fn new(
-        label: impl Into<String>,
-        spec: Arc<NetworkSpec>,
-        routing: Arc<dyn RoutingAlgorithm + Send + Sync>,
-        pattern: Arc<dyn TrafficPattern + Send + Sync>,
-    ) -> Self {
-        TopoCurve {
-            label: label.into(),
-            spec,
-            routing,
-            pattern,
-            round_trip_credits: false,
-        }
-    }
-
-    /// A dragonfly curve through the same generic path as the baseline
-    /// topologies, labelled with the routing's paper label.
-    pub fn dragonfly(sim: &DragonflySim, choice: RoutingChoice, traffic: TrafficChoice) -> Self {
-        TopoCurve {
-            label: choice.label().to_string(),
-            spec: Arc::new(sim.spec().clone()),
-            routing: Arc::from(choice.build(sim.shared_dragonfly())),
-            pattern: Arc::from(traffic.build(sim.dragonfly().params())),
-            round_trip_credits: choice.needs_round_trip_credits(),
-        }
-    }
-}
-
-/// Computes latency-load curves across heterogeneous topologies as one
-/// flat batch of independent runs fanned out across the worker pool.
-///
-/// Every `(curve, load)` pair becomes one run of `base` with Bernoulli
-/// injection at that load (plus, when `saturation` is set, one
-/// drain-capped run at load 1.0 per curve for its saturation
-/// throughput). When `truncate` is set each curve is cut one point past
-/// its first saturated load, exactly like [`sweep_curves`]; otherwise
-/// every requested load is reported (cross-topology tables print `sat`
-/// cells instead of ending the row). Results are bit-identical to a
-/// serial sweep regardless of thread count.
-pub fn sweep_topology_curves(
-    curves: &[TopoCurve],
-    loads: &[f64],
-    base: &SimConfig,
-    truncate: bool,
-    saturation: bool,
-) -> (Vec<Curve>, Vec<Throughput>) {
-    let mut cells = Vec::new();
-    for tc in curves {
-        let cell = |load: f64, saturation_probe: bool| {
-            let mut cfg = base.clone();
-            cfg.injection = InjectionKind::Bernoulli { rate: load };
-            if saturation_probe {
-                // Don't wait for a futile drain at full load.
-                cfg.drain_cap = 0;
-            }
-            if tc.round_trip_credits && cfg.credit_mode == CreditMode::Conventional {
-                cfg.credit_mode = CreditMode::round_trip();
-            }
-            NetworkCell {
-                spec: &tc.spec,
-                routing: tc.routing.as_ref(),
-                pattern: tc.pattern.as_ref(),
-                cfg,
-            }
-        };
-        cells.extend(loads.iter().map(|&load| cell(load, false)));
-        if saturation {
-            cells.push(cell(1.0, true));
-        }
-    }
-    let results = run_cells(&cells, None).expect("topology sweep configuration must be valid");
-    assemble_curves(
-        curves.iter().map(|c| &c.label),
-        loads,
-        results,
-        truncate,
-        saturation,
-    )
 }
 
 /// Formats an optional latency for a table cell.
@@ -370,6 +283,18 @@ pub fn fmt_latency(l: Option<f64>) -> String {
     match l {
         Some(v) => format!("{v:.1}"),
         None => "sat".into(),
+    }
+}
+
+/// A table cell for one run's mean latency: `sat` when it did not
+/// drain, `-` when it drained but measured no packet.
+pub fn latency_cell(stats: &RunStats) -> String {
+    if stats.drained {
+        stats
+            .avg_latency()
+            .map_or_else(|| "-".into(), |l| format!("{l:.1}"))
+    } else {
+        "sat".into()
     }
 }
 
@@ -388,45 +313,63 @@ mod tests {
         assert_eq!(w1.thin(&[0.1, 0.2]), vec![0.1, 0.2]);
     }
 
+    fn tiny_windows(measure: u64) -> Windows {
+        Windows {
+            warmup: 100,
+            measure,
+            drain_cap: 1_000,
+            stride: 1,
+        }
+    }
+
+    /// The two runners agree: a dragonfly run as a baseline cell
+    /// ([`baseline_curves`], a `NetworkCell` over its spec) equals the
+    /// [`run_plans`] run of the same plan.
     #[test]
     fn topology_curves_match_dragonfly_sweep() {
         let sim = DragonflySim::new(DragonflyParams::new(2, 4, 2).unwrap());
-        let win = Windows {
-            warmup: 100,
-            measure: 200,
-            drain_cap: 1_000,
-            stride: 1,
-        };
+        let win = tiny_windows(200);
         let loads = [0.1, 0.3];
-        let base = win.config(0.1);
-        let curve = TopoCurve::dragonfly(&sim, RoutingChoice::UgalL, TrafficChoice::Uniform);
-        let (curves, caps) = sweep_topology_curves(&[curve], &loads, &base, false, true);
-        let by_grid = sim.sweep(RoutingChoice::UgalL, TrafficChoice::Uniform, &loads, &base);
+        let choice = RoutingChoice::UgalL;
+        let routing = choice.build(sim.shared_dragonfly());
+        let pattern = TrafficChoice::Uniform.build(sim.dragonfly().params());
+        let curves = baseline_curves(
+            &[("UGAL-L", sim.spec(), routing.as_ref(), pattern.as_ref())],
+            &loads,
+            &win,
+        );
+        let grid = RunGrid::cross(
+            &[choice],
+            &[TrafficChoice::Uniform],
+            &loads,
+            &win.config(0.1),
+        );
+        let by_grid = run_plans(&sim, &grid);
         assert_eq!(curves.len(), 1);
         assert_eq!(curves[0].0, "UGAL-L");
         assert_eq!(curves[0].1.len(), loads.len());
-        assert!(caps[0].1 > 0.0);
-        for (p, lp) in curves[0].1.iter().zip(&by_grid) {
-            assert_eq!(p.load, lp.load);
-            assert_eq!(p.stats, lp.stats);
+        for ((p, stats), &load) in curves[0].1.iter().zip(&by_grid).zip(&loads) {
+            assert_eq!(p.load, load);
+            assert_eq!(&p.stats, stats);
         }
     }
 
     #[test]
     fn truncated_curves_stop_one_point_past_saturation() {
         let sim = DragonflySim::new(DragonflyParams::new(2, 4, 2).unwrap());
-        let win = Windows {
-            warmup: 100,
-            measure: 300,
-            drain_cap: 1_000,
-            stride: 1,
-        };
+        let win = tiny_windows(300);
         // MIN on WC saturates at 1/(a*h) = 0.125 on this network.
         let loads = [0.05, 0.4, 0.6, 0.8];
-        let curve = || TopoCurve::dragonfly(&sim, RoutingChoice::Min, TrafficChoice::WorstCase);
-        let (full, _) = sweep_topology_curves(&[curve()], &loads, &win.config(0.1), false, false);
+        let grid = RunGrid::cross(
+            &[RoutingChoice::Min],
+            &[TrafficChoice::WorstCase],
+            &loads,
+            &win.config(0.1),
+        );
+        let results = run_plans(&sim, &grid);
+        let (full, _) = assemble_curves(["MIN"], &loads, results.clone(), false, false);
         assert_eq!(full[0].1.len(), loads.len());
-        let (cut, _) = sweep_topology_curves(&[curve()], &loads, &win.config(0.1), true, false);
+        let (cut, _) = assemble_curves(["MIN"], &loads, results, true, false);
         assert_eq!(
             cut[0].1.len(),
             2,
@@ -434,7 +377,8 @@ mod tests {
         );
         assert!(cut[0].1[0].latency().is_some());
         assert!(cut[0].1[1].latency().is_none());
-        // The dragonfly-only path assembles through the same function.
+        // The curve sweep truncates through the same function and adds
+        // one saturation probe per curve.
         let spec = [CurveSpec::algo(RoutingChoice::Min, 16)];
         let (by_grid, caps) =
             sweep_curves(&sim, &spec, TrafficChoice::WorstCase, &loads, &win, true);

@@ -79,9 +79,9 @@ impl RoutingChoice {
 
     /// Builds the routing algorithm for `df`: the shared
     /// [`NetRouting`] family over the dragonfly, whose faults stay its
-    /// own. Public so generic cross-topology harnesses (e.g. the bench
-    /// crate's curve sweeps) can drive dragonfly choices through the
-    /// same code path as the baseline topologies.
+    /// own. Public so a dragonfly choice can also run as a generic
+    /// [`NetworkCell`](crate::parallel::NetworkCell), the path of the
+    /// baseline topologies.
     pub fn build(&self, df: Arc<Dragonfly>) -> Box<dyn RoutingAlgorithm + Send + Sync> {
         let net = Arc::new(SimNetwork::<Dragonfly>::new((*df).clone()));
         Box::new(match (self, self.ugal_variant()) {
@@ -311,30 +311,6 @@ impl DragonflySim {
             sim.run_instrumented()
         })
     }
-
-    /// Runs a load sweep, returning one [`LoadPoint`] per load.
-    ///
-    /// The points are independent runs, so they fan out across the
-    /// worker pool (see [`crate::parallel::configured_threads`]); the
-    /// results are bit-identical to a serial sweep and in load order.
-    ///
-    /// Sweeps continue past saturated points (the paper's throughput
-    /// plots need them); use [`LoadPoint::latency`] to get `None` at
-    /// saturation.
-    pub fn sweep(
-        &self,
-        choice: RoutingChoice,
-        traffic: TrafficChoice,
-        loads: &[f64],
-        base: &SimConfig,
-    ) -> Vec<LoadPoint> {
-        let grid = crate::parallel::RunGrid::load_sweep(choice, traffic, loads, base);
-        loads
-            .iter()
-            .zip(grid.execute(self))
-            .map(|(&load, stats)| LoadPoint { load, stats })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -413,12 +389,18 @@ mod tests {
     #[test]
     fn sweep_produces_monotone_loads() {
         let sim = tiny();
-        let points = sim.sweep(
-            RoutingChoice::Min,
-            TrafficChoice::Uniform,
-            &[0.1, 0.3],
+        let loads = [0.1, 0.3];
+        let grid = crate::RunGrid::cross(
+            &[RoutingChoice::Min],
+            &[TrafficChoice::Uniform],
+            &loads,
             &fast_cfg(&sim, 0.0),
         );
+        let points: Vec<LoadPoint> = loads
+            .iter()
+            .zip(grid.execute(&sim))
+            .map(|(&load, stats)| LoadPoint { load, stats })
+            .collect();
         assert_eq!(points.len(), 2);
         assert!(points[0].latency().is_some());
         assert!(points[1].latency().unwrap() >= points[0].latency().unwrap() - 0.5);

@@ -24,15 +24,12 @@ use std::sync::Arc;
 
 use dfly_netsim::{
     CandidatePath, CandidatePaths, Connection, DecisionRecord, FaultPlan, FaultTable, Flit,
-    NetView, NetworkSpec, PortVc, RouteAlgebra, RouteClass, RouteInfo, RoutingAlgorithm, SimConfig,
-    SimError,
+    NetView, NetworkSpec, PortVc, RouteAlgebra, RouteClass, RouteInfo, RoutingAlgorithm, SimError,
 };
-use dfly_traffic::TrafficPattern;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
 use crate::routing::{UgalVariant, VariantChooser};
-use crate::LoadPoint;
 
 /// What a topology implements, beyond its fault-free [`RouteAlgebra`]
 /// and [`CandidatePaths`], to run on the shared harness.
@@ -166,23 +163,6 @@ impl<T: NetTopology> SimNetwork<T> {
             None => self.topology.wire(self.latency),
             Some(f) => f.spec().clone(),
         }
-    }
-
-    /// Load sweep under `routing` and `pattern`: one independent run
-    /// per load, fanned out across the worker pool (results in load
-    /// order, bit-identical to a serial sweep).
-    ///
-    /// # Errors
-    ///
-    /// The first configuration rejection, if `base` is invalid.
-    pub fn sweep(
-        &self,
-        routing: &NetRouting<T>,
-        pattern: &(dyn TrafficPattern + Sync),
-        loads: &[f64],
-        base: &SimConfig,
-    ) -> Result<Vec<LoadPoint>, SimError> {
-        crate::parallel::sweep_network(&self.build_spec(), routing, pattern, loads, base)
     }
 }
 

@@ -8,8 +8,9 @@
 //! execution, in cell order, regardless of thread count or scheduling.
 //! [`run_cells_cached`] is the same fan-out through a
 //! [`CampaignStore`], and the only place the lookup → run → journal →
-//! progress loop exists. [`RunGrid`], [`FaultSweep`], [`WorkloadSweep`]
-//! and [`sweep_network`] are thin plans over those two functions.
+//! progress loop exists. [`RunGrid`], [`FaultSweep`] and
+//! [`WorkloadSweep`] are thin plans over those two functions;
+//! [`NetworkCell`] is the cell for a run on any other wired network.
 //!
 //! The pool is bounded by the `DFLY_THREADS` environment variable when
 //! set (a positive integer), falling back to the machine's available
@@ -34,7 +35,7 @@ use rayon::prelude::*;
 use crate::campaign::{
     codec_struct, codec_tag, CampaignError, CampaignReport, CampaignStore, Codec,
 };
-use crate::experiment::{DragonflySim, LoadPoint, RoutingChoice, TrafficChoice};
+use crate::experiment::{DragonflySim, RoutingChoice, TrafficChoice};
 use crate::jobs::{JobBook, JobError, JobMix, JobSpec, Placement};
 use crate::progress::{ProgressSink, SweepProgress};
 use crate::DragonflyParams;
@@ -213,9 +214,10 @@ fn at_load(base: &SimConfig, load: f64) -> SimConfig {
     cfg
 }
 
-/// One run on any wired network: the [`Cell`] behind [`sweep_network`]
-/// and the cross-topology curve sweeps. Not cacheable — an arbitrary
-/// routing algorithm has no canonical description to key on.
+/// One run on any wired network: the [`Cell`] of the baseline
+/// topologies' sweeps (hand a slice of them to [`run_cells`]). Not
+/// cacheable — an arbitrary routing algorithm has no canonical
+/// description to key on.
 pub struct NetworkCell<'a> {
     /// The wired network.
     pub spec: &'a NetworkSpec,
@@ -238,37 +240,6 @@ impl Cell for NetworkCell<'_> {
     fn run(&self) -> Result<RunStats, SimError> {
         Ok(Simulation::new(self.spec, self.routing, self.pattern, self.cfg.clone())?.finish())
     }
-}
-
-/// Sweeps a generic network over `loads`, one independent
-/// [`NetworkCell`] per load. Results come back in load order and match
-/// a serial sweep bit for bit.
-///
-/// # Errors
-///
-/// The first configuration rejection, if `base` (or the spec it runs
-/// against) is invalid at any load.
-pub fn sweep_network(
-    spec: &NetworkSpec,
-    routing: &(dyn RoutingAlgorithm + Sync),
-    pattern: &(dyn TrafficPattern + Sync),
-    loads: &[f64],
-    base: &SimConfig,
-) -> Result<Vec<LoadPoint>, SimError> {
-    let cells: Vec<NetworkCell<'_>> = loads
-        .iter()
-        .map(|&load| NetworkCell {
-            spec,
-            routing,
-            pattern,
-            cfg: at_load(base, load),
-        })
-        .collect();
-    Ok(loads
-        .iter()
-        .zip(run_cells(&cells, None)?)
-        .map(|(&load, stats)| LoadPoint { load, stats })
-        .collect())
 }
 
 /// One planned simulation run: a routing choice, a traffic pattern and
@@ -329,21 +300,6 @@ impl RunGrid {
     pub fn push(&mut self, plan: RunPlan) -> &mut Self {
         self.plans.push(plan);
         self
-    }
-
-    /// A load sweep for one `(routing, traffic)` pair: one plan per
-    /// entry of `loads`, in order.
-    pub fn load_sweep(
-        routing: RoutingChoice,
-        traffic: TrafficChoice,
-        loads: &[f64],
-        base: &SimConfig,
-    ) -> Self {
-        let plans = loads
-            .iter()
-            .map(|&load| RunPlan::at_load(routing, traffic, base, load))
-            .collect();
-        RunGrid { plans }
     }
 
     /// The full cross product `routings × traffics × loads`, ordered
@@ -1157,21 +1113,45 @@ mod tests {
         assert_eq!(parallel_map_on(&items, 1, |&x| x + 1)[36], 37);
     }
 
+    /// [`NetworkCell`]s over the dragonfly's spec, one per load, are
+    /// one generic network sweep; it must equal the [`RunGrid`] run of
+    /// the same plans.
+    fn network_cells<'a>(
+        sim: &'a DragonflySim,
+        routing: &'a (dyn RoutingAlgorithm + Sync),
+        pattern: &'a (dyn TrafficPattern + Sync),
+        loads: &[f64],
+        base: &SimConfig,
+    ) -> Vec<NetworkCell<'a>> {
+        loads
+            .iter()
+            .map(|&load| NetworkCell {
+                spec: sim.spec(),
+                routing,
+                pattern,
+                cfg: at_load(base, load),
+            })
+            .collect()
+    }
+
     #[test]
     fn sweep_network_matches_dragonfly_sweep() {
         let sim = tiny();
         let base = fast_cfg(&sim, 0.0);
         let loads = [0.1, 0.25];
-        let by_grid = sim.sweep(RoutingChoice::Min, TrafficChoice::Uniform, &loads, &base);
+        let grid = RunGrid::cross(
+            &[RoutingChoice::Min],
+            &[TrafficChoice::Uniform],
+            &loads,
+            &base,
+        );
+        let by_grid = grid.execute(&sim);
         let routing = RoutingChoice::Min.build(sim.shared_dragonfly());
         let pattern = dfly_traffic::UniformRandom::new(sim.spec().num_terminals());
-        let generic = sweep_network(sim.spec(), routing.as_ref(), &pattern, &loads, &base)
-            .expect("valid sweep configuration");
-        assert_eq!(by_grid.len(), generic.len());
-        for (a, b) in by_grid.iter().zip(&generic) {
-            assert_eq!(a.load, b.load);
-            assert_eq!(a.stats, b.stats);
-        }
+        let cells = network_cells(&sim, routing.as_ref(), &pattern, &loads, &base);
+        let generic = run_cells(&cells, None).expect("valid sweep configuration");
+        assert_eq!(by_grid.len(), loads.len());
+        assert_eq!(by_grid, generic);
     }
 
     #[test]
@@ -1181,7 +1161,8 @@ mod tests {
         base.measure = 0; // rejected by SimConfig::validate
         let routing = RoutingChoice::Min.build(sim.shared_dragonfly());
         let pattern = dfly_traffic::UniformRandom::new(sim.spec().num_terminals());
-        let result = sweep_network(sim.spec(), routing.as_ref(), &pattern, &[0.1], &base);
+        let cells = network_cells(&sim, routing.as_ref(), &pattern, &[0.1], &base);
+        let result = run_cells(&cells, None);
         assert!(matches!(result, Err(SimError::InvalidConfig(_))));
     }
 

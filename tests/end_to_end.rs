@@ -2,7 +2,7 @@
 //! simulation harness, every routing choice, every traffic pattern —
 //! exercised together the way a downstream user would.
 
-use dragonfly::{DragonflyParams, DragonflySim, RoutingChoice, TrafficChoice};
+use dragonfly::{DragonflyParams, DragonflySim, RoutingChoice, RunGrid, TrafficChoice};
 
 fn small_sim() -> DragonflySim {
     // 72-node dragonfly: fast enough to sweep everything.
@@ -69,14 +69,21 @@ fn harness_is_deterministic() {
 fn sweep_api_produces_ascending_latency() {
     let sim = small_sim();
     let base = fast_cfg(&sim, 0.0);
-    let points = sim.sweep(
-        RoutingChoice::UgalG,
-        TrafficChoice::Uniform,
+    let grid = RunGrid::cross(
+        &[RoutingChoice::UgalG],
+        &[TrafficChoice::Uniform],
         &[0.1, 0.4, 0.7],
         &base,
     );
+    let points = grid.execute(&sim);
     assert_eq!(points.len(), 3);
-    let lats: Vec<f64> = points.iter().map(|p| p.latency().unwrap()).collect();
+    let lats: Vec<f64> = points
+        .iter()
+        .map(|s| {
+            assert!(s.drained);
+            s.avg_latency().unwrap()
+        })
+        .collect();
     assert!(
         lats[0] <= lats[1] + 0.5 && lats[1] <= lats[2] + 0.5,
         "{lats:?}"

@@ -18,6 +18,7 @@ use rand::rngs::SmallRng;
 
 use dragonfly::butterfly::{ButterflyNetwork, ButterflyRouting};
 use dragonfly::clos_sim::{ClosNetwork, ClosRouting};
+use dragonfly::parallel::{run_cells, NetworkCell};
 use dragonfly::torus_sim::{TorusNetwork, TorusRouting};
 use dragonfly::{FaultSweep, RoutingChoice, RunGrid, RunPlan, TrafficChoice, UgalVariant};
 
@@ -117,9 +118,9 @@ fn repeated_parallel_executions_are_stable() {
     base.drain_cap = 3_000;
     base.seed = 11;
 
-    let grid = RunGrid::load_sweep(
-        RoutingChoice::UgalG,
-        TrafficChoice::Uniform,
+    let grid = RunGrid::cross(
+        &[RoutingChoice::UgalG],
+        &[TrafficChoice::Uniform],
         &[0.1, 0.2, 0.3],
         &base,
     );
@@ -192,8 +193,8 @@ fn telemetry_output_bit_identical_serial_vs_parallel() {
 
 /// One adaptive sweep per baseline topology: the parallel fan-out must
 /// be bit-identical to running each load point serially, with the new
-/// routing telemetry included in the comparison (`LoadPoint` equality
-/// covers the whole `RunStats`).
+/// routing telemetry included in the comparison (`RunStats` equality
+/// covers all of it).
 #[test]
 fn adaptive_sweeps_deterministic_on_every_topology() {
     let loads = [0.05, 0.15];
@@ -239,30 +240,40 @@ fn check_sweep_matches_serial(
     loads: &[f64],
     base: &SimConfig,
 ) {
-    let parallel = dragonfly::parallel::sweep_network(spec, routing, pattern, loads, base)
-        .expect("sweep configuration must be valid");
-    assert_eq!(parallel.len(), loads.len());
-    for point in &parallel {
+    let at_load = |load| {
         let mut cfg = base.clone();
-        cfg.injection = dfly_netsim::InjectionKind::Bernoulli { rate: point.load };
-        let serial = Simulation::new(spec, routing, pattern, cfg)
+        cfg.injection = InjectionKind::Bernoulli { rate: load };
+        cfg
+    };
+    let cells: Vec<NetworkCell<'_>> = loads
+        .iter()
+        .map(|&load| NetworkCell {
+            spec,
+            routing,
+            pattern,
+            cfg: at_load(load),
+        })
+        .collect();
+    let parallel = run_cells(&cells, None).expect("sweep configuration must be valid");
+    assert_eq!(parallel.len(), loads.len());
+    for (&load, stats) in loads.iter().zip(&parallel) {
+        let serial = Simulation::new(spec, routing, pattern, at_load(load))
             .unwrap()
             .finish();
         assert_eq!(
-            serial,
-            point.stats,
-            "{} sweep diverged from serial at load {}",
+            &serial,
+            stats,
+            "{} sweep diverged from serial at load {load}",
             routing.name(),
-            point.load
         );
-        assert!(point.stats.drained, "{} did not drain", routing.name());
+        assert!(stats.drained, "{} did not drain", routing.name());
         // Struct equality already implies it, but the exported bytes
         // are the product — compare them directly too.
-        if let (Some(st), Some(pt)) = (&serial.trace, &point.stats.trace) {
+        if let (Some(st), Some(pt)) = (&serial.trace, &stats.trace) {
             assert!(!st.events.is_empty(), "{}: empty trace", routing.name());
             assert_eq!(st.to_chrome_json(), pt.to_chrome_json());
         }
-        if let (Some(ss), Some(ps)) = (&serial.series, &point.stats.series) {
+        if let (Some(ss), Some(ps)) = (&serial.series, &stats.series) {
             assert_eq!(ss.to_json(), ps.to_json());
         }
     }
