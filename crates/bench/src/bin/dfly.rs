@@ -243,7 +243,7 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
             .map_or_else(|| "-".into(), |f| format!("{:.0}", f * 100.0));
         println!(
             "| {load:.2} | {} | {:.3} | {minimal} |",
-            latency_cell(&stats),
+            latency_cell(&stats, dfly_netsim::RunStats::avg_latency),
             stats.accepted_rate,
         );
     }

@@ -3,26 +3,25 @@
 //! `dfly fig <id>|all|list` dispatches over.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use dfly_cost::{
     case_study_64k, dragonfly_cable_lengths_in_e, max_dragonfly_terminals,
     radix_for_single_global_hop, table2, CableCostModel, CostConfig, CABLE_TECHNOLOGIES,
 };
-use dfly_netsim::{CreditMode, InjectionKind, TdEstimator};
+use dfly_netsim::{CreditMode, InjectionKind, NetworkSpec, RunStats, TdEstimator};
 use dfly_topo::{FlattenedButterfly, FoldedClos, Topology, Torus};
-use dfly_traffic::UniformRandom;
-use dragonfly::butterfly::{ButterflyNetwork, ButterflyRouting};
-use dragonfly::clos_sim::{ClosNetwork, ClosRouting};
-use dragonfly::torus_sim::{TorusNetwork, TorusRouting};
+use dragonfly::butterfly::FbTopology;
+use dragonfly::clos_sim::ClosTopology;
+use dragonfly::network::NetTopology;
+use dragonfly::torus_sim::TorusTopology;
 use dragonfly::{
-    DragonflyParams, DragonflySim, LoadPoint, RoutingChoice, RunGrid, RunPlan, TrafficChoice,
-    UgalVariant,
+    DragonflyParams, DragonflySim, LoadPoint, NetworkSim, RoutingChoice, RunGrid, RunPlan,
+    TrafficChoice,
 };
 
 use crate::{
-    assemble_curves, baseline_curves, fmt_latency, latency_cell, paper_network, run_plans,
-    sweep_curves, Curve, CurveSpec, Windows,
+    assemble_curves, latency_cell, paper_network, run_plans, sweep_curves, Curve, CurveSpec,
+    Windows,
 };
 
 /// One entry of the figure table.
@@ -98,7 +97,7 @@ pub const UR_LOADS: [f64; 10] = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.
 
 /// The cell of a mean-latency table (see [`latency_cell`]).
 fn mean_cell(p: &LoadPoint) -> String {
-    latency_cell(&p.stats)
+    latency_cell(&p.stats, RunStats::avg_latency)
 }
 
 /// The cell of a tail-latency table: `p50/p99`, `sat` when the run did
@@ -380,15 +379,11 @@ pub fn fig11(win: &Windows) {
         println!("|---|---|---|---|");
         // The curve ends at its first saturated point.
         for LoadPoint { load, stats } in points {
-            if !stats.drained {
-                println!("| {load:.2} | sat | sat | sat |");
-                continue;
-            }
             println!(
                 "| {load:.2} | {} | {} | {} |",
-                fmt_latency(stats.minimal_latency.mean()),
-                fmt_latency(stats.non_minimal_latency.mean()),
-                fmt_latency(stats.avg_latency()),
+                latency_cell(stats, |s| s.minimal_latency.mean()),
+                latency_cell(stats, |s| s.non_minimal_latency.mean()),
+                latency_cell(stats, RunStats::avg_latency),
             );
         }
     }
@@ -410,7 +405,7 @@ pub fn fig12(win: &Windows) {
         println!("\n### Figure 12({tag}) — latency histogram at 0.25, buffers {buffers}");
         println!(
             "avg latency = {} (paper: 19.2 for 16, 39.19 for 256)",
-            fmt_latency(stats.avg_latency())
+            latency_cell(stats, RunStats::avg_latency)
         );
         println!("| latency | fraction | minimal fraction |");
         println!("|---|---|---|");
@@ -602,6 +597,21 @@ pub fn fig19() {
     }
 }
 
+/// Uniform-random latency-load curves of `routings` (label, choice) on
+/// `sim` at `win`'s windows, every load kept: one batch through
+/// [`run_plans`].
+fn uniform_curves<T: NetTopology + 'static>(
+    sim: &NetworkSim<T>,
+    loads: &[f64],
+    win: &Windows,
+    routings: &[(&str, RoutingChoice)],
+) -> Vec<Curve> {
+    let choices: Vec<RoutingChoice> = routings.iter().map(|&(_, choice)| choice).collect();
+    let grid = RunGrid::cross(&choices, &[TrafficChoice::Uniform], loads, &win.config(0.1));
+    let results = run_plans(sim, &grid);
+    assemble_curves(routings.iter().map(|r| r.0), loads, results, false, false).0
+}
+
 /// Extension experiment: all four of the paper's §5 topologies
 /// simulated head-to-head on the same cycle-accurate engine —
 /// dragonfly, flattened butterfly, folded Clos and 3-D torus of
@@ -611,68 +621,46 @@ pub fn fig19() {
 /// behaviourally shows the other side of the trade: the torus's hop
 /// count inflates its latency, the Clos needs twice the hops of the
 /// dragonfly, and the butterfly matches the dragonfly only by spending
-/// twice the router ports. The dragonfly curve runs through
-/// [`run_plans`], the three baselines through [`baseline_curves`].
+/// twice the router ports. Each network's curve is one batch through
+/// [`run_plans`].
 pub fn ext_baselines(win: &Windows) {
     // Four machines near 64-72 terminals.
     let df = DragonflySim::new(DragonflyParams::new(2, 4, 2).unwrap()); // 72
-    let fbn = Arc::new(ButterflyNetwork::new(FlattenedButterfly::new(2, 6, 2))); // 72
-    let clos = Arc::new(ClosNetwork::new(FoldedClos::new(3, 8))); // 64
-    let torus = Arc::new(TorusNetwork::new(Torus::new(3, 4, 1))); // 64
+    let fb = NetworkSim::<FbTopology>::new(FlattenedButterfly::new(2, 6, 2)); // 72
+    let clos = NetworkSim::<ClosTopology>::new(FoldedClos::new(3, 8)); // 64
+    let torus = NetworkSim::<TorusTopology>::new(Torus::new(3, 4, 1)); // 64
 
-    let fb_spec = fbn.build_spec();
-    let clos_spec = clos.build_spec();
-    let torus_spec = torus.build_spec();
-
-    println!(
-        "| network | terminals | routers | radix |\n|---|---|---|---|\n\
-         | dragonfly | {} | {} | {} |\n\
-         | flattened butterfly | {} | {} | {} |\n\
-         | folded Clos | {} | {} | {} |\n\
-         | 3-D torus | {} | {} | {} |",
-        df.spec().num_terminals(),
-        df.spec().num_routers(),
-        df.dragonfly().router_radix(),
-        fb_spec.num_terminals(),
-        fb_spec.num_routers(),
-        fbn.topology().radix(),
-        clos_spec.num_terminals(),
-        clos_spec.num_routers(),
-        clos.topology().radix(),
-        torus_spec.num_terminals(),
-        torus_spec.num_routers(),
-        torus.topology().radix(),
+    let row = |name: &str, spec: &NetworkSpec, radix: usize| {
+        let (terminals, routers) = (spec.num_terminals(), spec.num_routers());
+        println!("| {name} | {terminals} | {routers} | {radix} |");
+    };
+    println!("| network | terminals | routers | radix |\n|---|---|---|---|");
+    row("dragonfly", df.spec(), df.dragonfly().router_radix());
+    row(
+        "flattened butterfly",
+        fb.spec(),
+        fb.network().topology().radix(),
+    );
+    row(
+        "folded Clos",
+        clos.spec(),
+        clos.network().topology().radix(),
+    );
+    row(
+        "3-D torus",
+        torus.spec(),
+        torus.network().topology().radix(),
     );
 
     let loads = win.thin(&[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]);
-    let grid = RunGrid::cross(
-        &[RoutingChoice::UgalLVcH],
-        &[TrafficChoice::Uniform],
-        &loads,
-        &win.config(0.1),
-    );
-    let (mut series, _) = assemble_curves(
-        ["dragonfly UGAL"],
-        &loads,
-        run_plans(&df, &grid),
-        false,
-        false,
-    );
-    let fb_routing = ButterflyRouting::ugal(Arc::clone(&fbn), UgalVariant::Local);
-    let clos_routing = ClosRouting::new(Arc::clone(&clos));
-    let torus_routing = TorusRouting::new(Arc::clone(&torus));
-    let fb_traffic = UniformRandom::new(fb_spec.num_terminals());
-    let clos_traffic = UniformRandom::new(clos_spec.num_terminals());
-    let torus_traffic = UniformRandom::new(torus_spec.num_terminals());
-    series.extend(baseline_curves(
-        &[
-            ("butterfly UGAL", &fb_spec, &fb_routing, &fb_traffic),
-            ("Clos up/down", &clos_spec, &clos_routing, &clos_traffic),
-            ("torus DOR", &torus_spec, &torus_routing, &torus_traffic),
-        ],
-        &loads,
-        win,
-    ));
+    use RoutingChoice::{Min, UgalL, UgalLVcH};
+    let series = [
+        uniform_curves(&df, &loads, win, &[("dragonfly UGAL", UgalLVcH)]),
+        uniform_curves(&fb, &loads, win, &[("butterfly UGAL", UgalL)]),
+        uniform_curves(&clos, &loads, win, &[("Clos up/down", Min)]),
+        uniform_curves(&torus, &loads, win, &[("torus DOR", Min)]),
+    ]
+    .concat();
     print_curves("", 1, &loads, &series, mean_cell);
     println!(
         "\nHop counts at 0.1 load: dragonfly/butterfly ~2, Clos ~2x ranks, \
@@ -722,7 +710,10 @@ pub fn ext_bursty(win: &Windows) {
         for (name, _) in processes(load) {
             let mut row = format!("| {load:.1} | {name} |");
             for stats in results.by_ref().take(choices.len()) {
-                row.push_str(&format!(" {} |", latency_cell(&stats)));
+                row.push_str(&format!(
+                    " {} |",
+                    latency_cell(&stats, RunStats::avg_latency)
+                ));
             }
             println!("{row}");
         }
@@ -741,48 +732,34 @@ pub fn ext_butterfly_comparison(win: &Windows) {
     //  - dragonfly p=h=2, a=4: 72 terminals, radix 7;
     //  - 2-D flattened butterfly c=2, s=6: 72 terminals, radix 12.
     let df = DragonflySim::new(DragonflyParams::new(2, 4, 2).unwrap());
-    let fbn = Arc::new(ButterflyNetwork::new(FlattenedButterfly::new(2, 6, 2)));
-    let fb_spec = fbn.build_spec();
+    let fb = NetworkSim::<FbTopology>::new(FlattenedButterfly::new(2, 6, 2));
+    let fb_radix = fb.network().topology().radix();
     println!(
-        "dragonfly: N={}, radix {}; butterfly: N={}, radix {}",
+        "dragonfly: N={}, radix {}; butterfly: N={}, radix {fb_radix}",
         df.spec().num_terminals(),
         df.dragonfly().router_radix(),
-        fb_spec.num_terminals(),
-        fbn.topology().radix(),
+        fb.spec().num_terminals(),
     );
 
     let loads = win.thin(&[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]);
-    let grid = RunGrid::cross(
-        &[RoutingChoice::Min, RoutingChoice::UgalLVcH],
-        &[TrafficChoice::Uniform],
-        &loads,
-        &win.config(0.1),
-    );
-    let (mut series, _) = assemble_curves(
-        ["DF MIN", "DF UGAL-L_VCH"],
-        &loads,
-        run_plans(&df, &grid),
-        false,
-        false,
-    );
-    let fb_min = ButterflyRouting::new(Arc::clone(&fbn));
-    let fb_ugal = ButterflyRouting::ugal(Arc::clone(&fbn), UgalVariant::Local);
-    let traffic = UniformRandom::new(fb_spec.num_terminals());
-    series.extend(baseline_curves(
-        &[
-            ("FB MIN", &fb_spec, &fb_min, &traffic),
-            ("FB UGAL-L", &fb_spec, &fb_ugal, &traffic),
-        ],
-        &loads,
-        win,
-    ));
+    use RoutingChoice::{Min, UgalL, UgalLVcH};
+    let series = [
+        uniform_curves(
+            &df,
+            &loads,
+            win,
+            &[("DF MIN", Min), ("DF UGAL-L_VCH", UgalLVcH)],
+        ),
+        uniform_curves(&fb, &loads, win, &[("FB MIN", Min), ("FB UGAL-L", UgalL)]),
+    ]
+    .concat();
     print_curves("", 1, &loads, &series, mean_cell);
     println!(
         "\nBoth reach comparable uniform-random performance; the dragonfly \
          does it with {} network ports per router instead of {} — the whole \
          point of the virtual-router construction.",
         df.dragonfly().router_radix() - 2,
-        fbn.topology().radix() - 2,
+        fb_radix - 2,
     );
 }
 
@@ -838,8 +815,8 @@ pub fn ablations(win: &Windows) {
         for ((label, ..), stats) in rows.iter().zip(results.by_ref()) {
             println!(
                 "| {label} | {} | {} |",
-                fmt_latency(stats.avg_latency()),
-                fmt_latency(stats.minimal_latency.mean()),
+                latency_cell(&stats, RunStats::avg_latency),
+                latency_cell(&stats, |s| s.minimal_latency.mean()),
             );
         }
     }

@@ -7,24 +7,22 @@
 //! `DFLY_QUICK=1` to use shorter simulation windows and coarser sweeps
 //! while iterating.
 //!
-//! A simulated cell runs one of two ways. A dragonfly cell is a
-//! [`RunPlan`] in a [`RunGrid`] executed by [`run_plans`], which serves
-//! and journals it through the campaign store `DFLY_CAMPAIGN_DIR` names
-//! (see [`campaign_store`]). A baseline cell (flattened butterfly,
-//! folded Clos, torus) is a [`NetworkCell`] run by
-//! [`dragonfly::parallel::run_cells`] (see [`baseline_curves`]). Both
-//! fan out across the worker pool with results bit-identical at any
-//! thread count; [`assemble_curves`] cuts either kind of batch back into
-//! labelled latency-load curves.
+//! A simulated cell runs one way, whatever its topology (dragonfly,
+//! flattened butterfly, folded Clos, torus): it is a [`RunPlan`] in a
+//! [`RunGrid`] executed on that network's [`NetworkSim`] by
+//! [`run_plans`], which serves and journals it through the campaign
+//! store `DFLY_CAMPAIGN_DIR` names (see [`campaign_store`]). Cells fan
+//! out across the worker pool with results bit-identical at any thread
+//! count; [`assemble_curves`] cuts a batch back into labelled
+//! latency-load curves.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use dfly_netsim::{NetworkSpec, RoutingAlgorithm, RunStats, SimConfig};
-use dfly_traffic::TrafficPattern;
-use dragonfly::parallel::{run_cells, NetworkCell};
+use dfly_netsim::{RunStats, SimConfig};
+use dragonfly::network::NetTopology;
 use dragonfly::{
-    CampaignStore, DragonflyParams, DragonflySim, LoadPoint, RoutingChoice, RunGrid, RunPlan,
-    TrafficChoice,
+    CampaignStore, DragonflyParams, DragonflySim, LoadPoint, NetworkSim, RoutingChoice, RunGrid,
+    RunPlan, TrafficChoice,
 };
 
 pub mod figures;
@@ -108,27 +106,35 @@ pub fn paper_network() -> DragonflySim {
 /// journal; see `dragonfly::campaign`). Unset, empty, `0`, or `off`
 /// disables caching; an unopenable store falls back to uncached
 /// execution with a note on stderr rather than failing the sweep.
+///
+/// The store is opened (its journal read) once per process, on the
+/// first call; later calls share it, whatever the variable reads then.
 pub fn campaign_store() -> Option<Arc<CampaignStore>> {
-    let dir = std::env::var("DFLY_CAMPAIGN_DIR").ok()?;
-    if dir.is_empty() || dir == "0" || dir == "off" {
-        return None;
-    }
-    match CampaignStore::open(&dir) {
-        Ok(store) => Some(Arc::new(store)),
-        Err(e) => {
-            eprintln!("campaign store at {dir} unavailable ({e}); running uncached");
-            None
-        }
-    }
+    static STORE: OnceLock<Option<Arc<CampaignStore>>> = OnceLock::new();
+    STORE
+        .get_or_init(|| {
+            let dir = std::env::var("DFLY_CAMPAIGN_DIR").ok()?;
+            if dir.is_empty() || dir == "0" || dir == "off" {
+                return None;
+            }
+            match CampaignStore::open(&dir) {
+                Ok(store) => Some(Arc::new(store)),
+                Err(e) => {
+                    eprintln!("campaign store at {dir} unavailable ({e}); running uncached");
+                    None
+                }
+            }
+        })
+        .clone()
 }
 
 /// Runs every plan of `grid` against `sim` — the one way this crate
-/// runs a dragonfly cell. With a [`campaign_store`] the plans go
+/// runs a cell, on any topology. With a [`campaign_store`] the plans go
 /// through it (stored cells are served, the rest run and are
 /// journaled) and a `campaign: H hits, M misses` line goes to stderr;
 /// without one, or if the store fails, they run uncached. Results are
 /// in plan order and bit-identical either way, at any thread count.
-pub fn run_plans(sim: &DragonflySim, grid: &RunGrid) -> Vec<RunStats> {
+pub fn run_plans<T: NetTopology + 'static>(sim: &NetworkSim<T>, grid: &RunGrid) -> Vec<RunStats> {
     let Some(store) = campaign_store() else {
         return grid.execute(sim);
     };
@@ -217,34 +223,6 @@ pub fn sweep_curves(
     )
 }
 
-/// One baseline curve to run: its label, the wired network, the
-/// routing algorithm and the traffic pattern.
-pub type Baseline<'a> = (
-    &'a str,
-    &'a NetworkSpec,
-    &'a (dyn RoutingAlgorithm + Sync),
-    &'a (dyn TrafficPattern + Sync),
-);
-
-/// Latency-load curves on baseline networks — the one way this crate
-/// runs a non-dragonfly cell: one [`NetworkCell`] per `(curve, load)`
-/// at `win`'s windows, fanned out by [`run_cells`]. Uncached (an
-/// arbitrary routing algorithm has no canonical description to key on);
-/// every load is kept, saturated or not.
-pub fn baseline_curves(curves: &[Baseline<'_>], loads: &[f64], win: &Windows) -> Vec<Curve> {
-    let mut cells = Vec::new();
-    for &(_, spec, routing, pattern) in curves {
-        cells.extend(loads.iter().map(|&load| NetworkCell {
-            spec,
-            routing,
-            pattern,
-            cfg: win.config(load),
-        }));
-    }
-    let results = run_cells(&cells, None).expect("baseline configuration must be valid");
-    assemble_curves(curves.iter().map(|c| c.0), loads, results, false, false).0
-}
-
 /// Cuts a flat batch of results — per curve, one run per load then
 /// (when `saturation`) one drain-capped run at load 1.0 — back into
 /// labelled curves and saturation throughputs. With `truncate`, a curve
@@ -278,21 +256,12 @@ pub fn assemble_curves<'a>(
     (series, caps)
 }
 
-/// Formats an optional latency for a table cell.
-pub fn fmt_latency(l: Option<f64>) -> String {
-    match l {
-        Some(v) => format!("{v:.1}"),
-        None => "sat".into(),
-    }
-}
-
-/// A table cell for one run's mean latency: `sat` when it did not
-/// drain, `-` when it drained but measured no packet.
-pub fn latency_cell(stats: &RunStats) -> String {
+/// A table cell for a latency `mean` of one run (e.g.
+/// [`RunStats::avg_latency`]): `sat` when the run did not drain, `-`
+/// when it drained but measured no packet.
+pub fn latency_cell(stats: &RunStats, mean: fn(&RunStats) -> Option<f64>) -> String {
     if stats.drained {
-        stats
-            .avg_latency()
-            .map_or_else(|| "-".into(), |l| format!("{l:.1}"))
+        mean(stats).map_or_else(|| "-".into(), |l| format!("{l:.1}"))
     } else {
         "sat".into()
     }
@@ -322,36 +291,96 @@ mod tests {
         }
     }
 
-    /// The two runners agree: a dragonfly run as a baseline cell
-    /// ([`baseline_curves`], a `NetworkCell` over its spec) equals the
-    /// [`run_plans`] run of the same plan.
+    /// A baseline network's curve through [`run_plans`] is the
+    /// [`assemble_curves`] cut of its [`RunGrid`] run, as the dragonfly's
+    /// is: one cell type for every topology.
     #[test]
     fn topology_curves_match_dragonfly_sweep() {
-        let sim = DragonflySim::new(DragonflyParams::new(2, 4, 2).unwrap());
+        use dfly_topo::FlattenedButterfly;
+        use dragonfly::butterfly::ButterflyNetwork;
+
         let win = tiny_windows(200);
         let loads = [0.1, 0.3];
-        let choice = RoutingChoice::UgalL;
-        let routing = choice.build(sim.shared_dragonfly());
-        let pattern = TrafficChoice::Uniform.build(sim.dragonfly().params());
-        let curves = baseline_curves(
-            &[("UGAL-L", sim.spec(), routing.as_ref(), pattern.as_ref())],
-            &loads,
-            &win,
-        );
-        let grid = RunGrid::cross(
-            &[choice],
-            &[TrafficChoice::Uniform],
-            &loads,
-            &win.config(0.1),
-        );
-        let by_grid = run_plans(&sim, &grid);
-        assert_eq!(curves.len(), 1);
-        assert_eq!(curves[0].0, "UGAL-L");
-        assert_eq!(curves[0].1.len(), loads.len());
-        for ((p, stats), &load) in curves[0].1.iter().zip(&by_grid).zip(&loads) {
-            assert_eq!(p.load, load);
-            assert_eq!(&p.stats, stats);
+        let base = win.config(0.1);
+        let df = DragonflySim::new(DragonflyParams::new(2, 4, 2).unwrap());
+        let fb = NetworkSim::from(ButterflyNetwork::new(FlattenedButterfly::new(2, 6, 2)));
+        for (sim_curve, by_grid) in [
+            (
+                curve(&df, RoutingChoice::UgalL, &loads, &base),
+                RunGrid::cross(
+                    &[RoutingChoice::UgalL],
+                    &[TrafficChoice::Uniform],
+                    &loads,
+                    &base,
+                )
+                .execute_on(&df, 1),
+            ),
+            (
+                curve(&fb, RoutingChoice::UgalL, &loads, &base),
+                RunGrid::cross(
+                    &[RoutingChoice::UgalL],
+                    &[TrafficChoice::Uniform],
+                    &loads,
+                    &base,
+                )
+                .execute_on(&fb, 1),
+            ),
+        ] {
+            assert_eq!(sim_curve.0, "UGAL-L");
+            assert_eq!(sim_curve.1.len(), loads.len());
+            for ((p, stats), &load) in sim_curve.1.iter().zip(&by_grid).zip(&loads) {
+                assert_eq!(p.load, load);
+                assert_eq!(&p.stats, stats);
+            }
         }
+        // The two networks are different machines, not one run twice.
+        assert_ne!(
+            curve(&df, RoutingChoice::UgalL, &loads, &base).1[0].stats,
+            curve(&fb, RoutingChoice::UgalL, &loads, &base).1[0].stats
+        );
+    }
+
+    /// One uniform-traffic curve of `choice` on `sim` through
+    /// [`run_plans`].
+    fn curve<T: NetTopology + 'static>(
+        sim: &NetworkSim<T>,
+        choice: RoutingChoice,
+        loads: &[f64],
+        base: &SimConfig,
+    ) -> Curve {
+        let grid = RunGrid::cross(&[choice], &[TrafficChoice::Uniform], loads, base);
+        let results = run_plans(sim, &grid);
+        let (mut curves, _) = assemble_curves([choice.label()], loads, results, false, false);
+        curves.remove(0)
+    }
+
+    /// The one latency-cell rule: a number, `sat` for an undrained run
+    /// (even when its packets give a mean), `-` for a drained run that
+    /// measured no packet in that column.
+    #[test]
+    fn latency_cells_follow_one_rule() {
+        let sim = DragonflySim::new(DragonflyParams::new(2, 4, 2).unwrap());
+        let grid = RunGrid::cross(
+            &[RoutingChoice::Min],
+            &[TrafficChoice::Uniform],
+            &[0.1],
+            &tiny_windows(200).config(0.1),
+        );
+        let mut stats = grid.execute_on(&sim, 1).remove(0);
+        let minimal = |s: &RunStats| s.minimal_latency.mean();
+        let non_minimal = |s: &RunStats| s.non_minimal_latency.mean();
+        assert!(stats.drained && stats.non_minimal_latency.count == 0);
+        let mean = stats.avg_latency().unwrap();
+        assert_eq!(
+            latency_cell(&stats, RunStats::avg_latency),
+            format!("{mean:.1}")
+        );
+        assert_eq!(latency_cell(&stats, non_minimal), "-");
+        stats.drained = false;
+        assert!(minimal(&stats).is_some(), "a biased mean exists");
+        assert_eq!(latency_cell(&stats, minimal), "sat");
+        assert_eq!(latency_cell(&stats, RunStats::avg_latency), "sat");
+        assert_eq!(latency_cell(&stats, non_minimal), "sat");
     }
 
     #[test]

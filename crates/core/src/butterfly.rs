@@ -216,6 +216,10 @@ impl NetTopology for FbTopology {
             .find(|&ri| ri != router && ri != rd)
             .map(|ri| ri as u32)
     }
+
+    fn canon(&self, latency: u32, failed: &[(usize, usize)]) -> String {
+        format!("network={:?} latency={latency} failed={failed:?}", self.fb)
+    }
 }
 
 /// Closed-form routing algebra for the flattened butterfly: pure

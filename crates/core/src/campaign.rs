@@ -54,9 +54,11 @@ use dfly_netsim::{
     TraceEventKind,
 };
 
-use crate::experiment::DragonflySim;
+use crate::experiment::NetworkSim;
 use crate::jobs::JobError;
+use crate::network::NetTopology;
 use crate::parallel::{CachedCell, FaultPoint, RunCell, RunPlan, WorkloadPoint};
+use crate::Dragonfly;
 
 /// Version tag prefixed to every canonical key string. Bump it whenever
 /// the canonical encoding or the result codec changes shape: old
@@ -388,18 +390,22 @@ impl CampaignStore {
 
     /// [`CampaignStore::key`] of one [`RunPlan`] against `sim`'s exact
     /// network.
-    pub fn run_key(&self, sim: &DragonflySim, plan: &RunPlan) -> CampaignKey {
+    pub fn run_key<T: NetTopology + 'static>(
+        &self,
+        sim: &NetworkSim<T>,
+        plan: &RunPlan,
+    ) -> CampaignKey {
         self.key(&RunCell { sim, plan })
     }
 
     /// [`CampaignStore::lookup`] of a run cell's result.
     pub fn lookup_run(&self, key: &CampaignKey) -> Option<RunStats> {
-        self.lookup(RunCell::KIND, key)
+        self.lookup(RunCell::<Dragonfly>::KIND, key)
     }
 
     /// [`CampaignStore::insert`] of a run cell's result.
     pub fn insert_run(&self, key: &CampaignKey, stats: &RunStats) -> Result<(), CampaignError> {
-        self.insert(RunCell::KIND, key, stats)
+        self.insert(RunCell::<Dragonfly>::KIND, key, stats)
     }
 
     /// Appends one cell's wall time to the advisory timing sidecar

@@ -290,6 +290,13 @@ impl NetTopology for ClosTopology {
         let alternative = rng.gen_range(0..half - 1);
         Some((alternative + usize::from(alternative >= hashed)) as u32)
     }
+
+    fn canon(&self, latency: u32, failed: &[(usize, usize)]) -> String {
+        format!(
+            "network={:?} latency={latency} failed={failed:?}",
+            self.clos
+        )
+    }
 }
 
 /// Closed-form routing algebra for the folded Clos: digit arithmetic

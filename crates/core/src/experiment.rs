@@ -1,5 +1,6 @@
-//! High-level experiment harness: build a dragonfly once, sweep loads,
-//! and collect latency/throughput curves the way the paper's figures do.
+//! High-level experiment harness: wire a network once — the dragonfly
+//! or any baseline topology — sweep loads, and collect
+//! latency/throughput curves the way the paper's figures do.
 
 use std::sync::Arc;
 
@@ -9,7 +10,7 @@ use dfly_netsim::{
 };
 use dfly_traffic::{GroupAdversarial, Permutation, TrafficPattern, UniformRandom, Workload};
 
-use crate::network::{NetRouting, SimNetwork};
+use crate::network::{NetRouting, NetTopology, SimNetwork};
 use crate::routing::UgalVariant;
 use crate::topology::Dragonfly;
 use crate::DragonflyParams;
@@ -77,13 +78,15 @@ impl RoutingChoice {
         matches!(self, RoutingChoice::UgalLCr)
     }
 
-    /// Builds the routing algorithm for `df`: the shared
-    /// [`NetRouting`] family over the dragonfly, whose faults stay its
-    /// own. Public so a dragonfly choice can also run as a generic
-    /// [`NetworkCell`](crate::parallel::NetworkCell), the path of the
-    /// baseline topologies.
-    pub fn build(&self, df: Arc<Dragonfly>) -> Box<dyn RoutingAlgorithm + Send + Sync> {
-        let net = Arc::new(SimNetwork::<Dragonfly>::new((*df).clone()));
+    /// Builds the routing algorithm over `net`: the shared
+    /// [`NetRouting`] family, holding `net` itself rather than a copy.
+    /// On a baseline topology `Min` is its oblivious routing (FB-MIN,
+    /// Clos up/down, torus DOR) and each UGAL choice the same estimator
+    /// under its prefix (`UgalL` is FB-UGAL-L).
+    pub fn build<T: NetTopology + 'static>(
+        &self,
+        net: Arc<SimNetwork<T>>,
+    ) -> Box<dyn RoutingAlgorithm + Send + Sync> {
         Box::new(match (self, self.ugal_variant()) {
             (_, Some(variant)) => NetRouting::ugal(net, variant),
             (RoutingChoice::Min, None) => NetRouting::new(net),
@@ -122,12 +125,29 @@ impl TrafficChoice {
 
     /// Builds the pattern for a dragonfly of the given parameters.
     pub fn build(&self, params: &DragonflyParams) -> Box<dyn TrafficPattern + Send + Sync> {
-        let n = params.num_terminals();
         let group = params.routers_per_group() * params.terminals_per_router();
+        self.build_for(params.num_terminals(), Some(group))
+    }
+
+    /// Builds the pattern over `n` terminals in groups of `group`
+    /// terminals (`None`: the network has no groups).
+    ///
+    /// # Panics
+    ///
+    /// A group pattern ([`TrafficChoice::WorstCase`],
+    /// [`TrafficChoice::GroupTornado`]) without groups.
+    pub fn build_for(
+        &self,
+        n: usize,
+        group: Option<usize>,
+    ) -> Box<dyn TrafficPattern + Send + Sync> {
+        let group = || {
+            group.unwrap_or_else(|| panic!("{} traffic needs a network with groups", self.label()))
+        };
         match *self {
             TrafficChoice::Uniform => Box::new(UniformRandom::new(n)),
-            TrafficChoice::WorstCase => Box::new(GroupAdversarial::next_group(n, group)),
-            TrafficChoice::GroupTornado => Box::new(GroupAdversarial::tornado(n, group)),
+            TrafficChoice::WorstCase => Box::new(GroupAdversarial::next_group(n, group())),
+            TrafficChoice::GroupTornado => Box::new(GroupAdversarial::tornado(n, group())),
             TrafficChoice::RandomPermutation { seed } => {
                 let mut rng = dfly_traffic::rng_for(seed, 0);
                 Box::new(Permutation::random(n, &mut rng))
@@ -168,8 +188,18 @@ enum Source<'a> {
     Workload(&'a WorkloadFactory<'a>),
 }
 
-/// A reusable dragonfly simulation harness: the network is wired once
-/// and can then be run under any routing choice, traffic and load.
+/// The experiment harness over any [`NetTopology`]: the network is
+/// wired once, shared with every routing built for it, and can then be
+/// run under any routing choice, traffic and load — directly, or as the
+/// [`RunPlan`](crate::RunPlan)s of a [`RunGrid`](crate::RunGrid), cached
+/// or not.
+#[derive(Debug)]
+pub struct NetworkSim<T> {
+    net: Arc<SimNetwork<T>>,
+    spec: NetworkSpec,
+}
+
+/// The harness over the dragonfly.
 ///
 /// # Example
 ///
@@ -184,50 +214,33 @@ enum Source<'a> {
 /// );
 /// println!("avg latency: {:?}", stats.avg_latency());
 /// ```
-#[derive(Debug)]
-pub struct DragonflySim {
-    df: Arc<Dragonfly>,
-    spec: NetworkSpec,
+pub type DragonflySim = NetworkSim<Dragonfly>;
+
+impl<T: NetTopology> From<SimNetwork<T>> for NetworkSim<T> {
+    fn from(net: SimNetwork<T>) -> Self {
+        let spec = net.build_spec();
+        NetworkSim {
+            net: Arc::new(net),
+            spec,
+        }
+    }
 }
 
-impl DragonflySim {
-    /// Builds the harness for `params`.
-    pub fn new(params: DragonflyParams) -> Self {
-        Self::with_dragonfly(Dragonfly::new(params))
+impl<T: NetTopology + 'static> NetworkSim<T> {
+    /// Wires `topology` with unit channel latency.
+    pub fn new(topology: impl Into<T>) -> Self {
+        SimNetwork::new(topology).into()
     }
 
-    /// Builds the harness for `params` with a [`FaultPlan`] applied:
-    /// the spec carries the failure marks and every routing choice
-    /// steers around the dead links.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Dragonfly::with_fault_plan`] rejects: malformed
-    /// plans, locally disconnected groups, and plans that leave some
-    /// group pair with no usable route
-    /// ([`dfly_netsim::SimError::Unreachable`]).
-    pub fn with_faults(params: DragonflyParams, plan: &FaultPlan) -> Result<Self, SimError> {
-        Ok(Self::with_dragonfly(Dragonfly::with_faults(params, plan)?))
+    /// The wired network.
+    pub fn network(&self) -> &SimNetwork<T> {
+        &self.net
     }
 
-    /// Builds the harness around an explicitly configured dragonfly
-    /// (e.g. with non-unit channel latencies).
-    pub fn with_dragonfly(df: Dragonfly) -> Self {
-        let df = Arc::new(df);
-        let spec = df.build_spec();
-        DragonflySim { df, spec }
-    }
-
-    /// The underlying dragonfly.
-    pub fn dragonfly(&self) -> &Dragonfly {
-        &self.df
-    }
-
-    /// A shared handle on the underlying dragonfly, for building
-    /// routing algorithms outside the harness (see
-    /// [`RoutingChoice::build`]).
-    pub fn shared_dragonfly(&self) -> Arc<Dragonfly> {
-        Arc::clone(&self.df)
+    /// A shared handle on the wired network, for building routing
+    /// algorithms outside the harness (see [`RoutingChoice::build`]).
+    pub fn shared_network(&self) -> Arc<SimNetwork<T>> {
+        Arc::clone(&self.net)
     }
 
     /// The wired network description.
@@ -255,11 +268,12 @@ impl DragonflySim {
         if choice.needs_round_trip_credits() && cfg.credit_mode == CreditMode::Conventional {
             cfg.credit_mode = CreditMode::round_trip();
         }
-        let algo = choice.build(self.df.clone());
+        let algo = choice.build(self.shared_network());
         let pattern;
         let sim = match source {
             Source::Traffic(traffic) => {
-                pattern = traffic.build(self.df.params());
+                let groups = self.net.topology().group_terminals();
+                pattern = traffic.build_for(self.spec.num_terminals(), groups);
                 Simulation::new(&self.spec, algo.as_ref(), pattern.as_ref(), cfg)
             }
             Source::Workload(factory) => {
@@ -274,6 +288,11 @@ impl DragonflySim {
     /// For [`RoutingChoice::UgalLCr`] the credit round-trip mechanism is
     /// switched on automatically unless the configuration already
     /// selects a round-trip mode.
+    ///
+    /// # Panics
+    ///
+    /// A group pattern ([`TrafficChoice::WorstCase`],
+    /// [`TrafficChoice::GroupTornado`]) on a topology without groups.
     pub fn run(&self, choice: RoutingChoice, traffic: TrafficChoice, cfg: SimConfig) -> RunStats {
         self.simulate(choice, Source::Traffic(traffic), cfg, |sim| sim.finish())
     }
@@ -288,7 +307,7 @@ impl DragonflySim {
     /// the run when the workload finishes; [`RunStats::completion`]
     /// then reports the completion cycle.
     ///
-    /// As with [`DragonflySim::run`], [`RoutingChoice::UgalLCr`] turns
+    /// As with [`NetworkSim::run`], [`RoutingChoice::UgalLCr`] turns
     /// on credit round-trip automatically.
     pub fn run_workload(
         &self,
@@ -299,7 +318,7 @@ impl DragonflySim {
         self.simulate(choice, Source::Workload(factory), cfg, |sim| sim.finish())
     }
 
-    /// Like [`DragonflySim::run`], but also returns the engine's
+    /// Like [`NetworkSim::run`], but also returns the engine's
     /// phase-level performance counters (see [`SimPerf`]).
     pub fn run_instrumented(
         &self,
@@ -310,6 +329,32 @@ impl DragonflySim {
         self.simulate(choice, Source::Traffic(traffic), cfg, |sim| {
             sim.run_instrumented()
         })
+    }
+}
+
+impl DragonflySim {
+    /// Builds the harness for `params` with a [`FaultPlan`] applied:
+    /// the spec carries the failure marks and every routing choice
+    /// steers around the dead links.
+    ///
+    /// # Errors
+    ///
+    /// Everything [`Dragonfly::with_fault_plan`] rejects: malformed
+    /// plans, locally disconnected groups, and plans that leave some
+    /// group pair with no usable route
+    /// ([`dfly_netsim::SimError::Unreachable`]).
+    pub fn with_faults(params: DragonflyParams, plan: &FaultPlan) -> Result<Self, SimError> {
+        Ok(Self::new(Dragonfly::with_faults(params, plan)?))
+    }
+
+    /// The underlying dragonfly.
+    pub fn dragonfly(&self) -> &Dragonfly {
+        self.net.topology()
+    }
+
+    /// [`NetworkSim::shared_network`] under the dragonfly's name.
+    pub fn shared_dragonfly(&self) -> Arc<SimNetwork<Dragonfly>> {
+        self.shared_network()
     }
 }
 
@@ -438,6 +483,26 @@ mod tests {
         ] {
             assert_eq!(t.build(&params).num_terminals(), 72, "{}", t.label());
         }
+    }
+
+    /// A group pattern on a network without groups panics rather than
+    /// building some other pattern; the groupless ones build.
+    #[test]
+    #[should_panic(expected = "WC traffic needs a network with groups")]
+    fn group_traffic_on_a_network_without_groups_fails_loudly() {
+        for t in [
+            TrafficChoice::Uniform,
+            TrafficChoice::RandomPermutation { seed: 3 },
+        ] {
+            assert_eq!(t.build_for(64, None).num_terminals(), 64, "{}", t.label());
+        }
+        let tornado = std::panic::catch_unwind(|| TrafficChoice::GroupTornado.build_for(64, None));
+        assert!(tornado.is_err(), "tornado needs groups");
+        let torus = NetworkSim::from(crate::torus_sim::TorusNetwork::new(dfly_topo::Torus::new(
+            3, 4, 1,
+        )));
+        let cfg = torus.config(0.1);
+        torus.run(RoutingChoice::Min, TrafficChoice::WorstCase, cfg);
     }
 
     #[test]

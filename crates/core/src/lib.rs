@@ -10,22 +10,24 @@
 //!   (fully-connected groups, offset-ring inter-group channels), and a
 //!   [`dfly_netsim::NetworkSpec`] builder for cycle-accurate simulation;
 //! * the routing family of the paper — [`RoutingChoice::build`] returns
-//!   the shared [`network::NetRouting`] over the dragonfly:
+//!   the shared [`network::NetRouting`] over any wired network:
 //!   `NetRouting::new` (MIN), `NetRouting::valiant` (VAL) and
 //!   `NetRouting::ugal` with its [`UgalVariant`]s (UGAL-L, UGAL-L_VC,
 //!   UGAL-L_VCH, UGAL-G), plus UGAL-L_CR via the simulator's credit
 //!   round-trip mode;
-//! * [`DragonflySim`] — a harness that wires the network once and sweeps
-//!   routing choices, traffic patterns and loads the way the paper's
-//!   figures do;
+//! * [`NetworkSim`] — the experiment harness over any topology
+//!   ([`DragonflySim`] for the dragonfly): it wires the network once and
+//!   runs routing choices, traffic patterns and loads as [`RunPlan`]s,
+//!   swept by a [`RunGrid`] and cached by a [`CampaignStore`] under a
+//!   canonical text each topology declares once;
 //! * [`analysis`] — closed-form saturation-throughput bounds (the
 //!   paper's `1/(a·h)` and 50% limits, generalised);
 //! * [`butterfly`] / [`clos_sim`] / [`torus_sim`] — the flattened
 //!   butterfly, folded Clos and k-ary n-cube torus (the paper's §5
 //!   baselines) wired for the same simulator, each with its own
 //!   deadlock-free routing — with the dragonfly, the four instances of
-//!   the one [`network`] harness, which owns spec building, sweeping,
-//!   the oblivious / Valiant / UGAL routing family and (for the three
+//!   the one [`network`] harness, which owns spec building, the
+//!   oblivious / Valiant / UGAL routing family and (for the three
 //!   baselines) faults;
 //! * link-failure injection — apply a [`FaultPlan`] with
 //!   [`Dragonfly::with_fault_plan`] / [`DragonflySim::with_faults`] and
@@ -69,7 +71,7 @@ pub mod torus_sim;
 
 pub use campaign::{CampaignError, CampaignKey, CampaignReport, CampaignStore, JournalRecord};
 pub use dfly_netsim::{FaultClass, FaultPlan, SimError};
-pub use experiment::{DragonflySim, LoadPoint, RoutingChoice, TrafficChoice};
+pub use experiment::{DragonflySim, LoadPoint, NetworkSim, RoutingChoice, TrafficChoice};
 pub use jobs::{
     JobAssignment, JobBook, JobError, JobKind, JobLedger, JobMix, JobSpec, MixWorkload, Placement,
 };

@@ -1,10 +1,12 @@
 //! The one simulation harness shared by every topology.
 //!
 //! A topology describes itself fault-free: its closed-form
-//! [`RouteAlgebra`], its two UGAL [`CandidatePaths`], and the four
+//! [`RouteAlgebra`], its two UGAL [`CandidatePaths`], and the five
 //! things [`NetTopology`] adds — wiring, hop bound, per-hop route
-//! arithmetic and the draw of a non-minimal tag. Everything else is
-//! written once, here:
+//! arithmetic, the draw of a non-minimal tag and the canonical text a
+//! campaign key names the network by. Everything else is written once,
+//! here and in [`crate::NetworkSim`], which runs any of them as
+//! [`crate::RunPlan`]s, cached or not:
 //!
 //! * [`SimNetwork`] owns the topology, the channel latency and the
 //!   link-failure state. Under a [`FaultPlan`] every routing question
@@ -17,8 +19,7 @@
 //!   oblivious, Valiant, or UGAL with any [`UgalVariant`] estimator.
 //!
 //! [`crate::butterfly`], [`crate::clos_sim`], [`crate::torus_sim`] and
-//! the dragonfly ([`crate::RoutingChoice::build`]) are instances; see
-//! DESIGN.md, "Adding a topology".
+//! the dragonfly are instances; see DESIGN.md, "Adding a topology".
 
 use std::sync::Arc;
 
@@ -64,6 +65,18 @@ pub trait NetTopology: RouteAlgebra + CandidatePaths + Send + Sync {
     /// `router` to terminal `dest` (on another router) for a packet
     /// salted `salt`; `None` when the pair admits no detour.
     fn draw_tag(&self, router: usize, dest: usize, salt: u32, rng: &mut SmallRng) -> Option<u32>;
+
+    /// Canonical text of everything about the network wired with
+    /// `latency`-cycle channels and the `failed` cables that a run's
+    /// bits depend on: the network part of a campaign key. It must not
+    /// collide with another topology's text.
+    fn canon(&self, latency: u32, failed: &[(usize, usize)]) -> String;
+
+    /// Terminals per group, for the group traffic patterns; `None` for a
+    /// topology without groups.
+    fn group_terminals(&self) -> Option<usize> {
+        None
+    }
 
     /// The VC of a BFS hop from `router` through `port` toward router
     /// `target` under faults; `vc` is the phase's VC.
@@ -154,6 +167,11 @@ impl<T: NetTopology> SimNetwork<T> {
             Some(f) if T::DETOURS_UNDER_FAULTS => 2 * f.diameter() as usize + 1,
             Some(f) => f.diameter() as usize + 1,
         }
+    }
+
+    /// The network's canonical text ([`NetTopology::canon`]).
+    pub fn canon(&self) -> String {
+        self.topology.canon(self.latency, self.failed_links())
     }
 
     /// Builds the simulator wiring; an applied fault plan is marked on

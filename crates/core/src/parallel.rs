@@ -9,8 +9,9 @@
 //! [`run_cells_cached`] is the same fan-out through a
 //! [`CampaignStore`], and the only place the lookup → run → journal →
 //! progress loop exists. [`RunGrid`], [`FaultSweep`] and
-//! [`WorkloadSweep`] are thin plans over those two functions;
-//! [`NetworkCell`] is the cell for a run on any other wired network.
+//! [`WorkloadSweep`] are thin plans over those two functions; a
+//! [`RunGrid`] runs on the harness of any topology
+//! ([`NetworkSim`]), the dragonfly's and the baselines' alike.
 //!
 //! The pool is bounded by the `DFLY_THREADS` environment variable when
 //! set (a positive integer), falling back to the machine's available
@@ -26,17 +27,17 @@
 use std::convert::Infallible;
 
 use dfly_netsim::{
-    FaultClass, FaultPlan, InjectionKind, MetricsRegistry, NetworkSpec, RoutingAlgorithm, RunStats,
-    SimConfig, SimError, Simulation, Termination,
+    FaultClass, FaultPlan, InjectionKind, MetricsRegistry, RunStats, SimConfig, SimError,
+    Termination,
 };
-use dfly_traffic::TrafficPattern;
 use rayon::prelude::*;
 
 use crate::campaign::{
     codec_struct, codec_tag, CampaignError, CampaignReport, CampaignStore, Codec,
 };
-use crate::experiment::{DragonflySim, RoutingChoice, TrafficChoice};
+use crate::experiment::{DragonflySim, NetworkSim, RoutingChoice, TrafficChoice};
 use crate::jobs::{JobBook, JobError, JobMix, JobSpec, Placement};
+use crate::network::NetTopology;
 use crate::progress::{ProgressSink, SweepProgress};
 use crate::DragonflyParams;
 
@@ -214,34 +215,6 @@ fn at_load(base: &SimConfig, load: f64) -> SimConfig {
     cfg
 }
 
-/// One run on any wired network: the [`Cell`] of the baseline
-/// topologies' sweeps (hand a slice of them to [`run_cells`]). Not
-/// cacheable — an arbitrary routing algorithm has no canonical
-/// description to key on.
-pub struct NetworkCell<'a> {
-    /// The wired network.
-    pub spec: &'a NetworkSpec,
-    /// Routing algorithm under test.
-    pub routing: &'a (dyn RoutingAlgorithm + Sync),
-    /// Offered traffic pattern.
-    pub pattern: &'a (dyn TrafficPattern + Sync),
-    /// Complete run configuration.
-    pub cfg: SimConfig,
-}
-
-impl Cell for NetworkCell<'_> {
-    type Out = RunStats;
-    type Err = SimError;
-
-    fn shards(&self) -> usize {
-        self.cfg.shards
-    }
-
-    fn run(&self) -> Result<RunStats, SimError> {
-        Ok(Simulation::new(self.spec, self.routing, self.pattern, self.cfg.clone())?.finish())
-    }
-}
-
 /// One planned simulation run: a routing choice, a traffic pattern and
 /// a full configuration (load, windows, seed, credit mode).
 #[derive(Debug, Clone)]
@@ -336,7 +309,7 @@ impl RunGrid {
         self.plans.is_empty()
     }
 
-    fn cells<'a>(&'a self, sim: &'a DragonflySim) -> Vec<RunCell<'a>> {
+    fn cells<'a, T>(&'a self, sim: &'a NetworkSim<T>) -> Vec<RunCell<'a, T>> {
         self.plans
             .iter()
             .map(|plan| RunCell { sim, plan })
@@ -346,13 +319,17 @@ impl RunGrid {
     /// Executes every plan against `sim` ([`run_cells`] with the pool
     /// sized from `DFLY_THREADS` and the plans' shard demand); results
     /// are in plan order and bit-identical at any thread count.
-    pub fn execute(&self, sim: &DragonflySim) -> Vec<RunStats> {
+    pub fn execute<T: NetTopology + 'static>(&self, sim: &NetworkSim<T>) -> Vec<RunStats> {
         run_cells(&self.cells(sim), None).unwrap_or_else(|e| match e {})
     }
 
     /// [`RunGrid::execute`] with an explicit thread bound (`1` is the
     /// serial reference).
-    pub fn execute_on(&self, sim: &DragonflySim, threads: usize) -> Vec<RunStats> {
+    pub fn execute_on<T: NetTopology + 'static>(
+        &self,
+        sim: &NetworkSim<T>,
+        threads: usize,
+    ) -> Vec<RunStats> {
         run_cells(&self.cells(sim), Some(threads)).unwrap_or_else(|e| match e {})
     }
 
@@ -362,9 +339,9 @@ impl RunGrid {
     /// # Errors
     ///
     /// The first journal write failure, if any.
-    pub fn execute_cached(
+    pub fn execute_cached<T: NetTopology + 'static>(
         &self,
-        sim: &DragonflySim,
+        sim: &NetworkSim<T>,
         store: &CampaignStore,
     ) -> Result<(Vec<RunStats>, CampaignReport), CampaignError> {
         run_cells_cached(&self.cells(sim), None, store, &|_, _, _| {})
@@ -372,9 +349,9 @@ impl RunGrid {
 
     /// [`RunGrid::execute_cached`] with an explicit thread bound and a
     /// streaming `(plan index, stats, was_hit)` callback.
-    pub fn execute_cached_streaming_on(
+    pub fn execute_cached_streaming_on<T: NetTopology + 'static>(
         &self,
-        sim: &DragonflySim,
+        sim: &NetworkSim<T>,
         store: &CampaignStore,
         threads: usize,
         on_result: &(dyn Fn(usize, &RunStats, bool) + Sync),
@@ -399,13 +376,13 @@ impl RunGrid {
     }
 }
 
-/// One [`RunPlan`] against one wired dragonfly.
-pub(crate) struct RunCell<'a> {
-    pub(crate) sim: &'a DragonflySim,
+/// One [`RunPlan`] against one wired network.
+pub(crate) struct RunCell<'a, T> {
+    pub(crate) sim: &'a NetworkSim<T>,
     pub(crate) plan: &'a RunPlan,
 }
 
-impl Cell for RunCell<'_> {
+impl<T: NetTopology + 'static> Cell for RunCell<'_, T> {
     type Out = RunStats;
     type Err = Infallible;
 
@@ -419,19 +396,16 @@ impl Cell for RunCell<'_> {
     }
 }
 
-impl CachedCell for RunCell<'_> {
+impl<T: NetTopology + 'static> CachedCell for RunCell<'_, T> {
     const KIND: &'static str = "run";
 
-    /// Covers `sim`'s exact network — topology parameters, channel
-    /// latencies and failed links included, so a faulted network never
-    /// shares keys with a healthy one.
+    /// Covers `sim`'s exact network ([`NetTopology::canon`]) — topology
+    /// parameters, channel latencies and failed links included, so a
+    /// faulted network never shares keys with a healthy one.
     fn canon(&self) -> String {
-        let df = self.sim.dragonfly();
         format!(
-            "params={:?} latencies={:?} failed={:?} routing={:?} traffic={:?} cfg={:?}",
-            df.params(),
-            df.latencies(),
-            df.failed_links(),
+            "{} routing={:?} traffic={:?} cfg={:?}",
+            self.sim.network().canon(),
             self.plan.routing,
             self.plan.traffic,
             self.plan.cfg
@@ -988,7 +962,7 @@ mod tests {
         DragonflySim::new(DragonflyParams::new(2, 4, 2).unwrap())
     }
 
-    fn fast_cfg(sim: &DragonflySim, load: f64) -> SimConfig {
+    fn fast_cfg<T: NetTopology + 'static>(sim: &NetworkSim<T>, load: f64) -> SimConfig {
         let mut cfg = sim.config(load);
         cfg.warmup = 200;
         cfg.measure = 600;
@@ -1113,57 +1087,86 @@ mod tests {
         assert_eq!(parallel_map_on(&items, 1, |&x| x + 1)[36], 37);
     }
 
-    /// [`NetworkCell`]s over the dragonfly's spec, one per load, are
-    /// one generic network sweep; it must equal the [`RunGrid`] run of
-    /// the same plans.
-    fn network_cells<'a>(
-        sim: &'a DragonflySim,
-        routing: &'a (dyn RoutingAlgorithm + Sync),
-        pattern: &'a (dyn TrafficPattern + Sync),
-        loads: &[f64],
-        base: &SimConfig,
-    ) -> Vec<NetworkCell<'a>> {
-        loads
-            .iter()
-            .map(|&load| NetworkCell {
-                spec: sim.spec(),
-                routing,
-                pattern,
-                cfg: at_load(base, load),
-            })
-            .collect()
-    }
-
+    /// A sweep on any topology's harness is the serial run of each plan
+    /// with the routing and pattern built by hand: the dragonfly's, and
+    /// each baseline's under the names its figures use (FB-UGAL-L is
+    /// `UgalL`, Clos up/down and torus DOR are `Min`).
     #[test]
     fn sweep_network_matches_dragonfly_sweep() {
-        let sim = tiny();
-        let base = fast_cfg(&sim, 0.0);
-        let loads = [0.1, 0.25];
+        use crate::butterfly::{ButterflyNetwork, ButterflyRouting};
+        use crate::clos_sim::{ClosNetwork, ClosRouting};
+        use crate::torus_sim::{TorusNetwork, TorusRouting};
+        use crate::UgalVariant;
+        use dfly_netsim::{NetworkSpec, RoutingAlgorithm, Simulation};
+        use dfly_topo::{FlattenedButterfly, FoldedClos, Torus};
+
+        fn check<T: NetTopology + 'static>(
+            sim: &NetworkSim<T>,
+            choice: RoutingChoice,
+            by_hand: &dyn RoutingAlgorithm,
+        ) {
+            let base = fast_cfg(sim, 0.0);
+            let loads = [0.1, 0.25];
+            let grid = RunGrid::cross(&[choice], &[TrafficChoice::Uniform], &loads, &base);
+            let by_grid = grid.execute(sim);
+            let spec: &NetworkSpec = sim.spec();
+            let pattern = dfly_traffic::UniformRandom::new(spec.num_terminals());
+            assert_eq!(by_grid.len(), loads.len());
+            for (&load, stats) in loads.iter().zip(&by_grid) {
+                let cfg = at_load(&base, load);
+                let serial = Simulation::new(spec, by_hand, &pattern, cfg)
+                    .unwrap()
+                    .finish();
+                assert_eq!(&serial, stats, "{} at {load}", by_hand.name());
+                assert!(stats.drained, "{} at {load}", by_hand.name());
+            }
+        }
+
+        let df = tiny();
+        let df_min = RoutingChoice::Min.build(df.shared_network());
+        check(&df, RoutingChoice::Min, df_min.as_ref());
+        let fb = NetworkSim::from(ButterflyNetwork::new(FlattenedButterfly::new(2, 4, 2)));
+        let fb_ugal = ButterflyRouting::ugal(fb.shared_network(), UgalVariant::Local);
+        assert_eq!(fb_ugal.name(), "FB-UGAL-L");
+        check(&fb, RoutingChoice::UgalL, &fb_ugal);
+        let clos = NetworkSim::from(ClosNetwork::new(FoldedClos::new(3, 8)));
+        check(
+            &clos,
+            RoutingChoice::Min,
+            &ClosRouting::new(clos.shared_network()),
+        );
+        let torus = NetworkSim::from(TorusNetwork::new(Torus::new(2, 4, 1)));
+        check(
+            &torus,
+            RoutingChoice::Min,
+            &TorusRouting::new(torus.shared_network()),
+        );
+    }
+
+    /// An invalid configuration on any network fails loudly instead of
+    /// returning made-up statistics.
+    #[test]
+    fn sweep_network_surfaces_invalid_configs() {
+        use crate::torus_sim::TorusNetwork;
+        let torus = NetworkSim::from(TorusNetwork::new(dfly_topo::Torus::new(2, 4, 1)));
+        let mut base = fast_cfg(&torus, 0.0);
+        base.measure = 0; // rejected by SimConfig::validate
         let grid = RunGrid::cross(
             &[RoutingChoice::Min],
             &[TrafficChoice::Uniform],
-            &loads,
+            &[0.1],
             &base,
         );
-        let by_grid = grid.execute(&sim);
-        let routing = RoutingChoice::Min.build(sim.shared_dragonfly());
-        let pattern = dfly_traffic::UniformRandom::new(sim.spec().num_terminals());
-        let cells = network_cells(&sim, routing.as_ref(), &pattern, &loads, &base);
-        let generic = run_cells(&cells, None).expect("valid sweep configuration");
-        assert_eq!(by_grid.len(), loads.len());
-        assert_eq!(by_grid, generic);
-    }
-
-    #[test]
-    fn sweep_network_surfaces_invalid_configs() {
-        let sim = tiny();
-        let mut base = fast_cfg(&sim, 0.0);
-        base.measure = 0; // rejected by SimConfig::validate
-        let routing = RoutingChoice::Min.build(sim.shared_dragonfly());
-        let pattern = dfly_traffic::UniformRandom::new(sim.spec().num_terminals());
-        let cells = network_cells(&sim, routing.as_ref(), &pattern, &[0.1], &base);
-        let result = run_cells(&cells, None);
-        assert!(matches!(result, Err(SimError::InvalidConfig(_))));
+        let run = std::panic::catch_unwind(|| grid.execute_on(&torus, 1));
+        let message = run.expect_err("an invalid config must not run");
+        let text = message
+            .downcast_ref::<String>()
+            .expect("a formatted panic message");
+        assert!(
+            text.contains("harness-built simulation must be valid"),
+            "{text}"
+        );
+        assert!(text.contains("InvalidConfig"), "{text}");
     }
 
     #[test]
@@ -1188,6 +1191,42 @@ mod tests {
         assert_eq!(parallel[1].failed_links, 5);
         assert!(parallel[0].throughput() > 0.0);
         assert!(parallel[1].throughput() > 0.0);
+    }
+
+    /// A local-channel sweep ([`FaultSweep::with_class`]) fails local
+    /// cables only — exactly those [`FaultPlan::random_local`] names —
+    /// and gives the same points at 1 and 4 threads.
+    #[test]
+    fn local_fault_sweep_fails_only_local_cables() {
+        let mut cfg = SimConfig::paper_default(1.0);
+        cfg.warmup = 100;
+        cfg.measure = 300;
+        let params = DragonflyParams::new(2, 4, 2).unwrap();
+        let fractions = [0.0, 0.1, 0.2];
+        let sweep = FaultSweep::new(
+            params,
+            RoutingChoice::UgalLVcH,
+            TrafficChoice::Uniform,
+            &cfg,
+            &fractions,
+            5,
+        )
+        .with_class(FaultClass::Local);
+        let serial = sweep.execute_on(1).unwrap();
+        assert_eq!(serial, sweep.execute_on(4).unwrap());
+        for (point, &fraction) in serial.iter().zip(&fractions) {
+            let plan = FaultPlan::random_local(fraction, 5);
+            let sim = DragonflySim::with_faults(params, &plan).unwrap();
+            let spec = sim.spec();
+            assert_eq!(point.failed_links, spec.failed_links().len());
+            for &(router, port) in spec.failed_links() {
+                let class = spec.routers[router].ports[port].class;
+                assert_eq!(class, dfly_netsim::ChannelClass::Local);
+            }
+        }
+        // 54 local cables: round(5.4) and round(10.8) of them die.
+        let failed: Vec<usize> = serial.iter().map(|p| p.failed_links).collect();
+        assert_eq!(failed, [0, 5, 11]);
     }
 
     fn tiny_workload_sweep(loads: &[f64]) -> WorkloadSweep {
@@ -1485,6 +1524,49 @@ mod tests {
                  kind: AllToAll }}] cfg=SimConfig {{ {} }} placement=Interfering background=0.1",
                 cfg_str("0.0", "2000", "WorkComplete")
             )
+        );
+
+        // Each baseline names its network once (`NetTopology::canon`):
+        // `network=` can never begin a dragonfly key.
+        fn uniform_key<T: NetTopology + 'static>(
+            store: &CampaignStore,
+            sim: &NetworkSim<T>,
+            routing: RoutingChoice,
+            cfg: &SimConfig,
+        ) -> String {
+            let grid = RunGrid::cross(&[routing], &[TrafficChoice::Uniform], &[0.25], cfg);
+            store.key(&grid.cells(sim)[0]).canon
+        }
+        let baseline = |network: &str, routing: &str| {
+            format!(
+                "dfly-campaign-v2 kind=run rev=r1 network={network} latency=1 failed=[] \
+                 routing={routing} traffic=Uniform cfg=SimConfig {{ {} }}",
+                cfg_str("0.25", "2000", "FixedWindow")
+            )
+        };
+        let fb = NetworkSim::from(crate::butterfly::ButterflyNetwork::new(
+            dfly_topo::FlattenedButterfly::new(2, 6, 2),
+        ));
+        assert_eq!(
+            uniform_key(&store, &fb, RoutingChoice::UgalL, &cfg),
+            baseline(
+                "FlattenedButterfly { dims: [6, 6], concentration: 2 }",
+                "UgalL"
+            )
+        );
+        let clos = NetworkSim::from(crate::clos_sim::ClosNetwork::new(
+            dfly_topo::FoldedClos::new(3, 8),
+        ));
+        assert_eq!(
+            uniform_key(&store, &clos, RoutingChoice::Min, &cfg),
+            baseline("FoldedClos { levels: 3, radix: 8 }", "Min")
+        );
+        let torus = NetworkSim::from(crate::torus_sim::TorusNetwork::new(dfly_topo::Torus::new(
+            3, 4, 1,
+        )));
+        assert_eq!(
+            uniform_key(&store, &torus, RoutingChoice::Min, &cfg),
+            baseline("Torus { dimensions: 3, arity: 4, concentration: 1 }", "Min")
         );
 
         // A journal filled through the typed wrappers (all the parent

@@ -92,6 +92,22 @@ impl NetTopology for Dragonfly {
         }
     }
 
+    /// The dragonfly's own channel latencies and fault marks stand in
+    /// for `latency` and `failed`, as in [`NetTopology::wire`].
+    fn canon(&self, _latency: u32, _failed: &[(usize, usize)]) -> String {
+        format!(
+            "params={:?} latencies={:?} failed={:?}",
+            self.params(),
+            self.latencies(),
+            self.failed_links()
+        )
+    }
+
+    fn group_terminals(&self) -> Option<usize> {
+        let params = self.params();
+        Some(params.routers_per_group() * params.terminals_per_router())
+    }
+
     fn injection_vc(&self, class: RouteClass) -> u8 {
         match class {
             RouteClass::Minimal => 1,
@@ -501,8 +517,9 @@ mod tests {
     #[test]
     fn ugal_names() {
         let df = df72();
+        let net = Arc::new(SimNetwork::<Dragonfly>::new((*df).clone()));
         for choice in RoutingChoice::ALL {
-            assert_eq!(choice.build(df.clone()).name(), choice.label());
+            assert_eq!(choice.build(net.clone()).name(), choice.label());
         }
     }
 
@@ -540,7 +557,7 @@ mod tests {
     #[test]
     fn min_detours_nonminimally_around_dead_direct_cable() {
         use crate::{DragonflySim, RoutingChoice, TrafficChoice};
-        let sim = DragonflySim::with_dragonfly(df72_dead_01());
+        let sim = DragonflySim::new(df72_dead_01());
         let mut cfg = sim.config(0.2);
         cfg.warmup = 300;
         cfg.measure = 1_000;
@@ -556,7 +573,7 @@ mod tests {
     #[test]
     fn ugal_detours_and_keeps_adapting_around_dead_cable() {
         use crate::{DragonflySim, RoutingChoice, TrafficChoice};
-        let sim = DragonflySim::with_dragonfly(df72_dead_01());
+        let sim = DragonflySim::new(df72_dead_01());
         let mut cfg = sim.config(0.2);
         cfg.warmup = 300;
         cfg.measure = 1_000;
@@ -588,7 +605,7 @@ mod tests {
         // Every Valiant route drawn at injection must stay on alive
         // cables: exercise the picker through a live simulation.
         use crate::{DragonflySim, RoutingChoice, TrafficChoice};
-        let sim = DragonflySim::with_dragonfly(df72_dead_01());
+        let sim = DragonflySim::new(df72_dead_01());
         let mut cfg = sim.config(0.15);
         cfg.warmup = 300;
         cfg.measure = 1_000;

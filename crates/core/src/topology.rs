@@ -188,6 +188,12 @@ struct DragonflyFaults {
     max_local_dist: usize,
 }
 
+impl From<DragonflyParams> for Dragonfly {
+    fn from(params: DragonflyParams) -> Self {
+        Dragonfly::new(params)
+    }
+}
+
 impl Dragonfly {
     /// Builds the dragonfly for `params` with fully connected groups and
     /// unit channel latencies.
@@ -583,11 +589,6 @@ impl Dragonfly {
     /// The configured channel latencies.
     pub fn latencies(&self) -> ChannelLatencies {
         self.latencies
-    }
-
-    /// Intra-group dimension sizes (`[a]` for a complete group).
-    pub fn group_dims(&self) -> &[usize] {
-        &self.dims
     }
 
     /// Local (intra-group) ports per router: `a - 1` for a complete

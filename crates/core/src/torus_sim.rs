@@ -242,6 +242,10 @@ impl NetTopology for TorusTopology {
         (self.valiant_degree(router, dest) == 1).then(|| self.valiant_tag(router, dest, 0))
     }
 
+    fn canon(&self, latency: u32, failed: &[(usize, usize)]) -> String {
+        format!("network={:?} latency={latency} failed={failed:?}", self.0)
+    }
+
     /// The dateline rule still picks the VC from the hop's ring
     /// direction; a detour hop in an already resolved dimension
     /// conservatively stays on VC0.

@@ -460,11 +460,6 @@ impl UgalChooser {
         UgalChooser { estimator }
     }
 
-    /// The configured estimator's name.
-    pub fn estimator_name(&self) -> &'static str {
-        self.estimator.name()
-    }
-
     /// Applies the UGAL rule to the two candidates at `router`.
     ///
     /// When the spec carries faults, a candidate whose first hop is a

@@ -353,16 +353,6 @@ impl RunStats {
         (total > 0).then(|| self.minimal_latency.count as f64 / total as f64)
     }
 
-    /// Mean network hop count of labelled packets — `None` unless the
-    /// run drained (the packets stuck at the cap are disproportionately
-    /// the longer, non-minimal ones, biasing the surviving mean low).
-    pub fn avg_hops(&self) -> Option<f64> {
-        if !self.drained {
-            return None;
-        }
-        self.hops.mean()
-    }
-
     /// Latency at quantile `p` from the log-bucketed histogram —
     /// `None` unless the run drained, for the same reason as
     /// [`RunStats::avg_latency`]. Resolution is the containing
@@ -379,22 +369,9 @@ impl RunStats {
         self.latency_percentile(0.50)
     }
 
-    /// 95th-percentile labelled-packet latency (drained runs only).
-    pub fn p95_latency(&self) -> Option<u64> {
-        self.latency_percentile(0.95)
-    }
-
     /// 99th-percentile labelled-packet latency (drained runs only).
     pub fn p99_latency(&self) -> Option<u64> {
         self.latency_percentile(0.99)
-    }
-
-    /// Largest labelled-packet latency (drained runs only).
-    pub fn max_latency(&self) -> Option<u64> {
-        if !self.drained || self.latency_log.count == 0 {
-            return None;
-        }
-        Some(self.latency_log.max)
     }
 
     /// Loads of the global channels only.

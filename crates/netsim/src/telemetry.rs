@@ -266,24 +266,6 @@ pub struct ChannelSeries {
     pub sent: Vec<u32>,
 }
 
-impl ChannelSeries {
-    /// Largest total occupancy seen at any sample tick.
-    pub fn peak_occupancy(&self) -> u16 {
-        self.occupancy.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Mean link utilization over the sampled intervals: flits sent
-    /// per cycle of sampling interval, in `[0, 1]` for a single-flit
-    /// channel.
-    pub fn mean_utilization(&self, every: u64) -> f64 {
-        if self.sent.is_empty() || every == 0 {
-            return 0.0;
-        }
-        let total: u64 = self.sent.iter().map(|&s| u64::from(s)).sum();
-        total as f64 / (self.sent.len() as u64 * every) as f64
-    }
-}
-
 /// Per-channel, per-VC queue state sampled at a fixed cadence across
 /// warmup, the measurement window, and drain.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -132,7 +132,7 @@ fn larger_network_with_custom_latencies() {
             global: 5,
         },
     );
-    let sim = DragonflySim::with_dragonfly(df);
+    let sim = DragonflySim::new(df);
     let stats = sim.run(
         RoutingChoice::Min,
         TrafficChoice::Uniform,
@@ -168,7 +168,7 @@ fn multidimensional_group_simulates_deadlock_free() {
     )
     .unwrap();
     assert_eq!(df.router_radix(), 7); // the Figure-5 router, reused
-    let sim = DragonflySim::with_dragonfly(df);
+    let sim = DragonflySim::new(df);
     for choice in [
         RoutingChoice::Min,
         RoutingChoice::Valiant,
@@ -194,7 +194,7 @@ fn tapered_dragonfly_trades_capacity_for_cables() {
     // a 0.5 taper gives 1.
     let params = DragonflyParams::with_groups(2, 4, 2, 5).unwrap();
     let full = DragonflySim::new(params);
-    let tapered = DragonflySim::with_dragonfly(Dragonfly::with_taper(params, 0.5).unwrap());
+    let tapered = DragonflySim::new(Dragonfly::with_taper(params, 0.5).unwrap());
     let cap = |sim: &DragonflySim| {
         let mut cfg = sim.config(1.0);
         cfg.warmup = 600;

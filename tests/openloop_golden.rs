@@ -108,7 +108,7 @@ fn open_loop_adapter_matches_pre_refactor_baselines() {
     let sim = DragonflySim::new(DragonflyParams::new(2, 4, 2).unwrap());
     let mut drift = String::new();
     for (choice, injection, seed, want) in cases {
-        let routing = choice.build(sim.shared_dragonfly());
+        let routing = choice.build(sim.shared_network());
         let stats = golden_run(
             sim.spec(),
             routing.as_ref(),
@@ -215,7 +215,7 @@ fn dragonfly_routings_match_pre_harness_fingerprints() {
     for (label, sim, cases) in &rows {
         assert_eq!(sim.spec().has_faults(), !label.starts_with("clean"));
         for &(choice, want) in cases {
-            let routing = choice.build(sim.shared_dragonfly());
+            let routing = choice.build(sim.shared_network());
             let credit_mode = if choice.needs_round_trip_credits() {
                 CreditMode::round_trip()
             } else {

@@ -18,9 +18,11 @@ use rand::rngs::SmallRng;
 
 use dragonfly::butterfly::{ButterflyNetwork, ButterflyRouting};
 use dragonfly::clos_sim::{ClosNetwork, ClosRouting};
-use dragonfly::parallel::{run_cells, NetworkCell};
+use dragonfly::network::NetTopology;
 use dragonfly::torus_sim::{TorusNetwork, TorusRouting};
-use dragonfly::{FaultSweep, RoutingChoice, RunGrid, RunPlan, TrafficChoice, UgalVariant};
+use dragonfly::{
+    FaultSweep, NetworkSim, RoutingChoice, RunGrid, RunPlan, TrafficChoice, UgalVariant,
+};
 
 #[test]
 fn run_grid_parallel_matches_serial_on_paper_network() {
@@ -201,63 +203,38 @@ fn adaptive_sweeps_deterministic_on_every_topology() {
 
     // Flattened butterfly under UGAL-L(CR) — the credit-round-trip
     // estimator running on a non-dragonfly topology.
-    let fb = Arc::new(ButterflyNetwork::new(FlattenedButterfly::new(2, 4, 2)));
-    let fb_routing = ButterflyRouting::ugal(fb.clone(), UgalVariant::CreditRoundTrip);
+    let fb = NetworkSim::from(ButterflyNetwork::new(FlattenedButterfly::new(2, 4, 2)));
     let mut fb_cfg = fast_cfg(5);
     fb_cfg.credit_mode = CreditMode::round_trip();
-    let fb_pattern = UniformRandom::new(fb.build_spec().num_terminals());
-    check_sweep_matches_serial(&fb.build_spec(), &fb_routing, &fb_pattern, &loads, &fb_cfg);
+    check_sweep_matches_serial(&fb, RoutingChoice::UgalLCr, &loads, &fb_cfg);
 
     // Folded Clos spreading over its equal-length uplinks adaptively.
-    let clos = Arc::new(ClosNetwork::new(FoldedClos::new(3, 8)));
-    let clos_routing = ClosRouting::ugal(clos.clone(), UgalVariant::Local);
-    let clos_pattern = UniformRandom::new(clos.build_spec().num_terminals());
-    check_sweep_matches_serial(
-        &clos.build_spec(),
-        &clos_routing,
-        &clos_pattern,
-        &loads,
-        &fast_cfg(6),
-    );
+    let clos = NetworkSim::from(ClosNetwork::new(FoldedClos::new(3, 8)));
+    check_sweep_matches_serial(&clos, RoutingChoice::UgalL, &loads, &fast_cfg(6));
 
     // Torus choosing between the short and the long way around.
-    let torus = Arc::new(TorusNetwork::new(Torus::new(2, 4, 1)));
-    let torus_routing = TorusRouting::ugal(torus.clone(), UgalVariant::Local);
-    let torus_pattern = UniformRandom::new(torus.build_spec().num_terminals());
-    check_sweep_matches_serial(
-        &torus.build_spec(),
-        &torus_routing,
-        &torus_pattern,
-        &loads,
-        &fast_cfg(8),
-    );
+    let torus = NetworkSim::from(TorusNetwork::new(Torus::new(2, 4, 1)));
+    check_sweep_matches_serial(&torus, RoutingChoice::UgalL, &loads, &fast_cfg(8));
 }
 
-fn check_sweep_matches_serial(
-    spec: &dfly_netsim::NetworkSpec,
-    routing: &(dyn dfly_netsim::RoutingAlgorithm + Sync),
-    pattern: &(dyn dfly_traffic::TrafficPattern + Sync),
+/// A uniform-traffic sweep of `choice` on `sim`'s network, as one
+/// [`RunGrid`] on the worker pool, against each load run serially with
+/// the routing and pattern built by hand.
+fn check_sweep_matches_serial<T: NetTopology + 'static>(
+    sim: &NetworkSim<T>,
+    choice: RoutingChoice,
     loads: &[f64],
     base: &SimConfig,
 ) {
-    let at_load = |load| {
-        let mut cfg = base.clone();
-        cfg.injection = InjectionKind::Bernoulli { rate: load };
-        cfg
-    };
-    let cells: Vec<NetworkCell<'_>> = loads
-        .iter()
-        .map(|&load| NetworkCell {
-            spec,
-            routing,
-            pattern,
-            cfg: at_load(load),
-        })
-        .collect();
-    let parallel = run_cells(&cells, None).expect("sweep configuration must be valid");
+    let grid = RunGrid::cross(&[choice], &[TrafficChoice::Uniform], loads, base);
+    let parallel = grid.execute(sim);
     assert_eq!(parallel.len(), loads.len());
-    for (&load, stats) in loads.iter().zip(&parallel) {
-        let serial = Simulation::new(spec, routing, pattern, at_load(load))
+    let spec = sim.spec();
+    let pattern = UniformRandom::new(spec.num_terminals());
+    for (plan, stats) in grid.plans().iter().zip(&parallel) {
+        let load = plan.load();
+        let routing = choice.build(sim.shared_network());
+        let serial = Simulation::new(spec, routing.as_ref(), &pattern, plan.cfg.clone())
             .unwrap()
             .finish();
         assert_eq!(
@@ -335,9 +312,9 @@ fn check_shard_counts_match(
 /// independence too.
 #[test]
 fn sharded_engine_bit_identical_on_every_topology() {
-    let df = dragonfly::Dragonfly::new(dragonfly::DragonflyParams::new(2, 4, 2).unwrap());
-    let df_spec = df.build_spec();
-    let df_arc = Arc::new(df);
+    let df = dragonfly::DragonflySim::new(dragonfly::DragonflyParams::new(2, 4, 2).unwrap());
+    let df_spec = df.spec().clone();
+    let df_arc = df.shared_network();
     let df_pattern = UniformRandom::new(df_spec.num_terminals());
     check_shard_counts_match(
         "dragonfly/ugal-ewma",
@@ -648,11 +625,11 @@ fn wake_calendar_matches_polling_every_cycle_open_loop() {
             cfg.drain_cap = 5_000;
             cfg.seed = 51;
             cfg.shards = shards;
-            let routing_a = routing.build(sim.shared_dragonfly());
+            let routing_a = routing.build(sim.shared_network());
             let parked = Simulation::new(spec, routing_a.as_ref(), &pattern, cfg.clone())
                 .unwrap()
                 .finish();
-            let routing_b = routing.build(sim.shared_dragonfly());
+            let routing_b = routing.build(sim.shared_network());
             let polled = Simulation::with_workload(spec, routing_b.as_ref(), cfg, |range| {
                 Box::new(Probe::polled_every_cycle(OpenLoop::new(
                     proc, range, &pattern,
@@ -746,7 +723,7 @@ fn parked_terminals_are_rarely_offered() {
     let sim = dragonfly::DragonflySim::new(dragonfly::DragonflyParams::new(2, 4, 2).unwrap());
     let spec = sim.spec();
     let pattern = UniformRandom::new(spec.num_terminals());
-    let routing = RoutingChoice::Min.build(sim.shared_dragonfly());
+    let routing = RoutingChoice::Min.build(sim.shared_network());
     let mut cfg = SimConfig::paper_default(0.01);
     cfg.warmup = 200;
     cfg.measure = 3_000;
