@@ -120,6 +120,11 @@ fn traffic_from(flags: &HashMap<String, String>) -> Result<TrafficChoice, String
     }
 }
 
+/// `value` as plain text, `-` when it is absent.
+fn or_dash(value: Option<impl fmt::Display>) -> String {
+    value.map_or_else(|| "-".into(), |v| v.to_string())
+}
+
 fn cmd_info(flags: &HashMap<String, String>) -> Result<(), String> {
     let params = params_from(flags)?;
     let df = dragonfly::Dragonfly::new(params);
@@ -142,7 +147,7 @@ fn cmd_info(flags: &HashMap<String, String>) -> Result<(), String> {
     );
     println!("  balanced (a=2p=2h) {}", params.is_balanced());
     let spec = df.build_spec();
-    println!("  diameter (hops)    {:?}", spec.diameter());
+    println!("  diameter (hops)    {}", or_dash(spec.diameter()));
     println!(
         "  avg hops           {:.2}",
         spec.average_hop_count().unwrap_or(f64::NAN)
@@ -181,12 +186,8 @@ fn print_stats(stats: &dfly_netsim::RunStats) {
     println!("  drained            {}", stats.drained);
     if let Some(avg) = stats.avg_latency() {
         println!("  latency avg        {avg:.1}");
-        println!(
-            "  latency p50/p95/p99  {:?} / {:?} / {:?}",
-            stats.histogram.percentile(0.50),
-            stats.histogram.percentile(0.95),
-            stats.histogram.percentile(0.99)
-        );
+        let [p50, p95, p99] = [0.50, 0.95, 0.99].map(|p| or_dash(stats.latency_percentile(p)));
+        println!("  latency p50/p95/p99  {p50} / {p95} / {p99}");
         println!(
             "  latency min/max    {} / {}",
             stats.latency.min, stats.latency.max

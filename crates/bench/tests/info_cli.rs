@@ -31,7 +31,7 @@ fn info_pins_the_paper_evaluation_size() {
   effective radix k' 64
   global channels    528
   balanced (a=2p=2h) true
-  diameter (hops)    Some(3)
+  diameter (hops)    3
   avg hops           2.68
 "
     );
@@ -48,7 +48,7 @@ fn info_pins_a_non_maximal_size() {
   effective radix k' 6
   global channels    3
   balanced (a=2p=2h) false
-  diameter (hops)    Some(3)
+  diameter (hops)    3
   avg hops           2.00
 "
     );

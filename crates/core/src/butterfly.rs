@@ -138,8 +138,6 @@ impl FbTopology {
 impl BfsFaults for FbTopology {}
 
 impl NetTopology for FbTopology {
-    const PREFIX: &'static str = "FB-";
-    const OBLIVIOUS: &'static str = "MIN";
     const RESALT_DETOURS: bool = true;
     const DETOURS_UNDER_FAULTS: bool = true;
 
@@ -325,7 +323,7 @@ impl CandidatePaths for FbTopology {
 mod tests {
     use super::*;
     use crate::UgalVariant;
-    use dfly_netsim::{FaultPlan, RoutingAlgorithm, SimConfig, Simulation};
+    use dfly_netsim::{FaultPlan, SimConfig, Simulation};
     use dfly_traffic::{rng_for, BitComplement, UniformRandom};
     use std::sync::Arc;
 
@@ -384,15 +382,18 @@ mod tests {
         let net = net_2x4();
         let spec = net.build_spec();
         let pattern = BitComplement::new(32);
-        for routing in [
-            ButterflyRouting::new(net.clone()),
-            ButterflyRouting::valiant(net.clone()),
-            ButterflyRouting::ugal(net.clone(), UgalVariant::Local),
+        for (name, routing) in [
+            ("FB-MIN", ButterflyRouting::new(net.clone())),
+            ("FB-VAL", ButterflyRouting::valiant(net.clone())),
+            (
+                "FB-UGAL-L",
+                ButterflyRouting::ugal(net.clone(), UgalVariant::Local),
+            ),
         ] {
             let stats = Simulation::new(&spec, &routing, &pattern, fast_cfg(0.1))
                 .unwrap()
                 .finish();
-            assert!(stats.drained, "{} lost packets", routing.name());
+            assert!(stats.drained, "{name} lost packets");
         }
     }
 

@@ -160,9 +160,6 @@ impl ClosTopology {
 impl BfsFaults for ClosTopology {}
 
 impl NetTopology for ClosTopology {
-    const PREFIX: &'static str = "clos-";
-    const OBLIVIOUS: &'static str = "updown";
-
     /// Leaves: ports `[0, k/2)` terminals, `[k/2, k)` up. Interior
     /// ranks: `[0, k/2)` down, `[k/2, k)` up. Top rank: all `k` ports
     /// down — `[0, k/2)` for its even virtual, `[k/2, k)` for its odd
@@ -421,7 +418,7 @@ impl CandidatePaths for ClosTopology {
 mod tests {
     use super::*;
     use crate::UgalVariant;
-    use dfly_netsim::{FaultPlan, RoutingAlgorithm, SimConfig, Simulation};
+    use dfly_netsim::{FaultPlan, SimConfig, Simulation};
     use dfly_traffic::{Permutation, UniformRandom};
     use std::sync::Arc;
 
@@ -522,7 +519,6 @@ mod tests {
         let net = Arc::new(ClosNetwork::new(FoldedClos::new(3, 8)));
         let spec = net.build_spec();
         let routing = ClosRouting::ugal(net, UgalVariant::Local);
-        assert_eq!(routing.name(), "clos-UGAL-L");
         let pattern = UniformRandom::new(spec.num_terminals());
         let stats = Simulation::new(&spec, &routing, &pattern, fast_cfg(0.3))
             .unwrap()

@@ -5,8 +5,8 @@
 use std::sync::Arc;
 
 use dfly_netsim::{
-    CreditMode, FaultPlan, NetworkSpec, RoutingAlgorithm, RunStats, SimConfig, SimError, SimPerf,
-    Simulation,
+    trace_path, CreditMode, FaultPlan, NetworkSpec, RouteInfo, RoutingAlgorithm, RunStats,
+    SimConfig, SimError, SimPerf, Simulation, TraceHop,
 };
 use dfly_traffic::{GroupAdversarial, Permutation, TrafficPattern, UniformRandom, Workload};
 
@@ -82,7 +82,7 @@ impl RoutingChoice {
     /// [`NetRouting`] family, holding `net` itself rather than a copy.
     /// On a baseline topology `Min` is its oblivious routing (FB-MIN,
     /// Clos up/down, torus DOR) and each UGAL choice the same estimator
-    /// under its prefix (`UgalL` is FB-UGAL-L).
+    /// (`UgalL` is the FB-UGAL-L curve).
     pub fn build<T: NetTopology + 'static>(
         &self,
         net: Arc<SimNetwork<T>>,
@@ -246,6 +246,41 @@ impl<T: NetTopology + 'static> NetworkSim<T> {
     /// The wired network description.
     pub fn spec(&self) -> &NetworkSpec {
         &self.spec
+    }
+
+    /// Walks the exact path a packet with the given [`RouteInfo`] takes
+    /// from terminal `src` to terminal `dest`, hop by hop, ending with
+    /// the ejection hop — the deterministic per-hop computation the
+    /// simulator performs, on the wired network (faults included).
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InvalidRoute`] for out-of-range terminals or a route
+    /// that ejects at the wrong terminal, and [`SimError::RouteLoop`] if
+    /// the route fails to eject within [`SimNetwork::route_hop_bound`]
+    /// hops (an invalid `RouteInfo`, e.g. a dragonfly non-minimal route
+    /// whose intermediate group is the source's).
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use dragonfly::{DragonflyParams, DragonflySim};
+    /// use dfly_netsim::RouteInfo;
+    ///
+    /// let sim = DragonflySim::new(DragonflyParams::new(2, 4, 2).unwrap());
+    /// let hops = sim.trace_route(0, 70, RouteInfo::minimal()).unwrap();
+    /// // local?, one global, local?, eject: at most 4 hops.
+    /// assert!(hops.len() <= 4);
+    /// ```
+    pub fn trace_route(
+        &self,
+        src: usize,
+        dest: usize,
+        route: RouteInfo,
+    ) -> Result<Vec<TraceHop>, SimError> {
+        let routing = NetRouting::new(self.shared_network());
+        let bound = self.net.route_hop_bound();
+        trace_path(&self.spec, &routing, src, dest, route, bound)
     }
 
     /// A run configuration with the paper's defaults at the given load,

@@ -80,5 +80,5 @@ pub use parallel::{
 };
 pub use params::DragonflyParams;
 pub use progress::{ProgressSink, SweepProgress};
-pub use routing::{trace_route, TraceHop, UgalVariant};
+pub use routing::{TraceHop, UgalVariant};
 pub use topology::{ChannelLatencies, Dragonfly, GroupTopology};

@@ -35,10 +35,6 @@ use crate::routing::{UgalVariant, VariantChooser};
 /// What a topology implements, beyond its fault-free [`RouteAlgebra`]
 /// and [`CandidatePaths`], to run on the shared harness.
 pub trait NetTopology: RouteAlgebra + CandidatePaths + Send + Sync {
-    /// Prefix of every routing name, e.g. `"FB-"` in `FB-UGAL-L`.
-    const PREFIX: &'static str;
-    /// Name of the oblivious mode, e.g. `"MIN"` in `FB-MIN`.
-    const OBLIVIOUS: &'static str;
     /// Whether a non-minimal route draws a fresh salt instead of
     /// reusing the one its candidates were evaluated with.
     const RESALT_DETOURS: bool = false;
@@ -361,20 +357,7 @@ impl<T> NetRouting<T> {
 }
 
 impl<T: NetTopology> RoutingAlgorithm for NetRouting<T> {
-    fn name(&self) -> String {
-        let policy = match &self.policy {
-            Policy::Oblivious => T::OBLIVIOUS,
-            Policy::Valiant => "VAL",
-            Policy::Ugal(ugal) => ugal.variant.label(),
-        };
-        format!("{}{policy}", T::PREFIX)
-    }
-
-    fn inject(&self, view: &NetView<'_>, src: usize, dest: usize, rng: &mut SmallRng) -> RouteInfo {
-        self.inject_traced(view, src, dest, rng).0
-    }
-
-    fn inject_traced(
+    fn inject(
         &self,
         view: &NetView<'_>,
         src: usize,
@@ -415,9 +398,8 @@ impl<T: NetTopology> RoutingAlgorithm for NetRouting<T> {
             Policy::Ugal(ugal) if forced.is_none() => {
                 let m = net.minimal_candidate(rs, dest, salt);
                 let nm = net.non_minimal_candidate(rs, dest, tag, salt);
-                let decision = ugal.chooser.choose(view, rs, &m, &nm);
-                let record = DecisionRecord::from(&decision);
-                if decision.minimal {
+                let (take_minimal, record) = ugal.chooser.choose(view, rs, &m, &nm);
+                if take_minimal {
                     return (minimal, record);
                 }
                 record
@@ -455,8 +437,8 @@ impl<T: NetTopology> RoutingAlgorithm for NetRouting<T> {
 mod tests {
     use super::*;
     use crate::butterfly::ButterflyNetwork;
-    use crate::clos_sim::{ClosNetwork, ClosRouting};
-    use crate::torus_sim::{TorusNetwork, TorusRouting};
+    use crate::clos_sim::ClosNetwork;
+    use crate::torus_sim::TorusNetwork;
     use dfly_topo::{FlattenedButterfly, FoldedClos, Torus};
 
     /// Composed plans, then: the spec the harness hands out is exactly a
@@ -488,26 +470,5 @@ mod tests {
         check_faulted(ButterflyNetwork::new(FlattenedButterfly::new(2, 4, 2)), 2);
         check_faulted(ClosNetwork::new(FoldedClos::new(3, 8)), 1);
         check_faulted(TorusNetwork::new(Torus::new(2, 4, 1)), 1);
-    }
-
-    #[test]
-    fn routing_names_share_one_table() {
-        let clos = Arc::new(ClosNetwork::new(FoldedClos::new(2, 8)));
-        assert_eq!(ClosRouting::new(clos.clone()).name(), "clos-updown");
-        assert_eq!(ClosRouting::valiant(clos.clone()).name(), "clos-VAL");
-        for variant in [
-            UgalVariant::Local,
-            UgalVariant::LocalVc,
-            UgalVariant::LocalVcHybrid,
-            UgalVariant::Global,
-            UgalVariant::CreditRoundTrip,
-            UgalVariant::LocalEwma,
-        ] {
-            let routing = ClosRouting::ugal(clos.clone(), variant);
-            assert_eq!(routing.name(), format!("clos-{}", variant.label()));
-            assert_eq!(routing.clone().name(), routing.name());
-        }
-        let torus = Arc::new(TorusNetwork::new(Torus::new(1, 4, 1)));
-        assert_eq!(TorusRouting::new(torus).name(), "torus-DOR");
     }
 }

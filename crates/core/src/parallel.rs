@@ -1117,8 +1117,8 @@ mod tests {
                 let serial = Simulation::new(spec, by_hand, &pattern, cfg)
                     .unwrap()
                     .finish();
-                assert_eq!(&serial, stats, "{} at {load}", by_hand.name());
-                assert!(stats.drained, "{} at {load}", by_hand.name());
+                assert_eq!(&serial, stats, "{choice:?} at {load}");
+                assert!(stats.drained, "{choice:?} at {load}");
             }
         }
 
@@ -1127,7 +1127,6 @@ mod tests {
         check(&df, RoutingChoice::Min, df_min.as_ref());
         let fb = NetworkSim::from(ButterflyNetwork::new(FlattenedButterfly::new(2, 4, 2)));
         let fb_ugal = ButterflyRouting::ugal(fb.shared_network(), UgalVariant::Local);
-        assert_eq!(fb_ugal.name(), "FB-UGAL-L");
         check(&fb, RoutingChoice::UgalL, &fb_ugal);
         let clos = NetworkSim::from(ClosNetwork::new(FoldedClos::new(3, 8)));
         check(

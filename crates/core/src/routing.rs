@@ -1,7 +1,7 @@
 //! Routing for the dragonfly: MIN, VAL and the UGAL family.
 //!
 //! The dragonfly is a [`NetTopology`], so its routings are the shared
-//! [`NetRouting`] family, built by [`crate::RoutingChoice::build`]. All
+//! [`NetRouting`](crate::network::NetRouting) family, built by [`crate::RoutingChoice::build`]. All
 //! share the same per-hop route computation and the paper's
 //! deadlock-free VC assignment (Figure 7); they differ only in the
 //! *injection-time* decision between the minimal and the Valiant
@@ -9,9 +9,9 @@
 //!
 //! | choice | built as | decision |
 //! |---|---|---|
-//! | `Min` | [`NetRouting::new`] | always minimal |
-//! | `Valiant` | [`NetRouting::valiant`] | always non-minimal (random intermediate group) |
-//! | `UgalL` | [`NetRouting::ugal`] + [`UgalVariant::Local`] | `q_m·H_m ≤ q_nm·H_nm` with local total-port occupancies |
+//! | `Min` | [`NetRouting::new`](crate::network::NetRouting::new) | always minimal |
+//! | `Valiant` | [`NetRouting::valiant`](crate::network::NetRouting::valiant) | always non-minimal (random intermediate group) |
+//! | `UgalL` | [`NetRouting::ugal`](crate::network::NetRouting::ugal) + [`UgalVariant::Local`] | `q_m·H_m ≤ q_nm·H_nm` with local total-port occupancies |
 //! | `UgalLVc` | … + [`UgalVariant::LocalVc`] | per-VC occupancies (UGAL-L_VC) |
 //! | `UgalLVcH` | … + [`UgalVariant::LocalVcHybrid`] | per-VC only when the two paths share an output port (UGAL-L_VCH) |
 //! | `UgalG` | … + [`UgalVariant::Global`] | oracle occupancy of the actual global channels (UGAL-G) |
@@ -36,17 +36,15 @@
 //! pair ascends the order `l0 < g0 < l1 < g1 < l2`, so the channel
 //! dependency graph is acyclic.
 
-use std::sync::Arc;
-
 use dfly_netsim::{
-    trace_path, CandidatePath, CandidatePaths, CongestionEstimator, CreditCommitted, EwmaOccupancy,
-    Flit, GlobalOracle, NetworkSpec, PortVc, QueueOccupancy, RouteAlgebra, RouteClass, RouteInfo,
-    SimError, UgalChooser, VcHybrid, VcOccupancy,
+    CandidatePath, CandidatePaths, CongestionEstimator, CreditCommitted, EwmaOccupancy, Flit,
+    GlobalOracle, NetworkSpec, PortVc, QueueOccupancy, RouteAlgebra, RouteClass, UgalChooser,
+    VcHybrid, VcOccupancy,
 };
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-use crate::network::{NetRouting, NetTopology, SimNetwork};
+use crate::network::NetTopology;
 use crate::topology::Dragonfly;
 
 pub use dfly_netsim::TraceHop;
@@ -57,8 +55,6 @@ pub use dfly_netsim::TraceHop;
 /// [`BfsFaults`](crate::network::BfsFaults), so routes keep the
 /// `l0 < g0 < l1 < g1 < l2` order.
 impl NetTopology for Dragonfly {
-    const PREFIX: &'static str = "";
-    const OBLIVIOUS: &'static str = "MIN";
     const VALIANT_TAG_FIRST: bool = true;
 
     /// [`Dragonfly::build_spec`]: the per-class [`crate::ChannelLatencies`]
@@ -223,48 +219,6 @@ impl CandidatePaths for Dragonfly {
     }
 }
 
-/// Walks the exact path a packet with the given [`RouteInfo`] takes from
-/// `src` to `dest`, hop by hop, ending with the ejection hop — the same
-/// deterministic computation the simulator performs, exposed for
-/// debugging, validation and teaching.
-///
-/// # Errors
-///
-/// Returns [`SimError::InvalidRoute`] for out-of-range terminals or a
-/// route that ejects at the wrong terminal, and [`SimError::RouteLoop`]
-/// if the route fails to eject within the diameter-derived bound of
-/// [`Dragonfly::route_hop_bound`] (which would indicate an invalid
-/// `RouteInfo`, e.g. a non-minimal route whose intermediate group equals
-/// the source's).
-///
-/// # Example
-///
-/// ```
-/// use dragonfly::{trace_route, Dragonfly, DragonflyParams};
-/// use dfly_netsim::RouteInfo;
-///
-/// let df = Dragonfly::new(DragonflyParams::new(2, 4, 2).unwrap());
-/// let hops = trace_route(&df, 0, 70, RouteInfo::minimal()).unwrap();
-/// // local?, one global, local?, eject: at most 4 hops.
-/// assert!(hops.len() <= 4);
-/// ```
-pub fn trace_route(
-    df: &Dragonfly,
-    src: usize,
-    dest: usize,
-    route: RouteInfo,
-) -> Result<Vec<TraceHop>, SimError> {
-    let routing = NetRouting::new(Arc::new(SimNetwork::<Dragonfly>::new(df.clone())));
-    trace_path(
-        &df.build_spec(),
-        &routing,
-        src,
-        dest,
-        route,
-        df.route_hop_bound(),
-    )
-}
-
 /// Which congestion information the UGAL decision consults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UgalVariant {
@@ -294,14 +248,14 @@ pub enum UgalVariant {
     /// integer exponentially weighted moving average (weight 1/4 on new
     /// readings), damping the transient-burst noise that inflates the
     /// raw occupancy estimators' error under Markov on/off injection.
-    /// The estimator is stateful, so each [`NetRouting`] instance
+    /// The estimator is stateful, so each [`NetRouting`](crate::network::NetRouting) instance
     /// (and each clone) carries its own accumulators.
     LocalEwma,
 }
 
 impl UgalVariant {
-    /// The paper's name for the variant, e.g. `"UGAL-L_CR"` — the one
-    /// name table behind every topology's routing names.
+    /// The paper's name for the variant, e.g. `"UGAL-L_CR"`, as
+    /// [`crate::RoutingChoice::label`] prints it.
     pub fn label(&self) -> &'static str {
         match self {
             UgalVariant::Local => "UGAL-L",
@@ -332,7 +286,7 @@ impl UgalVariant {
 /// what every topology's UGAL routing carries.
 #[derive(Debug)]
 pub(crate) struct VariantChooser {
-    pub(crate) variant: UgalVariant,
+    variant: UgalVariant,
     pub(crate) chooser: UgalChooser,
 }
 
@@ -354,20 +308,25 @@ impl Clone for VariantChooser {
 mod tests {
     use super::*;
     use crate::params::DragonflyParams;
-    use crate::RoutingChoice;
-    use dfly_netsim::{ChannelClass, FaultPlan};
+    use crate::{DragonflySim, RoutingChoice, TrafficChoice};
+    use dfly_netsim::{ChannelClass, FaultPlan, RouteInfo, SimError};
     use dfly_traffic::rng_for;
 
-    fn df72() -> Arc<Dragonfly> {
-        Arc::new(Dragonfly::new(DragonflyParams::new(2, 4, 2).unwrap()))
+    fn df72() -> DragonflySim {
+        DragonflySim::new(DragonflyParams::new(2, 4, 2).unwrap())
     }
 
     /// Walks a flit from its source router to ejection, returning the
     /// sequence of (channel class, vc) traversed. Ejecting at the wrong
     /// terminal or looping past the diameter bound surfaces as a
-    /// [`SimError`] from [`trace_route`].
-    fn walk(df: &Dragonfly, src: usize, dest: usize, route: RouteInfo) -> Vec<(ChannelClass, u8)> {
-        trace_route(df, src, dest, route)
+    /// [`SimError`] from [`DragonflySim::trace_route`].
+    fn walk(
+        sim: &DragonflySim,
+        src: usize,
+        dest: usize,
+        route: RouteInfo,
+    ) -> Vec<(ChannelClass, u8)> {
+        sim.trace_route(src, dest, route)
             .expect("route must eject at its destination")
             .iter()
             .map(|hop| (hop.class, hop.vc as u8))
@@ -376,7 +335,7 @@ mod tests {
 
     #[test]
     fn minimal_route_crosses_at_most_one_global() {
-        let df = df72();
+        let sim = df72();
         let mut rng = rng_for(1, 0);
         for src in 0..72 {
             for dest in 0..72 {
@@ -384,7 +343,7 @@ mod tests {
                     continue;
                 }
                 let route = RouteInfo::minimal().with_salt(rng.gen());
-                let path = walk(&df, src, dest, route);
+                let path = walk(&sim, src, dest, route);
                 let globals = path
                     .iter()
                     .filter(|(c, _)| *c == ChannelClass::Global)
@@ -398,19 +357,21 @@ mod tests {
 
     #[test]
     fn trace_route_rejects_out_of_range_terminals() {
-        let df = df72();
+        let sim = df72();
         for (src, dest) in [(72, 0), (0, 72)] {
-            let err = trace_route(&df, src, dest, RouteInfo::minimal()).unwrap_err();
+            let err = sim
+                .trace_route(src, dest, RouteInfo::minimal())
+                .unwrap_err();
             assert_eq!(err, SimError::InvalidRoute("terminal out of range".into()));
         }
     }
 
     #[test]
     fn valiant_route_visits_intermediate_group() {
-        let df = df72();
+        let sim = df72();
         // src terminal 0 (group 0), dest terminal 70 (group 8), via 4.
         let route = RouteInfo::non_minimal(4).with_salt(17);
-        let path = walk(&df, 0, 70, route);
+        let path = walk(&sim, 0, 70, route);
         let globals = path
             .iter()
             .filter(|(c, _)| *c == ChannelClass::Global)
@@ -429,7 +390,8 @@ mod tests {
                 (ChannelClass::Terminal, _) => 100,
             }
         }
-        let df = df72();
+        let sim = df72();
+        let df = sim.dragonfly();
         let mut rng = rng_for(2, 0);
         for src in (0..72).step_by(5) {
             for dest in (0..72).step_by(7) {
@@ -448,7 +410,7 @@ mod tests {
                     vec![RouteInfo::minimal().with_salt(rng.gen())]
                 };
                 for route in routes {
-                    let path = walk(&df, src, dest, route);
+                    let path = walk(&sim, src, dest, route);
                     let ranks: Vec<u32> = path.iter().map(|&(c, v)| rank(c, v)).collect();
                     for w in ranks.windows(2) {
                         assert!(w[0] <= w[1], "{src}->{dest} ranks {ranks:?}");
@@ -460,7 +422,8 @@ mod tests {
 
     #[test]
     fn min_path_hops_match_walk() {
-        let df = df72();
+        let sim = df72();
+        let df = sim.dragonfly();
         for src in (0..72).step_by(3) {
             for dest in (1..72).step_by(4) {
                 if src == dest {
@@ -469,7 +432,7 @@ mod tests {
                 let salt = 99;
                 let rs = df.params().router_of_terminal(src);
                 let plan = df.minimal_candidate(rs, dest, salt);
-                let path = walk(&df, src, dest, RouteInfo::minimal().with_salt(salt));
+                let path = walk(&sim, src, dest, RouteInfo::minimal().with_salt(salt));
                 // walk includes the ejection hop; plan.hops counts only
                 // router-to-router channels.
                 assert_eq!(plan.hops as usize, path.len() - 1, "{src}->{dest}");
@@ -479,7 +442,8 @@ mod tests {
 
     #[test]
     fn nonmin_path_hops_match_walk() {
-        let df = df72();
+        let sim = df72();
+        let df = sim.dragonfly();
         let salt = 7;
         for (src, dest) in [(0usize, 70usize), (3, 40), (10, 65)] {
             let rs = df.params().router_of_terminal(src);
@@ -488,7 +452,7 @@ mod tests {
             let gi = (0..9).find(|&x| x != gs && x != gd).unwrap();
             let plan = df.non_minimal_candidate(rs, dest, gi as u32, salt);
             let path = walk(
-                &df,
+                &sim,
                 src,
                 dest,
                 RouteInfo::non_minimal(gi as u32).with_salt(salt),
@@ -499,7 +463,8 @@ mod tests {
 
     #[test]
     fn random_intermediate_avoids_endpoints() {
-        let df = df72();
+        let sim = df72();
+        let df = sim.dragonfly();
         let mut rng = rng_for(5, 0);
         let mut seen = [false; 9];
         // Router 8 sits in group 2, terminal 48 in group 6.
@@ -512,15 +477,6 @@ mod tests {
         assert_eq!(seen.iter().filter(|&&s| s).count(), 7);
         let two_groups = Dragonfly::new(DragonflyParams::with_groups(1, 2, 1, 2).unwrap());
         assert_eq!(two_groups.draw_tag(0, 2, 0, &mut rng), None);
-    }
-
-    #[test]
-    fn ugal_names() {
-        let df = df72();
-        let net = Arc::new(SimNetwork::<Dragonfly>::new((*df).clone()));
-        for choice in RoutingChoice::ALL {
-            assert_eq!(choice.build(net.clone()).name(), choice.label());
-        }
     }
 
     /// A 72-terminal dragonfly with the single group 0 <-> 1 global
@@ -556,7 +512,6 @@ mod tests {
 
     #[test]
     fn min_detours_nonminimally_around_dead_direct_cable() {
-        use crate::{DragonflySim, RoutingChoice, TrafficChoice};
         let sim = DragonflySim::new(df72_dead_01());
         let mut cfg = sim.config(0.2);
         cfg.warmup = 300;
@@ -572,7 +527,6 @@ mod tests {
 
     #[test]
     fn ugal_detours_and_keeps_adapting_around_dead_cable() {
-        use crate::{DragonflySim, RoutingChoice, TrafficChoice};
         let sim = DragonflySim::new(df72_dead_01());
         let mut cfg = sim.config(0.2);
         cfg.warmup = 300;
@@ -587,11 +541,12 @@ mod tests {
 
     #[test]
     fn forced_detours_trace_through_a_viable_intermediate() {
-        let df = df72_dead_01();
+        let sim = DragonflySim::new(df72_dead_01());
+        let df = sim.dragonfly();
         let viable = df.viable_intermediates(0, 1).unwrap().to_vec();
         assert!(!viable.is_empty());
         for gi in viable {
-            let hops = walk(&df, 0, 8, RouteInfo::non_minimal(gi));
+            let hops = walk(&sim, 0, 8, RouteInfo::non_minimal(gi));
             let globals = hops
                 .iter()
                 .filter(|(class, _)| *class == ChannelClass::Global)
@@ -604,7 +559,6 @@ mod tests {
     fn valiant_under_faults_avoids_dead_legs() {
         // Every Valiant route drawn at injection must stay on alive
         // cables: exercise the picker through a live simulation.
-        use crate::{DragonflySim, RoutingChoice, TrafficChoice};
         let sim = DragonflySim::new(df72_dead_01());
         let mut cfg = sim.config(0.15);
         cfg.warmup = 300;

@@ -602,7 +602,7 @@ impl Dragonfly {
     /// three groups — each at most the intra-group diameter, which is
     /// the group's dimension count (under faults, the longest surviving
     /// intra-group shortest path) — plus two global channels and the
-    /// ejection hop. Route walkers ([`crate::trace_route`],
+    /// ejection hop. Route walkers ([`crate::NetworkSim::trace_route`],
     /// [`dfly_netsim::trace_path`]) report a
     /// [`dfly_netsim::SimError::RouteLoop`] past this bound.
     pub fn route_hop_bound(&self) -> usize {

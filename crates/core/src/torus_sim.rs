@@ -175,9 +175,6 @@ impl TorusTopology {
 impl BfsFaults for TorusTopology {}
 
 impl NetTopology for TorusTopology {
-    const PREFIX: &'static str = "torus-";
-    const OBLIVIOUS: &'static str = "DOR";
-
     /// Concentration ports, then per dimension the +direction port and
     /// (for arity > 2) the −direction port. All network channels are
     /// classed local — torus cables are short by construction.

@@ -5,17 +5,15 @@
 //! (`route_hop_bound`), and malformed or disconnecting fault plans must
 //! be rejected with typed errors — never a hang or a panic.
 
-use std::sync::Arc;
-
 use dfly_netsim::{
-    trace_path, ChannelClass, Connection, FaultPlan, NetworkSpec, RouteInfo, SimConfig, SimError,
+    ChannelClass, Connection, FaultPlan, NetworkSpec, RouteInfo, SimConfig, SimError,
 };
 use dfly_topo::{FlattenedButterfly, FoldedClos, Torus};
-use dragonfly::butterfly::{ButterflyNetwork, ButterflyRouting};
-use dragonfly::clos_sim::{ClosNetwork, ClosRouting};
-use dragonfly::torus_sim::{TorusNetwork, TorusRouting};
+use dragonfly::butterfly::ButterflyNetwork;
+use dragonfly::clos_sim::ClosNetwork;
+use dragonfly::torus_sim::TorusNetwork;
 use dragonfly::{
-    trace_route, Dragonfly, DragonflyParams, FaultSweep, RoutingChoice, TrafficChoice,
+    Dragonfly, DragonflyParams, DragonflySim, FaultSweep, NetworkSim, RoutingChoice, TrafficChoice,
 };
 
 /// Every router-to-router cable of `spec`, one canonical end each.
@@ -48,9 +46,12 @@ fn dragonfly_delivers_around_any_single_global_failure() {
         .into_iter()
         .filter(|&(r, p)| clean_spec.routers[r].ports[p].class == ChannelClass::Global)
     {
-        let df = Dragonfly::new(params)
-            .with_fault_plan(&FaultPlan::Explicit(vec![cable]))
-            .unwrap_or_else(|e| panic!("cable {cable:?} rejected: {e}"));
+        let sim = DragonflySim::new(
+            Dragonfly::new(params)
+                .with_fault_plan(&FaultPlan::Explicit(vec![cable]))
+                .unwrap_or_else(|e| panic!("cable {cable:?} rejected: {e}")),
+        );
+        let df = sim.dragonfly();
         let bound = df.route_hop_bound();
         for gs in 0..params.num_groups() {
             for gd in 0..params.num_groups() {
@@ -70,7 +71,8 @@ fn dragonfly_delivers_around_any_single_global_failure() {
                 } else {
                     RouteInfo::minimal()
                 };
-                let hops = trace_route(&df, src, dest, route)
+                let hops = sim
+                    .trace_route(src, dest, route)
                     .unwrap_or_else(|e| panic!("{gs}->{gd}, cable {cable:?} down: {e}"));
                 assert!(
                     hops.len() <= bound,
@@ -91,13 +93,14 @@ fn butterfly_delivers_around_any_single_failure() {
             .with_fault_plan(&FaultPlan::Explicit(vec![cable]))
             .unwrap_or_else(|e| panic!("cable {cable:?} rejected: {e}"));
         let bound = net.route_hop_bound();
-        let spec = net.build_spec();
         let c = net.topology().concentration();
-        let routing = ButterflyRouting::new(Arc::new(net));
-        for sr in 0..spec.num_routers() {
-            for dr in 0..spec.num_routers() {
+        let sim = NetworkSim::from(net);
+        let routers = sim.spec().num_routers();
+        for sr in 0..routers {
+            for dr in 0..routers {
                 let (src, dest) = (sr * c, dr * c);
-                let hops = trace_path(&spec, &routing, src, dest, RouteInfo::minimal(), bound)
+                let hops = sim
+                    .trace_route(src, dest, RouteInfo::minimal())
                     .unwrap_or_else(|e| panic!("{sr}->{dr}, cable {cable:?} down: {e}"));
                 assert!(hops.len() <= bound);
             }
@@ -113,12 +116,12 @@ fn torus_delivers_around_any_single_failure() {
             .with_fault_plan(&FaultPlan::Explicit(vec![cable]))
             .unwrap_or_else(|e| panic!("cable {cable:?} rejected: {e}"));
         let bound = net.route_hop_bound();
-        let spec = net.build_spec();
-        let n = spec.num_terminals();
-        let routing = TorusRouting::new(Arc::new(net));
+        let sim = NetworkSim::from(net);
+        let n = sim.spec().num_terminals();
         for src in 0..n {
             for dest in 0..n {
-                let hops = trace_path(&spec, &routing, src, dest, RouteInfo::minimal(), bound)
+                let hops = sim
+                    .trace_route(src, dest, RouteInfo::minimal())
                     .unwrap_or_else(|e| panic!("{src}->{dest}, cable {cable:?} down: {e}"));
                 assert!(hops.len() <= bound);
             }
@@ -136,13 +139,13 @@ fn clos_delivers_around_any_single_failure() {
                 .with_fault_plan(&FaultPlan::Explicit(vec![cable]))
                 .unwrap_or_else(|e| panic!("cable {cable:?} rejected: {e}"));
             let bound = net.route_hop_bound();
-            let spec = net.build_spec();
-            let n = spec.num_terminals();
-            let routing = ClosRouting::new(Arc::new(net));
+            let sim = NetworkSim::from(net);
+            let n = sim.spec().num_terminals();
             for src in 0..n {
                 for dest in 0..n {
                     let route = RouteInfo::minimal().with_salt(src as u32 ^ 0x9E37);
-                    let hops = trace_path(&spec, &routing, src, dest, route, bound)
+                    let hops = sim
+                        .trace_route(src, dest, route)
                         .unwrap_or_else(|e| panic!("{src}->{dest}, cable {cable:?} down: {e}"));
                     assert!(hops.len() <= bound);
                 }

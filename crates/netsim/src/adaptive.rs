@@ -8,12 +8,12 @@
 //! ```text
 //!   topology            engine hooks              decision
 //!   ────────            ────────────              ────────
-//!   CandidatePaths ──►  CandidatePath ×2 ──►  UgalChooser ──► minimal?
+//!   CandidatePaths ──►  CandidatePath ×2 ──►  UgalChooser ──► (minimal?, DecisionRecord)
 //!   (per topology)            │                    ▲
 //!                             ▼                    │ (q_m, q_nm)
 //!                      CongestionEstimator ────────┘
 //!                      (QueueOccupancy │ VcOccupancy │ VcHybrid │
-//!                       CreditCommitted │ GlobalOracle)
+//!                       CreditCommitted │ GlobalOracle │ EwmaOccupancy)
 //! ```
 //!
 //! A topology implements [`CandidatePaths`] once — enumerating the
@@ -27,6 +27,12 @@
 //! the engine keeps its congestion-sensing state (per-port occupancy
 //! aggregates, VC queue depths, outstanding-credit counters fed by the
 //! credit-timestamp mechanism).
+//!
+//! [`UgalChooser::choose`] returns the decision together with its
+//! [`DecisionRecord`] — the chosen path's estimator and oracle readings
+//! and the disagreement, fault and probe-fallback flags — which a
+//! routing's [`crate::RoutingAlgorithm::inject`] hands to the engine
+//! unchanged.
 
 use std::fmt;
 
@@ -121,9 +127,6 @@ pub trait CandidatePaths {
 /// together because the hybrid estimators discriminate per-VC only when
 /// the candidates share an output port.
 pub trait CongestionEstimator: fmt::Debug + Send + Sync {
-    /// Estimator name for reports, e.g. `"queue-occupancy"`.
-    fn name(&self) -> &'static str;
-
     /// Queue estimates `(q_m, q_nm)` for taking `minimal` respectively
     /// `non_minimal` out of `router`.
     fn estimate(
@@ -149,10 +152,6 @@ pub trait CongestionEstimator: fmt::Debug + Send + Sync {
 pub struct QueueOccupancy;
 
 impl CongestionEstimator for QueueOccupancy {
-    fn name(&self) -> &'static str {
-        "queue-occupancy"
-    }
-
     fn estimate(
         &self,
         view: &NetView<'_>,
@@ -173,10 +172,6 @@ impl CongestionEstimator for QueueOccupancy {
 pub struct VcOccupancy;
 
 impl CongestionEstimator for VcOccupancy {
-    fn name(&self) -> &'static str {
-        "vc-occupancy"
-    }
-
     fn estimate(
         &self,
         view: &NetView<'_>,
@@ -198,10 +193,6 @@ impl CongestionEstimator for VcOccupancy {
 pub struct VcHybrid;
 
 impl CongestionEstimator for VcHybrid {
-    fn name(&self) -> &'static str {
-        "vc-hybrid"
-    }
-
     fn estimate(
         &self,
         view: &NetView<'_>,
@@ -266,10 +257,6 @@ impl EwmaOccupancy {
 }
 
 impl CongestionEstimator for EwmaOccupancy {
-    fn name(&self) -> &'static str {
-        "ewma-occupancy"
-    }
-
     fn estimate(
         &self,
         view: &NetView<'_>,
@@ -301,10 +288,6 @@ impl CongestionEstimator for EwmaOccupancy {
 pub struct CreditCommitted;
 
 impl CongestionEstimator for CreditCommitted {
-    fn name(&self) -> &'static str {
-        "credit-round-trip"
-    }
-
     fn estimate(
         &self,
         view: &NetView<'_>,
@@ -345,10 +328,6 @@ impl GlobalOracle {
 }
 
 impl CongestionEstimator for GlobalOracle {
-    fn name(&self) -> &'static str {
-        "global-oracle"
-    }
-
     fn estimate(
         &self,
         view: &NetView<'_>,
@@ -364,81 +343,6 @@ impl CongestionEstimator for GlobalOracle {
 
     fn needs_probe(&self) -> bool {
         true
-    }
-}
-
-/// Outcome of one [`UgalChooser::choose`] call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UgalDecision {
-    /// `true` to take the minimal candidate.
-    pub minimal: bool,
-    /// The estimator's queue estimate for the minimal candidate.
-    pub q_minimal: u64,
-    /// The estimator's queue estimate for the non-minimal candidate.
-    pub q_non_minimal: u64,
-    /// Whether the configured estimator chose differently from the plain
-    /// [`QueueOccupancy`] baseline on the same candidates — the
-    /// decision-quality signal surfaced through run telemetry.
-    pub estimator_disagreed: bool,
-    /// Whether a fault forced the outcome: one candidate's first hop was
-    /// a failed link, so the other was taken without comparing queues.
-    pub fault_avoided: bool,
-    /// Fault-discarded alternatives accumulated over both candidates
-    /// (see [`CandidatePath::dropped`]).
-    pub dropped_candidates: u32,
-    /// How many of the candidates lacked a probe point under an
-    /// estimator that [`CongestionEstimator::needs_probe`] — each one a
-    /// silent oracle→local degradation (0, 1 or 2).
-    pub probe_fallbacks: u32,
-    /// The oracle's ground-truth reading for the minimal candidate
-    /// (bottleneck-channel occupancy, local first hop when probe-less).
-    pub oracle_minimal: u64,
-    /// The oracle's ground-truth reading for the non-minimal candidate.
-    pub oracle_non_minimal: u64,
-    /// Whether the UGAL rule evaluated over the oracle readings would
-    /// have picked the other path — the estimator-accuracy scoreboard's
-    /// disagreement signal.
-    pub oracle_disagreed: bool,
-    /// Whether oracle readings were taken; `false` on fault-masked
-    /// shortcuts, which never reach the queue comparison.
-    pub oracle_scored: bool,
-}
-
-impl UgalDecision {
-    /// The estimator's reading for the candidate that was chosen.
-    pub fn q_chosen(&self) -> u64 {
-        if self.minimal {
-            self.q_minimal
-        } else {
-            self.q_non_minimal
-        }
-    }
-
-    /// The oracle's reading for the candidate that was chosen.
-    pub fn oracle_chosen(&self) -> u64 {
-        if self.minimal {
-            self.oracle_minimal
-        } else {
-            self.oracle_non_minimal
-        }
-    }
-}
-
-/// The telemetry record of a chooser outcome. A fault-masked shortcut
-/// compared no queues, so it does not count as an adaptive decision.
-impl From<&UgalDecision> for DecisionRecord {
-    fn from(decision: &UgalDecision) -> Self {
-        DecisionRecord {
-            adaptive: !decision.fault_avoided,
-            estimator_disagreed: decision.estimator_disagreed,
-            fault_avoided: decision.fault_avoided,
-            dropped_candidates: decision.dropped_candidates,
-            probe_fallbacks: decision.probe_fallbacks,
-            q_chosen: decision.q_chosen(),
-            oracle_chosen: decision.oracle_chosen(),
-            oracle_disagreed: decision.oracle_disagreed,
-            oracle_scored: decision.oracle_scored,
-        }
     }
 }
 
@@ -460,22 +364,24 @@ impl UgalChooser {
         UgalChooser { estimator }
     }
 
-    /// Applies the UGAL rule to the two candidates at `router`.
+    /// Applies the UGAL rule to the two candidates at `router`: `true`
+    /// to take the minimal one, with the decision's telemetry record.
     ///
     /// When the spec carries faults, a candidate whose first hop is a
     /// failed link is masked: the surviving candidate wins outright
-    /// (`fault_avoided`), with no queue comparison. Topologies enumerate
-    /// candidates around dead links before calling this, so the mask is
-    /// a backstop; if both first hops are somehow dead it falls through
-    /// to the queue rule (the engine's hop bound, not this chooser, owns
-    /// that pathology).
+    /// (`fault_avoided`), with no queue comparison, so the record is
+    /// neither adaptive nor scored. Topologies enumerate candidates
+    /// around dead links before calling this, so the mask is a backstop;
+    /// if both first hops are somehow dead it falls through to the queue
+    /// rule (the engine's hop bound, not this chooser, owns that
+    /// pathology).
     pub fn choose(
         &self,
         view: &NetView<'_>,
         router: usize,
         minimal: &CandidatePath,
         non_minimal: &CandidatePath,
-    ) -> UgalDecision {
+    ) -> (bool, DecisionRecord) {
         let dropped_candidates = minimal.dropped + non_minimal.dropped;
         let probe_fallbacks = if self.estimator.needs_probe() {
             u32::from(!minimal.has_probe()) + u32::from(!non_minimal.has_probe())
@@ -487,51 +393,202 @@ impl UgalChooser {
             let m_dead = spec.is_failed(router, minimal.port as usize);
             let nm_dead = spec.is_failed(router, non_minimal.port as usize);
             if m_dead != nm_dead {
-                return UgalDecision {
-                    minimal: nm_dead,
-                    q_minimal: 0,
-                    q_non_minimal: 0,
-                    estimator_disagreed: false,
+                let record = DecisionRecord {
                     fault_avoided: true,
                     dropped_candidates: dropped_candidates + 1,
                     probe_fallbacks,
-                    oracle_minimal: 0,
-                    oracle_non_minimal: 0,
-                    oracle_disagreed: false,
-                    oracle_scored: false,
+                    ..DecisionRecord::default()
                 };
+                return (nm_dead, record);
             }
         }
+        let takes_minimal =
+            |(qm, qnm): (u64, u64)| qm * minimal.hops as u64 <= qnm * non_minimal.hops as u64;
         let (qm, qnm) = self.estimator.estimate(view, router, minimal, non_minimal);
-        let take_minimal = qm * minimal.hops as u64 <= qnm * non_minimal.hops as u64;
+        let take_minimal = takes_minimal((qm, qnm));
         // Decision-quality telemetry: would plain queue occupancy have
         // chosen differently? (Reads queue state only — no RNG — so it
         // cannot perturb determinism.)
-        let (bm, bnm) = QueueOccupancy.estimate(view, router, minimal, non_minimal);
-        let baseline_minimal = bm * minimal.hops as u64 <= bnm * non_minimal.hops as u64;
+        let baseline = QueueOccupancy.estimate(view, router, minimal, non_minimal);
         // Estimator-accuracy scoreboard: the oracle's ground-truth view
         // of the same candidates (same no-RNG argument as above).
         let (om, onm) = GlobalOracle.estimate(view, router, minimal, non_minimal);
-        let oracle_minimal_take = om * minimal.hops as u64 <= onm * non_minimal.hops as u64;
-        UgalDecision {
-            minimal: take_minimal,
-            q_minimal: qm,
-            q_non_minimal: qnm,
-            estimator_disagreed: take_minimal != baseline_minimal,
+        let record = DecisionRecord {
+            adaptive: true,
+            estimator_disagreed: take_minimal != takes_minimal(baseline),
             fault_avoided: false,
             dropped_candidates,
             probe_fallbacks,
-            oracle_minimal: om,
-            oracle_non_minimal: onm,
-            oracle_disagreed: take_minimal != oracle_minimal_take,
+            q_chosen: if take_minimal { qm } else { qnm },
+            oracle_chosen: if take_minimal { om } else { onm },
+            oracle_disagreed: take_minimal != takes_minimal((om, onm)),
             oracle_scored: true,
-        }
+        };
+        (take_minimal, record)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultPlan;
+    use crate::routing::ShortestPathRouting;
+    use crate::spec::{ChannelClass, Connection, NetworkSpec, PortSpec, RouterSpec};
+    use crate::{SimConfig, Simulation};
+    use dfly_traffic::TrafficPattern;
+    use rand::rngs::SmallRng;
+
+    /// A triangle: R0 hosts terminals 0 and 1 and reaches R1 (terminal 2)
+    /// through port 2 and R2 (terminal 3) through port 3; R1 and R2 are
+    /// linked too, so failing the R0 - R2 cable keeps it connected.
+    fn triangle() -> NetworkSpec {
+        let term = |t: u32| PortSpec {
+            conn: Connection::Terminal { terminal: t },
+            latency: 1,
+            class: ChannelClass::Terminal,
+        };
+        let link = |r: u32, p: u32| PortSpec {
+            conn: Connection::Router { router: r, port: p },
+            latency: 1,
+            class: ChannelClass::Local,
+        };
+        let routers = vec![
+            RouterSpec {
+                ports: vec![term(0), term(1), link(1, 0), link(2, 0)],
+            },
+            RouterSpec {
+                ports: vec![link(0, 2), link(2, 1), term(2)],
+            },
+            RouterSpec {
+                ports: vec![link(0, 3), link(1, 1), term(3)],
+            },
+        ];
+        NetworkSpec::validated(routers, 2).unwrap()
+    }
+
+    /// Every terminal sends to terminal 2, which sends to terminal 0:
+    /// R0's two terminals share port 2, so its VC 0 queue backs up
+    /// while port 3 stays idle.
+    #[derive(Debug)]
+    struct ToTwo;
+    impl TrafficPattern for ToTwo {
+        fn name(&self) -> &'static str {
+            "to-two"
+        }
+        fn num_terminals(&self) -> usize {
+            4
+        }
+        fn destination(&self, source: usize, _rng: &mut SmallRng) -> usize {
+            if source == 2 {
+                0
+            } else {
+                2
+            }
+        }
+    }
+
+    /// Runs `check` on a view of `spec` after 300 saturated cycles.
+    fn congested(spec: &NetworkSpec, check: impl FnOnce(&NetView<'_>)) {
+        let routing = ShortestPathRouting::try_new(spec).unwrap();
+        let mut cfg = SimConfig::paper_default(1.0);
+        cfg.warmup = 10;
+        cfg.measure = 10;
+        cfg.drain_cap = 0;
+        let mut sim = Simulation::new(spec, &routing, &ToTwo, cfg).unwrap();
+        for _ in 0..300 {
+            sim.step();
+        }
+        check(&sim.view());
+    }
+
+    #[test]
+    fn a_fault_masked_shortcut_takes_the_survivor_unscored() {
+        let spec = triangle()
+            .with_faults(&FaultPlan::Explicit(vec![(0, 3)]))
+            .unwrap();
+        congested(&spec, |view| {
+            let live = CandidatePath::new(2, 0, 1).with_dropped(2);
+            let dead = CandidatePath::new(3, 0, 2).with_dropped(1);
+            let chooser = UgalChooser::new(Box::new(GlobalOracle));
+            for (minimal, non_minimal, take_minimal) in [(live, dead, true), (dead, live, false)] {
+                let (took, record) = chooser.choose(view, 0, &minimal, &non_minimal);
+                assert_eq!(took, take_minimal, "the surviving candidate wins");
+                assert!(record.fault_avoided && !record.adaptive);
+                assert_eq!(record.dropped_candidates, 2 + 1 + 1);
+                // Neither candidate carries a probe point.
+                assert_eq!(record.probe_fallbacks, 2);
+                assert!(!record.oracle_scored && !record.oracle_disagreed);
+                assert!(!record.estimator_disagreed);
+                assert_eq!((record.q_chosen, record.oracle_chosen), (0, 0));
+            }
+        });
+    }
+
+    #[test]
+    fn a_scored_record_reads_the_chosen_path() {
+        congested(&triangle(), |view| {
+            assert!(view.vc_occupancy(0, 2, 0) >= 8, "port 2 must back up");
+            assert_eq!(view.occupancy(0, 3), 0);
+            let pairs = [
+                // Same congested queue, shorter minimal: minimal wins
+                // on a non-zero reading; the oracle probes an idle
+                // channel for the detour and disagrees.
+                (
+                    CandidatePath::new(2, 0, 1).with_probe(0, 2),
+                    CandidatePath::new(2, 0, 2).with_probe(0, 3),
+                ),
+                // An idle VC of the congested port against the idle
+                // port: the per-VC readings tie, the port totals do not.
+                (CandidatePath::new(2, 1, 1), CandidatePath::new(3, 0, 2)),
+                (CandidatePath::new(3, 0, 1), CandidatePath::new(2, 0, 2)),
+            ];
+            let estimators: [fn() -> Box<dyn CongestionEstimator>; 6] = [
+                || Box::new(QueueOccupancy),
+                || Box::new(VcOccupancy),
+                || Box::new(VcHybrid),
+                || Box::new(CreditCommitted),
+                || Box::new(GlobalOracle),
+                || Box::new(EwmaOccupancy::new(2)),
+            ];
+            let (mut disagreed, mut oracle_disagreed, mut nonzero) = (false, false, false);
+            for (m, nm) in &pairs {
+                let rule =
+                    |e: Box<dyn CongestionEstimator>| UgalChooser::new(e).choose(view, 0, m, nm).0;
+                let queue_takes_minimal = rule(Box::new(QueueOccupancy));
+                let oracle_takes_minimal = rule(Box::new(GlobalOracle));
+                let (om, onm) = GlobalOracle.estimate(view, 0, m, nm);
+                for estimator in estimators {
+                    // A fresh EWMA's first reading passes through, so a
+                    // second fresh instance reproduces the chooser's.
+                    let (qm, qnm) = estimator().estimate(view, 0, m, nm);
+                    let (took, record) = UgalChooser::new(estimator()).choose(view, 0, m, nm);
+                    let ctx = format!("{:?} on {m:?} / {nm:?}", estimator());
+                    assert_eq!(took, qm * m.hops as u64 <= qnm * nm.hops as u64, "{ctx}");
+                    assert!(record.adaptive && record.oracle_scored, "{ctx}");
+                    assert!(!record.fault_avoided, "{ctx}");
+                    assert_eq!(record.q_chosen, if took { qm } else { qnm }, "{ctx}");
+                    assert_eq!(record.oracle_chosen, if took { om } else { onm }, "{ctx}");
+                    assert_eq!(
+                        record.estimator_disagreed,
+                        took != queue_takes_minimal,
+                        "{ctx}"
+                    );
+                    assert_eq!(
+                        record.oracle_disagreed,
+                        took != oracle_takes_minimal,
+                        "{ctx}"
+                    );
+                    disagreed |= record.estimator_disagreed;
+                    oracle_disagreed |= record.oracle_disagreed;
+                    nonzero |= record.q_chosen > 0 && record.oracle_chosen > 0;
+                }
+            }
+            assert!(
+                disagreed && oracle_disagreed && nonzero,
+                "cases must not be vacuous"
+            );
+        });
+    }
 
     #[test]
     fn candidate_probe_roundtrip() {
@@ -552,22 +609,6 @@ mod tests {
         assert!(!VcHybrid.needs_probe());
         assert!(!CreditCommitted.needs_probe());
         assert!(!EwmaOccupancy::new(2).needs_probe());
-    }
-
-    #[test]
-    fn estimator_names_are_distinct() {
-        let names = [
-            QueueOccupancy.name(),
-            VcOccupancy.name(),
-            VcHybrid.name(),
-            CreditCommitted.name(),
-            GlobalOracle.name(),
-            EwmaOccupancy::new(2).name(),
-        ];
-        let mut dedup = names.to_vec();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), names.len());
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub mod telemetry;
 
 pub use adaptive::{
     CandidatePath, CandidatePaths, CongestionEstimator, CreditCommitted, EwmaOccupancy,
-    GlobalOracle, QueueOccupancy, UgalChooser, UgalDecision, VcHybrid, VcOccupancy,
+    GlobalOracle, QueueOccupancy, UgalChooser, VcHybrid, VcOccupancy,
 };
 pub use algebra::RouteAlgebra;
 pub use config::{

@@ -1,4 +1,11 @@
 //! The routing-algorithm interface and a baseline implementation.
+//!
+//! A [`RoutingAlgorithm`] is two methods: [`RoutingAlgorithm::inject`]
+//! decides a packet's route once, at its source, and returns the
+//! decision's [`DecisionRecord`] with it; [`RoutingAlgorithm::route`]
+//! computes each hop deterministically from the flit's [`RouteInfo`].
+//! The engine calls both and nothing else; [`trace_path`] walks `route`
+//! alone over an idle network.
 
 use rand::rngs::SmallRng;
 
@@ -203,8 +210,8 @@ impl<'a> NetView<'a> {
     }
 }
 
-/// Telemetry describing one injection decision, reported alongside the
-/// [`RouteInfo`] by [`RoutingAlgorithm::inject_traced`]. The engine
+/// Telemetry describing one injection decision, returned alongside the
+/// [`RouteInfo`] by [`RoutingAlgorithm::inject`]. The engine
 /// accumulates these into [`crate::RouteTelemetry`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecisionRecord {
@@ -257,37 +264,20 @@ impl DecisionRecord {
 /// engine shares one algorithm reference across its worker threads
 /// (any interior mutability must therefore be thread-safe).
 pub trait RoutingAlgorithm: Sync {
-    /// Algorithm name for reports, e.g. `"UGAL-L"`.
-    fn name(&self) -> String;
-
     /// Decides the route class (and intermediate, and injection VC) for a
     /// packet about to enter the network at `src_term` destined for
-    /// `dest_term`. Called at the source terminal, which is co-located
-    /// with the source router; `view` provides the local (and, for
-    /// idealised oracles, remote) queue state.
+    /// `dest_term`, and reports the decision's telemetry
+    /// ([`DecisionRecord::default`] for an oblivious one). Called at the
+    /// source terminal, which is co-located with the source router;
+    /// `view` provides the local (and, for idealised oracles, remote)
+    /// queue state.
     fn inject(
         &self,
         view: &NetView<'_>,
         src_term: usize,
         dest_term: usize,
         rng: &mut SmallRng,
-    ) -> RouteInfo;
-
-    /// Like [`RoutingAlgorithm::inject`], but also reports per-decision
-    /// telemetry. The engine calls this entry point; adaptive algorithms
-    /// override it and implement `inject` as `inject_traced(..).0`.
-    fn inject_traced(
-        &self,
-        view: &NetView<'_>,
-        src_term: usize,
-        dest_term: usize,
-        rng: &mut SmallRng,
-    ) -> (RouteInfo, DecisionRecord) {
-        (
-            self.inject(view, src_term, dest_term, rng),
-            DecisionRecord::default(),
-        )
-    }
+    ) -> (RouteInfo, DecisionRecord);
 
     /// Computes the output port and VC for `flit` currently buffered at
     /// `router`. Must be deterministic in `(router, flit)` so that every
@@ -428,18 +418,14 @@ impl ShortestPathRouting {
 }
 
 impl RoutingAlgorithm for ShortestPathRouting {
-    fn name(&self) -> String {
-        "shortest path".into()
-    }
-
     fn inject(
         &self,
         _view: &NetView<'_>,
         _src_term: usize,
         _dest_term: usize,
         _rng: &mut SmallRng,
-    ) -> RouteInfo {
-        RouteInfo::minimal()
+    ) -> (RouteInfo, DecisionRecord) {
+        (RouteInfo::minimal(), DecisionRecord::default())
     }
 
     fn route(&self, view: &NetView<'_>, router: usize, flit: &Flit) -> PortVc {
@@ -572,9 +558,10 @@ mod tests {
         let cores: Vec<RouterCore> = Vec::new();
         let view = NetView::new(&spec, &cores, 4, 0);
         let mut rng = dfly_traffic::rng_for(0, 0);
-        let info = r.inject(&view, 0, 2, &mut rng);
+        let (info, record) = r.inject(&view, 0, 2, &mut rng);
         assert_eq!(info.class, crate::RouteClass::Minimal);
         assert_eq!(info.injection_vc, 0);
+        assert_eq!(record, DecisionRecord::default());
     }
 
     #[test]
@@ -609,11 +596,14 @@ mod tests {
     /// leaves through port `self.0[r]`, whatever its destination.
     struct PortPerRouter([usize; 3]);
     impl RoutingAlgorithm for PortPerRouter {
-        fn name(&self) -> String {
-            "port-per-router".into()
-        }
-        fn inject(&self, _: &NetView<'_>, _: usize, _: usize, _: &mut SmallRng) -> RouteInfo {
-            RouteInfo::minimal()
+        fn inject(
+            &self,
+            _: &NetView<'_>,
+            _: usize,
+            _: usize,
+            _: &mut SmallRng,
+        ) -> (RouteInfo, DecisionRecord) {
+            (RouteInfo::minimal(), DecisionRecord::default())
         }
         fn route(&self, _view: &NetView<'_>, router: usize, _flit: &Flit) -> PortVc {
             PortVc::new(self.0[router], 0)

@@ -1690,7 +1690,7 @@ impl<'a> EngineShared<'a> {
             // network yet, so the freshest local state applies.
             let dest = st.arena.dest(h) as usize;
             let tc = &mut st.terminals[tl];
-            let (route, decision) = self.routing.inject_traced(view, term, dest, &mut tc.rng);
+            let (route, decision) = self.routing.inject(view, term, dest, &mut tc.rng);
             tc.active_route = Some(route);
             (route, decision)
         } else {
@@ -2558,7 +2558,7 @@ impl<'a> Simulation<'a> {
     /// Frozen read-only view over the router state (test hook).
     #[cfg(test)]
     #[allow(unsafe_code)]
-    fn view(&self) -> NetView<'_> {
+    pub(crate) fn view(&self) -> NetView<'_> {
         // SAFETY: `&self` with no running workers means no concurrent
         // mutation.
         unsafe { self.eng.view(self.cycle()) }
@@ -3212,17 +3212,14 @@ mod tests {
     /// buffers fill.
     struct Spin;
     impl RoutingAlgorithm for Spin {
-        fn name(&self) -> String {
-            "spin".into()
-        }
         fn inject(
             &self,
             _view: &NetView<'_>,
             _src_term: usize,
             _dest_term: usize,
             _rng: &mut SmallRng,
-        ) -> RouteInfo {
-            RouteInfo::minimal()
+        ) -> (RouteInfo, DecisionRecord) {
+            (RouteInfo::minimal(), DecisionRecord::default())
         }
         fn route(&self, _view: &NetView<'_>, _router: usize, _flit: &Flit) -> PortVc {
             PortVc::new(1, 0)

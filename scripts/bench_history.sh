@@ -7,6 +7,16 @@
 #     scripts/bench_history.sh record <pr>      run the benchmark, append a line
 #     scripts/bench_history.sh compare [-n K]   last line vs. the one K before it (default 1);
 #                                               warns on stderr when the two hosts differ
+#     scripts/bench_history.sh ab <rev> [K]     paired A/B on this host: <rev> vs. the working tree
+#
+# `ab` copies both sides under target/ab/ - a local `git clone` checked
+# out at <rev>, and the working tree's tracked and new files - builds each
+# side's benchmark there and runs K alternating pairs (default 3) of the
+# whole set. It prints, per workload and end-to-end metric, both medians,
+# the median change/parent pair ratio and the pairs' min-max ratio, then
+# whether every run of a workload kept the same sim_fingerprint and how
+# many reps failed. It appends no history line and writes nothing under
+# benchmark/. Run nothing else CPU-heavy meanwhile.
 set -eu
 cd "$(dirname "$0")/.."
 history=BENCH_history.jsonl
@@ -33,8 +43,64 @@ compare)
     fi
     eval "$cli compare $tmp/base.json $tmp/candidate.json"
     ;;
+ab)
+    rev=${2:?usage: bench_history.sh ab <rev> [K]}
+    k=${3:-3}
+    ab=target/ab
+    rm -rf "$ab/base" "$ab/change" "$ab/out"
+    mkdir -p "$ab/change" "$ab/out"
+    git clone --quiet --no-hardlinks . "$ab/base"
+    git -C "$ab/base" checkout --quiet --detach "$rev"
+    git ls-files -z --cached --others --exclude-standard |
+        tar --null -T - --ignore-failed-read -cf - 2>/dev/null | tar -xf - -C "$ab/change"
+    bin=benchmark/target/release/dfly-benchmark
+    for side in base change; do
+        (cd "$ab/$side" && cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml)
+    done
+    files_base='' files_change=''
+    i=1
+    while [ "$i" -le "$k" ]; do
+        # Alternate which side runs first, so slow host drift hits both.
+        order='base change'
+        [ $((i % 2)) -eq 0 ] && order='change base'
+        for side in $order; do
+            echo "pair $i/$k: $side" >&2
+            "$ab/$side/$bin" run --workload all --seed 1 --out "$PWD/$ab/out/$side.$i.json" > /dev/null ||
+                echo "$side pair $i: a workload failed its checks (see the failed reps below)" >&2
+        done
+        files_base="$files_base $ab/out/base.$i.json"
+        files_change="$files_change $ab/out/change.$i.json"
+        i=$((i + 1))
+    done
+    # shellcheck disable=SC2086 # the file lists split on purpose
+    jq -rs --argjson k "$k" --slurpfile spec BENCHMARK.json '
+        def median: sort | if length % 2 == 1 then .[length / 2 | floor]
+                           else (.[length / 2 - 1] + .[length / 2]) / 2 end;
+        # Four significant digits; integers from 1000 up.
+        def num: if . == 0 then "0" elif fabs >= 1000 then "\(round)"
+                 else pow(10; 3 - (fabs | log10 | floor)) as $f | "\(. * $f | round / $f)" end;
+        def row: [., [19, 22, 6, 10, 10, 7, 0]] | transpose
+                 | map(.[0] + " " * ([.[1] - (.[0] | length), 0] | max)) | join(" ");
+        .[:$k] as $base | .[$k:] as $change
+        | ($base + $change) as $all
+        | (["workload", "metric", "better", "parent", "change", "ratio", "pair min-max"] | row),
+          ($base[0].workloads | keys_unsorted[] as $w
+           | $spec[0].end_to_end[] as $m
+           | [range(0; $k) | [$base[.], $change[.]] | map(.workloads[$w].metrics[$m.name].value)]
+           | select(all(.[]; all(.[]; . != null)))
+           | map(select(.[0] != 0) | .[1] / .[0]) as $ratios
+           | [$w, $m.name, $m.better, (map(.[0]) | median | num), (map(.[1]) | median | num),
+              ($ratios | if length > 0 then median | num else "-" end),
+              ($ratios | if length > 0 then "\(min | num)-\(max | num)" else "-" end)]
+           | row),
+          "",
+          ($base[0].workloads | keys_unsorted[] as $w
+           | [$all[].workloads[$w].sim_fingerprint] as $fp
+           | "\($w): sim_fingerprint \(if ($fp | unique | length) == 1 then "same in all \($fp | length) runs" else "DIFFERS: \($fp)" end), failed reps parent \([$base[].workloads[$w].failed] | add) change \([$change[].workloads[$w].failed] | add)")
+    ' $files_base $files_change
+    ;;
 *)
-    echo "usage: bench_history.sh record <pr> | compare [-n K]" >&2
+    echo "usage: bench_history.sh record <pr> | compare [-n K] | ab <rev> [K]" >&2
     exit 2
     ;;
 esac

@@ -42,7 +42,8 @@ use dragonfly::clos_sim::{ClosNetwork, ClosRouting};
 use dragonfly::network::{NetRouting, SimNetwork};
 use dragonfly::torus_sim::{TorusNetwork, TorusRouting};
 use dragonfly::{
-    ChannelLatencies, Dragonfly, DragonflyParams, FaultPlan, GroupTopology, UgalVariant,
+    ChannelLatencies, Dragonfly, DragonflyParams, DragonflySim, FaultPlan, GroupTopology,
+    UgalVariant,
 };
 
 /// Asserts a rank sequence never decreases (the acyclic-resource
@@ -141,11 +142,10 @@ fn dragonfly_candidates_eject_and_rank_monotone() {
         let params = *df.params();
         let g = params.num_groups();
         let n = params.num_terminals();
-        let bound = df.route_hop_bound();
-        let spec = df.build_spec();
-        let routing = NetRouting::new(Arc::new(SimNetwork::<Dragonfly>::new(df.clone())));
+        let sim = DragonflySim::new(df);
+        let df = sim.dragonfly();
         let trace = |src, dest, route| {
-            trace_path(&spec, &routing, src, dest, route, bound)
+            sim.trace_route(src, dest, route)
                 .unwrap_or_else(|e| panic!("{name}: {src}->{dest} {route:?}: {e}"))
         };
         for _ in 0..160 {
@@ -409,17 +409,19 @@ fn every_estimator_is_scored_and_the_oracle_scores_itself_exactly() {
         UgalVariant::CreditRoundTrip,
         UgalVariant::Global,
     ] {
-        let cases: [(&NetworkSpec, Box<dyn RoutingAlgorithm>); 2] = [
+        let cases: [(&str, &NetworkSpec, Box<dyn RoutingAlgorithm>); 2] = [
             (
+                "dragonfly",
                 &df_spec,
                 Box::new(NetRouting::ugal(Arc::clone(&df), variant)),
             ),
             (
+                "FB",
                 &fb_spec,
                 Box::new(ButterflyRouting::ugal(Arc::clone(&fb), variant)),
             ),
         ];
-        for (spec, routing) in cases {
+        for (topology, spec, routing) in cases {
             let mut cfg = SimConfig::paper_default(0.2).with_seed(1);
             cfg.warmup = 500;
             cfg.measure = 1_000;
@@ -437,7 +439,7 @@ fn every_estimator_is_scored_and_the_oracle_scores_itself_exactly() {
                 .expect("estimator-accuracy run must be valid")
                 .finish()
                 .scoreboard;
-            let name = routing.name();
+            let name = format!("{topology} {}", variant.label());
             assert!(board.scored > 0, "{name}: no scored decisions");
             if variant == UgalVariant::Global {
                 assert_eq!(board.mean_abs_error(), Some(0.0), "{name}");

@@ -220,7 +220,7 @@ mod traffic_properties {
 mod route_structure {
     use super::*;
     use dfly_netsim::{ChannelClass, RouteInfo};
-    use dragonfly::{trace_route, Dragonfly};
+    use dragonfly::DragonflySim;
 
     /// Every minimal route crosses at most one global channel — the
     /// paper's defining property — and every Valiant route at most two,
@@ -231,7 +231,7 @@ mod route_structure {
             let mut g = rng_for(0x888, case);
             let params = sample_params(&mut g);
             let seed = g.gen_range(0u64..100);
-            let df = Dragonfly::new(params);
+            let sim = DragonflySim::new(params);
             let n = params.num_terminals();
             let mut rng = rng_for(seed, 3);
             for _ in 0..12 {
@@ -241,7 +241,8 @@ mod route_structure {
                     continue;
                 }
                 let salt: u32 = rng.gen();
-                let hops = trace_route(&df, src, dest, RouteInfo::minimal().with_salt(salt))
+                let hops = sim
+                    .trace_route(src, dest, RouteInfo::minimal().with_salt(salt))
                     .expect("minimal route completes");
                 let globals = hops
                     .iter()
@@ -255,13 +256,9 @@ mod route_structure {
                     let gi = (0..params.num_groups())
                         .find(|&x| x != gs && x != gd)
                         .unwrap();
-                    let hops = trace_route(
-                        &df,
-                        src,
-                        dest,
-                        RouteInfo::non_minimal(gi as u32).with_salt(salt),
-                    )
-                    .expect("valiant route completes");
+                    let hops = sim
+                        .trace_route(src, dest, RouteInfo::non_minimal(gi as u32).with_salt(salt))
+                        .expect("valiant route completes");
                     let globals = hops
                         .iter()
                         .filter(|h| h.class == ChannelClass::Global)
@@ -287,7 +284,7 @@ mod route_structure {
             let mut g = rng_for(0x999, case);
             let params = sample_params(&mut g);
             let seed = g.gen_range(0u64..100);
-            let df = Dragonfly::new(params);
+            let sim = DragonflySim::new(params);
             let n = params.num_terminals();
             let mut rng = rng_for(seed, 4);
             for _ in 0..12 {
@@ -306,7 +303,7 @@ mod route_structure {
                     routes.push(RouteInfo::non_minimal(gi).with_salt(rng.gen()));
                 }
                 for route in routes {
-                    let hops = trace_route(&df, src, dest, route).expect("route completes");
+                    let hops = sim.trace_route(src, dest, route).expect("route completes");
                     let ranks: Vec<usize> = hops.iter().map(|h| rank(h.class, h.vc)).collect();
                     for w in ranks.windows(2) {
                         assert!(w[0] <= w[1], "{src}->{dest}: ranks {ranks:?}");

@@ -238,16 +238,14 @@ fn check_sweep_matches_serial<T: NetTopology + 'static>(
             .unwrap()
             .finish();
         assert_eq!(
-            &serial,
-            stats,
-            "{} sweep diverged from serial at load {load}",
-            routing.name(),
+            &serial, stats,
+            "{choice:?} sweep diverged from serial at load {load}",
         );
-        assert!(stats.drained, "{} did not drain", routing.name());
+        assert!(stats.drained, "{choice:?} did not drain");
         // Struct equality already implies it, but the exported bytes
         // are the product — compare them directly too.
         if let (Some(st), Some(pt)) = (&serial.trace, &stats.trace) {
-            assert!(!st.events.is_empty(), "{}: empty trace", routing.name());
+            assert!(!st.events.is_empty(), "{choice:?}: empty trace");
             assert_eq!(st.to_chrome_json(), pt.to_chrome_json());
         }
         if let (Some(ss), Some(ps)) = (&serial.series, &stats.series) {
