@@ -9,7 +9,7 @@ use dfly_cost::{
     radix_for_single_global_hop, table2, CableCostModel, CostConfig, CABLE_TECHNOLOGIES,
 };
 use dfly_netsim::{CreditMode, InjectionKind, NetworkSpec, RunStats, TdEstimator};
-use dfly_topo::{FlattenedButterfly, FoldedClos, Topology, Torus};
+use dfly_topo::{FlattenedButterfly, FoldedClos, Torus};
 use dragonfly::butterfly::FbTopology;
 use dragonfly::clos_sim::ClosTopology;
 use dragonfly::network::NetTopology;
@@ -493,8 +493,8 @@ pub fn fig16(win: &Windows) {
 }
 
 /// Extension figure: p50/p99 packet latency vs load per routing
-/// scheme, read from the log-bucketed latency histogram every run
-/// records. The paper's mean-latency curves (Figure 8) hide tail
+/// scheme, read exactly from the 1-cycle latency histogram every run
+/// records ([`RunStats::latency_percentile`]). The paper's mean-latency curves (Figure 8) hide tail
 /// inflation — a scheme can hold its mean while its p99 degrades well
 /// before saturation — so this table reports both percentiles side by
 /// side for each routing family.

@@ -36,10 +36,9 @@
 //! ```
 
 use dfly_netsim::{
-    CandidatePath, CandidatePaths, ChannelClass, Connection, Flit, NetworkSpec, PortSpec, PortVc,
-    RouteAlgebra, RouterSpec,
+    CandidatePath, ChannelClass, Connection, Flit, NetworkSpec, PortSpec, PortVc, RouterSpec,
 };
-use dfly_topo::{FlattenedButterfly, Topology};
+use dfly_topo::FlattenedButterfly;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -191,6 +190,14 @@ impl NetTopology for FbTopology {
         2 * self.fb.dimensions()
     }
 
+    fn terminal_router(&self, terminal: usize) -> usize {
+        terminal / self.fb.concentration()
+    }
+
+    fn ejection_port(&self, terminal: usize) -> usize {
+        terminal % self.fb.concentration()
+    }
+
     fn route(&self, router: usize, flit: &Flit) -> PortVc {
         let c = self.fb.concentration();
         let dest = flit.dest as usize;
@@ -200,6 +207,49 @@ impl NetTopology for FbTopology {
             return PortVc::new(dest % c, 0);
         }
         PortVc::new(self.next_toward(router, target), vc)
+    }
+
+    /// The dimension-order minimal path. The salt is unused — the
+    /// butterfly has exactly one channel per (router, dimension, digit),
+    /// so there is nothing to pre-select. As the oracle (UGAL-G) probe
+    /// point it reports its bottleneck channel: the channel *after* the
+    /// first hop, where dimension-order traffic converges (the
+    /// first-hop channel itself for single-hop paths).
+    fn minimal_candidate(&self, router: usize, dest: usize, _salt: u32) -> CandidatePath {
+        let c = self.fb.concentration();
+        let rd = dest / c;
+        if router == rd {
+            return CandidatePath::new(dest % c, 0, 0);
+        }
+        let port = self.next_toward(router, rd);
+        let path = CandidatePath::new(port, 0, self.fb.min_hops(router, rd) as u32);
+        let mid = self.peer_of(router, port);
+        if mid == rd {
+            path.with_probe(router, port)
+        } else {
+            path.with_probe(mid, self.next_toward(mid, rd))
+        }
+    }
+
+    /// The two-phase Valiant path through intermediate router
+    /// `intermediate`, probed at the channel leaving the intermediate
+    /// router toward the destination.
+    fn non_minimal_candidate(
+        &self,
+        router: usize,
+        dest: usize,
+        intermediate: u32,
+        _salt: u32,
+    ) -> CandidatePath {
+        let ri = intermediate as usize;
+        let rd = dest / self.fb.concentration();
+        debug_assert!(
+            ri != router && ri != rd,
+            "intermediate must be a third router"
+        );
+        let hops = (self.fb.min_hops(router, ri) + self.fb.min_hops(ri, rd)) as u32;
+        CandidatePath::new(self.next_toward(router, ri), 0, hops)
+            .with_probe(ri, self.next_toward(ri, rd))
     }
 
     /// A uniformly random router distinct from both endpoints.
@@ -217,105 +267,6 @@ impl NetTopology for FbTopology {
 
     fn canon(&self, latency: u32, failed: &[(usize, usize)]) -> String {
         format!("network={:?} latency={latency} failed={failed:?}", self.fb)
-    }
-}
-
-/// Closed-form routing algebra for the flattened butterfly: pure
-/// coordinate arithmetic (dimension-order next hop, digit distance).
-/// The salt is unused — there is exactly one channel per
-/// (router, dimension, digit). The Valiant set is every third router.
-impl RouteAlgebra for FbTopology {
-    fn terminal_router(&self, terminal: usize) -> usize {
-        terminal / self.fb.concentration()
-    }
-
-    fn ejection_port(&self, terminal: usize) -> usize {
-        terminal % self.fb.concentration()
-    }
-
-    fn minimal_port(&self, router: usize, dest: usize, _salt: u32) -> PortVc {
-        let rd = dest / self.fb.concentration();
-        if router == rd {
-            return PortVc::new(dest % self.fb.concentration(), 0);
-        }
-        PortVc::new(self.next_toward(router, rd), 0)
-    }
-
-    fn minimal_hops(&self, router: usize, dest: usize, _salt: u32) -> u32 {
-        self.fb.min_hops(router, dest / self.fb.concentration()) as u32
-    }
-
-    fn valiant_degree(&self, router: usize, dest: usize) -> usize {
-        let rd = dest / self.fb.concentration();
-        if router == rd {
-            return 0;
-        }
-        self.fb.num_routers() - 2
-    }
-
-    fn valiant_tag(&self, router: usize, dest: usize, i: usize) -> u32 {
-        let rd = dest / self.fb.concentration();
-        debug_assert_ne!(router, rd, "no detour within a router");
-        let (lo, hi) = (router.min(rd), router.max(rd));
-        let mut ri = i;
-        if ri >= lo {
-            ri += 1;
-        }
-        if ri >= hi {
-            ri += 1;
-        }
-        ri as u32
-    }
-
-    fn vc_count(&self) -> usize {
-        2
-    }
-}
-
-/// The flattened butterfly's UGAL candidates: the dimension-order
-/// minimal path and the two-phase Valiant path through intermediate
-/// router `intermediate`. The salt is unused — the butterfly has exactly
-/// one channel per (router, dimension, digit), so there is nothing to
-/// pre-select.
-///
-/// As the oracle (UGAL-G) probe point each candidate reports its
-/// bottleneck channel: for the minimal path the channel *after* the
-/// first hop (where dimension-order traffic converges; the first-hop
-/// channel itself for single-hop paths), for the Valiant path the
-/// channel leaving the intermediate router toward the destination.
-impl CandidatePaths for FbTopology {
-    fn minimal_candidate(&self, router: usize, dest: usize, salt: u32) -> CandidatePath {
-        let rd = dest / self.fb.concentration();
-        let first = self.minimal_port(router, dest, salt);
-        let port = first.port as usize;
-        let path = CandidatePath::new(port, 0, self.minimal_hops(router, dest, salt));
-        if router == rd {
-            return path;
-        }
-        let mid = self.peer_of(router, port);
-        if mid == rd {
-            path.with_probe(router, port)
-        } else {
-            path.with_probe(mid, self.next_toward(mid, rd))
-        }
-    }
-
-    fn non_minimal_candidate(
-        &self,
-        router: usize,
-        dest: usize,
-        intermediate: u32,
-        _salt: u32,
-    ) -> CandidatePath {
-        let ri = intermediate as usize;
-        let rd = dest / self.fb.concentration();
-        debug_assert!(
-            ri != router && ri != rd,
-            "intermediate must be a third router"
-        );
-        let hops = (self.fb.min_hops(router, ri) + self.fb.min_hops(ri, rd)) as u32;
-        CandidatePath::new(self.next_toward(router, ri), 0, hops)
-            .with_probe(ri, self.next_toward(ri, rd))
     }
 }
 

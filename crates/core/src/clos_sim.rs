@@ -29,10 +29,9 @@
 //! ```
 
 use dfly_netsim::{
-    CandidatePath, CandidatePaths, ChannelClass, Connection, Flit, NetworkSpec, PortSpec, PortVc,
-    RouteAlgebra, RouterSpec,
+    CandidatePath, ChannelClass, Connection, Flit, NetworkSpec, PortSpec, PortVc, RouterSpec,
 };
-use dfly_topo::{FoldedClos, Topology};
+use dfly_topo::FoldedClos;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -140,6 +139,37 @@ impl ClosTopology {
     /// Salt-derived virtual parity at the top rank.
     fn pick_parity(&self, salt: u32) -> usize {
         (salt as usize >> 7) & 1
+    }
+
+    /// The random-up / deterministic-down first hop from `router`
+    /// toward terminal `dest`: ascend on the salt-hashed uplink until
+    /// above the destination leaf, then descend by digits.
+    fn minimal_port(&self, router: usize, dest: usize, salt: u32) -> PortVc {
+        let half = self.half();
+        let leaf = dest / half;
+        let (rank, s) = self.rank_of(router);
+        let levels = self.clos.levels();
+        if rank + 1 == levels {
+            // Top: descend toward the virtual that exists on this
+            // switch; both virtuals work (their differing digit is
+            // rewritten on the way down), pick by salt for balance. An
+            // odd-half tail switch only hosts its parity-0 virtual.
+            let parity = if 2 * s + 1 < self.virtual_tops() {
+                self.pick_parity(salt)
+            } else {
+                0
+            };
+            return PortVc::new(parity * half + self.digit(leaf, levels - 2), 0);
+        }
+        if rank == 0 && s == leaf {
+            return PortVc::new(dest % half, 0);
+        }
+        if rank > 0 && self.above(s, rank, leaf) {
+            // Descend: set digit rank-1 to the destination's.
+            return PortVc::new(self.digit(leaf, rank - 1), 0);
+        }
+        // Ascend on the salt-chosen uplink (random-up).
+        PortVc::new(half + self.pick_up(salt, rank), 0)
     }
 
     /// Router-to-router hops of the up/down path from leaf `leaf` to
@@ -261,10 +291,17 @@ impl NetTopology for ClosTopology {
         2 * (self.clos.levels() - 1)
     }
 
-    /// The random-up / deterministic-down walk of
-    /// [`RouteAlgebra::minimal_port`], except that at its source leaf an
-    /// adaptive packet takes the alternative uplink it committed to
-    /// (carried as the route's non-minimal tag).
+    fn terminal_router(&self, terminal: usize) -> usize {
+        terminal / self.half()
+    }
+
+    fn ejection_port(&self, terminal: usize) -> usize {
+        terminal % self.half()
+    }
+
+    /// The random-up / deterministic-down walk, except that at its
+    /// source leaf an adaptive packet takes the alternative uplink it
+    /// committed to (carried as the route's non-minimal tag).
     fn route(&self, router: usize, flit: &Flit) -> PortVc {
         let half = self.half();
         let dest = flit.dest as usize;
@@ -274,6 +311,43 @@ impl NetTopology for ClosTopology {
             }
         }
         self.minimal_port(router, dest, flit.route.salt)
+    }
+
+    /// The salt-hashed uplink the oblivious random-up rule would take.
+    /// Every uplink at a leaf starts an equal-length up/down path, so
+    /// the two candidates differ only in which leaf uplink they commit
+    /// to.
+    fn minimal_candidate(&self, router: usize, dest: usize, salt: u32) -> CandidatePath {
+        debug_assert_eq!(self.rank_of(router).0, 0, "decisions happen at leaves");
+        let leaf = dest / self.half();
+        let hops = if router == leaf {
+            0
+        } else {
+            self.min_hops_from_leaf(router, leaf)
+        };
+        let first = self.minimal_port(router, dest, salt);
+        CandidatePath::new(first.port as usize, first.vc as usize, hops)
+    }
+
+    /// The alternative uplink `intermediate`: an adaptive spread over the
+    /// full bisection driven by whichever congestion estimator the
+    /// chooser carries.
+    fn non_minimal_candidate(
+        &self,
+        router: usize,
+        dest: usize,
+        intermediate: u32,
+        _salt: u32,
+    ) -> CandidatePath {
+        let half = self.half();
+        let leaf = dest / half;
+        debug_assert_eq!(self.rank_of(router).0, 0, "decisions happen at leaves");
+        debug_assert_ne!(router, leaf, "no alternative path within a leaf");
+        CandidatePath::new(
+            half + intermediate as usize,
+            0,
+            self.min_hops_from_leaf(router, leaf),
+        )
     }
 
     /// An alternative leaf uplink, uniform over the ones the salt hash
@@ -292,124 +366,6 @@ impl NetTopology for ClosTopology {
         format!(
             "network={:?} latency={latency} failed={failed:?}",
             self.clos
-        )
-    }
-}
-
-/// Closed-form routing algebra for the folded Clos: digit arithmetic
-/// (ascend on the salt-hashed uplink until above the destination leaf,
-/// then descend by digits). The Valiant tags enumerate the leaf
-/// uplinks — the Clos has no longer-than-minimal detours, only an
-/// adaptive spread over equal-length up/down paths.
-impl RouteAlgebra for ClosTopology {
-    fn terminal_router(&self, terminal: usize) -> usize {
-        terminal / self.half()
-    }
-
-    fn ejection_port(&self, terminal: usize) -> usize {
-        terminal % self.half()
-    }
-
-    fn minimal_port(&self, router: usize, dest: usize, salt: u32) -> PortVc {
-        let half = self.half();
-        let leaf = dest / half;
-        let (rank, s) = self.rank_of(router);
-        let levels = self.clos.levels();
-        if rank + 1 == levels {
-            // Top: descend toward the virtual that exists on this
-            // switch; both virtuals work (their differing digit is
-            // rewritten on the way down), pick by salt for balance. An
-            // odd-half tail switch only hosts its parity-0 virtual.
-            let parity = if 2 * s + 1 < self.virtual_tops() {
-                self.pick_parity(salt)
-            } else {
-                0
-            };
-            return PortVc::new(parity * half + self.digit(leaf, levels - 2), 0);
-        }
-        if rank == 0 && s == leaf {
-            return PortVc::new(dest % half, 0);
-        }
-        if rank > 0 && self.above(s, rank, leaf) {
-            // Descend: set digit rank-1 to the destination's.
-            return PortVc::new(self.digit(leaf, rank - 1), 0);
-        }
-        // Ascend on the salt-chosen uplink (random-up).
-        PortVc::new(half + self.pick_up(salt, rank), 0)
-    }
-
-    fn minimal_hops(&self, router: usize, dest: usize, _salt: u32) -> u32 {
-        let leaf = dest / self.half();
-        if router == leaf {
-            return 0;
-        }
-        let (rank, s) = self.rank_of(router);
-        let levels = self.clos.levels();
-        if rank + 1 == levels {
-            return (levels - 1) as u32;
-        }
-        if rank > 0 && self.above(s, rank, leaf) {
-            return rank as u32;
-        }
-        // Ascend to the lowest rank whose preserved digits sit above the
-        // destination leaf, then descend all the way back down.
-        for height in (rank + 1)..levels {
-            if (height..levels - 1).all(|d| self.digit(s, d) == self.digit(leaf, d)) {
-                return (2 * height - rank) as u32;
-            }
-        }
-        (2 * (levels - 1) - rank) as u32
-    }
-
-    fn valiant_degree(&self, router: usize, dest: usize) -> usize {
-        if router == dest / self.half() {
-            return 0;
-        }
-        self.half()
-    }
-
-    fn valiant_tag(&self, _router: usize, _dest: usize, i: usize) -> u32 {
-        i as u32
-    }
-
-    fn vc_count(&self) -> usize {
-        1
-    }
-}
-
-/// The folded Clos's UGAL candidates. Every uplink at a leaf starts an
-/// equal-length up/down path, so the two candidates differ only in
-/// which leaf uplink they commit to: the "minimal" candidate takes the
-/// salt-hashed uplink the oblivious random-up rule would take, the
-/// "non-minimal" one takes the alternative uplink `intermediate` — an
-/// adaptive spread over the full bisection driven by whichever
-/// congestion estimator the chooser carries.
-impl CandidatePaths for ClosTopology {
-    fn minimal_candidate(&self, router: usize, dest: usize, salt: u32) -> CandidatePath {
-        debug_assert_eq!(self.rank_of(router).0, 0, "decisions happen at leaves");
-        let first = self.minimal_port(router, dest, salt);
-        CandidatePath::new(
-            first.port as usize,
-            first.vc as usize,
-            self.minimal_hops(router, dest, salt),
-        )
-    }
-
-    fn non_minimal_candidate(
-        &self,
-        router: usize,
-        dest: usize,
-        intermediate: u32,
-        _salt: u32,
-    ) -> CandidatePath {
-        let half = self.half();
-        let leaf = dest / half;
-        debug_assert_eq!(self.rank_of(router).0, 0, "decisions happen at leaves");
-        debug_assert_ne!(router, leaf, "no alternative path within a leaf");
-        CandidatePath::new(
-            half + intermediate as usize,
-            0,
-            self.min_hops_from_leaf(router, leaf),
         )
     }
 }
@@ -553,9 +509,6 @@ mod tests {
         #[derive(Debug)]
         struct IntraLeaf;
         impl dfly_traffic::TrafficPattern for IntraLeaf {
-            fn name(&self) -> &'static str {
-                "intra-leaf"
-            }
             fn num_terminals(&self) -> usize {
                 16
             }

@@ -430,10 +430,6 @@ pub struct MixWorkload {
 }
 
 impl Workload for MixWorkload {
-    fn name(&self) -> &'static str {
-        "job-mix"
-    }
-
     fn offer(&mut self, terminal: usize, cycle: u64, rng: &mut SmallRng) -> Option<MessageIntent> {
         match self.term_job[terminal] {
             0 => {

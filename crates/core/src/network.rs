@@ -1,12 +1,13 @@
 //! The one simulation harness shared by every topology.
 //!
-//! A topology describes itself fault-free: its closed-form
-//! [`RouteAlgebra`], its two UGAL [`CandidatePaths`], and the five
-//! things [`NetTopology`] adds — wiring, hop bound, per-hop route
-//! arithmetic, the draw of a non-minimal tag and the canonical text a
-//! campaign key names the network by. Everything else is written once,
-//! here and in [`crate::NetworkSim`], which runs any of them as
-//! [`crate::RunPlan`]s, cached or not:
+//! A topology describes itself fault-free, once, as a [`NetTopology`]:
+//! its wiring, hop bound, terminal attachment, per-hop route
+//! arithmetic, its two UGAL candidates, the draw of a non-minimal tag
+//! and the canonical text a campaign key names the network by. No
+//! per-pair tables: a topology keeps only tables sized by its router's
+//! radix (the dragonfly's slot, ring and group-local tables). Everything
+//! else is written once, here and in [`crate::NetworkSim`], which runs
+//! any of them as [`crate::RunPlan`]s, cached or not:
 //!
 //! * [`SimNetwork`] owns the topology, the channel latency and the
 //!   link-failure state. Under a [`FaultPlan`] every routing question
@@ -24,17 +25,24 @@
 use std::sync::Arc;
 
 use dfly_netsim::{
-    CandidatePath, CandidatePaths, Connection, DecisionRecord, FaultPlan, FaultTable, Flit,
-    NetView, NetworkSpec, PortVc, RouteAlgebra, RouteClass, RouteInfo, RoutingAlgorithm, SimError,
+    CandidatePath, Connection, DecisionRecord, FaultPlan, FaultTable, Flit, NetView, NetworkSpec,
+    PortVc, RouteClass, RouteInfo, RoutingAlgorithm, SimError,
 };
 use rand::rngs::SmallRng;
 use rand::Rng;
 
 use crate::routing::{UgalVariant, VariantChooser};
 
-/// What a topology implements, beyond its fault-free [`RouteAlgebra`]
-/// and [`CandidatePaths`], to run on the shared harness.
-pub trait NetTopology: RouteAlgebra + CandidatePaths + Send + Sync {
+/// What a topology implements to run on the shared harness, all of it
+/// fault-free: routing questions are answered by index arithmetic over
+/// `(router, dest)`, where `dest` is a terminal.
+///
+/// The `salt` a packet carries pre-selects among parallel equivalent
+/// channels (e.g. the dragonfly's multiple global channels per group
+/// pair), so that the queue a UGAL decision inspects is the queue the
+/// packet will use; topologies with a unique minimal first hop ignore
+/// it. All flits of a packet carry the same salt.
+pub trait NetTopology: Send + Sync {
     /// Whether a non-minimal route draws a fresh salt instead of
     /// reusing the one its candidates were evaluated with.
     const RESALT_DETOURS: bool = false;
@@ -54,8 +62,32 @@ pub trait NetTopology: RouteAlgebra + CandidatePaths + Send + Sync {
     /// Upper bound on the network hops of any fault-free route.
     fn hop_bound(&self) -> usize;
 
+    /// The router terminal `terminal` attaches to.
+    fn terminal_router(&self, terminal: usize) -> usize;
+
+    /// The port on [`Self::terminal_router`] that ejects to `terminal`.
+    fn ejection_port(&self, terminal: usize) -> usize;
+
     /// Fault-free per-hop route computation.
     fn route(&self, router: usize, flit: &Flit) -> PortVc;
+
+    /// The minimal UGAL candidate from `router` toward terminal `dest`
+    /// for a packet salted `salt`.
+    fn minimal_candidate(&self, router: usize, dest: usize, salt: u32) -> CandidatePath;
+
+    /// The non-minimal (Valiant) UGAL candidate from `router` toward
+    /// terminal `dest` through `intermediate`: the tag
+    /// [`Self::draw_tag`] drew, stored in
+    /// [`RouteInfo::non_minimal`] — an intermediate group (dragonfly),
+    /// an intermediate router (flattened butterfly), a leaf uplink
+    /// (folded Clos) or a `dim * 2 + direction` ring detour (torus).
+    fn non_minimal_candidate(
+        &self,
+        router: usize,
+        dest: usize,
+        intermediate: u32,
+        salt: u32,
+    ) -> CandidatePath;
 
     /// Draws the non-minimal tag weighed against the minimal route from
     /// `router` to terminal `dest` (on another router) for a packet
@@ -221,57 +253,14 @@ fn fault_hop<T: NetTopology>(
     PortVc::new(port, topology.fault_vc(router, target, port, vc))
 }
 
-/// The topology's closed forms fault-free; BFS columns under faults.
-impl<T: NetTopology> RouteAlgebra for SimNetwork<T> {
-    fn terminal_router(&self, terminal: usize) -> usize {
-        self.topology.terminal_router(terminal)
-    }
-
-    fn ejection_port(&self, terminal: usize) -> usize {
-        self.topology.ejection_port(terminal)
-    }
-
-    fn minimal_port(&self, router: usize, dest: usize, salt: u32) -> PortVc {
-        let topology = &self.topology;
-        let rd = topology.terminal_router(dest);
-        match &self.faults {
-            Some(f) if router != rd => fault_hop(topology, f, router, rd, 0),
-            _ => topology.minimal_port(router, dest, salt),
-        }
-    }
-
-    fn minimal_hops(&self, router: usize, dest: usize, salt: u32) -> u32 {
-        match &self.faults {
-            Some(f) => f
-                .distance(router, self.topology.terminal_router(dest))
-                .expect(CONNECTED),
-            None => self.topology.minimal_hops(router, dest, salt),
-        }
-    }
-
-    fn valiant_degree(&self, router: usize, dest: usize) -> usize {
-        if self.has_faults() && !T::DETOURS_UNDER_FAULTS {
-            return 0;
-        }
-        self.topology.valiant_degree(router, dest)
-    }
-
-    fn valiant_tag(&self, router: usize, dest: usize, i: usize) -> u32 {
-        self.topology.valiant_tag(router, dest, i)
-    }
-
-    fn vc_count(&self) -> usize {
-        self.topology.vc_count()
-    }
-}
-
 /// The topology's candidates fault-free. Under faults the minimal
 /// candidate follows the BFS column, probed at the channel after its
 /// first hop; the non-minimal one (only requested when
 /// [`NetTopology::DETOURS_UNDER_FAULTS`]) runs two BFS phases through
 /// the intermediate router, probed where it leaves that router.
-impl<T: NetTopology> CandidatePaths for SimNetwork<T> {
-    fn minimal_candidate(&self, router: usize, dest: usize, salt: u32) -> CandidatePath {
+impl<T: NetTopology> SimNetwork<T> {
+    /// [`NetTopology::minimal_candidate`] over the surviving links.
+    pub fn minimal_candidate(&self, router: usize, dest: usize, salt: u32) -> CandidatePath {
         let faulted = self
             .faults
             .as_ref()
@@ -292,7 +281,8 @@ impl<T: NetTopology> CandidatePaths for SimNetwork<T> {
         }
     }
 
-    fn non_minimal_candidate(
+    /// [`NetTopology::non_minimal_candidate`] over the surviving links.
+    pub fn non_minimal_candidate(
         &self,
         router: usize,
         dest: usize,
@@ -366,9 +356,9 @@ impl<T: NetTopology> RoutingAlgorithm for NetRouting<T> {
     ) -> (RouteInfo, DecisionRecord) {
         let net = &*self.net;
         let topology = &net.topology;
-        let rs = net.terminal_router(src);
+        let rs = topology.terminal_router(src);
         let detours =
-            rs != net.terminal_router(dest) && (!net.has_faults() || T::DETOURS_UNDER_FAULTS);
+            rs != topology.terminal_router(dest) && (!net.has_faults() || T::DETOURS_UNDER_FAULTS);
         let forced = detours.then(|| topology.forced_class(rs, dest)).flatten();
         let wants_tag = detours
             && (!matches!(self.policy, Policy::Oblivious)

@@ -37,9 +37,8 @@
 //! dependency graph is acyclic.
 
 use dfly_netsim::{
-    CandidatePath, CandidatePaths, CongestionEstimator, CreditCommitted, EwmaOccupancy, Flit,
-    GlobalOracle, NetworkSpec, PortVc, QueueOccupancy, RouteAlgebra, RouteClass, UgalChooser,
-    VcHybrid, VcOccupancy,
+    CandidatePath, CongestionEstimator, CreditCommitted, EwmaOccupancy, Flit, GlobalOracle,
+    NetworkSpec, PortVc, QueueOccupancy, RouteClass, UgalChooser, VcHybrid, VcOccupancy,
 };
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -49,9 +48,13 @@ use crate::topology::Dragonfly;
 
 pub use dfly_netsim::TraceHop;
 
-/// The dragonfly on the shared harness. Its faults are its own
-/// ([`Dragonfly::with_fault_plan`]), seen by the harness only through
-/// [`NetTopology::forced_class`]: it is not
+/// The dragonfly on the shared harness. Every answer is read from the
+/// slot, ring and group-local tables built with the wiring, which are
+/// O(a·h + a² + g) and hold no per-pair state. Its faults are its own
+/// ([`Dragonfly::with_fault_plan`]): the salt-selected slot is drawn
+/// from the surviving channels, the Valiant set shrinks to the viable
+/// intermediates, and the harness sees them only through
+/// [`NetTopology::forced_class`]. It is not
 /// [`BfsFaults`](crate::network::BfsFaults), so routes keep the
 /// `l0 < g0 < l1 < g1 < l2` order.
 impl NetTopology for Dragonfly {
@@ -67,11 +70,45 @@ impl NetTopology for Dragonfly {
         self.route_hop_bound() - 1
     }
 
+    fn terminal_router(&self, terminal: usize) -> usize {
+        self.params().router_of_terminal(terminal)
+    }
+
+    fn ejection_port(&self, terminal: usize) -> usize {
+        self.eject_port(terminal)
+    }
+
     /// `flit.route` carries the class, the intermediate group and the
     /// salt; everything else is read from the dragonfly tables, so every
     /// flit of a packet follows the same path.
     fn route(&self, router: usize, flit: &Flit) -> PortVc {
         self.next_hop(router, flit.dest as usize, flit.route)
+    }
+
+    /// The minimal path (≤ 1 global channel), summarised by its
+    /// salt-selected first-hop port, the first entry of its VC
+    /// schedule, its total hop count, and — as the oracle probe point —
+    /// the router and port owning its global channel. Under a fault plan
+    /// the salt picks among the *surviving* parallel channels only, and
+    /// the removed channels along the path count as
+    /// [`CandidatePath::dropped`]. Callers must not request it for a
+    /// group pair that has lost every direct channel (the harness
+    /// consults [`NetTopology::forced_class`] first).
+    fn minimal_candidate(&self, router: usize, dest: usize, salt: u32) -> CandidatePath {
+        self.candidate(router, dest, None, salt)
+    }
+
+    /// The Valiant path through intermediate group `intermediate`,
+    /// summarised as the minimal one, probed at its first global
+    /// channel.
+    fn non_minimal_candidate(
+        &self,
+        router: usize,
+        dest: usize,
+        intermediate: u32,
+        salt: u32,
+    ) -> CandidatePath {
+        self.candidate(router, dest, Some(intermediate as usize), salt)
     }
 
     /// A uniformly random intermediate group among those whose Valiant
@@ -125,7 +162,11 @@ impl NetTopology for Dragonfly {
             None
         } else if self.global_slot_count(gs, gd) == 0 {
             Some(RouteClass::NonMinimal)
-        } else if self.valiant_degree(router, dest) == 0 && params.num_groups() >= 3 {
+        } else if self
+            .viable_intermediates(gs, gd)
+            .is_some_and(<[u32]>::is_empty)
+            && params.num_groups() >= 3
+        {
             Some(RouteClass::Minimal)
         } else {
             None
@@ -133,90 +174,10 @@ impl NetTopology for Dragonfly {
     }
 }
 
-/// Routing algebra for the dragonfly: every answer is read from the
-/// slot, ring and group-local tables built with the wiring, which are
-/// O(a·h + a² + g) and hold no per-pair state. Under a fault plan the
-/// salt-selected slot is drawn from the surviving channels and the
-/// Valiant set shrinks to the viable intermediates.
-impl RouteAlgebra for Dragonfly {
-    fn terminal_router(&self, terminal: usize) -> usize {
-        self.params().router_of_terminal(terminal)
-    }
-
-    fn ejection_port(&self, terminal: usize) -> usize {
-        self.eject_port(terminal)
-    }
-
-    fn minimal_port(&self, router: usize, dest: usize, salt: u32) -> PortVc {
-        let path = self.candidate(router, dest, None, salt);
-        PortVc::new(path.port as usize, path.vc as usize)
-    }
-
-    fn minimal_hops(&self, router: usize, dest: usize, salt: u32) -> u32 {
-        self.candidate(router, dest, None, salt).hops
-    }
-
-    fn valiant_degree(&self, router: usize, dest: usize) -> usize {
-        let params = self.params();
-        let gs = params.group_of_router(router);
-        let gd = params.group_of_router(params.router_of_terminal(dest));
-        if gs == gd {
-            return 0;
-        }
-        match self.viable_intermediates(gs, gd) {
-            Some(viable) => viable.len(),
-            None => params.num_groups() - 2,
-        }
-    }
-
-    fn valiant_tag(&self, router: usize, dest: usize, i: usize) -> u32 {
-        let params = self.params();
-        let gs = params.group_of_router(router);
-        let gd = params.group_of_router(params.router_of_terminal(dest));
-        debug_assert_ne!(gs, gd, "no detour for intra-group traffic");
-        match self.viable_intermediates(gs, gd) {
-            Some(viable) => viable[i],
-            None => third_group(gs, gd, i),
-        }
-    }
-
-    fn vc_count(&self) -> usize {
-        3
-    }
-}
-
 /// The `i`-th group other than `gs` and `gd`.
 fn third_group(gs: usize, gd: usize, i: usize) -> u32 {
     let gi = i + usize::from(i >= gs.min(gd));
     (gi + usize::from(gi >= gs.max(gd))) as u32
-}
-
-/// The dragonfly's UGAL candidates: the minimal path (≤ 1 global
-/// channel) and the Valiant path through intermediate group
-/// `intermediate`, each summarised by its salt-selected first-hop port,
-/// the first entry of its VC schedule, its total hop count, and — as the
-/// oracle probe point — the router and port owning its first global
-/// channel.
-///
-/// Under a fault plan the salt picks among the *surviving* parallel
-/// channels only, and each candidate reports the removed channels along
-/// its legs as [`CandidatePath::dropped`]. Callers must not request a
-/// candidate whose group pair has lost every direct channel (the
-/// harness consults [`NetTopology::forced_class`] first).
-impl CandidatePaths for Dragonfly {
-    fn minimal_candidate(&self, router: usize, dest: usize, salt: u32) -> CandidatePath {
-        self.candidate(router, dest, None, salt)
-    }
-
-    fn non_minimal_candidate(
-        &self,
-        router: usize,
-        dest: usize,
-        intermediate: u32,
-        salt: u32,
-    ) -> CandidatePath {
-        self.candidate(router, dest, Some(intermediate as usize), salt)
-    }
 }
 
 /// Which congestion information the UGAL decision consults.

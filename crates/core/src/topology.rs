@@ -6,7 +6,6 @@ use dfly_netsim::{
     CandidatePath, ChannelClass, Connection, FaultPlan, NetworkSpec, PortSpec, PortVc, RouteClass,
     RouteInfo, RouterSpec, SimError,
 };
-use dfly_topo::Topology;
 
 use crate::params::DragonflyParams;
 
@@ -78,10 +77,9 @@ pub enum GroupTopology {
 ///
 /// ```
 /// use dragonfly::{Dragonfly, DragonflyParams};
-/// use dfly_topo::Topology;
 ///
 /// let df = Dragonfly::new(DragonflyParams::new(2, 4, 2).unwrap());
-/// assert_eq!(df.num_terminals(), 72);
+/// assert_eq!(df.params().num_terminals(), 72);
 /// let spec = df.build_spec();
 /// assert_eq!(spec.diameter(), Some(3)); // local - global - local
 /// ```
@@ -1022,24 +1020,6 @@ impl Dragonfly {
             }
         }
         NetworkSpec::validated(routers, 3).expect("dragonfly wiring must validate")
-    }
-}
-
-impl Topology for Dragonfly {
-    fn name(&self) -> &'static str {
-        "dragonfly"
-    }
-
-    fn num_routers(&self) -> usize {
-        self.params.num_routers()
-    }
-
-    fn num_terminals(&self) -> usize {
-        self.params.num_terminals()
-    }
-
-    fn radix(&self) -> usize {
-        self.router_radix()
     }
 }
 

@@ -36,10 +36,9 @@
 //! ```
 
 use dfly_netsim::{
-    CandidatePath, CandidatePaths, ChannelClass, Connection, Flit, NetworkSpec, PortSpec, PortVc,
-    RouteAlgebra, RouterSpec,
+    CandidatePath, ChannelClass, Connection, Flit, NetworkSpec, PortSpec, PortVc, RouterSpec,
 };
-use dfly_topo::{Topology, Torus};
+use dfly_topo::Torus;
 use rand::rngs::SmallRng;
 
 use crate::network::{BfsFaults, NetRouting, NetTopology, SimNetwork};
@@ -150,6 +149,21 @@ impl TorusTopology {
         )
     }
 
+    /// Short-way ring hops from router `a` to router `b`, summed over
+    /// every dimension but `skip`.
+    fn ring_distance(&self, a: usize, b: usize, skip: Option<usize>) -> usize {
+        let k = self.0.arity();
+        let ca = self.0.coordinates(a);
+        let cb = self.0.coordinates(b);
+        (0..ca.len())
+            .filter(|&d| Some(d) != skip)
+            .map(|d| {
+                let f = (cb[d] + k - ca[d]) % k;
+                f.min(k - f)
+            })
+            .sum()
+    }
+
     /// The congestion-probe point for a ring traversal: the router
     /// midway along `travel` hops in `dim`/`plus` from `coords`, and
     /// its onward same-direction port.
@@ -230,42 +244,6 @@ impl NetTopology for TorusTopology {
         (k - 1) + self.0.dimensions().saturating_sub(1) * (k / 2)
     }
 
-    fn route(&self, router: usize, flit: &Flit) -> PortVc {
-        self.ring_hop(router, flit.dest as usize, flit.route.intermediate())
-    }
-
-    /// The pair's single detour tag — deterministic, no draw.
-    fn draw_tag(&self, router: usize, dest: usize, _salt: u32, _rng: &mut SmallRng) -> Option<u32> {
-        (self.valiant_degree(router, dest) == 1).then(|| self.valiant_tag(router, dest, 0))
-    }
-
-    fn canon(&self, latency: u32, failed: &[(usize, usize)]) -> String {
-        format!("network={:?} latency={latency} failed={failed:?}", self.0)
-    }
-
-    /// The dateline rule still picks the VC from the hop's ring
-    /// direction; a detour hop in an already resolved dimension
-    /// conservatively stays on VC0.
-    fn fault_vc(&self, router: usize, target: usize, port: usize, _vc: usize) -> usize {
-        let (dim, plus) = self.port_dir(port);
-        let (x, y) = (
-            self.0.coordinates(router)[dim],
-            self.0.coordinates(target)[dim],
-        );
-        if x == y {
-            0
-        } else {
-            dateline_vc(x, y, plus)
-        }
-    }
-}
-
-/// Closed-form routing algebra for the torus: coordinate arithmetic
-/// (shortest-way dimension order with dateline VCs). The salt is
-/// unused — there is exactly one channel per (router, dimension,
-/// direction). The single Valiant tag, `dim * 2 + (direction is +)`,
-/// names the long way around the first differing dimension's ring.
-impl RouteAlgebra for TorusTopology {
     fn terminal_router(&self, terminal: usize) -> usize {
         terminal / self.0.concentration()
     }
@@ -274,52 +252,21 @@ impl RouteAlgebra for TorusTopology {
         terminal % self.0.concentration()
     }
 
-    fn minimal_port(&self, router: usize, dest: usize, _salt: u32) -> PortVc {
-        self.ring_hop(router, dest, None)
+    fn route(&self, router: usize, flit: &Flit) -> PortVc {
+        self.ring_hop(router, flit.dest as usize, flit.route.intermediate())
     }
 
-    fn minimal_hops(&self, router: usize, dest: usize, _salt: u32) -> u32 {
-        let k = self.0.arity();
-        let ca = self.0.coordinates(router);
-        let cb = self.0.coordinates(dest / self.0.concentration());
-        (0..ca.len())
-            .map(|d| {
-                let f = (cb[d] + k - ca[d]) % k;
-                f.min(k - f) as u32
-            })
-            .sum()
-    }
-
-    fn valiant_degree(&self, router: usize, dest: usize) -> usize {
-        // Arity ≤ 2 folds both directions onto one shared channel:
-        // there is no distinct long way to tag.
-        usize::from(router != dest / self.0.concentration() && self.0.arity() > 2)
-    }
-
-    fn valiant_tag(&self, router: usize, dest: usize, i: usize) -> u32 {
-        debug_assert_eq!(i, 0, "the torus has a single detour tag");
-        let (dim, _, _, short_plus) = self.first_ring(router, dest / self.0.concentration());
-        // The detour direction is the opposite of the short way.
-        (dim * 2 + usize::from(!short_plus)) as u32
-    }
-
-    fn vc_count(&self) -> usize {
-        2
-    }
-}
-
-impl CandidatePaths for TorusTopology {
     /// Minimal candidate: the short way around the first differing
     /// dimension's ring, on its dateline VC; `hops` is the full
     /// Manhattan distance. The salt is unused — a torus has exactly one
     /// channel per (router, dimension, direction). The UGAL-G probe
     /// point is the same-direction channel at the router midway along
     /// the ring traversal — the bottleneck a ring path contends at.
-    fn minimal_candidate(&self, router: usize, dest: usize, salt: u32) -> CandidatePath {
-        let first = self.minimal_port(router, dest, salt);
-        let hops = self.minimal_hops(router, dest, salt);
-        let path = CandidatePath::new(first.port as usize, first.vc as usize, hops);
+    fn minimal_candidate(&self, router: usize, dest: usize, _salt: u32) -> CandidatePath {
+        let first = self.ring_hop(router, dest, None);
         let rd = dest / self.0.concentration();
+        let hops = self.ring_distance(router, rd, None);
+        let path = CandidatePath::new(first.port as usize, first.vc as usize, hops as u32);
         if router == rd {
             return path;
         }
@@ -342,8 +289,9 @@ impl CandidatePaths for TorusTopology {
         _salt: u32,
     ) -> CandidatePath {
         let k = self.0.arity();
+        let rd = dest / self.0.concentration();
         let ca = self.0.coordinates(router);
-        let cb = self.0.coordinates(dest / self.0.concentration());
+        let cb = self.0.coordinates(rd);
         let dim = intermediate as usize / 2;
         let plus = intermediate % 2 == 1;
         debug_assert_ne!(ca[dim], cb[dim], "detour dimension already resolved");
@@ -351,13 +299,7 @@ impl CandidatePaths for TorusTopology {
         // Travel in the tagged direction, which may be (and for a true
         // detour is) the long way around.
         let travel = if plus { forward } else { k - forward };
-        let elsewhere: usize = (0..ca.len())
-            .filter(|&d| d != dim)
-            .map(|d| {
-                let f = (cb[d] + k - ca[d]) % k;
-                f.min(k - f)
-            })
-            .sum();
+        let elsewhere = self.ring_distance(router, rd, Some(dim));
         let (mid, mid_port) = self.ring_midpoint(&ca, dim, plus, travel);
         CandidatePath::new(
             self.dir_port(dim, plus),
@@ -365,6 +307,40 @@ impl CandidatePaths for TorusTopology {
             (travel + elsewhere) as u32,
         )
         .with_probe(mid, mid_port)
+    }
+
+    /// The pair's single detour tag, `dim * 2 + (direction is +)`: the
+    /// long way around the first differing dimension's ring —
+    /// deterministic, no draw. Arity ≤ 2 folds both directions onto one
+    /// shared channel, so there is no distinct long way to tag.
+    fn draw_tag(&self, router: usize, dest: usize, _salt: u32, _rng: &mut SmallRng) -> Option<u32> {
+        let rd = dest / self.0.concentration();
+        if router == rd || self.0.arity() <= 2 {
+            return None;
+        }
+        let (dim, _, _, short_plus) = self.first_ring(router, rd);
+        // The detour direction is the opposite of the short way.
+        Some((dim * 2 + usize::from(!short_plus)) as u32)
+    }
+
+    fn canon(&self, latency: u32, failed: &[(usize, usize)]) -> String {
+        format!("network={:?} latency={latency} failed={failed:?}", self.0)
+    }
+
+    /// The dateline rule still picks the VC from the hop's ring
+    /// direction; a detour hop in an already resolved dimension
+    /// conservatively stays on VC0.
+    fn fault_vc(&self, router: usize, target: usize, port: usize, _vc: usize) -> usize {
+        let (dim, plus) = self.port_dir(port);
+        let (x, y) = (
+            self.0.coordinates(router)[dim],
+            self.0.coordinates(target)[dim],
+        );
+        if x == y {
+            0
+        } else {
+            dateline_vc(x, y, plus)
+        }
     }
 }
 

@@ -1,18 +1,26 @@
-//! Equivalence of the closed-form [`RouteAlgebra`] with a BFS oracle.
+//! The route the engine runs, judged against a BFS oracle.
 //!
-//! The algebra answers routing queries from index arithmetic alone; the
-//! old table-driven path derived the same answers from BFS over the
-//! built [`NetworkSpec`]. This suite pins the two together on small
-//! instances of all four topologies: following `minimal_port` hop by
-//! hop must traverse only alive links, shed exactly one hop of
-//! `minimal_hops` per step, and end at the destination's ejection port;
-//! the hop count itself must match the BFS distance (dragonfly minimal
-//! routes are salt-selected among parallel global channels, so there
-//! the algebra is checked as a real path of bounded length instead).
-//! The same walks are repeated under an explicit single-cable
-//! [`FaultPlan`], where the algebra is allowed to consult the lazy
-//! per-destination BFS columns — its answers must agree with a fresh
-//! oracle built over the degraded spec.
+//! Every topology answers its routing questions by index arithmetic
+//! over `(router, dest)` — the "algebra" of its [`NetTopology`] items —
+//! with no per-pair tables. This suite walks, on small instances of all
+//! four topologies, the route a packet actually takes:
+//! [`NetworkSim::trace_route`] steps through the same per-hop `route`
+//! the engine calls, from every source terminal to every destination
+//! terminal under every salt in [`SALTS`]. Interior routers are reached
+//! as hops, the only way a packet reaches them. Every hop must cross an
+//! alive router link on a VC below the spec's count, the walk must end
+//! with the ejection to the destination, and its router hops must equal
+//! those of the minimal UGAL candidate the injection decision weighs —
+//! and the BFS distance. Dragonfly minimal routes are salt-selected
+//! among parallel global channels, so there the walk is bounded by the
+//! BFS distance below and by local + global + local above. The same
+//! walks are repeated under an explicit single-cable [`FaultPlan`].
+//!
+//! The detour side is judged by [`NetTopology::draw_tag`], the draw
+//! production makes: over seeded draws per pair, every tag must name a
+//! valid detour — a third router, a third group (inside the viable set
+//! under faults), the long way round the first differing ring, or an
+//! uplink other than the salt-hashed one.
 //!
 //! The oracle also judges the spec's own BFS: on every spec built here,
 //! [`NetworkSpec::hops_to`] must reproduce its distances with first
@@ -22,15 +30,21 @@
 //! the dragonfly's diameter and mean hop count — are asserted on the
 //! same specs.
 
-use dfly_netsim::{ChannelClass, Connection, FaultPlan, HopColumn, NetworkSpec, RouteAlgebra};
-use dfly_topo::Topology;
+use dfly_netsim::{ChannelClass, Connection, FaultPlan, HopColumn, NetworkSpec, RouteInfo};
 use dfly_topo::{FlattenedButterfly, FoldedClos, Torus};
-use dragonfly::butterfly::ButterflyNetwork;
+use dfly_traffic::rng_for;
+use dragonfly::butterfly::{ButterflyNetwork, FbTopology};
 use dragonfly::clos_sim::ClosNetwork;
+use dragonfly::network::{BfsFaults, NetTopology, SimNetwork};
 use dragonfly::torus_sim::TorusNetwork;
-use dragonfly::{ChannelLatencies, Dragonfly, DragonflyParams, GroupTopology};
+use dragonfly::{
+    ChannelLatencies, Dragonfly, DragonflyParams, DragonflySim, GroupTopology, NetworkSim,
+};
 
 const SALTS: [u32; 3] = [0, 1, 7];
+
+/// Seeded [`NetTopology::draw_tag`] draws per (pair, salt).
+const DRAWS: usize = 4;
 
 /// Router-to-router hop distances from `start` over alive links only.
 fn bfs_from(spec: &NetworkSpec, start: usize) -> Vec<u32> {
@@ -119,162 +133,199 @@ fn degrees(spec: &NetworkSpec) -> Vec<usize> {
         .collect()
 }
 
-/// The algebra's terminal attachment must be the spec's, and its VC
-/// schedule must fit the spec's channel provisioning.
-fn check_terminals(alg: &dyn RouteAlgebra, spec: &NetworkSpec) {
-    assert!(alg.vc_count() >= 1 && alg.vc_count() <= spec.vcs);
+/// The topology's terminal attachment must be the spec's.
+fn check_terminals<T: NetTopology>(topology: &T, spec: &NetworkSpec) {
     for t in 0..spec.num_terminals() {
         assert_eq!(
             spec.terminal_port(t),
-            (alg.terminal_router(t), alg.ejection_port(t)),
+            (topology.terminal_router(t), topology.ejection_port(t)),
             "terminal {t} attachment disagrees with the spec"
         );
     }
 }
 
-/// Walks the salt-selected minimal route from `router` to terminal
-/// `dest`: every hop must use an alive router-router port, carry a VC
-/// inside the schedule, and reduce the remaining `minimal_hops` by
-/// exactly one; the walk must end at the destination's router, where
-/// `minimal_port` becomes the ejection hop on VC 0. Returns the hop
-/// count taken.
-fn walk_minimal(
-    alg: &dyn RouteAlgebra,
-    spec: &NetworkSpec,
-    router: usize,
+/// Walks the minimal route salted `salt` from terminal `src` to
+/// terminal `dest` as the engine steps it: every router hop must cross
+/// an alive link on a VC below the spec's count, and the walk must end
+/// with the ejection to `dest`. Its router hops must equal those of the
+/// minimal candidate at the source router; they are returned.
+fn walk_minimal<T: NetTopology + 'static>(
+    sim: &NetworkSim<T>,
+    src: usize,
     dest: usize,
     salt: u32,
 ) -> u32 {
-    let rd = alg.terminal_router(dest);
-    let hops = alg.minimal_hops(router, dest, salt);
-    let mut r = router;
-    for step in 0..hops {
-        let pv = alg.minimal_port(r, dest, salt);
+    let spec = sim.spec();
+    let trace = sim
+        .trace_route(src, dest, RouteInfo::minimal().with_salt(salt))
+        .unwrap_or_else(|e| panic!("t{src}->t{dest} (salt {salt}): {e}"));
+    let (eject, hops) = trace.split_last().expect("a route ends with its ejection");
+    for hop in hops {
+        let (r, p) = (hop.router, hop.port);
         assert!(
-            (pv.vc as usize) < alg.vc_count(),
-            "VC {} out of schedule at router {r} ({router}->t{dest}, salt {salt})",
-            pv.vc
+            hop.vc < spec.vcs,
+            "VC {} at ({r}, {p}) outside the spec's {} (t{src}->t{dest}, salt {salt})",
+            hop.vc,
+            spec.vcs
         );
-        let p = pv.port as usize;
         assert!(
             !spec.is_failed(r, p),
-            "minimal route crosses a failed link at ({r}, {p})"
-        );
-        let Connection::Router { router: peer, .. } = spec.routers[r].ports[p].conn else {
-            panic!("minimal_port ejected early at router {r}, step {step} ({router}->t{dest})");
-        };
-        r = peer as usize;
-        assert_eq!(
-            alg.minimal_hops(r, dest, salt),
-            hops - step - 1,
-            "remaining hops did not shed by one at router {r} ({router}->t{dest}, salt {salt})"
+            "minimal route crosses a failed link at ({r}, {p}) (t{src}->t{dest}, salt {salt})"
         );
     }
-    assert_eq!(r, rd, "walk of {hops} hops missed the destination router");
-    let eject = alg.minimal_port(rd, dest, salt);
-    assert_eq!(eject.port as usize, alg.ejection_port(dest));
-    assert_eq!(eject.vc, 0, "ejection must ride VC 0");
+    assert!(eject.vc < spec.vcs, "ejection VC {}", eject.vc);
     assert_eq!(
-        spec.routers[rd].ports[eject.port as usize].conn,
+        spec.routers[eject.router].ports[eject.port].conn,
         Connection::Terminal {
             terminal: dest as u32
         }
     );
-    hops
-}
-
-/// The Valiant tag enumeration must produce `valiant_degree` distinct
-/// tags. Returns them for topology-specific checks.
-fn valiant_tags(alg: &dyn RouteAlgebra, router: usize, dest: usize) -> Vec<u32> {
-    let tags: Vec<u32> = (0..alg.valiant_degree(router, dest))
-        .map(|i| alg.valiant_tag(router, dest, i))
-        .collect();
-    let mut sorted = tags.clone();
-    sorted.sort_unstable();
-    sorted.dedup();
+    let net = sim.network();
+    let rs = net.topology().terminal_router(src);
+    let candidate = net.minimal_candidate(rs, dest, salt);
     assert_eq!(
-        sorted.len(),
-        tags.len(),
-        "duplicate Valiant tags for {router}->t{dest}"
+        hops.len() as u32,
+        candidate.hops,
+        "walk and minimal candidate disagree on t{src}->t{dest} (salt {salt})"
     );
-    tags
+    candidate.hops
 }
 
-/// Walk + BFS-equality sweep over every (router, terminal, salt) of a
-/// topology whose minimal routes are true shortest paths.
-fn check_exact(alg: &dyn RouteAlgebra, spec: &NetworkSpec) {
-    check_terminals(alg, spec);
-    let dist = bfs_all(spec);
-    for (router, drow) in dist.iter().enumerate() {
-        for dest in 0..spec.num_terminals() {
-            let rd = alg.terminal_router(dest);
+/// Calls `check(src_router, dest_router, router_hops)` on the walk of
+/// every (source terminal, destination terminal, salt), after checking
+/// the terminal attachment.
+fn walk_all<T: NetTopology + 'static>(
+    sim: &NetworkSim<T>,
+    mut check: impl FnMut(usize, usize, u32),
+) {
+    let topology = sim.network().topology();
+    check_terminals(topology, sim.spec());
+    let terminals = sim.spec().num_terminals();
+    for src in 0..terminals {
+        for dest in 0..terminals {
+            let (rs, rd) = (
+                topology.terminal_router(src),
+                topology.terminal_router(dest),
+            );
             for salt in SALTS {
-                let hops = walk_minimal(alg, spec, router, dest, salt);
-                assert_eq!(
-                    hops, drow[rd],
-                    "minimal_hops({router}, t{dest}) disagrees with the BFS oracle"
-                );
+                check(rs, rd, walk_minimal(sim, src, dest, salt));
             }
-            valiant_tags(alg, router, dest);
         }
     }
+}
+
+/// Walk + BFS-equality sweep for a topology whose minimal routes are
+/// true shortest paths.
+fn check_exact<T: NetTopology + 'static>(sim: &NetworkSim<T>) {
+    let dist = bfs_all(sim.spec());
+    walk_all(sim, |rs, rd, hops| {
+        assert_eq!(
+            hops, dist[rs][rd],
+            "{rs}->{rd} disagrees with the BFS oracle"
+        );
+    });
+}
+
+/// Calls `check(src_router, dest, salt, tag)` on [`DRAWS`] seeded
+/// [`NetTopology::draw_tag`] draws for every salt and every pair
+/// production draws a detour for: a source terminal's router and a
+/// destination terminal on another router.
+fn check_draws<T: NetTopology + 'static>(
+    sim: &NetworkSim<T>,
+    mut check: impl FnMut(usize, usize, u32, Option<u32>),
+) {
+    let topology = sim.network().topology();
+    let terminals = sim.spec().num_terminals();
+    let mut sources: Vec<usize> = (0..terminals)
+        .map(|t| topology.terminal_router(t))
+        .collect();
+    sources.dedup();
+    let mut rng = rng_for(0xD7A6, 0);
+    for rs in sources {
+        for dest in (0..terminals).filter(|&t| topology.terminal_router(t) != rs) {
+            for salt in SALTS {
+                for _ in 0..DRAWS {
+                    check(rs, dest, salt, topology.draw_tag(rs, dest, salt, &mut rng));
+                }
+            }
+        }
+    }
+}
+
+/// `net` with its first router-to-router cable failed.
+fn without_first_cable<T: BfsFaults + 'static>(net: SimNetwork<T>) -> NetworkSim<T> {
+    let cable = first_cable(&net.build_spec());
+    let sim = NetworkSim::from(
+        net.with_fault_plan(&FaultPlan::Explicit(vec![cable]))
+            .unwrap(),
+    );
+    assert!(sim.spec().has_faults());
+    sim
+}
+
+/// The butterfly walks exactly, and its detour is a router distinct
+/// from both endpoints, with or without faults.
+fn check_butterfly(sim: &NetworkSim<FbTopology>) {
+    check_exact(sim);
+    let routers = sim.spec().num_routers();
+    let c = sim.network().topology().concentration();
+    check_draws(sim, |rs, dest, _, tag| {
+        let ri = tag.expect("a butterfly pair draws a detour") as usize;
+        assert!(ri < routers, "tag {ri} is no router");
+        assert_ne!(ri, rs, "detour through the source router");
+        assert_ne!(ri, dest / c, "detour through the destination router");
+    });
 }
 
 #[test]
 fn butterfly_algebra_matches_bfs_oracle() {
-    let net = ButterflyNetwork::new(FlattenedButterfly::new(2, 4, 2));
-    let spec = net.build_spec();
-    check_exact(&net, &spec);
-    // Fault-free, the detour set is every third router.
-    let routers = spec.num_routers();
-    let c = net.topology().concentration();
-    for (router, dest) in [(0usize, (routers - 1) * c), (3, 5 * c)] {
-        let rd = dest / c;
-        let tags = valiant_tags(&net, router, dest);
-        assert_eq!(tags.len(), routers - 2);
-        for &tag in &tags {
-            assert!((tag as usize) < routers);
-            assert_ne!(tag as usize, router, "detour through the source router");
-            assert_ne!(tag as usize, rd, "detour through the destination router");
-        }
-    }
+    check_butterfly(&NetworkSim::new(FlattenedButterfly::new(2, 4, 2)));
 }
 
 #[test]
 fn butterfly_algebra_matches_bfs_oracle_under_faults() {
-    let cable = first_cable(&ButterflyNetwork::new(FlattenedButterfly::new(2, 4, 2)).build_spec());
-    let net = ButterflyNetwork::new(FlattenedButterfly::new(2, 4, 2))
-        .with_fault_plan(&FaultPlan::Explicit(vec![cable]))
-        .unwrap();
-    let spec = net.build_spec();
-    assert!(spec.has_faults());
-    check_exact(&net, &spec);
+    let net = ButterflyNetwork::new(FlattenedButterfly::new(2, 4, 2));
+    check_butterfly(&without_first_cable(net));
 }
 
 #[test]
 fn torus_algebra_matches_bfs_oracle() {
-    let net = TorusNetwork::new(Torus::new(2, 4, 1));
-    let spec = net.build_spec();
-    check_exact(&net, &spec);
-    // The single detour tag names a (dimension, long direction) ring.
-    let tags = valiant_tags(&net, 0, spec.num_terminals() - 1);
-    assert_eq!(tags.len(), 1);
-    assert!(
-        (tags[0] as usize) < 2 * 2,
-        "tag {} outside dim*2+dir range",
-        tags[0]
-    );
+    let torus = Torus::new(2, 4, 1);
+    let sim = NetworkSim::from(TorusNetwork::new(torus));
+    check_exact(&sim);
+    // Every draw is the pair's single tag, `dim * 2 + (direction is +)`:
+    // the long way round the first differing dimension's ring.
+    let k = torus.arity();
+    let net = sim.network();
+    check_draws(&sim, |rs, dest, salt, tag| {
+        let rd = net.topology().terminal_router(dest);
+        let (ca, cb) = (torus.coordinates(rs), torus.coordinates(rd));
+        let dim = (0..ca.len())
+            .find(|&d| ca[d] != cb[d])
+            .expect("distinct routers");
+        let forward = (cb[dim] + k - ca[dim]) % k;
+        let long_plus = forward > k - forward;
+        assert_eq!(
+            tag,
+            Some((2 * dim + usize::from(long_plus)) as u32),
+            "{rs}->t{dest}"
+        );
+        let m = net.minimal_candidate(rs, dest, salt);
+        let nm = net.non_minimal_candidate(rs, dest, tag.unwrap(), salt);
+        assert_ne!(
+            nm.port, m.port,
+            "the detour leaves through the short way's port"
+        );
+        assert!(
+            nm.hops >= m.hops,
+            "the long way is shorter than the short way"
+        );
+    });
 }
 
 #[test]
 fn torus_algebra_matches_bfs_oracle_under_faults() {
-    let cable = first_cable(&TorusNetwork::new(Torus::new(2, 4, 1)).build_spec());
-    let net = TorusNetwork::new(Torus::new(2, 4, 1))
-        .with_fault_plan(&FaultPlan::Explicit(vec![cable]))
-        .unwrap();
-    let spec = net.build_spec();
-    assert!(spec.has_faults());
-    check_exact(&net, &spec);
+    check_exact(&without_first_cable(TorusNetwork::new(Torus::new(2, 4, 1))));
 }
 
 #[test]
@@ -282,24 +333,30 @@ fn clos_algebra_matches_bfs_oracle() {
     // Radix 6 exercises the odd virtual-top parity split; (3, 4) the
     // multi-level ascend/descend arithmetic.
     for (levels, radix) in [(2usize, 6usize), (3, 4)] {
-        let net = ClosNetwork::new(FoldedClos::new(levels, radix));
-        let spec = net.build_spec();
-        check_exact(&net, &spec);
+        let sim = NetworkSim::from(ClosNetwork::new(FoldedClos::new(levels, radix)));
+        check_exact(&sim);
+        // The detour is a leaf uplink other than the salt-hashed one.
+        let half = radix / 2;
+        let net = sim.network();
+        check_draws(&sim, |rs, dest, salt, tag| {
+            let up = tag.expect("a leaf with two uplinks has an alternative") as usize;
+            assert!(up < half, "uplink {up} out of range");
+            let hashed = net.minimal_candidate(rs, dest, salt).port as usize;
+            assert_ne!(
+                half + up,
+                hashed,
+                "the alternative is the salt-hashed uplink"
+            );
+        });
     }
 }
 
 #[test]
 fn clos_algebra_matches_bfs_oracle_under_faults() {
     for (levels, radix) in [(2usize, 6usize), (3, 4)] {
-        let cable = first_cable(&ClosNetwork::new(FoldedClos::new(levels, radix)).build_spec());
-        let net = ClosNetwork::new(FoldedClos::new(levels, radix))
-            .with_fault_plan(&FaultPlan::Explicit(vec![cable]))
-            .unwrap();
-        let spec = net.build_spec();
-        assert!(spec.has_faults());
-        check_exact(&net, &spec);
-        // Under faults the routing rides BFS columns, not tags.
-        assert_eq!(net.valiant_degree(0, spec.num_terminals() - 1), 0);
+        check_exact(&without_first_cable(ClosNetwork::new(FoldedClos::new(
+            levels, radix,
+        ))));
     }
 }
 
@@ -309,75 +366,71 @@ fn dragonfly_algebra_is_consistent_and_bfs_bounded() {
     // global channels, so its hop count is a valid path length bounded
     // below by the BFS distance and above by local+global+local.
     let params = DragonflyParams::new(2, 4, 2).unwrap();
-    let df = Dragonfly::new(params);
-    let spec = df.build_spec();
-    check_terminals(&df, &spec);
-    let dist = bfs_all(&spec);
-    for (router, drow) in dist.iter().enumerate() {
-        for dest in 0..spec.num_terminals() {
-            let rd = df.terminal_router(dest);
-            for salt in SALTS {
-                let hops = walk_minimal(&df, &spec, router, dest, salt);
-                assert!(
-                    hops >= drow[rd],
-                    "algebra beat the BFS shortest path {router}->t{dest}"
-                );
-                assert!(hops <= 3, "minimal dragonfly route longer than l+g+l");
-            }
-            let gs = params.group_of_router(router);
-            let gd = params.group_of_router(rd);
-            let tags = valiant_tags(&df, router, dest);
-            if gs == gd {
-                assert!(tags.is_empty(), "detour offered for intra-group traffic");
-            } else {
-                assert_eq!(tags.len(), params.num_groups() - 2);
-                for &tag in &tags {
-                    assert!((tag as usize) < params.num_groups());
-                    assert_ne!(tag as usize, gs, "detour through the source group");
-                    assert_ne!(tag as usize, gd, "detour through the destination group");
-                }
-            }
+    let sim = DragonflySim::new(params);
+    let dist = bfs_all(sim.spec());
+    walk_all(&sim, |rs, rd, hops| {
+        assert!(
+            hops >= dist[rs][rd],
+            "walk beat the BFS shortest path {rs}->{rd}"
+        );
+        assert!(hops <= 3, "minimal dragonfly route longer than l+g+l");
+    });
+    // Inter-group pairs detour through a third group, intra-group pairs
+    // not at all.
+    check_draws(&sim, |rs, dest, _, tag| {
+        let (gs, gd) = (params.group_of_router(rs), params.group_of_terminal(dest));
+        if gs == gd {
+            assert_eq!(tag, None, "detour offered for intra-group traffic");
+            return;
         }
-    }
+        let gi = tag.expect("an inter-group pair draws a detour") as usize;
+        assert!(gi < params.num_groups());
+        assert_ne!(gi, gs, "detour through the source group");
+        assert_ne!(gi, gd, "detour through the destination group");
+    });
 }
 
 #[test]
 fn dragonfly_algebra_is_consistent_under_faults() {
     // Kill one global cable: pairs that still own an alive slot must
     // keep walking consistently; the severed group pair must instead
-    // expose a non-empty viable-intermediate set (its Valiant tags).
+    // draw a detour, and every drawn detour must be viable.
     let params = DragonflyParams::new(2, 4, 2).unwrap();
-    let clean_spec = Dragonfly::new(params).build_spec();
-    let cable = first_global_cable(&clean_spec);
-    let df = Dragonfly::new(params)
-        .with_fault_plan(&FaultPlan::Explicit(vec![cable]))
-        .unwrap();
-    let spec = df.build_spec();
-    assert!(spec.has_faults());
-    check_terminals(&df, &spec);
-    let dist = bfs_all(&spec);
-    let mut severed_pairs = 0;
-    for (router, drow) in dist.iter().enumerate() {
-        for dest in 0..spec.num_terminals() {
-            let rd = df.terminal_router(dest);
-            let gs = params.group_of_router(router);
-            let gd = params.group_of_router(rd);
-            if gs != gd && df.global_slot_count(gs, gd) == 0 {
-                // No minimal route exists; the tag set must route around.
-                severed_pairs += 1;
-                let tags = valiant_tags(&df, router, dest);
-                assert!(
-                    !tags.is_empty(),
-                    "severed pair {gs}->{gd} with no detour tags"
-                );
+    let cable = first_global_cable(&Dragonfly::new(params).build_spec());
+    let sim = DragonflySim::with_faults(params, &FaultPlan::Explicit(vec![cable])).unwrap();
+    assert!(sim.spec().has_faults());
+    let df = sim.dragonfly();
+    let severed = |rs: usize, rd: usize| {
+        let (gs, gd) = (params.group_of_router(rs), params.group_of_router(rd));
+        gs != gd && df.global_slot_count(gs, gd) == 0
+    };
+    let dist = bfs_all(sim.spec());
+    let terminals = sim.spec().num_terminals();
+    for src in 0..terminals {
+        for dest in 0..terminals {
+            let (rs, rd) = (df.terminal_router(src), df.terminal_router(dest));
+            // No minimal route exists for a severed pair.
+            if severed(rs, rd) {
                 continue;
             }
             for salt in SALTS {
-                let hops = walk_minimal(&df, &spec, router, dest, salt);
-                assert!(hops >= drow[rd]);
+                assert!(walk_minimal(&sim, src, dest, salt) >= dist[rs][rd]);
             }
         }
     }
+    let mut severed_pairs = 0;
+    check_draws(&sim, |rs, dest, _, tag| {
+        let (gs, gd) = (params.group_of_router(rs), params.group_of_terminal(dest));
+        let viable = df.viable_intermediates(gs, gd).expect("faults applied");
+        if severed(rs, df.terminal_router(dest)) {
+            severed_pairs += 1;
+            assert!(tag.is_some(), "severed pair {gs}->{gd} drew no detour");
+        }
+        match tag {
+            Some(gi) => assert!(viable.contains(&gi), "{gi} is no viable {gs}->{gd} detour"),
+            None => assert!(viable.is_empty(), "{gs}->{gd} drew nothing from {viable:?}"),
+        }
+    });
     // p=2 a=4 h=2 has exactly one cable per group pair, so exactly one
     // ordered group pair each way loses its minimal route.
     assert!(
@@ -496,7 +549,7 @@ fn dragonfly_structure_holds_on_the_spec() {
     )
     .unwrap();
     let spec = df.build_spec();
-    assert_eq!(spec.num_routers(), df.num_routers());
+    assert_eq!(spec.num_routers(), df.params().num_routers());
     let d = diameter(&spec).expect("connected");
     assert!((4..=5).contains(&d), "diameter {d}");
 }

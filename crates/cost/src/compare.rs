@@ -1,7 +1,7 @@
 //! Structural topology comparisons: Table 2 and the Figure 18 64K-node
 //! case study.
 
-use dfly_topo::{FlattenedButterfly, Topology};
+use dfly_topo::FlattenedButterfly;
 use dragonfly::{Dragonfly, DragonflyParams};
 
 use crate::packaging::Floorplan;

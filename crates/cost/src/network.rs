@@ -8,7 +8,7 @@
 //! is priced per Gb/s of pin bandwidth, cables via the §2 cost-versus-
 //! length models over the [`Floorplan`] geometry.
 
-use dfly_topo::{FlattenedButterfly, FoldedClos, Topology, Torus};
+use dfly_topo::{FlattenedButterfly, FoldedClos, Torus};
 use dragonfly::{Dragonfly, DragonflyParams};
 
 use crate::cable::CableCostModel;

@@ -8,7 +8,7 @@
 //! ```text
 //!   topology            engine hooks              decision
 //!   ────────            ────────────              ────────
-//!   CandidatePaths ──►  CandidatePath ×2 ──►  UgalChooser ──► (minimal?, DecisionRecord)
+//!   NetTopology ─────►  CandidatePath ×2 ──►  UgalChooser ──► (minimal?, DecisionRecord)
 //!   (per topology)            │                    ▲
 //!                             ▼                    │ (q_m, q_nm)
 //!                      CongestionEstimator ────────┘
@@ -16,14 +16,16 @@
 //!                       CreditCommitted │ GlobalOracle │ EwmaOccupancy)
 //! ```
 //!
-//! A topology implements [`CandidatePaths`] once — enumerating the
-//! first-hop port, VC schedule entry and hop count of its minimal and
-//! non-minimal candidates — and any [`CongestionEstimator`] becomes
-//! available to it, including the credit-round-trip estimator that only
-//! the dragonfly used before this layer existed. The estimators read
-//! live queue state exclusively through the [`NetView`] hooks
-//! ([`NetView::occupancy`], [`NetView::vc_occupancy`],
-//! [`NetView::committed`], [`NetView::vc_committed`]), which is where
+//! A topology enumerates its minimal and non-minimal candidates once —
+//! the first-hop port, VC schedule entry and hop count of each, as the
+//! `minimal_candidate` / `non_minimal_candidate` items of the
+//! `dragonfly` crate's `NetTopology` trait — and any
+//! [`CongestionEstimator`] becomes available to it, including the
+//! credit-round-trip estimator that only the dragonfly used before this
+//! layer existed. The estimators read live queue state exclusively
+//! through the [`NetView`] hooks ([`NetView::occupancy`],
+//! [`NetView::vc_occupancy`], [`NetView::committed`],
+//! [`NetView::vc_committed`]), which is where
 //! the engine keeps its congestion-sensing state (per-port occupancy
 //! aggregates, VC queue depths, outstanding-credit counters fed by the
 //! credit-timestamp mechanism).
@@ -38,9 +40,9 @@ use std::fmt;
 
 use crate::routing::{DecisionRecord, NetView};
 
-/// First-hop summary of one candidate path, produced by a topology's
-/// [`CandidatePaths`] implementation and consumed by a
-/// [`CongestionEstimator`].
+/// First-hop summary of one candidate path, produced by a topology
+/// (the `dragonfly` crate's `NetTopology::minimal_candidate` and
+/// `non_minimal_candidate`) and consumed by a [`CongestionEstimator`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CandidatePath {
     /// Output port the path takes out of the deciding router.
@@ -94,29 +96,6 @@ impl CandidatePath {
     pub fn has_probe(&self) -> bool {
         self.probe_router != u32::MAX
     }
-}
-
-/// A topology's enumeration of the two UGAL candidates.
-///
-/// `dest` is a terminal index; `intermediate` is a topology-interpreted
-/// tag (the dragonfly's intermediate *group*, the flattened butterfly's
-/// intermediate *router*, …) matching the `intermediate` field the
-/// topology stores in its non-minimal [`crate::RouteInfo`]s; `salt` is
-/// the per-packet salt used to pre-select among parallel channels so
-/// the queue a decision inspects is the queue the packet will use.
-pub trait CandidatePaths {
-    /// The minimal candidate from `router` toward `dest`.
-    fn minimal_candidate(&self, router: usize, dest: usize, salt: u32) -> CandidatePath;
-
-    /// The non-minimal (Valiant) candidate from `router` toward `dest`
-    /// through `intermediate`.
-    fn non_minimal_candidate(
-        &self,
-        router: usize,
-        dest: usize,
-        intermediate: u32,
-        salt: u32,
-    ) -> CandidatePath;
 }
 
 /// A congestion estimator: turns the two candidates into the queue
@@ -472,9 +451,6 @@ mod tests {
     #[derive(Debug)]
     struct ToTwo;
     impl TrafficPattern for ToTwo {
-        fn name(&self) -> &'static str {
-            "to-two"
-        }
         fn num_terminals(&self) -> usize {
             4
         }

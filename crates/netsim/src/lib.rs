@@ -12,8 +12,10 @@
 //!
 //! The crate is topology-agnostic: a [`NetworkSpec`] describes any wired
 //! network, and a [`RoutingAlgorithm`] drives it. The `dragonfly` crate
-//! provides the dragonfly topology builder and the MIN / VAL / UGAL
-//! routing family on top of these interfaces.
+//! provides the topologies and the MIN / VAL / UGAL routing family on
+//! top of these interfaces: each topology implements one trait there,
+//! `NetTopology`, whose two UGAL candidates are this crate's
+//! [`CandidatePath`]s, weighed by a [`UgalChooser`].
 //!
 //! # Example
 //!
@@ -36,7 +38,6 @@
 #![warn(missing_docs)]
 
 mod adaptive;
-mod algebra;
 mod arena;
 mod config;
 mod error;
@@ -51,10 +52,9 @@ mod stats;
 pub mod telemetry;
 
 pub use adaptive::{
-    CandidatePath, CandidatePaths, CongestionEstimator, CreditCommitted, EwmaOccupancy,
-    GlobalOracle, QueueOccupancy, UgalChooser, VcHybrid, VcOccupancy,
+    CandidatePath, CongestionEstimator, CreditCommitted, EwmaOccupancy, GlobalOracle,
+    QueueOccupancy, UgalChooser, VcHybrid, VcOccupancy,
 };
-pub use algebra::RouteAlgebra;
 pub use config::{
     thread_budget, CreditMode, InjectionKind, SimConfig, TdEstimator, TelemetryConfig, Termination,
 };

@@ -2644,6 +2644,30 @@ mod tests {
     }
 
     #[test]
+    fn latency_percentiles_are_exact_below_the_histogram_range() {
+        let mut cfg = SimConfig::paper_default(0.6);
+        cfg.warmup = 200;
+        cfg.measure = 2_000;
+        cfg.seed = 5;
+        let mut stats = run_line(cfg, &UniformRandom::new(3));
+        assert!(stats.drained);
+        let ps = [0.5, 0.95, 0.99];
+        for p in ps {
+            assert_eq!(stats.latency_percentile(p), stats.histogram.percentile(p));
+        }
+        // Non-vacuous: the log buckets' edges are not the percentiles.
+        assert!(ps
+            .iter()
+            .any(|&p| stats.latency_log.percentile(p) != stats.histogram.percentile(p)));
+        // Past the linear range the log histogram answers.
+        stats.histogram = Histogram::new(1, 1);
+        for p in ps {
+            assert!(stats.latency_percentile(p).is_some());
+            assert_eq!(stats.latency_percentile(p), stats.latency_log.percentile(p));
+        }
+    }
+
+    #[test]
     fn sharded_run_matches_single_shard() {
         // Full telemetry on, so the comparison also covers per-shard
         // series and trace merging.
@@ -2917,9 +2941,6 @@ mod tests {
         #[derive(Debug)]
         struct ToTwo;
         impl TrafficPattern for ToTwo {
-            fn name(&self) -> &'static str {
-                "to-two"
-            }
             fn num_terminals(&self) -> usize {
                 3
             }
@@ -2986,9 +3007,6 @@ mod tests {
         #[derive(Debug)]
         struct ToTwo;
         impl TrafficPattern for ToTwo {
-            fn name(&self) -> &'static str {
-                "to-two"
-            }
             fn num_terminals(&self) -> usize {
                 3
             }

@@ -353,15 +353,23 @@ impl RunStats {
         (total > 0).then(|| self.minimal_latency.count as f64 / total as f64)
     }
 
-    /// Latency at quantile `p` from the log-bucketed histogram —
-    /// `None` unless the run drained, for the same reason as
-    /// [`RunStats::avg_latency`]. Resolution is the containing
+    /// Latency at quantile `p` — `None` unless the run drained, for the
+    /// same reason as [`RunStats::avg_latency`]. Read from the linear
+    /// [`RunStats::histogram`], exact with the engine's 1-cycle buckets;
+    /// a quantile in its overflow bucket (4,096 cycles and up) falls back
+    /// to [`RunStats::latency_log`], resolved to the containing
     /// power-of-two bucket's upper edge, clamped to the exact max.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0.0 <= p <= 1.0`.
     pub fn latency_percentile(&self, p: f64) -> Option<u64> {
         if !self.drained {
             return None;
         }
-        self.latency_log.percentile(p)
+        self.histogram
+            .percentile(p)
+            .or_else(|| self.latency_log.percentile(p))
     }
 
     /// Median labelled-packet latency (drained runs only).

@@ -1,7 +1,5 @@
 //! Folded-Clos (fat-tree) networks.
 
-use crate::Topology;
-
 /// A folded-Clos (fat-tree) network built from uniform radix-`k` switches.
 ///
 /// The network has `levels` ranks of switches. Leaf (rank-0) switches
@@ -14,7 +12,7 @@ use crate::Topology;
 /// # Example
 ///
 /// ```
-/// use dfly_topo::{FoldedClos, Topology};
+/// use dfly_topo::FoldedClos;
 ///
 /// // A 2-level fat tree of radix-8 switches: 4 terminals per leaf,
 /// // 4 leaves, 2 top switches, 16 terminals.
@@ -66,6 +64,26 @@ impl FoldedClos {
         self.radix
     }
 
+    /// Number of switches over all ranks.
+    pub fn num_routers(&self) -> usize {
+        (0..self.levels).map(|l| self.switches_at(l)).sum()
+    }
+
+    /// Number of terminals: `k/2` per leaf.
+    pub fn num_terminals(&self) -> usize {
+        if self.levels == 1 {
+            // A single switch uses all its ports for terminals.
+            self.radix
+        } else {
+            self.switches_at(0) * self.half()
+        }
+    }
+
+    /// Router radix: the switch radix `k`.
+    pub fn radix(&self) -> usize {
+        self.radix
+    }
+
     /// `k/2`, the up/down port split.
     fn half(&self) -> usize {
         self.radix / 2
@@ -99,29 +117,6 @@ impl FoldedClos {
         (0..self.levels - 1)
             .map(|l| self.switches_at(l) * self.half())
             .sum()
-    }
-}
-
-impl Topology for FoldedClos {
-    fn name(&self) -> &'static str {
-        "folded Clos"
-    }
-
-    fn num_routers(&self) -> usize {
-        (0..self.levels).map(|l| self.switches_at(l)).sum()
-    }
-
-    fn num_terminals(&self) -> usize {
-        if self.levels == 1 {
-            // A single switch uses all its ports for terminals.
-            self.radix
-        } else {
-            self.switches_at(0) * self.half()
-        }
-    }
-
-    fn radix(&self) -> usize {
-        self.radix
     }
 }
 

@@ -1,7 +1,5 @@
 //! The flattened butterfly (k-ary n-flat) topology.
 
-use crate::Topology;
-
 /// A flattened butterfly (k-ary n-flat) network, possibly with unequal
 /// dimension sizes.
 ///
@@ -18,7 +16,7 @@ use crate::Topology;
 /// # Example
 ///
 /// ```
-/// use dfly_topo::{FlattenedButterfly, Topology};
+/// use dfly_topo::FlattenedButterfly;
 ///
 /// // Figure 18(a) of the paper: 64K nodes from 16 routers per dimension,
 /// // concentration 16, 3 dimensions.
@@ -126,6 +124,22 @@ impl FlattenedButterfly {
         ca.iter().zip(&cb).filter(|(x, y)| x != y).count()
     }
 
+    /// Number of routers: the product of the dimension sizes.
+    pub fn num_routers(&self) -> usize {
+        self.dims.iter().product()
+    }
+
+    /// Number of terminals: `c` per router.
+    pub fn num_terminals(&self) -> usize {
+        self.num_routers() * self.concentration
+    }
+
+    /// Router radix: `c` terminal ports plus `s_d - 1` channels per
+    /// dimension.
+    pub fn radix(&self) -> usize {
+        self.concentration + self.dims.iter().map(|&s| s - 1).sum::<usize>()
+    }
+
     /// Number of bidirectional inter-router channels: each dimension `d`
     /// contributes `(R / s_d) · s_d (s_d - 1) / 2` links.
     pub fn num_links(&self) -> usize {
@@ -134,24 +148,6 @@ impl FlattenedButterfly {
             .iter()
             .map(|&s| (routers / s) * s * (s - 1) / 2)
             .sum()
-    }
-}
-
-impl Topology for FlattenedButterfly {
-    fn name(&self) -> &'static str {
-        "flattened butterfly"
-    }
-
-    fn num_routers(&self) -> usize {
-        self.dims.iter().product()
-    }
-
-    fn num_terminals(&self) -> usize {
-        self.num_routers() * self.concentration
-    }
-
-    fn radix(&self) -> usize {
-        self.concentration + self.dims.iter().map(|&s| s - 1).sum::<usize>()
     }
 }
 

@@ -1,8 +1,9 @@
 //! Interconnection-network topology substrate.
 //!
 //! This crate provides the *structural* parameters of the classical
-//! topologies the dragonfly paper compares against — sizes, radices,
-//! coordinates, link counts and minimal hop counts:
+//! topologies the dragonfly paper compares against — sizes
+//! (`num_routers`, `num_terminals`), radices, coordinates, link counts
+//! and minimal hop counts, as inherent methods of each type:
 //!
 //! * [`FlattenedButterfly`] — the k-ary n-flat of Kim, Dally & Abts
 //!   (ISCA 2007), the closest competitor to the dragonfly.
@@ -14,12 +15,12 @@
 //! description the simulator runs, and graph questions such as diameter
 //! and mean hop count are answered on that spec
 //! (`NetworkSpec::diameter`, `NetworkSpec::average_hop_count`). The
-//! cost model reads the same [`Topology`] trait.
+//! cost model reads the same methods.
 //!
 //! # Example
 //!
 //! ```
-//! use dfly_topo::{FlattenedButterfly, Topology};
+//! use dfly_topo::FlattenedButterfly;
 //!
 //! // An 8-ary 2-flat with concentration 8: 64 routers, 512 terminals.
 //! let fb = FlattenedButterfly::new(2, 8, 8);
@@ -38,27 +39,6 @@ mod torus;
 pub use clos::FoldedClos;
 pub use flattened_butterfly::FlattenedButterfly;
 pub use torus::Torus;
-
-/// A network topology's size: routers with terminals attached.
-///
-/// Implementations describe *structure only*; the wiring the simulator
-/// runs is built in the `dragonfly` crate, and the cycle-accurate
-/// behaviour (buffers, credits, routing) lives in `dfly-netsim`.
-pub trait Topology {
-    /// Human-readable topology name, e.g. `"flattened butterfly"`.
-    fn name(&self) -> &'static str;
-
-    /// Number of routers (switches) in the network.
-    fn num_routers(&self) -> usize;
-
-    /// Number of terminals (processing nodes) attached to the network.
-    fn num_terminals(&self) -> usize;
-
-    /// Radix of each router: terminal ports plus network ports.
-    ///
-    /// For irregular topologies this is the maximum radix over all routers.
-    fn radix(&self) -> usize;
-}
 
 #[cfg(test)]
 /// Hop counts from `start` over an undirected adjacency list, by

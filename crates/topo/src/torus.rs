@@ -1,7 +1,5 @@
 //! k-ary n-cube (torus) networks.
 
-use crate::Topology;
-
 /// A k-ary n-cube: an `n`-dimensional torus with `k` routers per dimension
 /// and `c` terminals per router.
 ///
@@ -11,7 +9,7 @@ use crate::Topology;
 /// # Example
 ///
 /// ```
-/// use dfly_topo::{Torus, Topology};
+/// use dfly_topo::Torus;
 ///
 /// let t = Torus::new(3, 8, 1); // 8x8x8, one node per router
 /// assert_eq!(t.num_terminals(), 512);
@@ -68,6 +66,23 @@ impl Torus {
     /// Terminals per router.
     pub fn concentration(&self) -> usize {
         self.concentration
+    }
+
+    /// Number of routers: `k^n`.
+    pub fn num_routers(&self) -> usize {
+        self.arity.pow(self.dimensions as u32)
+    }
+
+    /// Number of terminals: `c` per router.
+    pub fn num_terminals(&self) -> usize {
+        self.num_routers() * self.concentration
+    }
+
+    /// Router radix: `c` terminal ports plus two ring ports per
+    /// dimension (one for `k = 2`, where both directions coincide).
+    pub fn radix(&self) -> usize {
+        let ring_ports = if self.arity == 2 { 1 } else { 2 };
+        self.concentration + self.dimensions * ring_ports
     }
 
     /// Multi-index coordinates of router `r`, least-significant dimension
@@ -127,25 +142,6 @@ impl Torus {
         } else {
             links
         }
-    }
-}
-
-impl Topology for Torus {
-    fn name(&self) -> &'static str {
-        "torus"
-    }
-
-    fn num_routers(&self) -> usize {
-        self.arity.pow(self.dimensions as u32)
-    }
-
-    fn num_terminals(&self) -> usize {
-        self.num_routers() * self.concentration
-    }
-
-    fn radix(&self) -> usize {
-        let ring_ports = if self.arity == 2 { 1 } else { 2 };
-        self.concentration + self.dimensions * ring_ports
     }
 }
 

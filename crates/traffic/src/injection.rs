@@ -10,9 +10,6 @@ use crate::error::ConfigError;
 /// One process instance is held per terminal so that stateful processes
 /// (e.g. [`OnOff`]) evolve independently per source.
 pub trait InjectionProcess {
-    /// Short name used in reports, e.g. `"bernoulli"`.
-    fn name(&self) -> &'static str;
-
     /// The long-run average injection rate in packets/cycle/terminal.
     fn rate(&self) -> f64;
 
@@ -61,10 +58,6 @@ impl Bernoulli {
 }
 
 impl InjectionProcess for Bernoulli {
-    fn name(&self) -> &'static str {
-        "bernoulli"
-    }
-
     fn rate(&self) -> f64 {
         self.rate
     }
@@ -192,10 +185,6 @@ impl OnOff {
 }
 
 impl InjectionProcess for OnOff {
-    fn name(&self) -> &'static str {
-        "on-off"
-    }
-
     fn rate(&self) -> f64 {
         let duty = self.p_on / (self.p_on + self.p_off);
         self.burst_rate * duty

@@ -14,9 +14,6 @@ use rand::Rng;
 /// reference across its worker threads, each calling `destination`
 /// with its own per-terminal RNG.
 pub trait TrafficPattern: Sync {
-    /// Short name used in reports, e.g. `"uniform random"`.
-    fn name(&self) -> &'static str;
-
     /// Number of terminals the pattern is defined over.
     fn num_terminals(&self) -> usize;
 
@@ -48,10 +45,6 @@ impl UniformRandom {
 }
 
 impl TrafficPattern for UniformRandom {
-    fn name(&self) -> &'static str {
-        "uniform random"
-    }
-
     fn num_terminals(&self) -> usize {
         self.terminals
     }
@@ -146,10 +139,6 @@ impl GroupAdversarial {
 }
 
 impl TrafficPattern for GroupAdversarial {
-    fn name(&self) -> &'static str {
-        "group adversarial"
-    }
-
     fn num_terminals(&self) -> usize {
         self.terminals
     }
@@ -185,10 +174,6 @@ impl BitComplement {
 }
 
 impl TrafficPattern for BitComplement {
-    fn name(&self) -> &'static str {
-        "bit complement"
-    }
-
     fn num_terminals(&self) -> usize {
         self.terminals
     }
@@ -224,10 +209,6 @@ impl Shift {
 }
 
 impl TrafficPattern for Shift {
-    fn name(&self) -> &'static str {
-        "shift"
-    }
-
     fn num_terminals(&self) -> usize {
         self.terminals
     }
@@ -260,10 +241,6 @@ impl Tornado {
 }
 
 impl TrafficPattern for Tornado {
-    fn name(&self) -> &'static str {
-        "tornado"
-    }
-
     fn num_terminals(&self) -> usize {
         self.inner.num_terminals()
     }
@@ -306,10 +283,6 @@ impl Transpose {
 }
 
 impl TrafficPattern for Transpose {
-    fn name(&self) -> &'static str {
-        "transpose"
-    }
-
     fn num_terminals(&self) -> usize {
         self.terminals
     }
@@ -382,10 +355,6 @@ impl Permutation {
 }
 
 impl TrafficPattern for Permutation {
-    fn name(&self) -> &'static str {
-        "permutation"
-    }
-
     fn num_terminals(&self) -> usize {
         self.map.len()
     }

@@ -67,9 +67,6 @@ pub struct Delivery {
 ///
 /// See the module-level docs for the engine contract.
 pub trait Workload {
-    /// Short name used in reports, e.g. `"barrier"`.
-    fn name(&self) -> &'static str;
-
     /// Asks `terminal` whether it injects a packet at `cycle`. Called
     /// for every polled terminal each cycle, in ascending terminal
     /// order (see [`Self::quiet_until`] for which terminals are not).
@@ -124,10 +121,6 @@ pub trait Workload {
 pub struct Idle;
 
 impl Workload for Idle {
-    fn name(&self) -> &'static str {
-        "idle"
-    }
-
     fn offer(&mut self, _: usize, _: u64, _: &mut SmallRng) -> Option<MessageIntent> {
         None
     }
@@ -256,10 +249,6 @@ impl<'a, P: InjectionProcess + Clone> OpenLoop<'a, P> {
 }
 
 impl<P: InjectionProcess + Clone> Workload for OpenLoop<'_, P> {
-    fn name(&self) -> &'static str {
-        "open-loop"
-    }
-
     fn offer(&mut self, terminal: usize, cycle: u64, rng: &mut SmallRng) -> Option<MessageIntent> {
         self.sources[terminal - self.base].offer(terminal, cycle, rng, self.pattern, self.tracked)
     }
@@ -423,10 +412,6 @@ impl Barrier {
 }
 
 impl Workload for Barrier {
-    fn name(&self) -> &'static str {
-        "barrier"
-    }
-
     fn offer(
         &mut self,
         terminal: usize,
@@ -568,13 +553,6 @@ impl AllReduce {
 }
 
 impl Workload for AllReduce {
-    fn name(&self) -> &'static str {
-        match self.algo {
-            AllReduceAlgo::Ring => "all-reduce/ring",
-            AllReduceAlgo::RecursiveDoubling => "all-reduce/rd",
-        }
-    }
-
     fn offer(
         &mut self,
         terminal: usize,
@@ -653,10 +631,6 @@ impl AllToAll {
 }
 
 impl Workload for AllToAll {
-    fn name(&self) -> &'static str {
-        "all-to-all"
-    }
-
     fn offer(
         &mut self,
         terminal: usize,
@@ -761,10 +735,6 @@ impl RequestReply {
 }
 
 impl Workload for RequestReply {
-    fn name(&self) -> &'static str {
-        "request-reply"
-    }
-
     fn offer(&mut self, terminal: usize, cycle: u64, _rng: &mut SmallRng) -> Option<MessageIntent> {
         if let Some(r) = self.clients.rank(terminal, true) {
             let c = &mut self.cstate[r];

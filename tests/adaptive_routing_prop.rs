@@ -1,7 +1,7 @@
 //! Candidate-path properties of the unified adaptive-routing layer.
 //!
-//! Every topology now enumerates its UGAL candidates through the shared
-//! [`dfly_netsim::CandidatePaths`] trait. These tests walk both
+//! Every topology enumerates its UGAL candidates through the one
+//! topology trait, [`dragonfly::network::NetTopology`]. These tests walk both
 //! candidates of randomly sampled (source, destination) pairs on all
 //! four topologies and assert the two deadlock-freedom witnesses:
 //!
@@ -30,8 +30,8 @@
 use std::sync::Arc;
 
 use dfly_netsim::{
-    trace_path, CandidatePath, CandidatePaths, ChannelClass, CreditMode, InjectionKind,
-    NetworkSpec, RouteInfo, RoutingAlgorithm, SimConfig, Simulation, TraceHop,
+    trace_path, CandidatePath, ChannelClass, CreditMode, InjectionKind, NetworkSpec, RouteInfo,
+    RoutingAlgorithm, SimConfig, Simulation, TraceHop,
 };
 use dfly_topo::{FlattenedButterfly, FoldedClos, Torus};
 use dfly_traffic::{rng_for, UniformRandom};
@@ -39,7 +39,7 @@ use rand::Rng;
 
 use dragonfly::butterfly::{ButterflyNetwork, ButterflyRouting};
 use dragonfly::clos_sim::{ClosNetwork, ClosRouting};
-use dragonfly::network::{NetRouting, SimNetwork};
+use dragonfly::network::{NetRouting, NetTopology, SimNetwork};
 use dragonfly::torus_sim::{TorusNetwork, TorusRouting};
 use dragonfly::{
     ChannelLatencies, Dragonfly, DragonflyParams, DragonflySim, FaultPlan, GroupTopology,

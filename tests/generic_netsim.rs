@@ -191,9 +191,6 @@ fn credits_limit_inflight_on_long_channels() {
     #[derive(Debug)]
     struct ZeroToOne;
     impl TrafficPattern for ZeroToOne {
-        fn name(&self) -> &'static str {
-            "zero-to-one"
-        }
         fn num_terminals(&self) -> usize {
             2
         }

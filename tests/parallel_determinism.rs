@@ -567,10 +567,6 @@ impl<W> Probe<W> {
 }
 
 impl<W: Workload> Workload for Probe<W> {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
     fn offer(&mut self, terminal: usize, cycle: u64, rng: &mut SmallRng) -> Option<MessageIntent> {
         self.offers.fetch_add(1, Ordering::Relaxed);
         self.inner.offer(terminal, cycle, rng)
