@@ -322,6 +322,32 @@ fn sharded_engine_bit_identical_on_every_topology() {
         &fast_cfg(31),
     );
 
+    // Round-trip credits across shards: UGAL-L_CR reads the `td`
+    // registers the credit-timestamp queues feed, 4-flit packets keep
+    // several credits per channel outstanding, and 3-cycle global
+    // channels make the delayed credit returns staged between shards
+    // land cycles after they were sent.
+    let rt = dragonfly::DragonflySim::new(dragonfly::Dragonfly::with_latencies(
+        dragonfly::DragonflyParams::new(2, 4, 2).unwrap(),
+        dragonfly::ChannelLatencies {
+            terminal: 1,
+            local: 1,
+            global: 3,
+        },
+    ));
+    let rt_spec = rt.spec().clone();
+    let rt_arc = rt.shared_network();
+    let mut rt_cfg = fast_cfg(36);
+    rt_cfg.credit_mode = CreditMode::round_trip();
+    rt_cfg.packet_len = 4;
+    check_shard_counts_match(
+        "dragonfly/ugal-l_cr round-trip",
+        &rt_spec,
+        &|| RoutingChoice::UgalLCr.build(Arc::clone(&rt_arc)),
+        &df_pattern,
+        &rt_cfg,
+    );
+
     // The armed stall watchdog is one more thing the shards rendezvous
     // on: checking every 512 cycles (four checkpoints in this window)
     // it must leave the statistics of the disarmed 1-shard run
