@@ -404,7 +404,7 @@ impl<T: NetTopology> RoutingAlgorithm for NetRouting<T> {
         (route, record)
     }
 
-    fn route(&self, _view: &NetView<'_>, router: usize, flit: &Flit) -> PortVc {
+    fn route(&self, router: usize, flit: &Flit) -> PortVc {
         let topology = &self.net.topology;
         let Some(f) = &self.net.faults else {
             return topology.route(router, flit);

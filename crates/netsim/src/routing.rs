@@ -1,11 +1,12 @@
 //! The routing-algorithm interface and a baseline implementation.
 //!
 //! A [`RoutingAlgorithm`] is two methods: [`RoutingAlgorithm::inject`]
-//! decides a packet's route once, at its source, and returns the
-//! decision's [`DecisionRecord`] with it; [`RoutingAlgorithm::route`]
-//! computes each hop deterministically from the flit's [`RouteInfo`].
-//! The engine calls both and nothing else; [`trace_path`] walks `route`
-//! alone over an idle network.
+//! decides a packet's route once, at its source, against a [`NetView`]
+//! of the queues, and returns the decision's [`DecisionRecord`] with it;
+//! [`RoutingAlgorithm::route`] computes each hop deterministically from
+//! the router and the flit (its [`RouteInfo`]) alone, reading no queue
+//! state. The engine calls both and nothing else; [`trace_path`] walks
+//! `route` alone, with no engine at all.
 
 use rand::rngs::SmallRng;
 
@@ -46,11 +47,11 @@ impl PortVc {
 /// idealised UGAL-G oracle may do.
 pub struct NetView<'a> {
     spec: &'a NetworkSpec,
-    // Raw pointer rather than `&'a [RouterCore]` so the sharded engine
-    // can build views over its shared router table while worker threads
-    // hold mutable projections to *disjoint fields* of the same cores
-    // (input-side fields; the view reads only output-side fields). All
-    // accessors bounds-check against `len` before dereferencing.
+    // Raw pointer rather than `&'a [RouterCore]`: the sharded engine
+    // builds views over its shared interior-mutable router table, which
+    // no thread mutates while a view lives (the injection phase only
+    // reads it). All accessors bounds-check against `len` before
+    // dereferencing.
     routers: *const RouterCore,
     len: usize,
     buffer_depth: usize,
@@ -60,6 +61,7 @@ pub struct NetView<'a> {
 
 #[allow(unsafe_code)]
 impl<'a> NetView<'a> {
+    #[cfg(test)]
     pub(crate) fn new(
         spec: &'a NetworkSpec,
         routers: &'a [RouterCore],
@@ -80,12 +82,8 @@ impl<'a> NetView<'a> {
     ///
     /// # Safety
     ///
-    /// For the view's lifetime, `routers..routers+len` must stay valid,
-    /// and no thread may mutate the output-side fields (`out_q`,
-    /// `out_mask`, `out_port_count`, `credits`, `outstanding`) of any
-    /// core in that range. Mutation of the input-side fields (`inputs`,
-    /// `in_mask`, `in_port_count`) by other threads is fine — the view
-    /// never reads them.
+    /// For the view's lifetime, `routers..routers+len` must stay valid
+    /// and no thread may mutate any core in that range.
     pub(crate) unsafe fn from_raw(
         spec: &'a NetworkSpec,
         routers: *const RouterCore,
@@ -103,22 +101,17 @@ impl<'a> NetView<'a> {
         }
     }
 
-    /// Pointer to router `router`'s state and its output slot
-    /// `port * vcs + vc`, bounds-checked against the view and the
-    /// core's own port count (so every read is O(1)).
+    /// Router `router`'s state and its output slot `port * vcs + vc`,
+    /// bounds-checked against the view and the core's own port count
+    /// (so every read is O(1)).
     #[inline]
-    fn core(&self, router: usize, port: usize, vc: usize) -> (*const RouterCore, usize) {
+    fn core(&self, router: usize, port: usize, vc: usize) -> (&RouterCore, usize) {
         assert!(router < self.len, "router range");
         assert!(vc < self.spec.vcs, "vc range");
-        // SAFETY: in range per the assert; valid per the constructor
-        // contract, which also permits this shared read of the
-        // output-side `out_port_count` (projected alone, never the whole
-        // struct).
-        let (core, ports) = unsafe {
-            let core = self.routers.add(router);
-            (core, (*core).out_port_count.len())
-        };
-        assert!(port < ports, "port range");
+        // SAFETY: in range per the assert; valid and unmutated per the
+        // constructor contract.
+        let core = unsafe { &*self.routers.add(router) };
+        assert!(port < core.out_port_count.len(), "port range");
         (core, port * self.spec.vcs + vc)
     }
 
@@ -146,11 +139,7 @@ impl<'a> NetView<'a> {
     /// Panics if `router`, `port` or `vc` is out of range.
     pub fn vc_occupancy(&self, router: usize, port: usize, vc: usize) -> usize {
         let (core, slot) = self.core(router, port, vc);
-        // SAFETY: shared read of an output-side field, permitted by the
-        // constructor contract. `&(*core).out_q` projects only that
-        // field, never the whole struct. Only the queue's plain `len`
-        // counter is read — never the arena the handles point into.
-        unsafe { (&(*core).out_q)[slot].len as usize }
+        core.out_q[slot].len as usize
     }
 
     /// Flits buffered in `router` whose next hop is output `port`,
@@ -164,8 +153,7 @@ impl<'a> NetView<'a> {
         // The engine maintains this per-port aggregate, so the hot
         // UGAL comparison is O(1) instead of a sum over VC queues.
         let (core, _) = self.core(router, port, 0);
-        // SAFETY: shared read of an output-side field (see `core`).
-        unsafe { (&(*core).out_port_count)[port] as usize }
+        core.out_port_count[port] as usize
     }
 
     /// Everything `router` has committed toward output `port` on VC
@@ -188,11 +176,8 @@ impl<'a> NetView<'a> {
     /// Panics if `router`, `port` or `vc` is out of range.
     pub fn vc_committed(&self, router: usize, port: usize, vc: usize) -> usize {
         let (core, slot) = self.core(router, port, vc);
-        // SAFETY: shared reads of output-side fields (see `core`).
-        unsafe {
-            let outstanding = self.buffer_depth - (&(*core).credits)[slot] as usize;
-            (&(*core).out_q)[slot].len as usize + outstanding
-        }
+        let outstanding = self.buffer_depth - core.credits[slot] as usize;
+        core.out_q[slot].len as usize + outstanding
     }
 
     /// Total committed flits toward `router`'s output `port` across all
@@ -205,8 +190,7 @@ impl<'a> NetView<'a> {
         // queue depth + unreturned credits, both per-port aggregates
         // the engine keeps up to date — O(1) instead of a VC sum.
         let (core, _) = self.core(router, port, 0);
-        // SAFETY: shared reads of output-side fields (see `core`).
-        unsafe { (&(*core).out_port_count)[port] as usize + (&(*core).outstanding)[port] as usize }
+        core.out_port_count[port] as usize + core.outstanding[port] as usize
     }
 }
 
@@ -279,10 +263,12 @@ pub trait RoutingAlgorithm: Sync {
         rng: &mut SmallRng,
     ) -> (RouteInfo, DecisionRecord);
 
-    /// Computes the output port and VC for `flit` currently buffered at
-    /// `router`. Must be deterministic in `(router, flit)` so that every
-    /// flit of a packet follows the same path.
-    fn route(&self, view: &NetView<'_>, router: usize, flit: &Flit) -> PortVc;
+    /// Computes the output port and VC for `flit` arriving at `router`.
+    /// Must be deterministic in `(router, flit)` so that every flit of a
+    /// packet follows the same path; it sees no queue state, which is
+    /// what lets the engine route, switch and transmit one router at a
+    /// time.
+    fn route(&self, router: usize, flit: &Flit) -> PortVc;
 }
 
 /// One hop of a traced route.
@@ -302,8 +288,8 @@ pub struct TraceHop {
 /// terminal `src` to terminal `dest` under `routing`, hop by hop, ending
 /// with the ejection hop — the same deterministic computation the
 /// simulator performs, exposed for debugging and validation on any
-/// topology. The walk runs over an idle network (queue state empty), so
-/// it exercises only the deterministic `route` path, never `inject`.
+/// topology. `route` reads no queue state, so the walk needs no
+/// simulation; it never calls `inject`.
 ///
 /// `hop_bound` should derive from the topology diameter (e.g. the
 /// longest admissible non-minimal path plus the ejection hop).
@@ -324,8 +310,6 @@ pub fn trace_path(
     if src >= spec.num_terminals() || dest >= spec.num_terminals() {
         return Err(SimError::InvalidRoute("terminal out of range".into()));
     }
-    let cores: Vec<RouterCore> = Vec::new();
-    let view = NetView::new(spec, &cores, 1, 0);
     let mut flit = Flit {
         packet: 0,
         src: src as u32,
@@ -343,7 +327,7 @@ pub fn trace_path(
     let mut router = spec.terminal_router(src);
     let mut hops = Vec::new();
     for _ in 0..hop_bound {
-        let pv = routing.route(&view, router, &flit);
+        let pv = routing.route(router, &flit);
         let port_spec = spec.routers[router].ports[pv.port as usize];
         hops.push(TraceHop {
             router,
@@ -428,8 +412,8 @@ impl RoutingAlgorithm for ShortestPathRouting {
         (RouteInfo::minimal(), DecisionRecord::default())
     }
 
-    fn route(&self, view: &NetView<'_>, router: usize, flit: &Flit) -> PortVc {
-        let (dest_router, eject) = view.spec().terminal_port(flit.dest as usize);
+    fn route(&self, router: usize, flit: &Flit) -> PortVc {
+        let (dest_router, eject) = self.table.spec().terminal_port(flit.dest as usize);
         if router == dest_router {
             return PortVc::new(eject, 0);
         }
@@ -568,8 +552,6 @@ mod tests {
     fn route_ejects_at_destination() {
         let spec = line_spec();
         let r = ShortestPathRouting::new(&spec);
-        let cores: Vec<RouterCore> = Vec::new();
-        let view = NetView::new(&spec, &cores, 4, 0);
         let flit = Flit {
             packet: 0,
             src: 0,
@@ -585,10 +567,10 @@ mod tests {
             tag: 0,
         };
         // Terminal 2 lives on router 1 port 2.
-        let pv = r.route(&view, 1, &flit);
+        let pv = r.route(1, &flit);
         assert_eq!(pv, PortVc::new(2, 0));
         // From router 0 it heads toward router 1 on VC min(hops, vcs-1).
-        let pv = r.route(&view, 0, &flit);
+        let pv = r.route(0, &flit);
         assert_eq!(pv, PortVc::new(1, 1));
     }
 
@@ -605,7 +587,7 @@ mod tests {
         ) -> (RouteInfo, DecisionRecord) {
             (RouteInfo::minimal(), DecisionRecord::default())
         }
-        fn route(&self, _view: &NetView<'_>, router: usize, _flit: &Flit) -> PortVc {
+        fn route(&self, router: usize, _flit: &Flit) -> PortVc {
             PortVc::new(self.0[router], 0)
         }
     }

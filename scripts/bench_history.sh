@@ -8,12 +8,16 @@
 #     scripts/bench_history.sh compare [-n K]   last line vs. the one K before it (default 1);
 #                                               warns on stderr when the two hosts differ
 #     scripts/bench_history.sh ab <rev> [K] [WORKLOAD]
-#                                               paired A/B on this host: <rev> vs. the working tree
+#                                               paired A/B on this host: <rev> vs. the working tree,
+#                                               K pairs (default 10) of WORKLOAD (default all)
 #
 # `ab` copies both sides under target/ab/ - a local `git clone` checked
 # out at <rev>, and the working tree's tracked and new files - builds each
-# side's benchmark there and runs K alternating pairs (default 3) of
-# WORKLOAD (default all). It prints, per workload and end-to-end metric,
+# side's benchmark there and runs K alternating pairs (default 10) of
+# WORKLOAD (default all). Ten pairs is the least that supports a
+# verdict: a gain claim needs the change to win at least nine of ten,
+# and on a shared host three pairs have read 0/3 wins where ten pairs
+# of the same two builds read 5/10. With K < 10 the summary says so. It prints, per workload and end-to-end metric,
 # both medians, the parent runs' interquartile spread (a median
 # difference inside it is noise), how many pairs the change won in the
 # metric's better direction (ties count for neither), the median
@@ -49,7 +53,7 @@ compare)
     ;;
 ab)
     rev=${2:?usage: bench_history.sh ab <rev> [K] [WORKLOAD]}
-    k=${3:-3}
+    k=${3:-10}
     workload=${4:-all}
     ab=target/ab
     rm -rf "$ab/base" "$ab/change" "$ab/out"
@@ -103,6 +107,7 @@ ab)
               ($ratios | if length > 0 then median | num else "-" end),
               ($ratios | if length > 0 then "\(min | num)-\(max | num)" else "-" end)]
            | row),
+          (if $k < 10 then "note: \($k) < 10 pairs cannot support a verdict; rerun with K = 10 or more" else empty end),
           "",
           ($base[0].workloads | keys_unsorted[] as $w
            | [$all[].workloads[$w].sim_fingerprint] as $fp
@@ -110,7 +115,7 @@ ab)
     ' $files_base $files_change
     ;;
 *)
-    echo "usage: bench_history.sh record <pr> | compare [-n K] | ab <rev> [K] [WORKLOAD]" >&2
+    echo "usage: bench_history.sh record <pr> | compare [-n K] | ab <rev> [K=10] [WORKLOAD=all]" >&2
     exit 2
     ;;
 esac
