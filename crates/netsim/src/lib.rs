@@ -32,8 +32,8 @@
 
 // Unsafe is denied crate-wide and allowed only on the two items the
 // sharded cycle engine needs: the shared router table (`sim::ShardTable`)
-// and the raw-pointer internals of `NetView`. Each unsafe block carries
-// its field-disjointness argument.
+// and the raw-pointer internals of `NetView`. Each unsafe block says why
+// no other thread touches what it borrows.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
